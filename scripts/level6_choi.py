@@ -14,7 +14,12 @@ import argparse
 import sys
 import time
 
-from sepcert.hierarchy import ExtensionSpec, required_resources, run_test
+from sepcert.hierarchy import (
+    MEMORY_BUDGET_BYTES,
+    ExtensionSpec,
+    required_resources,
+    run_test,
+)
 from sepcert.states import choi_family_state
 
 
@@ -46,7 +51,8 @@ def main(argv=None):
     print("required resources:")
     print(f"  free directions:       {res['free_directions']}")
     print(f"  block sides:           {res['block_sides']}")
-    print(f"  stacked block storage: {res['stack_bytes'] / 1e9:.2f} GB")
+    print(f"  working-set estimate:  {res['stack_bytes'] / 1e9:.2f} GB")
+    print(f"  memory budget:         {MEMORY_BUDGET_BYTES / 1e9:.2f} GB")
     print(f"  schur flops/iteration: {res['schur_flops_per_iteration']:.2e}")
     if not args.yes_really:
         print("dry run only; pass --yes-really to start the solves")

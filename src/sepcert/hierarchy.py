@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 from itertools import permutations
 
 import numpy as np
+import scipy.sparse as sps
 
 from . import sdp
 from .tensorops import (
@@ -177,10 +178,6 @@ def _desc_label(l, b):
     return "".join(parts)
 
 
-def _reduced_block_side(d_a, d_b, k, l):
-    return symmetric_subspace_dim(d_a, l) * symmetric_subspace_dim(d_a, k - l) * d_b
-
-
 def free_direction_count(d_a, d_b, k, reduced):
     if reduced:
         return (symmetric_subspace_dim(d_a, k) ** 2 - d_a**2) * d_b**2
@@ -188,22 +185,52 @@ def free_direction_count(d_a, d_b, k, reduced):
 
 
 def required_resources(d_a, d_b, spec):
-    """Pure arithmetic estimate of the assembled problem's size and cost."""
+    """Arithmetic estimate of the assembled problem's memory and cost.
+
+    Every direction is A x sigma_j with sigma_j from hermitian_basis(d_b)
+    and A a side_a x side_a matrix on the copies, so a block stores at
+    most (m / d_b^2) * side_a^2 * (entries of the whole B basis) values;
+    that bound stands in for the block's nnz.  stack_bytes counts
+
+      * the CSR stacks five times over: as assembled, with the margin
+        direction appended, their real copy, and the two re-layouts the
+        Schur assembly multiplies with (sdp.schur_stacks);
+      * the dense A factors the build hands to the Kronecker product
+        (held twice);
+      * the largest block's dense (n^2, m) Schur workspace, held twice
+        while it is transposed into place;
+      * the m x m Schur matrix and its Cholesky factor.
+
+    Complex values are assumed throughout.  schur_flops_per_iteration is
+    sum_b (2 m n_b^3 + 2 m nnz_b): the dense S^-1 product plus the sparse
+    trace pairing.
+    """
     k = spec.k
     m = free_direction_count(d_a, d_b, k, spec.reduced)
     descs = transpose_descriptors(k, spec.ppt)
     if spec.reduced:
-        sides = [_reduced_block_side(d_a, d_b, k, l) for l, _ in descs]
+        sides_a = [
+            symmetric_subspace_dim(d_a, l) * symmetric_subspace_dim(d_a, k - l)
+            for l, _ in descs
+        ]
     else:
-        sides = [d_a**k * d_b for _ in descs]
-    sq = sum(s**2 for s in sides)
-    flops = 16.0 * m * m * sq  # Schur assembly, the dominant per-iteration cost
+        sides_a = [d_a**k for _ in descs]
+    sides = [s * d_b for s in sides_a]
+    groups = m // d_b**2
+    b_entries = sum(int(np.count_nonzero(e)) for e in hermitian_basis(d_b).elements)
+    nnz = [groups * s**2 * b_entries for s in sides_a]
+    csr_bytes = 5 * sum(20 * z + 4 * m * n for z, n in zip(nnz, sides))
+    factor_bytes = 2 * 16 * groups * max(sides_a) ** 2
+    workspace_bytes = 2 * 16 * m * max(sides) ** 2
+    schur_bytes = 2 * 8 * m * m
     return {
         "free_directions": m,
         "block_sides": sides,
         "block_labels": [_desc_label(l, b) for l, b in descs],
-        "stack_bytes": int(16 * (m + 1) * sq),
-        "schur_flops_per_iteration": flops,
+        "stack_bytes": csr_bytes + factor_bytes + workspace_bytes + schur_bytes,
+        "schur_flops_per_iteration": float(
+            sum(2 * m * n**3 + 2 * m * z for z, n in zip(nnz, sides))
+        ),
     }
 
 
@@ -256,6 +283,27 @@ def averaged_embedding_adjoint(v_mat, d_a, d_b, k):
     return out
 
 
+def _kron_stack(avecs, side_a, bmats):
+    """CSR direction stack whose row a*len(bmats) + j is vec(A_a x B_j).
+
+    avecs[a] is the row-major vec of the side_a x side_a matrix A_a.  The
+    sparse Kronecker product of the two vec stacks holds every product
+    entry; one fixed column permutation turns its (a1, a2, b1, b2) column
+    order into the row-major vec order (a1, b1, a2, b2) of A_a x B_j.
+    Only exact zeros are left out.
+    """
+    d_b = bmats[0].shape[0]
+    side = side_a * d_b
+    kron = sps.kron(
+        sps.csr_array(avecs),
+        sps.csr_array(np.stack([bm.ravel() for bm in bmats])),
+        format="coo",
+    )
+    cols = np.arange(side * side).reshape(side_a, d_b, side_a, d_b)
+    cols = cols.transpose(0, 2, 1, 3).ravel()[kron.col]
+    return sps.csr_array((kron.data, (kron.row, cols)), shape=kron.shape)
+
+
 def _pair_expand(mat, basis_a, basis_b):
     """Coefficients R[a, j] of mat over the product basis sigma_a x sigma_j."""
     da, db = basis_a.dim, basis_b.dim
@@ -305,7 +353,7 @@ class ExtensionAssembly:
         if res["stack_bytes"] > MEMORY_BUDGET_BYTES:
             raise AssemblyError(
                 f"assembled problem would need about {res['stack_bytes'] / 1e9:.1f} "
-                "GB of direction stacks",
+                "GB of working memory",
                 resources=res,
             )
         if self.reduced:
@@ -324,9 +372,9 @@ class ExtensionAssembly:
         # coefficients and are excluded from the free directions
         kept = [mu for mu in multisets(na, k) if mu.count(0) < k - 1]
 
-        sym_products = []
-        for mu in kept:
-            acc = np.zeros((d_a**k, d_a**k), dtype=complex)
+        sym_vecs = np.zeros((len(kept), d_a ** (2 * k)), dtype=complex)
+        for mu, vec in zip(kept, sym_vecs):
+            acc = vec.reshape(d_a**k, d_a**k)  # a view: fills sym_vecs
             seen = set()
             for perm in permutations(mu):
                 if perm in seen:
@@ -336,30 +384,27 @@ class ExtensionAssembly:
                 for idx in perm[1:]:
                     term = np.kron(term, basis_a.elements[idx])
                 acc += term
-            sym_products.append(acc)
 
         self.m = len(kept) * d_b**2
         g0_full = averaged_embedding(self.rho.matrix, d_a, d_b, k)
         ext_space = TensorSpace([d_a] * k + [d_b])
 
-        directions = np.empty((self.m, d_a**k * d_b, d_a**k * d_b), dtype=complex)
-        pos = 0
-        for sym in sym_products:
-            for sj in basis_b.elements:
-                directions[pos] = np.kron(sym, sj)
-                pos += 1
+        nfull = d_a**k * d_b
+        directions = _kron_stack(sym_vecs, d_a**k, basis_b.elements)
 
+        # a partial transpose permutes matrix entries, so each transposed
+        # block is a column permutation of the plain stack
+        entries = np.arange(nfull * nfull).reshape(nfull, nfull)
         f0s, fs = [], []
         for l, b in transpose_descriptors(k, self.spec.ppt):
             which = set(range(l)) | ({k} if b else set())
             if which:
                 f0 = partial_transpose_multi(g0_full, ext_space, which)
-                stack = np.empty_like(directions)
-                for i in range(self.m):
-                    stack[i] = partial_transpose_multi(directions[i], ext_space, which)
+                cols = partial_transpose_multi(entries, ext_space, which).ravel()
+                stack = directions[:, cols]
             else:
                 f0 = g0_full.copy()
-                stack = directions.copy()
+                stack = directions
             f0s.append(f0)
             fs.append(stack)
             self.descriptors.append(
@@ -467,26 +512,23 @@ class ExtensionAssembly:
                         )
             self._acomp[l] = stack
 
-        # assemble blocks
+        # assemble blocks; direction (v, j) is A_v x sigma_j (sigma_j^T on
+        # tb blocks)
         f0s, fs = [], []
-        n_null = len(null_cols)
         for l, b in descs:
             astack = self._acomp[l]
             side_a = astack.shape[1]
             side = side_a * d_b
+            bmats = [sj.T if b else sj for sj in basis_b.elements]
             f0 = np.zeros((side, side), dtype=complex)
-            for j, sj in enumerate(basis_b.elements):
+            for j, sj in enumerate(bmats):
                 amat = np.tensordot(y0[:, j], astack, axes=1)
-                f0 += np.kron(amat, sj.T if b else sj)
-            stack = np.empty((self.m, side, side), dtype=complex)
-            pos = 0
-            for v in nullmat:
-                amat = np.tensordot(v, astack, axes=1)
-                for sj in basis_b.elements:
-                    stack[pos] = np.kron(amat, sj.T if b else sj)
-                    pos += 1
+                f0 += np.kron(amat, sj)
+            avecs = np.array(
+                [np.tensordot(v, astack, axes=1).ravel() for v in nullmat]
+            ).reshape(len(nullmat), side_a * side_a)
             f0s.append(f0)
-            fs.append(stack)
+            fs.append(_kron_stack(avecs, side_a, bmats))
             self.descriptors.append(BlockDescriptor(l, b, _desc_label(l, b), side))
         self.problem = sdp.SdpProblem(
             f0s=f0s, fs=fs, c=np.zeros(self.m), name="extension-reduced"
@@ -632,7 +674,7 @@ class ExtensionAssembly:
         x = np.asarray(x, dtype=float)
         comp = self.problem.f0s[0].astype(complex, copy=True)
         if x.size:
-            comp += np.tensordot(x, self.problem.fs[0], axes=1)
+            comp += (self.problem.fs[0].T @ x).reshape(comp.shape)
         if not self.reduced:
             return comp
         lift = np.kron(symmetric_isometry(self.d_a, self.k), np.eye(self.d_b))

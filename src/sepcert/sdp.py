@@ -1,4 +1,5 @@
-"""Dense semidefinite programming over Hermitian matrix blocks.
+"""Semidefinite programming over Hermitian matrix blocks with sparse
+direction storage.
 
 Problems come in the standard linear-matrix-inequality form
 
@@ -30,6 +31,14 @@ direction can be dropped: a real dual matrix satisfies its constraint
 automatically and a real-restricted primal loses nothing), the iteration
 runs in real symmetric arithmetic, which is noticeably faster.
 
+Direction matrices are stored sparse: each block's stack F_1..F_m is one
+compressed-sparse-row (CSR) matrix of shape (m, n^2) whose row i is the
+row-major vec of F_i.  Every pass over the stack is a sparse product, and
+the Schur complement is assembled as in Fujisawa, Kojima & Nakata
+("Exploiting sparsity in primal-dual interior-point methods for SDP",
+Math. Program. 79, 1997): S^-1 formed once, one sparse product with Z, one
+dense product with S^-1, and one sparse contraction against the stack.
+
 Everything is deterministic: no randomness, fixed starting point.
 """
 
@@ -37,6 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sps
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -67,53 +77,74 @@ def _herm(mat):
     return (mat + mat.conj().T) / 2
 
 
+def _row_absmax(mat):
+    """Largest entry magnitude in each row of a sparse matrix."""
+    return abs(mat).max(axis=1).toarray().ravel()
+
+
+def _vec_transpose(n):
+    """Column order that maps the row-major vec of X to that of X^T."""
+    return np.arange(n * n).reshape(n, n).T.ravel()
+
+
+def _combine(x, fmat, n):
+    """sum_i x_i F_i as a dense n x n matrix."""
+    return (fmat.T @ x).reshape(n, n)
+
+
 @dataclass
 class SdpProblem:
     """Block-diagonal LMI data.
 
-    f0s[b] is the constant matrix of block b; fs[b] stacks the m direction
-    matrices of that block as an (m, n_b, n_b) array.  All matrices must be
-    Hermitian (checked, rejected when not).
+    f0s[b] is the constant matrix of block b; fs[b] holds the m direction
+    matrices of that block as one CSR matrix of shape (m, n_b**2) whose row
+    i is the row-major vec of F_i.  A dense (m, n_b, n_b) stack is accepted
+    and converted once.  All matrices must be Hermitian (checked, rejected
+    when not).
     """
 
     f0s: list
     fs: list
     c: np.ndarray
     name: str = ""
-    traceless_constraints: bool = field(init=False)
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float)
         m = len(self.c)
         if len(self.f0s) != len(self.fs):
             raise ValueError("f0s and fs must list the same blocks")
+        self.fs = list(self.fs)
         for b, (f0, stack) in enumerate(zip(self.f0s, self.fs)):
             n = f0.shape[0]
             if f0.shape != (n, n):
                 raise ValueError(f"block {b}: constant matrix is not square")
-            if stack.shape != (m, n, n):
+            if not sps.issparse(stack):
+                stack = np.asarray(stack)
+                if stack.shape != (m, n, n):
+                    raise ValueError(
+                        f"block {b}: direction stack has shape {stack.shape}, "
+                        f"expected {(m, n, n)}"
+                    )
+                stack = stack.reshape(m, n * n)
+            stack = sps.csr_array(stack)
+            if stack.shape != (m, n * n):
                 raise ValueError(
                     f"block {b}: direction stack has shape {stack.shape}, "
-                    f"expected {(m, n, n)}"
+                    f"expected {(m, n * n)}"
                 )
+            self.fs[b] = stack
             dev = np.abs(f0 - f0.conj().T).max()
             if dev > 1e-12 * max(1.0, np.abs(f0).max()):
                 raise ValueError(f"block {b}: constant matrix is not Hermitian")
             if m:
-                devs = np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=(1, 2))
-                scales = np.maximum(1.0, np.abs(stack).max(axis=(1, 2)))
+                devs = _row_absmax(stack - stack[:, _vec_transpose(n)].conj())
+                scales = np.maximum(1.0, _row_absmax(stack))
                 bad = np.nonzero(devs > 1e-12 * scales)[0]
                 if bad.size:
                     raise ValueError(
                         f"block {b}: direction {bad[0]} is not Hermitian "
                         f"(deviation {devs[bad[0]]:.2e})"
                     )
-        traces = np.zeros(m)
-        for stack in self.fs:
-            if m:
-                traces += np.trace(stack, axis1=1, axis2=2).real
-        scale = max(1.0, max(f0.shape[0] for f0 in self.f0s))
-        self.traceless_constraints = bool(m == 0 or np.abs(traces).max() <= 1e-10 * scale)
 
     @property
     def m(self):
@@ -159,12 +190,12 @@ def _structured_real_reduction(f0s, fs, c):
             return None
     m = len(c)
     if m == 0:
-        return [f0.real.copy() for f0 in f0s], [s.real.copy() for s in fs], []
+        return [f0.real.copy() for f0 in f0s], [s.real for s in fs], []
     re_max = np.zeros(m)
     im_max = np.zeros(m)
     for stack in fs:
-        re_max = np.maximum(re_max, np.abs(stack.real).max(axis=(1, 2)))
-        im_max = np.maximum(im_max, np.abs(stack.imag).max(axis=(1, 2)))
+        re_max = np.maximum(re_max, _row_absmax(stack.real))
+        im_max = np.maximum(im_max, _row_absmax(stack.imag))
     scales = np.maximum(1.0, np.maximum(re_max, im_max))
     c_scale = max(1.0, np.abs(c).max())
     keep = []
@@ -178,7 +209,7 @@ def _structured_real_reduction(f0s, fs, c):
     if not keep:
         return None
     keep = np.asarray(keep, dtype=int)
-    real_fs = [np.ascontiguousarray(stack[keep].real) for stack in fs]
+    real_fs = [stack[keep].real for stack in fs]
     return [f0.real.copy() for f0 in f0s], real_fs, keep
 
 
@@ -197,6 +228,38 @@ def _trace_pairs(fmat, z):
     return (fmat @ z.T.ravel()).real
 
 
+def schur_stacks(fmat, n):
+    """The two re-layouts of one block's stack that schur_block uses.
+
+    Returns (ftrans, fperm): ftrans is fmat with the columns of each row
+    in vec(F_i^T) order, and fperm has row r*m + i equal to row r of F_i,
+    so that fperm @ Z, read as an (n, m*n) array, is [F_1 Z | ... | F_m Z].
+    """
+    m = fmat.shape[0]
+    coo = fmat.tocoo()
+    fperm = sps.csr_array(
+        (coo.data, ((coo.col // n) * m + coo.row, coo.col % n)), shape=(m * n, n)
+    )
+    return fmat[:, _vec_transpose(n)], fperm
+
+
+def schur_block(stacks, sinv, z):
+    """One block's share M_ij = Re Tr[F_i S^-1 F_j Z] of the Schur complement.
+
+    stacks is schur_stacks(fmat, n).  G_j = S^-1 F_j Z for all j is one
+    sparse product and one dense product over m*n columns; G_j[q, p] is
+    then moved to row q*n + p, column j of an (n^2, m) array, so that the
+    trace pairing Tr[F_i G_j] = sum F_i[p, q] G_j[q, p] with every F_i is
+    one sparse product.
+    """
+    ftrans, fperm = stacks
+    n = z.shape[0]
+    m = ftrans.shape[0]
+    g = sinv @ (fperm @ z).reshape(n, m * n)
+    g = g.reshape(n, m, n).transpose(0, 2, 1).reshape(n * n, m)
+    return (ftrans @ g).real
+
+
 def _project_dual_constraints(fs_list, c, z_blocks):
     """Minimal-norm correction of Z onto the subspace Tr[F_i Z] = c_i.
 
@@ -206,22 +269,19 @@ def _project_dual_constraints(fs_list, c, z_blocks):
     the certificate by more than the violation itself.
     """
     m = len(c)
-    nb = len(z_blocks)
-    fls = [np.asarray(fs_list[b]).reshape(m, -1) for b in range(nb)]
     resid = np.asarray(c, dtype=float).copy()
-    for b in range(nb):
-        resid -= _trace_pairs(fls[b], np.asarray(z_blocks[b]))
     gram = np.zeros((m, m))
-    for b in range(nb):
-        gram += (fls[b] @ fls[b].conj().T).real
+    for fmat, z in zip(fs_list, z_blocks):
+        resid -= _trace_pairs(fmat, np.asarray(z))
+        gram += (fmat @ fmat.conj().T).real.toarray()
     try:
         lam = sla.cho_solve(sla.cho_factor(gram), resid)
     except np.linalg.LinAlgError:
         lam = np.linalg.lstsq(gram, resid, rcond=None)[0]
     out = []
-    for b in range(nb):
-        delta = np.tensordot(lam, np.asarray(fs_list[b]), axes=1)
-        out.append(_herm(np.asarray(z_blocks[b]) + delta))
+    for fmat, z in zip(fs_list, z_blocks):
+        z = np.asarray(z)
+        out.append(_herm(z + _combine(lam, fmat, z.shape[0])))
     return out
 
 
@@ -231,7 +291,7 @@ def _solve_core(f0s, fs, c, tol, trace_cb=None):
     m = len(c)
     ns = [f0.shape[0] for f0 in f0s]
     ntot = sum(ns)
-    fmats = [fs[b].reshape(m, ns[b] * ns[b]) for b in range(nb)]
+    stacks = [schur_stacks(fs[b], ns[b]) for b in range(nb)]
 
     beta = 1.0 + np.sqrt(sum(np.linalg.norm(f0) ** 2 for f0 in f0s))
     x = np.zeros(m)
@@ -240,7 +300,7 @@ def _solve_core(f0s, fs, c, tol, trace_cb=None):
 
     tvec = np.zeros(m)
     for b in range(nb):
-        tvec += np.trace(fs[b], axis1=1, axis2=2).real
+        tvec += _trace_pairs(fs[b], eye[b])
     denom = tvec @ tvec
     tau = (c @ tvec) / denom if denom > 1e-300 else 1.0
     if not np.isfinite(tau) or tau <= 1e-10:
@@ -269,11 +329,11 @@ def _solve_core(f0s, fs, c, tol, trace_cb=None):
         )
 
     for it in range(1, tol.max_iter + 1):
-        fx = [f0s[b] + np.tensordot(x, fs[b], axes=1) for b in range(nb)]
+        fx = [f0s[b] + _combine(x, fs[b], ns[b]) for b in range(nb)]
         rp = [fx[b] - slack[b] for b in range(nb)]
         rd = c.copy()
         for b in range(nb):
-            rd -= _trace_pairs(fmats[b], zdual[b])
+            rd -= _trace_pairs(fs[b], zdual[b])
         mu = sum((slack[b] * zdual[b].T).sum().real for b in range(nb)) / ntot
         pobj = float(c @ x)
         dobj = -sum((f0s[b] * zdual[b].T).sum().real for b in range(nb))
@@ -352,13 +412,8 @@ def _solve_core(f0s, fs, c, tol, trace_cb=None):
         # positive definite) and the pieces reused by both direction solves
         schur = np.zeros((m, m))
         for b in range(nb):
-            n = ns[b]
-            w = (fs[b].reshape(m * n, n) @ zdual[b]).reshape(m, n, n)
-            a = sla.cho_solve(
-                (chols[b], True), w.transpose(1, 0, 2).reshape(n, m * n)
-            )
-            a3t = a.reshape(n, m, n).transpose(1, 2, 0).reshape(m, n * n)
-            schur += (fmats[b] @ a3t.T).real
+            sinv = sla.cho_solve((chols[b], True), eye[b])
+            schur += schur_block(stacks[b], sinv, zdual[b])
         schur = (schur + schur.T) / 2
         try:
             schur_fact = sla.cho_factor(schur)
@@ -385,9 +440,9 @@ def _solve_core(f0s, fs, c, tol, trace_cb=None):
                 v0 = kmats[b] - rp[b] @ zdual[b]
                 u = sla.cho_solve((chols[b], True), v0)
                 # Re Tr[F_i U] with U = S^-1 (K - Rp Z)
-                rhs += _trace_pairs(fmats[b], u)
+                rhs += _trace_pairs(fs[b], u)
             dx = sla.cho_solve(schur_fact, rhs)
-            ds = [np.tensordot(dx, fs[b], axes=1) + rp[b] for b in range(nb)]
+            ds = [_combine(dx, fs[b], ns[b]) + rp[b] for b in range(nb)]
             dz = []
             for b in range(nb):
                 v = kmats[b] - ds[b] @ zdual[b]
@@ -499,12 +554,8 @@ def solve(problem, tolerances=None, trace=None):
         # the loop hit its numerical floor; accept the point only if the
         # linear matrix inequality verifies directly from the problem data
         lam = min(
-            float(
-                np.linalg.eigvalsh(
-                    _herm(problem.f0s[b] + np.tensordot(res["x"], problem.fs[b], axes=1))
-                )[0]
-            )
-            for b in range(len(problem.f0s))
+            float(np.linalg.eigvalsh(_herm(f0 + _combine(res["x"], fmat, len(f0))))[0])
+            for f0, fmat in zip(problem.f0s, problem.fs)
         )
         if lam >= -tol.feas_tol:
             status = FEASIBLE
@@ -531,11 +582,10 @@ def feasibility_margin(problem, tolerances=None, trace=None):
     """
     tol = tolerances or SolverTolerances()
     m = problem.m
-    aug_fs = []
-    for b, stack in enumerate(problem.fs):
-        n = problem.f0s[b].shape[0]
-        ident = np.eye(n, dtype=stack.dtype)[None]
-        aug_fs.append(np.concatenate([stack, ident], axis=0))
+    aug_fs = [
+        sps.vstack([stack, sps.csr_array(np.eye(len(f0)).reshape(1, -1))], format="csr")
+        for f0, stack in zip(problem.f0s, problem.fs)
+    ]
     aug_c = np.zeros(m + 1)
     aug_c[m] = 1.0
     res = _run(problem, tol, trace, problem.f0s, aug_fs, aug_c)
@@ -544,7 +594,7 @@ def feasibility_margin(problem, tolerances=None, trace=None):
     zraw = res["z"]
     viol = aug_c.copy()
     for b in range(len(zraw)):
-        viol -= _trace_pairs(aug_fs[b].reshape(m + 1, -1), np.asarray(zraw[b]))
+        viol -= _trace_pairs(aug_fs[b], np.asarray(zraw[b]))
     if np.abs(viol).max() > 0.25 * tol.cert_tol:
         zraw = _project_dual_constraints(aug_fs, aug_c, zraw)
     zsum = sum(np.trace(z).real for z in zraw)
@@ -591,21 +641,18 @@ def verify_certificate(problem, z_blocks, tolerances=None):
     """Independent check of an infeasibility certificate.
 
     Recomputes, from the problem data alone: the smallest eigenvalue over
-    the certificate blocks, the largest violation of Tr[F_i Z] = 0, and the
-    value Tr[F0 Z] (which must be strictly negative).
+    the certificate blocks, the largest violation of Tr[F_i Z] = 0 (one
+    sparse product per block), and the value Tr[F0 Z] (which must be
+    strictly negative).
     """
     tol = tolerances or SolverTolerances()
     min_eig = min(
         float(np.linalg.eigvalsh(_herm(np.asarray(z)))[0]) for z in z_blocks
     )
-    m = problem.m
-    viol = 0.0
-    for i in range(m):
-        tr = sum(
-            (problem.fs[b][i] * np.asarray(z_blocks[b]).T).sum().real
-            for b in range(len(z_blocks))
-        )
-        viol = max(viol, abs(tr))
+    traces = np.zeros(problem.m)
+    for fmat, z in zip(problem.fs, z_blocks):
+        traces += _trace_pairs(fmat, np.asarray(z))
+    viol = float(np.abs(traces).max()) if problem.m else 0.0
     value = sum(
         (problem.f0s[b] * np.asarray(z_blocks[b]).T).sum().real
         for b in range(len(z_blocks))
@@ -621,21 +668,3 @@ def verify_certificate(problem, z_blocks, tolerances=None):
         constraint_violation=viol,
         objective_value=value,
     )
-
-
-def check_slater(problem, tol=1e-10):
-    """Strict dual feasibility from tracelessness.
-
-    When every direction matrix is traceless across the direct sum, the
-    identity is a strictly feasible dual point for the homogeneous trace
-    constraints; returns (True, identity blocks) in that case.
-    """
-    m = problem.m
-    traces = np.zeros(m)
-    for stack in problem.fs:
-        if m:
-            traces += np.trace(stack, axis1=1, axis2=2).real
-    scale = max(1.0, max(f0.shape[0] for f0 in problem.f0s))
-    if m and np.abs(traces).max() > tol * scale:
-        return False, None
-    return True, [np.eye(f0.shape[0], dtype=complex) for f0 in problem.f0s]

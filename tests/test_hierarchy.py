@@ -9,11 +9,13 @@ direct re-verification of returned extensions.
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from sepcert import sdp
 from sepcert.hierarchy import (
     ENTANGLED,
     MARGINAL,
@@ -41,6 +43,7 @@ from sepcert.tensorops import (
     TensorSpace,
     partial_trace,
     partial_transpose,
+    partial_transpose_multi,
     swap_operator,
     symmetric_subspace_dim,
 )
@@ -113,6 +116,19 @@ def test_size_formulas_match_closed_forms():
                 assert res["block_sides"] == expect_sides
 
 
+def test_resource_estimate_covers_traced_peak():
+    spec = ExtensionSpec(k=2)
+    rho = choi_family_state(3.5)
+    tracemalloc.start()
+    try:
+        problem, _ = build_extension_problem(rho, spec)
+        sdp.feasibility_margin(problem)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert required_resources(3, 3, spec)["stack_bytes"] >= peak
+
+
 def test_level1_reduced_matches_plain_ppt_sizes():
     for reduced in (True, False):
         res = required_resources(3, 3, ExtensionSpec(k=1, reduced=reduced))
@@ -128,10 +144,41 @@ def test_directions_are_swap_invariant_and_trace_down_to_zero():
     swap = swap_operator(space, 0, 1)
     assert problem.fs[0].shape[0] == 24
     for j in range(problem.fs[0].shape[0]):
-        direction = problem.fs[0][j]
+        direction = problem.fs[0][[j]].toarray().reshape(8, 8)
         traced = partial_trace(direction, space, {1})
         assert np.abs(traced).max() < 1e-12
         assert np.abs(swap @ direction @ swap - direction).max() < 1e-12
+
+
+def test_sparse_stacks_equal_dense_constructions():
+    # reduced mode: direction (v, j) of every block is A_v x sigma_j
+    # (sigma_j^T on tb blocks), built densely here entry for entry
+    rho = random_state(2, 2, seed=9)
+    problem, asm = build_extension_problem(rho, ExtensionSpec(k=3))
+    assert [d.label for d in asm.descriptors] == ["plain", "ta1", "ta2", "tb"]
+    for desc, fmat in zip(asm.descriptors, problem.fs):
+        astack = asm._acomp[desc.a_transposed]
+        bmats = [sj.T if desc.b_transposed else sj for sj in asm._basis_b.elements]
+        dense = np.array(
+            [
+                np.kron(np.tensordot(v, astack, axes=1), sj)
+                for v in asm._nullmat
+                for sj in bmats
+            ]
+        ).reshape(asm.m, -1)
+        assert fmat.shape == dense.shape
+        assert fmat.nnz == np.count_nonzero(dense)
+        assert np.array_equal(fmat.toarray(), dense)
+    # unreduced mode: each transposed block is the plain stack with every
+    # direction partially transposed
+    problem, asm = build_extension_problem(rho, ExtensionSpec(k=3, reduced=False))
+    space = asm.extension_space()
+    side = space.dim
+    plain = problem.fs[0].toarray().reshape(asm.m, side, side)
+    for desc, fmat in zip(asm.descriptors[1:], problem.fs[1:]):
+        which = set(range(desc.a_transposed)) | ({3} if desc.b_transposed else set())
+        dense = np.array([partial_transpose_multi(f, space, which) for f in plain])
+        assert np.array_equal(fmat.toarray(), dense.reshape(asm.m, -1))
 
 
 def test_fixed_part_traces_down_to_state():

@@ -5,7 +5,9 @@ Independent oracles used here:
     linprog for comparison;
   * feasible instances are built from a known strictly feasible point;
   * infeasible instances are built around a planted certificate (a positive
-    definite Z0 orthogonal to every direction with Tr[F0 Z0] < 0).
+    definite Z0 orthogonal to every direction with Tr[F0 Z0] < 0);
+  * the Schur complement is compared with its dense definition
+    M_ij = Re Tr[F_i S^-1 F_j Z].
 """
 
 import numpy as np
@@ -18,8 +20,9 @@ from sepcert.sdp import (
     MARGINAL,
     SdpProblem,
     SolverTolerances,
-    check_slater,
     feasibility_margin,
+    schur_block,
+    schur_stacks,
     solve,
     verify_certificate,
 )
@@ -158,7 +161,7 @@ def test_constructed_feasible_instances(seed):
     out = feasibility_margin(p)
     assert out.status == FEASIBLE
     for b, f0 in enumerate(p.f0s):
-        fx = f0 + np.tensordot(out.x, p.fs[b], axes=1)
+        fx = f0 + (p.fs[b].T @ out.x).reshape(f0.shape)
         assert np.linalg.eigvalsh(herm(fx))[0] >= -1e-9
 
 
@@ -210,7 +213,7 @@ def test_complex_data_handled_natively():
     rot = lambda m: q @ m @ q.conj().T
     p2 = SdpProblem(
         f0s=[rot(p.f0s[0])],
-        fs=[np.stack([rot(f) for f in p.fs[0]])],
+        fs=[np.stack([rot(f) for f in p.fs[0].toarray().reshape(3, 4, 4)])],
         c=np.zeros(3),
     )
     out = feasibility_margin(p2)
@@ -219,30 +222,6 @@ def test_complex_data_handled_natively():
     # margins agree with the unrotated problem (unitary invariance)
     base = feasibility_margin(p)
     assert abs(out.margin_t - base.margin_t) < 1e-6
-
-
-def test_check_slater():
-    rng = np.random.default_rng(3)
-    fs = []
-    for n in (4, 3):
-        stack = np.stack([rand_herm(n, rng) for _ in range(3)])
-        stack -= np.trace(stack, axis1=1, axis2=2).real[:, None, None] * np.eye(n) / n
-        fs.append(stack)
-    # per-block traceless: certainly traceless across the direct sum
-    p = SdpProblem(f0s=[np.eye(4, dtype=complex), np.eye(3, dtype=complex)], fs=fs, c=np.zeros(3))
-    ok, z0 = check_slater(p)
-    assert ok
-    assert p.traceless_constraints
-    for z in z0:
-        np.testing.assert_allclose(z, np.eye(z.shape[0]), atol=1e-14)
-    p_bad = SdpProblem(
-        f0s=[np.eye(2, dtype=complex)],
-        fs=[np.eye(2, dtype=complex)[None]],
-        c=np.zeros(1),
-    )
-    ok2, z2 = check_slater(p_bad)
-    assert not ok2 and z2 is None
-    assert not p_bad.traceless_constraints
 
 
 def test_non_hermitian_rejected():
@@ -277,3 +256,50 @@ def test_real_fast_path_matches_complex_path():
     assert out.status == FEASIBLE
     # dropping the imaginary direction must not hurt the certificate pairing
     assert abs(np.einsum("pq,qp->", imag_dir, out.z_blocks[0]).real) < 1e-12
+
+
+@pytest.mark.parametrize("complex_data", [False, True])
+def test_schur_block_matches_dense_definition(complex_data):
+    rng = np.random.default_rng(41 + complex_data)
+    m, n = 7, 6
+
+    def rand(shape):
+        out = rng.standard_normal(shape)
+        if complex_data:
+            out = out + 1j * rng.standard_normal(shape)
+        return out
+
+    fs = rand((m, n, n))
+    fs[rng.random((m, n, n)) < 0.6] = 0
+    fs = (fs + fs.conj().transpose(0, 2, 1)) / 2
+    g = rand((n, n))
+    s = g @ g.conj().T + 0.5 * np.eye(n)
+    g = rand((n, n))
+    z = g @ g.conj().T + 0.5 * np.eye(n)
+    sinv = np.linalg.inv(s)
+    dense = np.array(
+        [[np.trace(fs[i] @ sinv @ fs[j] @ z).real for j in range(m)] for i in range(m)]
+    )
+    fmat = SdpProblem(f0s=[s], fs=[fs], c=np.zeros(m)).fs[0]
+    got = schur_block(schur_stacks(fmat, n), sinv, z)
+    assert np.abs(got - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
+def test_certificate_check_rejects_small_defects():
+    # each defect breaks exactly one of the three certificate conditions
+    f0s = [-np.eye(2, dtype=complex), -np.eye(1, dtype=complex)]
+    fs = [
+        np.array([np.diag([1.0, -1.0]), [[0, 1j], [-1j, 0]]], dtype=complex),
+        np.zeros((2, 1, 1), dtype=complex),
+    ]
+    p = SdpProblem(f0s=f0s, fs=fs, c=np.zeros(2))
+    z = [np.eye(2) / 3, np.eye(1) / 3]
+    assert verify_certificate(p, z).passed
+    violated = verify_certificate(p, [np.diag([1 / 3 + 5e-7, 1 / 3 - 5e-7]), z[1]])
+    assert not violated.passed
+    assert violated.constraint_violation == pytest.approx(1e-6, rel=1e-6)
+    assert violated.min_eigenvalue > 0
+    negative = verify_certificate(p, [z[0], np.array([[-1e-6]])])
+    assert not negative.passed
+    assert negative.min_eigenvalue == pytest.approx(-1e-6, rel=1e-9)
+    assert negative.constraint_violation == 0
