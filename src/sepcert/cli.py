@@ -168,7 +168,7 @@ def _trace_cb(args):
         return None
 
     def cb(row):
-        keys = ["iteration", "mu", "pinf", "dinf", "gap"]
+        keys = ["iteration", "mu", "pinf", "dinf", "gap", "sigma", "alpha_p", "alpha_d"]
         parts = [
             f"{k}={row[k]}" if k == "iteration" else f"{k}={row[k]:.3e}"
             for k in keys

@@ -36,6 +36,7 @@ symmetric-subspace solution of the trace-down constraint.
 """
 
 import math
+import threading
 import warnings
 from dataclasses import dataclass, field
 from itertools import permutations
@@ -199,7 +200,9 @@ def required_resources(d_a, d_b, spec):
         (held twice);
       * the largest block's dense (n^2, m) Schur workspace, held twice
         while it is transposed into place;
-      * the m x m Schur matrix and its Cholesky factor.
+      * the m x m Schur matrix and its Cholesky factor;
+      * in reduced mode, the product basis of A x B that the per-state
+        step contracts rho against.
 
     Complex values are assumed throughout.  schur_flops_per_iteration is
     sum_b (2 m n_b^3 + 2 m nnz_b): the dense S^-1 product plus the sparse
@@ -223,11 +226,14 @@ def required_resources(d_a, d_b, spec):
     factor_bytes = 2 * 16 * groups * max(sides_a) ** 2
     workspace_bytes = 2 * 16 * m * max(sides) ** 2
     schur_bytes = 2 * 8 * m * m
+    pair_bytes = 16 * (d_a * d_b) ** 4 if spec.reduced else 0
     return {
         "free_directions": m,
         "block_sides": sides,
         "block_labels": [_desc_label(l, b) for l, b in descs],
-        "stack_bytes": csr_bytes + factor_bytes + workspace_bytes + schur_bytes,
+        "stack_bytes": (
+            csr_bytes + factor_bytes + workspace_bytes + schur_bytes + pair_bytes
+        ),
         "schur_flops_per_iteration": float(
             sum(2 * m * n**3 + 2 * m * z for z, n in zip(nnz, sides))
         ),
@@ -304,46 +310,56 @@ def _kron_stack(avecs, side_a, bmats):
     return sps.csr_array((kron.data, (kron.row, cols)), shape=kron.shape)
 
 
-def _pair_expand(mat, basis_a, basis_b):
-    """Coefficients R[a, j] of mat over the product basis sigma_a x sigma_j."""
-    da, db = basis_a.dim, basis_b.dim
-    na, nb = len(basis_a.elements), len(basis_b.elements)
-    r = np.empty((na, nb))
-    ga = np.ones(na)
-    ga[0] = 1.0 / da
-    gb = np.ones(nb)
-    gb[0] = 1.0 / db
-    for a, sa in enumerate(basis_a.elements):
-        for j, sj in enumerate(basis_b.elements):
-            r[a, j] = np.einsum("pq,qp->", mat, np.kron(sa, sj)).real / (ga[a] * gb[j])
-    return r
+def _kron_sum(amats, bmats):
+    """sum_n amats[n] x bmats[n] as one dense matrix.
+
+    The products and the sum over n are elementwise and run in the order
+    of n, so the result equals accumulating np.kron terms one at a time.
+    """
+    sa, sb = amats.shape[1], bmats.shape[1]
+    terms = amats[:, :, None, :, None] * bmats[:, None, :, None, :]
+    return terms.sum(axis=0).reshape(sa * sb, sa * sb)
 
 
-class ExtensionAssembly:
-    """Everything run_test and witness extraction need beyond the raw SDP.
+def _combine_copies(coef, astack):
+    """The matrices sum_i coef[i, j] A_i for every column j, one
+    vector-matrix product per column."""
+    ns, sa, _ = astack.shape
+    return np.matmul(coef.T[:, None, :], astack.reshape(ns, -1)).reshape(-1, sa, sa)
 
-    Public metadata: dims, level, mode, free-direction count, block
-    descriptors, warnings.  The heavier internals (compression stacks,
-    pinned coefficients, null-space data) stay on the instance for reuse.
+
+def _block_pairings(z, astack, bmats):
+    """Re Tr[(A_i x B_j) Z] for every pair, as a (len(astack), len(bmats))
+    array."""
+    side_a, side_b = astack.shape[1], bmats.shape[1]
+    z4 = np.asarray(z).reshape(side_a, side_b, side_a, side_b)
+    pair = np.empty((len(astack), len(bmats)))
+    for j, bm in enumerate(bmats):
+        vb = np.einsum("aibj,ji->ab", z4, bm)
+        pair[:, j] = np.einsum("spq,qp->s", astack, vb).real
+    return pair
+
+
+class ExtensionShape:
+    """The part of a level-k extension problem that does not depend on rho.
+
+    rho enters only through the trace-down constraint, which pins the F0
+    blocks.  Everything else is fixed by (d_a, d_b, k, ppt, reduced): the
+    trace-down map and its pseudo-inverses, the null-space basis of the
+    free directions, the copy-side compressors, the block descriptors and
+    the direction stacks (one sdp.DirectionStacks).  The adjointness check
+    runs once here.  pinned_blocks is the per-state step.
     """
 
-    def __init__(self, rho, spec):
-        self.rho = rho
+    def __init__(self, d_a, d_b, spec):
+        self.d_a = d_a
+        self.d_b = d_b
         self.spec = spec
-        self.d_a = rho.dim_a
-        self.d_b = rho.dim_b
         self.k = spec.k
         self.reduced = spec.reduced
         self.descriptors = []
         self.warnings = []
-        self.m = 0
-        self.problem = None
-        self._build()
-
-    # -- construction ----------------------------------------------------
-
-    def _build(self):
-        res = required_resources(self.d_a, self.d_b, self.spec)
+        res = required_resources(d_a, d_b, spec)
         side_cap = max(res["block_sides"])
         if side_cap > AMBIENT_CAP:
             raise AssemblyError(
@@ -356,17 +372,23 @@ class ExtensionAssembly:
                 "GB of working memory",
                 resources=res,
             )
-        if self.reduced:
-            self._build_reduced()
-        else:
-            self._build_full()
+        stacks = self._build_reduced() if self.reduced else self._build_full()
+        self.stacks = sdp.DirectionStacks.from_blocks(
+            stacks, [d.side for d in self.descriptors], self.m
+        )
+        self._check_adjointness()
+
+    # -- construction ----------------------------------------------------
+
+    def _transposed_factors(self, l, b):
+        return set(range(l)) | ({self.k} if b else set())
 
     def _build_full(self):
+        """Directions of the unreduced problem; returns the block stacks."""
         d_a, d_b, k = self.d_a, self.d_b, self.k
         basis_a = hermitian_basis(d_a)
         basis_b = hermitian_basis(d_b)
         na = d_a**2
-        copies_space = TensorSpace([d_a] * k)
 
         # multisets with >= k-1 identity factors carry the pinned trace-down
         # coefficients and are excluded from the free directions
@@ -386,42 +408,32 @@ class ExtensionAssembly:
                 acc += term
 
         self.m = len(kept) * d_b**2
-        g0_full = averaged_embedding(self.rho.matrix, d_a, d_b, k)
-        ext_space = TensorSpace([d_a] * k + [d_b])
-
+        self._ext_space = TensorSpace([d_a] * k + [d_b])
         nfull = d_a**k * d_b
         directions = _kron_stack(sym_vecs, d_a**k, basis_b.elements)
 
         # a partial transpose permutes matrix entries, so each transposed
         # block is a column permutation of the plain stack
         entries = np.arange(nfull * nfull).reshape(nfull, nfull)
-        f0s, fs = [], []
+        stacks = []
         for l, b in transpose_descriptors(k, self.spec.ppt):
-            which = set(range(l)) | ({k} if b else set())
+            which = self._transposed_factors(l, b)
             if which:
-                f0 = partial_transpose_multi(g0_full, ext_space, which)
-                cols = partial_transpose_multi(entries, ext_space, which).ravel()
-                stack = directions[:, cols]
+                cols = partial_transpose_multi(entries, self._ext_space, which).ravel()
+                stacks.append(directions[:, cols])
             else:
-                f0 = g0_full.copy()
-                stack = directions
-            f0s.append(f0)
-            fs.append(stack)
-            self.descriptors.append(
-                BlockDescriptor(l, b, _desc_label(l, b), f0.shape[0])
-            )
-        self.problem = sdp.SdpProblem(
-            f0s=f0s, fs=fs, c=np.zeros(self.m), name="extension"
-        )
-        self._check_adjointness()
+                stacks.append(directions)
+            self.descriptors.append(BlockDescriptor(l, b, _desc_label(l, b), nfull))
+        return stacks
 
     def _build_reduced(self):
+        """Directions compressed onto the symmetric subspace; returns the
+        block stacks."""
         d_a, d_b, k = self.d_a, self.d_b, self.k
         dsym = symmetric_subspace_dim(d_a, k)
         basis_a = hermitian_basis(d_a)
         basis_b = hermitian_basis(d_b)
-        self._basis_a, self._basis_b = basis_a, basis_b
-        iso_k = symmetric_isometry(d_a, k)
+        self._iso_k = iso_k = symmetric_isometry(d_a, k)
         sbasis = hermitian_basis(dsym)
         self._sbasis = sbasis
         ns = dsym**2
@@ -459,7 +471,7 @@ class ExtensionAssembly:
             rows = np.nonzero(row_par == par)[0]
             cols = np.nonzero(col_par == par)[0]
             block = lmat[np.ix_(rows, cols)]
-            u, sv, vt = np.linalg.svd(block, full_matrices=True)
+            _, sv, vt = np.linalg.svd(block, full_matrices=True)
             tol = 1e-10 * (sv[0] if sv.size else 1.0)
             rank = int((sv > tol).sum())
             rank_total += rank
@@ -477,15 +489,6 @@ class ExtensionAssembly:
         self._nullmat = nullmat
         self._pinvs = pinvs
         self.m = len(null_cols) * d_b**2
-
-        # pinned coefficients y0[i, j] solving the trace-down constraint per
-        # B-basis label, minimum norm within the symmetric support
-        rcoef = _pair_expand(self.rho.matrix, basis_a, basis_b)
-        y0 = np.zeros((ns, d_b**2))
-        for par in (False, True):
-            rows, cols, pinv = pinvs[par]
-            y0[np.ix_(cols, range(d_b**2))] += pinv @ rcoef[rows, :]
-        self._y0 = y0
 
         # per-descriptor compressors of the copy side: for l transposed
         # copies, Sym_k-supported operators land in Sym_l x Sym_(k-l)
@@ -512,28 +515,36 @@ class ExtensionAssembly:
                         )
             self._acomp[l] = stack
 
-        # assemble blocks; direction (v, j) is A_v x sigma_j (sigma_j^T on
-        # tb blocks)
-        f0s, fs = [], []
+        # B side of direction (v, j): sigma_j, or sigma_j^T on tb blocks
+        bstack = np.stack(basis_b.elements)
+        self._bstacks = {
+            False: bstack,
+            True: np.ascontiguousarray(bstack.transpose(0, 2, 1)),
+        }
+        # the product basis sigma_a x sigma_j of A x B (row a * d_b^2 + j)
+        # and its squared norms, which turn trace pairings with it into
+        # expansion coefficients
+        astack = np.stack(basis_a.elements)
+        self._pair_basis = (
+            astack[:, None, :, None, :, None] * bstack[None, :, None, :, None, :]
+        ).reshape(d_a**2 * d_b**2, d_a * d_b, d_a * d_b)
+        weights_a, weights_b = np.ones(d_a**2), np.ones(d_b**2)
+        weights_a[0], weights_b[0] = 1.0 / d_a, 1.0 / d_b
+        self._pair_weights = np.outer(weights_a, weights_b)
+
+        # direction (v, j) of every block is A_v x sigma_j
+        stacks = []
         for l, b in descs:
             astack = self._acomp[l]
             side_a = astack.shape[1]
-            side = side_a * d_b
-            bmats = [sj.T if b else sj for sj in basis_b.elements]
-            f0 = np.zeros((side, side), dtype=complex)
-            for j, sj in enumerate(bmats):
-                amat = np.tensordot(y0[:, j], astack, axes=1)
-                f0 += np.kron(amat, sj)
             avecs = np.array(
                 [np.tensordot(v, astack, axes=1).ravel() for v in nullmat]
             ).reshape(len(nullmat), side_a * side_a)
-            f0s.append(f0)
-            fs.append(_kron_stack(avecs, side_a, bmats))
-            self.descriptors.append(BlockDescriptor(l, b, _desc_label(l, b), side))
-        self.problem = sdp.SdpProblem(
-            f0s=f0s, fs=fs, c=np.zeros(self.m), name="extension-reduced"
-        )
-        self._check_adjointness()
+            stacks.append(_kron_stack(avecs, side_a, self._bstacks[b]))
+            self.descriptors.append(
+                BlockDescriptor(l, b, _desc_label(l, b), side_a * d_b)
+            )
+        return stacks
 
     def _check_adjointness(self):
         """The witness map must be the exact adjoint of the pinned-part
@@ -576,60 +587,68 @@ class ExtensionAssembly:
                 f"embedding adjoint mismatch: {lhs!r} vs {rhs!r}"
             )
 
+    # -- the per-state step ---------------------------------------------
+
+    def pinned_blocks(self, rho_mat):
+        """The F0 blocks of the problem for the state rho_mat."""
+        if not self.reduced:
+            g0 = averaged_embedding(rho_mat, self.d_a, self.d_b, self.k)
+            blocks = []
+            for d in self.descriptors:
+                which = self._transposed_factors(d.a_transposed, d.b_transposed)
+                blocks.append(
+                    partial_transpose_multi(g0, self._ext_space, which) if which else g0
+                )
+            return blocks
+        y0 = self._pinned_coefficients(rho_mat)
+        return [
+            _kron_sum(
+                _combine_copies(y0, self._acomp[d.a_transposed]),
+                self._bstacks[d.b_transposed],
+            )
+            for d in self.descriptors
+        ]
+
     # -- reduced-mode helpers -------------------------------------------
+
+    def _pinned_coefficients(self, mat):
+        """Coefficients y[i, j] over s_i x sigma_j solving the trace-down
+        constraint for mat, minimum norm within the symmetric support."""
+        # expansion R[a, j] of mat over the product basis sigma_a x sigma_j
+        rcoef = np.einsum("pq,nqp->n", mat, self._pair_basis).real.reshape(
+            self._pair_weights.shape
+        ) / self._pair_weights
+        y = np.zeros((len(self._sbasis.elements), self.d_b**2))
+        for rows, cols, pinv in self._pinvs.values():
+            y[cols] += pinv @ rcoef[rows]
+        return y
 
     def _embed_coeffs(self, mat):
         """Compressed plain-block image of a state-shaped matrix under the
         pinned-part embedding (reduced mode)."""
-        rcoef = _pair_expand(mat, self._basis_a, self._basis_b)
-        ns = len(self._sbasis.elements)
-        db2 = self.d_b**2
-        y = np.zeros((ns, db2))
-        for par in (False, True):
-            rows, cols, pinv = self._pinvs[par]
-            y[np.ix_(cols, range(db2))] += pinv @ rcoef[rows, :]
-        side = self._sbasis.dim * self.d_b
-        out = np.zeros((side, side), dtype=complex)
-        for j, sj in enumerate(self._basis_b.elements):
-            amat = np.tensordot(y[:, j], np.stack(self._sbasis.elements), axes=1)
-            out += np.kron(amat, sj)
-        return out
+        amats = _combine_copies(self._pinned_coefficients(mat), self._acomp[0])
+        return _kron_sum(amats, self._bstacks[False])
 
     def adjoint_from_plain_block(self, v):
         """Adjoint of _embed_coeffs applied to a compressed plain-block
         operator; returns a matrix on A x B."""
-        sstack = np.stack(self._sbasis.elements)
-        dsym = self._sbasis.dim
-        db = self.d_b
-        v4 = v.reshape(dsym, db, dsym, db)
-        pair = np.empty((len(self._sbasis.elements), self.d_b**2))
-        for j, sj in enumerate(self._basis_b.elements):
-            vb = np.einsum("aibj,ji->ab", v4, sj)
-            pair[:, j] = np.einsum("spq,qp->s", sstack, vb).real
-        return self._adjoint_from_pairings(pair)
+        return self._adjoint_from_pairings(
+            _block_pairings(v, self._acomp[0], self._bstacks[False])
+        )
 
     def _adjoint_from_pairings(self, pair):
         """Map per-(s_i, sigma_j) trace pairings back to an A x B matrix
         through the transposed pseudo-inverse of the trace-down map."""
-        da, db = self.d_a, self.d_b
-        ga = np.ones(da**2)
-        ga[0] = 1.0 / da
-        gb = np.ones(db**2)
-        gb[0] = 1.0 / db
-        out = np.zeros((da * db, da * db), dtype=complex)
-        for par in (False, True):
-            rows, cols, pinv = self._pinvs[par]
-            w = pinv.T @ pair[cols, :]  # (len(rows), d_b^2)
-            for pos, a in enumerate(rows):
-                for j in range(db**2):
-                    out += (
-                        w[pos, j]
-                        / (ga[a] * gb[j])
-                        * np.kron(
-                            self._basis_a.elements[a], self._basis_b.elements[j]
-                        )
-                    )
-        return out
+        rows, coefs = [], []
+        for prow, cols, pinv in self._pinvs.values():
+            rows.append(prow)
+            coefs.append((pinv.T @ pair[cols]) / self._pair_weights[prow])
+        d = self.d_a * self.d_b
+        pairs = self._pair_basis.reshape(self.d_a**2, self.d_b**2, d, d)
+        return (
+            np.concatenate(coefs).ravel()[:, None, None]
+            * pairs[np.concatenate(rows)].reshape(-1, d, d)
+        ).sum(axis=0)
 
     def dual_pairing(self, z_blocks):
         """Witness operator (unnormalized) from certificate blocks.
@@ -639,29 +658,70 @@ class ExtensionAssembly:
         coordinates in reduced mode.
         """
         if not self.reduced:
-            ext_space = TensorSpace([self.d_a] * self.k + [self.d_b])
             v = np.zeros(np.asarray(z_blocks[0]).shape, dtype=complex)
             for desc, z in zip(self.descriptors, z_blocks):
-                which = set(range(desc.a_transposed)) | (
-                    {self.k} if desc.b_transposed else set()
-                )
+                which = self._transposed_factors(desc.a_transposed, desc.b_transposed)
                 zm = np.asarray(z, dtype=complex)
-                v += partial_transpose_multi(zm, ext_space, which) if which else zm
+                if which:
+                    zm = partial_transpose_multi(zm, self._ext_space, which)
+                v += zm
             return averaged_embedding_adjoint(v, self.d_a, self.d_b, self.k)
-        ns = len(self._sbasis.elements)
-        db2 = self.d_b**2
-        pair = np.zeros((ns, db2))
-        for desc, z in zip(self.descriptors, z_blocks):
-            astack = self._acomp[desc.a_transposed]
-            side_a = astack.shape[1]
-            z4 = np.asarray(z).reshape(side_a, self.d_b, side_a, self.d_b)
-            for j, sj in enumerate(self._basis_b.elements):
-                sjv = sj.T if desc.b_transposed else sj
-                vb = np.einsum("aibj,ji->ab", z4, sjv)
-                pair[:, j] += np.einsum("spq,qp->s", astack, vb).real
+        pair = sum(
+            _block_pairings(
+                z, self._acomp[desc.a_transposed], self._bstacks[desc.b_transposed]
+            )
+            for desc, z in zip(self.descriptors, z_blocks)
+        )
         return self._adjoint_from_pairings(pair)
 
-    # -- solution handling ----------------------------------------------
+
+_shape_lock = threading.Lock()
+_shape_memo = None  # (key, ExtensionShape) of the last shape built
+
+
+def extension_shape(d_a, d_b, spec):
+    """The ExtensionShape for (d_a, d_b, spec), reused while consecutive
+    callers ask for the same one.
+
+    One entry is kept: it is released before a different shape is built,
+    so the memo never holds two shapes.  The lock makes concurrent callers
+    that want the same shape wait for a single build.
+    """
+    global _shape_memo
+    key = (d_a, d_b, spec)
+    with _shape_lock:
+        if _shape_memo is None or _shape_memo[0] != key:
+            _shape_memo = None
+            _shape_memo = (key, ExtensionShape(d_a, d_b, spec))
+        return _shape_memo[1]
+
+
+class ExtensionAssembly:
+    """One state's extension problem: its shape plus the pinned F0 blocks.
+
+    Public metadata: dims, level, mode, free-direction count, block
+    descriptors, warnings (all from the shape).  The problem's direction
+    stacks are the shape's, shared with every other state of that shape.
+    """
+
+    def __init__(self, rho, shape):
+        self.rho = rho
+        self.shape = shape
+        self.spec = shape.spec
+        self.d_a, self.d_b, self.k = shape.d_a, shape.d_b, shape.k
+        self.reduced = shape.reduced
+        self.m = shape.m
+        self.descriptors = shape.descriptors
+        self.warnings = list(shape.warnings)
+        self.problem = sdp.SdpProblem(
+            f0s=shape.pinned_blocks(rho.matrix),
+            fs=shape.stacks,
+            c=np.zeros(shape.m),
+            name="extension-reduced" if shape.reduced else "extension",
+        )
+
+    def dual_pairing(self, z_blocks):
+        return self.shape.dual_pairing(z_blocks)
 
     def extension_matrix(self, x):
         """Extension on the full copy space from the solver variables.
@@ -677,7 +737,7 @@ class ExtensionAssembly:
             comp += (self.problem.fs[0].T @ x).reshape(comp.shape)
         if not self.reduced:
             return comp
-        lift = np.kron(symmetric_isometry(self.d_a, self.k), np.eye(self.d_b))
+        lift = np.kron(self.shape._iso_k, np.eye(self.d_b))
         return lift @ comp @ lift.conj().T
 
     def extension_space(self):
@@ -685,8 +745,12 @@ class ExtensionAssembly:
 
 
 def build_extension_problem(rho, spec):
-    """Assemble the level-k feasibility problem; returns (problem, assembly)."""
-    asm = ExtensionAssembly(rho, spec)
+    """Assemble the level-k feasibility problem; returns (problem, assembly).
+
+    The rho-independent part comes from extension_shape, so states of one
+    shape in a row share it.
+    """
+    asm = ExtensionAssembly(rho, extension_shape(rho.dim_a, rho.dim_b, spec))
     return asm.problem, asm
 
 

@@ -38,10 +38,16 @@ the Schur complement is assembled as in Fujisawa, Kojima & Nakata
 ("Exploiting sparsity in primal-dual interior-point methods for SDP",
 Math. Program. 79, 1997): S^-1 formed once, one sparse product with Z, one
 dense product with S^-1, and one sparse contraction against the stack.
+The stacks of all blocks form one DirectionStacks object, which problems
+differing only in F0 share; the layouts derived from the stacks alone are
+built once per object.
 
 Everything is deterministic: no randomness, fixed starting point.
 """
 
+import math
+import threading
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,32 +98,30 @@ def _combine(x, fmat, n):
     return (fmat.T @ x).reshape(n, n)
 
 
-@dataclass
-class SdpProblem:
-    """Block-diagonal LMI data.
+class DirectionStacks(Sequence):
+    """The direction stacks of every block, plus the layouts derived from
+    them alone.
 
-    f0s[b] is the constant matrix of block b; fs[b] holds the m direction
-    matrices of that block as one CSR matrix of shape (m, n_b**2) whose row
-    i is the row-major vec of F_i.  A dense (m, n_b, n_b) stack is accepted
-    and converted once.  All matrices must be Hermitian (checked, rejected
-    when not).
+    Item b is block b's CSR stack of shape (m, n_b**2).  Problems that
+    differ only in F0 can share one instance: the re-layouts the solver
+    needs (the margin direction appended, the real parts, the Schur
+    layouts) are built on first use, once even under concurrent callers,
+    and live exactly as long as the stacks.  The constructor trusts its
+    input; from_blocks converts and checks it.
     """
 
-    f0s: list
-    fs: list
-    c: np.ndarray
-    name: str = ""
+    def __init__(self, blocks):
+        self._blocks = list(blocks)
+        self.sides = [math.isqrt(stack.shape[1]) for stack in self._blocks]
+        self._lock = threading.Lock()
+        self._cache = {}
 
-    def __post_init__(self):
-        self.c = np.asarray(self.c, dtype=float)
-        m = len(self.c)
-        if len(self.f0s) != len(self.fs):
-            raise ValueError("f0s and fs must list the same blocks")
-        self.fs = list(self.fs)
-        for b, (f0, stack) in enumerate(zip(self.f0s, self.fs)):
-            n = f0.shape[0]
-            if f0.shape != (n, n):
-                raise ValueError(f"block {b}: constant matrix is not square")
+    @classmethod
+    def from_blocks(cls, stacks, sides, m):
+        """Convert dense (m, n, n) or sparse stacks to CSR and check that
+        every direction is Hermitian (rejected when not)."""
+        blocks = []
+        for b, (stack, n) in enumerate(zip(stacks, sides)):
             if not sps.issparse(stack):
                 stack = np.asarray(stack)
                 if stack.shape != (m, n, n):
@@ -132,10 +136,6 @@ class SdpProblem:
                     f"block {b}: direction stack has shape {stack.shape}, "
                     f"expected {(m, n * n)}"
                 )
-            self.fs[b] = stack
-            dev = np.abs(f0 - f0.conj().T).max()
-            if dev > 1e-12 * max(1.0, np.abs(f0).max()):
-                raise ValueError(f"block {b}: constant matrix is not Hermitian")
             if m:
                 devs = _row_absmax(stack - stack[:, _vec_transpose(n)].conj())
                 scales = np.maximum(1.0, _row_absmax(stack))
@@ -145,6 +145,96 @@ class SdpProblem:
                         f"block {b}: direction {bad[0]} is not Hermitian "
                         f"(deviation {devs[bad[0]]:.2e})"
                     )
+            blocks.append(stack)
+        return cls(blocks)
+
+    def __getitem__(self, index):
+        return self._blocks[index]
+
+    def __len__(self):
+        return len(self._blocks)
+
+    @property
+    def m(self):
+        return self._blocks[0].shape[0]
+
+    def _cached(self, key, build):
+        with self._lock:
+            if key not in self._cache:
+                self._cache[key] = build()
+            return self._cache[key]
+
+    def with_margin(self):
+        """The stacks with the identity appended as one more direction."""
+        return self._cached("margin", lambda: DirectionStacks(
+            sps.vstack([stack, sps.csr_array(np.eye(n).reshape(1, -1))], format="csr")
+            for stack, n in zip(self._blocks, self.sides)
+        ))
+
+    def row_maxima(self):
+        """Largest real and largest imaginary entry magnitude per direction,
+        over all blocks."""
+        def scan():
+            re_max = np.zeros(self.m)
+            im_max = np.zeros(self.m)
+            for stack in self._blocks:
+                re_max = np.maximum(re_max, _row_absmax(stack.real))
+                im_max = np.maximum(im_max, _row_absmax(stack.imag))
+            return re_max, im_max
+
+        return self._cached("rows", scan)
+
+    def real_rows(self, keep):
+        """Real parts of the directions listed in keep."""
+        keep = np.asarray(keep, dtype=int)
+        return self._cached(("real", keep.tobytes()), lambda: DirectionStacks(
+            stack[keep].real for stack in self._blocks
+        ))
+
+    def schur(self):
+        """schur_stacks of every block."""
+        return self._cached("schur", lambda: [
+            schur_stacks(stack, n) for stack, n in zip(self._blocks, self.sides)
+        ])
+
+
+@dataclass
+class SdpProblem:
+    """Block-diagonal LMI data.
+
+    f0s[b] is the constant matrix of block b; fs holds the direction
+    stacks, item b being one CSR matrix of shape (m, n_b**2) whose row i is
+    the row-major vec of F_i.  fs may be a DirectionStacks shared with
+    other problems (checked once when it was made) or a list of CSR or
+    dense (m, n_b, n_b) stacks, converted once.  All matrices must be
+    Hermitian (checked, rejected when not).
+    """
+
+    f0s: list
+    fs: Sequence
+    c: np.ndarray
+    name: str = ""
+
+    def __post_init__(self):
+        self.c = np.asarray(self.c, dtype=float)
+        m = len(self.c)
+        if len(self.f0s) != len(self.fs):
+            raise ValueError("f0s and fs must list the same blocks")
+        for b, f0 in enumerate(self.f0s):
+            n = f0.shape[0]
+            if f0.shape != (n, n):
+                raise ValueError(f"block {b}: constant matrix is not square")
+            dev = np.abs(f0 - f0.conj().T).max()
+            if dev > 1e-12 * max(1.0, np.abs(f0).max()):
+                raise ValueError(f"block {b}: constant matrix is not Hermitian")
+        sides = self.block_sizes
+        if not isinstance(self.fs, DirectionStacks):
+            self.fs = DirectionStacks.from_blocks(self.fs, sides, m)
+        elif self.fs.m != m or self.fs.sides != sides:
+            raise ValueError(
+                f"shared direction stacks hold {self.fs.m} directions on blocks "
+                f"{self.fs.sides}, expected {m} on {sides}"
+            )
 
     @property
     def m(self):
@@ -178,39 +268,29 @@ class CertificateCheck:
 def _structured_real_reduction(f0s, fs, c):
     """Detect an equivalent real-symmetric problem.
 
-    Returns (real_f0s, real_fs, keep) or None.  Directions that are purely
-    imaginary Hermitian and carry a (numerically) zero objective coefficient
-    are dropped: any real symmetric matrix is orthogonal to them in the
-    trace pairing, and restricting the primal to the kept directions is
-    lossless because the real part of any feasible F(x) is again feasible
-    with the same objective value.
+    fs is a DirectionStacks.  Returns (real_f0s, real_fs, keep) or None.
+    Directions that are purely imaginary Hermitian and carry a
+    (numerically) zero objective coefficient are dropped: any real
+    symmetric matrix is orthogonal to them in the trace pairing, and
+    restricting the primal to the kept directions is lossless because the
+    real part of any feasible F(x) is again feasible with the same
+    objective value.
     """
     for f0 in f0s:
         if np.abs(f0.imag).max() > 1e-13 * max(1.0, np.abs(f0).max()):
             return None
-    m = len(c)
-    if m == 0:
-        return [f0.real.copy() for f0 in f0s], [s.real for s in fs], []
-    re_max = np.zeros(m)
-    im_max = np.zeros(m)
-    for stack in fs:
-        re_max = np.maximum(re_max, _row_absmax(stack.real))
-        im_max = np.maximum(im_max, _row_absmax(stack.imag))
+    real_f0s = [f0.real.copy() for f0 in f0s]
+    if len(c) == 0:
+        return real_f0s, fs.real_rows([]), []
+    re_max, im_max = fs.row_maxima()
     scales = np.maximum(1.0, np.maximum(re_max, im_max))
     c_scale = max(1.0, np.abs(c).max())
-    keep = []
-    for i in range(m):
-        if im_max[i] <= 1e-13 * scales[i]:
-            keep.append(i)
-        elif re_max[i] <= 1e-13 * scales[i] and abs(c[i]) <= 1e-13 * c_scale:
-            continue
-        else:
-            return None
-    if not keep:
+    real = im_max <= 1e-13 * scales
+    droppable = (re_max <= 1e-13 * scales) & (np.abs(c) <= 1e-13 * c_scale)
+    if not np.all(real | droppable) or not real.any():
         return None
-    keep = np.asarray(keep, dtype=int)
-    real_fs = [stack[keep].real for stack in fs]
-    return [f0.real.copy() for f0 in f0s], real_fs, keep
+    keep = np.nonzero(real)[0]
+    return real_f0s, fs.real_rows(keep), keep
 
 
 def _max_step(chol, delta):
@@ -286,12 +366,13 @@ def _project_dual_constraints(fs_list, c, z_blocks):
 
 
 def _solve_core(f0s, fs, c, tol, trace_cb=None):
-    """Interior-point loop.  Returns raw final state plus the iteration log."""
+    """Interior-point loop over a DirectionStacks fs.  Returns raw final
+    state plus the iteration log."""
     nb = len(f0s)
     m = len(c)
     ns = [f0.shape[0] for f0 in f0s]
     ntot = sum(ns)
-    stacks = [schur_stacks(fs[b], ns[b]) for b in range(nb)]
+    stacks = fs.schur()
 
     beta = 1.0 + np.sqrt(sum(np.linalg.norm(f0) ** 2 for f0 in f0s))
     x = np.zeros(m)
@@ -512,7 +593,7 @@ def _solve_core(f0s, fs, c, tol, trace_cb=None):
     }
 
 
-def _run(problem, tol, trace_cb, f0s, fs, c):
+def _run(tol, trace_cb, f0s, fs, c):
     """Dispatch to real or complex arithmetic and embed the solution back."""
     red = _structured_real_reduction(f0s, fs, c)
     if red is None:
@@ -540,7 +621,7 @@ def solve(problem, tolerances=None, trace=None):
     tol = tolerances or SolverTolerances()
     if problem.m == 0 or not np.any(problem.c):
         return feasibility_margin(problem, tolerances=tolerances, trace=trace)
-    res = _run(problem, tol, trace, problem.f0s, problem.fs, problem.c)
+    res = _run(tol, trace, problem.f0s, problem.fs, problem.c)
     diagnostics = {
         "pinf": res["pinf"],
         "dinf": res["dinf"],
@@ -582,13 +663,10 @@ def feasibility_margin(problem, tolerances=None, trace=None):
     """
     tol = tolerances or SolverTolerances()
     m = problem.m
-    aug_fs = [
-        sps.vstack([stack, sps.csr_array(np.eye(len(f0)).reshape(1, -1))], format="csr")
-        for f0, stack in zip(problem.f0s, problem.fs)
-    ]
+    aug_fs = problem.fs.with_margin()
     aug_c = np.zeros(m + 1)
     aug_c[m] = 1.0
-    res = _run(problem, tol, trace, problem.f0s, aug_fs, aug_c)
+    res = _run(tol, trace, problem.f0s, aug_fs, aug_c)
 
     t_primal = float(res["x"][m])
     zraw = res["z"]

@@ -127,11 +127,6 @@ def partial_trace(mat, space, which):
     return t.reshape(dkeep, dkeep)
 
 
-def reduced_space(space, traced_out):
-    keep = [d for i, d in enumerate(space.factor_dims) if i not in set(traced_out)]
-    return TensorSpace(keep if keep else [1])
-
-
 def factor_permutation_operator(space, perm):
     """Unitary that maps |i_perm[0], i_perm[1], ...> onto |i_0, i_1, ...>.
 

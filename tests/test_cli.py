@@ -493,3 +493,6 @@ def test_trace_flag_streams_solver_progress(files, tmp_path, capsys):
     assert code == 0
     assert "trace: iteration=" in err
     assert " gap=" in err
+    # rows that took a step also name the centering and the step lengths
+    for key in ("sigma", "alpha_p", "alpha_d"):
+        assert f" {key}=" in err

@@ -8,20 +8,26 @@ and unreduced assemblies), verdict monotonicity along the ladder, and
 direct re-verification of returned extensions.
 """
 
+import gc
 import math
+import sys
 import tracemalloc
 import warnings
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from sepcert import sdp
+from sepcert import hierarchy, sdp
 from sepcert.hierarchy import (
     ENTANGLED,
     MARGINAL,
     SEPARABLE_CONSISTENT,
     AssemblyError,
     DensityMatrix,
+    ExtensionAssembly,
+    ExtensionShape,
     ExtensionSpec,
     build_extension_problem,
     check_extension_properties,
@@ -41,6 +47,7 @@ from sepcert.states import (
 )
 from sepcert.tensorops import (
     TensorSpace,
+    hermitian_basis,
     partial_trace,
     partial_transpose,
     partial_transpose_multi,
@@ -119,6 +126,8 @@ def test_size_formulas_match_closed_forms():
 def test_resource_estimate_covers_traced_peak():
     spec = ExtensionSpec(k=2)
     rho = choi_family_state(3.5)
+    # another shape first, so the traced build starts from nothing cached
+    build_extension_problem(maximally_mixed(2, 2), ExtensionSpec(k=1))
     tracemalloc.start()
     try:
         problem, _ = build_extension_problem(rho, spec)
@@ -156,13 +165,14 @@ def test_sparse_stacks_equal_dense_constructions():
     rho = random_state(2, 2, seed=9)
     problem, asm = build_extension_problem(rho, ExtensionSpec(k=3))
     assert [d.label for d in asm.descriptors] == ["plain", "ta1", "ta2", "tb"]
+    basis_b = hermitian_basis(2).elements
     for desc, fmat in zip(asm.descriptors, problem.fs):
-        astack = asm._acomp[desc.a_transposed]
-        bmats = [sj.T if desc.b_transposed else sj for sj in asm._basis_b.elements]
+        astack = asm.shape._acomp[desc.a_transposed]
+        bmats = [sj.T if desc.b_transposed else sj for sj in basis_b]
         dense = np.array(
             [
                 np.kron(np.tensordot(v, astack, axes=1), sj)
-                for v in asm._nullmat
+                for v in asm.shape._nullmat
                 for sj in bmats
             ]
         ).reshape(asm.m, -1)
@@ -187,6 +197,78 @@ def test_fixed_part_traces_down_to_state():
     space = TensorSpace([3, 3, 2])
     traced = partial_trace(problem.f0s[0], space, {1})
     assert np.abs(traced - rho.matrix).max() < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# one assembly per problem shape
+
+
+def test_states_of_one_shape_share_one_assembly():
+    rhos = [random_state(2, 3, seed=s) for s in (31, 32)]
+    for reduced in (True, False):
+        spec = ExtensionSpec(k=2, reduced=reduced)
+        problems = [build_extension_problem(rho, spec)[0] for rho in rhos]
+        assert problems[0].fs is problems[1].fs
+        assert all(a is b for a, b in zip(problems[0].fs, problems[1].fs))
+        assert not np.array_equal(problems[0].f0s[0], problems[1].f0s[0])
+        for rho, problem in zip(rhos, problems):
+            fresh = ExtensionAssembly(rho, ExtensionShape(2, 3, spec)).problem
+            assert fresh.fs is not problem.fs
+            for f0, g0 in zip(problem.f0s, fresh.f0s):
+                assert np.array_equal(f0, g0)
+            for fmat, gmat in zip(problem.fs, fresh.fs):
+                assert fmat.shape == gmat.shape
+                assert np.array_equal(fmat.toarray(), gmat.toarray())
+
+
+def test_building_another_shape_releases_the_previous_one():
+    problem = build_extension_problem(random_state(2, 2, seed=4), ExtensionSpec(k=2))[0]
+    sdp.feasibility_margin(problem)  # builds the solver layouts too
+    refs = [weakref.ref(problem.fs), weakref.ref(problem.fs.with_margin())]
+    refs += [weakref.ref(stack) for stack in problem.fs]
+    del problem
+    build_extension_problem(random_state(2, 2, seed=4), ExtensionSpec(k=3))
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+
+
+def test_concurrent_callers_build_one_shape_and_one_set_of_layouts(monkeypatch):
+    shapes, relayouts = [], []
+
+    class CountingShape(ExtensionShape):
+        def __init__(self, *args):
+            shapes.append(args)
+            super().__init__(*args)
+
+    def counting_schur_stacks(fmat, n, _orig=sdp.schur_stacks):
+        relayouts.append(n)
+        return _orig(fmat, n)
+
+    # leave a different shape in the memo, so the threads race to build
+    build_extension_problem(maximally_mixed(2, 2), ExtensionSpec(k=1))
+    monkeypatch.setattr(hierarchy, "ExtensionShape", CountingShape)
+    monkeypatch.setattr(sdp, "schur_stacks", counting_schur_stacks)
+    spec = ExtensionSpec(k=2)
+    rhos = [random_state(2, 2, seed=40 + i) for i in range(6)]
+
+    def job(rho):
+        problem = build_extension_problem(rho, spec)[0]
+        return problem, sdp.feasibility_margin(problem).margin_t
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=len(rhos)) as pool:
+            futures = [pool.submit(job, rho) for rho in rhos]
+            results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(shapes) == 1
+    stacks = results[0][0].fs
+    assert all(problem.fs is stacks for problem, _ in results)
+    assert len(relayouts) == len(stacks)
+    for problem, margin in results:
+        assert sdp.feasibility_margin(problem).margin_t == margin
 
 
 # ---------------------------------------------------------------------------

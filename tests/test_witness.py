@@ -7,6 +7,8 @@ ties the full-space witness back to its certificate blocks at random
 product inputs, which is an independent reconstruction of both sides.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,13 @@ from sepcert.hierarchy import (
     run_test,
 )
 from sepcert.states import choi_family_state, max_entangled, random_state
-from sepcert.tensorops import TensorSpace, partial_trace
+from sepcert.tensorops import (
+    TensorSpace,
+    multiset_arrangements,
+    multisets,
+    partial_trace,
+    symmetric_subspace_dim,
+)
 from sepcert.witness import (
     WitnessExtractionError,
     evaluate_on_product_states,
@@ -128,6 +136,65 @@ def test_ksos_identity_level1():
     assert rep.status == ENTANGLED
     res = verify_ksos_identity(rep.witness, samples=300, seed=9)
     assert res["max_relative_residual"] < 1e-8
+
+
+def _ksos_residual_per_sample(witness, samples, seed):
+    """The k-SOS identity evaluated one product vector at a time: the
+    reference for the batched verify_ksos_identity."""
+
+    def power(vec, l):
+        out = np.empty(symmetric_subspace_dim(len(vec), l), dtype=complex)
+        for pos, mu in enumerate(multisets(len(vec), l)):
+            prod = 1.0 + 0j
+            for idx in mu:
+                prod = prod * vec[idx]
+            out[pos] = math.sqrt(multiset_arrangements(mu)) * prod
+        return out if l else np.ones(1, dtype=complex)
+
+    def block_vector(desc, x, y):
+        k, l = witness.level, desc.a_transposed
+        yv = y.conj() if desc.b_transposed else y
+        if witness.reduced:
+            return np.kron(np.kron(power(x.conj(), l), power(x, k - l)), yv)
+        acc = np.ones(1, dtype=complex)
+        for p in [x.conj()] * l + [x] * (k - l):
+            acc = np.kron(acc, p)
+        return np.kron(acc, yv)
+
+    rng = np.random.default_rng(seed)
+    da, db = witness.space.factor_dims
+    k = witness.level
+    z4 = witness.matrix.reshape(da, db, da, db)
+    worst = 0.0
+    for _ in range(samples):
+        x = rng.standard_normal(da) + 1j * rng.standard_normal(da)
+        y = rng.standard_normal(db) + 1j * rng.standard_normal(db)
+        lhs = (
+            np.einsum("a,b,abcd,c,d->", x.conj(), y.conj(), z4, x, y).real
+            * np.vdot(x, x).real ** (k - 1)
+        )
+        rhs = 0.0
+        for desc, block in zip(witness.descriptors, witness.blocks):
+            v = block_vector(desc, x, y)
+            rhs += np.vdot(v, np.asarray(block) @ v).real
+        denom = max(abs(lhs), abs(rhs), np.vdot(x, x).real ** k * np.vdot(y, y).real)
+        worst = max(worst, abs(lhs - rhs) / denom)
+    return worst
+
+
+def test_ksos_batch_equals_per_sample_evaluation():
+    # the batch reorders no arithmetic, so the residual is the same number
+    rho = random_state(2, 2, seed=3)
+    witnesses = [REPORT_35.witness] + [
+        run_test(rho, ExtensionSpec(k=k, reduced=reduced)).witness
+        for k, reduced in ((3, True), (2, False))
+    ]
+    for wit in witnesses:
+        for samples, seed in ((200, 7), (150, 31)):
+            res = verify_ksos_identity(wit, samples=samples, seed=seed)
+            assert res["max_relative_residual"] == _ksos_residual_per_sample(
+                wit, samples, seed
+            )
 
 
 def test_product_minimum_nonnegative_for_extracted_witness():
