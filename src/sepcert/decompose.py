@@ -78,7 +78,7 @@ def _split_form(z, space, tol):
         fs1[a + 1] = partial_transpose(el, space, 0)
     c = np.zeros(nb + 1)
     c[0] = 1.0
-    problem = sdp.SdpProblem(f0s=f0s, fs=[fs0, fs1], c=c, name="split")
+    problem = sdp.SdpProblem(f0s=f0s, fs=[fs0, fs1], c=c)
     out = sdp.solve(problem, tolerances=tol)
     if out.status != sdp.FEASIBLE:
         raise SolverFailure(
@@ -104,7 +104,7 @@ def _state_form(z, space, tol):
         [partial_transpose(el, space, 0) for el in traceless]
     ).astype(complex)
     c = np.array([np.trace(z @ el).real for el in traceless])
-    problem = sdp.SdpProblem(f0s=f0s, fs=[fs0, fs1], c=c, name="state")
+    problem = sdp.SdpProblem(f0s=f0s, fs=[fs0, fs1], c=c)
     out = sdp.solve(problem, tolerances=tol)
     if out.status != sdp.FEASIBLE:
         raise SolverFailure(

@@ -168,6 +168,12 @@ def transpose_descriptors(k, ppt):
     return descs
 
 
+def _transposed_factors(k, l, b):
+    """Factors of A_1 ... A_k, B that block (l, b) transposes: the first l
+    copies, and B when b is set."""
+    return set(range(l)) | ({k} if b else set())
+
+
 def _desc_label(l, b):
     if l == 0 and not b:
         return "plain"
@@ -328,6 +334,11 @@ def _combine_copies(coef, astack):
     return np.matmul(coef.T[:, None, :], astack.reshape(ns, -1)).reshape(-1, sa, sa)
 
 
+def _random_hermitian(rng, n):
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return (g + g.conj().T) / 2
+
+
 def _block_pairings(z, astack, bmats):
     """Re Tr[(A_i x B_j) Z] for every pair, as a (len(astack), len(bmats))
     array."""
@@ -380,9 +391,6 @@ class ExtensionShape:
 
     # -- construction ----------------------------------------------------
 
-    def _transposed_factors(self, l, b):
-        return set(range(l)) | ({self.k} if b else set())
-
     def _build_full(self):
         """Directions of the unreduced problem; returns the block stacks."""
         d_a, d_b, k = self.d_a, self.d_b, self.k
@@ -408,7 +416,7 @@ class ExtensionShape:
                 acc += term
 
         self.m = len(kept) * d_b**2
-        self._ext_space = TensorSpace([d_a] * k + [d_b])
+        space = self.extension_space()
         nfull = d_a**k * d_b
         directions = _kron_stack(sym_vecs, d_a**k, basis_b.elements)
 
@@ -417,9 +425,9 @@ class ExtensionShape:
         entries = np.arange(nfull * nfull).reshape(nfull, nfull)
         stacks = []
         for l, b in transpose_descriptors(k, self.spec.ppt):
-            which = self._transposed_factors(l, b)
+            which = _transposed_factors(k, l, b)
             if which:
-                cols = partial_transpose_multi(entries, self._ext_space, which).ravel()
+                cols = partial_transpose_multi(entries, space, which).ravel()
                 stacks.append(directions[:, cols])
             else:
                 stacks.append(directions)
@@ -547,45 +555,36 @@ class ExtensionShape:
         return stacks
 
     def _check_adjointness(self):
-        """The witness map must be the exact adjoint of the pinned-part
-        embedding; verified on a random pair at build time."""
+        """dual_pairing must be the exact adjoint of pinned_blocks in the
+        trace pairing,
+
+            sum_b Re Tr[pinned_blocks(y)[b] V_b] = Re Tr[y dual_pairing(V)],
+
+        verified on a random Hermitian y on A x B and one random Hermitian
+        V_b per block."""
         rng = np.random.default_rng(12345)
-        d = self.d_a * self.d_b
-        y = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        y = (y + y.conj().T) / 2
-        nfull = self.d_a**self.k * self.d_b
-        if self.reduced:
-            # pair through the compressed representation of a random
-            # plain-block operator
-            dsym = symmetric_subspace_dim(self.d_a, self.k)
-            side = dsym * self.d_b
-            v = rng.standard_normal((side, side)) + 1j * rng.standard_normal(
-                (side, side)
-            )
-            v = (v + v.conj().T) / 2
-            lhs = np.einsum(
-                "pq,qp->", self._embed_coeffs(y), v
-            ).real
-            rhs = np.einsum(
-                "pq,qp->", y, self.adjoint_from_plain_block(v)
-            ).real
-        else:
-            v = rng.standard_normal((nfull, nfull)) + 1j * rng.standard_normal(
-                (nfull, nfull)
-            )
-            v = (v + v.conj().T) / 2
-            emb = averaged_embedding(y, self.d_a, self.d_b, self.k)
-            lhs = np.einsum("pq,qp->", emb, v).real
-            rhs = np.einsum(
-                "pq,qp->",
-                y,
-                averaged_embedding_adjoint(v, self.d_a, self.d_b, self.k),
-            ).real
+        y = _random_hermitian(rng, self.d_a * self.d_b)
+        vs = [_random_hermitian(rng, d.side) for d in self.descriptors]
+        lhs = sum(
+            np.einsum("pq,qp->", f0, v).real
+            for f0, v in zip(self.pinned_blocks(y), vs)
+        )
+        rhs = np.einsum("pq,qp->", y, self.dual_pairing(vs)).real
         scale = max(1.0, abs(lhs), abs(rhs))
         if abs(lhs - rhs) > 1e-9 * scale:
             raise AssemblyError(
                 f"embedding adjoint mismatch: {lhs!r} vs {rhs!r}"
             )
+
+    def extension_space(self):
+        """The full copy space A_1 ... A_k, B of the extension."""
+        return TensorSpace([self.d_a] * self.k + [self.d_b])
+
+    def _transpose_block(self, mat, desc):
+        """mat on the full copy space with the factors of block desc
+        transposed (unreduced mode)."""
+        which = _transposed_factors(self.k, desc.a_transposed, desc.b_transposed)
+        return partial_transpose_multi(mat, self.extension_space(), which)
 
     # -- the per-state step ---------------------------------------------
 
@@ -593,13 +592,7 @@ class ExtensionShape:
         """The F0 blocks of the problem for the state rho_mat."""
         if not self.reduced:
             g0 = averaged_embedding(rho_mat, self.d_a, self.d_b, self.k)
-            blocks = []
-            for d in self.descriptors:
-                which = self._transposed_factors(d.a_transposed, d.b_transposed)
-                blocks.append(
-                    partial_transpose_multi(g0, self._ext_space, which) if which else g0
-                )
-            return blocks
+            return [self._transpose_block(g0, d) for d in self.descriptors]
         y0 = self._pinned_coefficients(rho_mat)
         return [
             _kron_sum(
@@ -608,6 +601,24 @@ class ExtensionShape:
             )
             for d in self.descriptors
         ]
+
+    def extension_matrix(self, problem, x):
+        """Extension on the full copy space from the solver variables x of
+        a problem of this shape.
+
+        The plain block of the problem is the extension itself (compressed
+        in reduced mode), so reconstruction is a contraction against the
+        direction stack plus, in reduced mode, a lift through the
+        symmetric-subspace isometry.
+        """
+        x = np.asarray(x, dtype=float)
+        comp = problem.f0s[0].astype(complex, copy=True)
+        if x.size:
+            comp += (problem.fs[0].T @ x).reshape(comp.shape)
+        if not self.reduced:
+            return comp
+        lift = np.kron(self._iso_k, np.eye(self.d_b))
+        return lift @ comp @ lift.conj().T
 
     # -- reduced-mode helpers -------------------------------------------
 
@@ -622,19 +633,6 @@ class ExtensionShape:
         for rows, cols, pinv in self._pinvs.values():
             y[cols] += pinv @ rcoef[rows]
         return y
-
-    def _embed_coeffs(self, mat):
-        """Compressed plain-block image of a state-shaped matrix under the
-        pinned-part embedding (reduced mode)."""
-        amats = _combine_copies(self._pinned_coefficients(mat), self._acomp[0])
-        return _kron_sum(amats, self._bstacks[False])
-
-    def adjoint_from_plain_block(self, v):
-        """Adjoint of _embed_coeffs applied to a compressed plain-block
-        operator; returns a matrix on A x B."""
-        return self._adjoint_from_pairings(
-            _block_pairings(v, self._acomp[0], self._bstacks[False])
-        )
 
     def _adjoint_from_pairings(self, pair):
         """Map per-(s_i, sigma_j) trace pairings back to an A x B matrix
@@ -658,13 +656,10 @@ class ExtensionShape:
         coordinates in reduced mode.
         """
         if not self.reduced:
-            v = np.zeros(np.asarray(z_blocks[0]).shape, dtype=complex)
-            for desc, z in zip(self.descriptors, z_blocks):
-                which = self._transposed_factors(desc.a_transposed, desc.b_transposed)
-                zm = np.asarray(z, dtype=complex)
-                if which:
-                    zm = partial_transpose_multi(zm, self._ext_space, which)
-                v += zm
+            v = sum(
+                self._transpose_block(np.asarray(z, dtype=complex), desc)
+                for desc, z in zip(self.descriptors, z_blocks)
+            )
             return averaged_embedding_adjoint(v, self.d_a, self.d_b, self.k)
         pair = sum(
             _block_pairings(
@@ -696,70 +691,25 @@ def extension_shape(d_a, d_b, spec):
         return _shape_memo[1]
 
 
-class ExtensionAssembly:
-    """One state's extension problem: its shape plus the pinned F0 blocks.
-
-    Public metadata: dims, level, mode, free-direction count, block
-    descriptors, warnings (all from the shape).  The problem's direction
-    stacks are the shape's, shared with every other state of that shape.
-    """
-
-    def __init__(self, rho, shape):
-        self.rho = rho
-        self.shape = shape
-        self.spec = shape.spec
-        self.d_a, self.d_b, self.k = shape.d_a, shape.d_b, shape.k
-        self.reduced = shape.reduced
-        self.m = shape.m
-        self.descriptors = shape.descriptors
-        self.warnings = list(shape.warnings)
-        self.problem = sdp.SdpProblem(
-            f0s=shape.pinned_blocks(rho.matrix),
-            fs=shape.stacks,
-            c=np.zeros(shape.m),
-            name="extension-reduced" if shape.reduced else "extension",
-        )
-
-    def dual_pairing(self, z_blocks):
-        return self.shape.dual_pairing(z_blocks)
-
-    def extension_matrix(self, x):
-        """Extension on the full copy space from the solver variables.
-
-        The plain block of the assembled problem is the extension itself
-        (compressed in reduced mode), so reconstruction is a contraction
-        against the stored direction stack plus, in reduced mode, a lift
-        through the symmetric-subspace isometry.
-        """
-        x = np.asarray(x, dtype=float)
-        comp = self.problem.f0s[0].astype(complex, copy=True)
-        if x.size:
-            comp += (self.problem.fs[0].T @ x).reshape(comp.shape)
-        if not self.reduced:
-            return comp
-        lift = np.kron(self.shape._iso_k, np.eye(self.d_b))
-        return lift @ comp @ lift.conj().T
-
-    def extension_space(self):
-        return TensorSpace([self.d_a] * self.k + [self.d_b])
-
-
 def build_extension_problem(rho, spec):
-    """Assemble the level-k feasibility problem; returns (problem, assembly).
+    """Assemble the level-k feasibility problem; returns (problem, shape).
 
     The rho-independent part comes from extension_shape, so states of one
     shape in a row share it.
     """
-    asm = ExtensionAssembly(rho, extension_shape(rho.dim_a, rho.dim_b, spec))
-    return asm.problem, asm
+    shape = extension_shape(rho.dim_a, rho.dim_b, spec)
+    problem = sdp.SdpProblem(
+        f0s=shape.pinned_blocks(rho.matrix), fs=shape.stacks, c=np.zeros(shape.m)
+    )
+    return problem, shape
 
 
-def check_extension_properties(ext, ext_space, rho, descriptors, tol=1e-7):
+def check_extension_properties(ext, ext_space, rho, ppt, tol=1e-7):
     """Direct verification of the three defining extension properties.
 
     Returns a dict of worst-case deviations: copy-swap symmetry, trace-down
-    distance to rho, and the smallest eigenvalue over the declared partial
-    transposes.
+    distance to rho, and the smallest eigenvalue over the partial
+    transposes of the level (only the plain block when ppt is off).
     """
     k = ext_space.nfactors - 1
     swap_dev = 0.0
@@ -771,9 +721,8 @@ def check_extension_properties(ext, ext_space, rho, descriptors, tol=1e-7):
     traced = partial_trace(ext, ext_space, set(range(1, k)))
     trace_dev = float(np.abs(traced - rho.matrix).max())
     min_eig = np.inf
-    for desc in descriptors:
-        which = set(range(desc.a_transposed)) | ({k} if desc.b_transposed else set())
-        block = partial_transpose_multi(ext, ext_space, which) if which else ext
+    for l, b in transpose_descriptors(k, ppt):
+        block = partial_transpose_multi(ext, ext_space, _transposed_factors(k, l, b))
         block = (block + block.conj().T) / 2
         min_eig = min(min_eig, float(np.linalg.eigvalsh(block)[0]))
     ok = swap_dev <= tol and trace_dev <= tol and min_eig >= -tol
@@ -809,14 +758,14 @@ def run_test(rho, spec, tolerances=None, trace=None, keep_extension=True):
     the three defining properties (when it fits in memory).
     """
     tol = tolerances or sdp.SolverTolerances()
-    problem, asm = build_extension_problem(rho, spec)
+    problem, shape = build_extension_problem(rho, spec)
     outcome = sdp.feasibility_margin(problem, tolerances=tol, trace=trace)
     metadata = {
-        "free_directions": asm.m,
-        "block_sides": [d.side for d in asm.descriptors],
-        "block_labels": [d.label for d in asm.descriptors],
+        "free_directions": shape.m,
+        "block_sides": [d.side for d in shape.descriptors],
+        "block_labels": [d.label for d in shape.descriptors],
         "reduced": spec.reduced,
-        "warnings": list(asm.warnings),
+        "warnings": list(shape.warnings),
         "solver": dict(outcome.diagnostics),
     }
     common = dict(
@@ -830,16 +779,16 @@ def run_test(rho, spec, tolerances=None, trace=None, keep_extension=True):
         report = TestReport(status=SEPARABLE_CONSISTENT, **common)
         full_side = rho.dim_a**spec.k * rho.dim_b
         if keep_extension and full_side <= RECHECK_CAP:
-            ext = asm.extension_matrix(outcome.x)
+            ext = shape.extension_matrix(problem, outcome.x)
             checks = check_extension_properties(
-                ext, asm.extension_space(), rho, asm.descriptors
+                ext, shape.extension_space(), rho, spec.ppt
             )
             if not checks["passed"]:
                 raise SolverFailure(
                     f"extension re-check failed: {checks}", outcome=outcome
                 )
             report.extension = ext
-            report.extension_space = asm.extension_space()
+            report.extension_space = shape.extension_space()
             report.extension_checks = checks
         else:
             reason = (
@@ -859,7 +808,7 @@ def run_test(rho, spec, tolerances=None, trace=None, keep_extension=True):
                 f"verification: {check}",
                 outcome=outcome,
             )
-        wit = witness_mod.extract_witness(asm, outcome.z_blocks, tolerances=tol)
+        wit = witness_mod.extract_witness(shape, problem, rho, outcome.z_blocks)
         report = TestReport(status=ENTANGLED, **common)
         report.dual_blocks = outcome.z_blocks
         report.certificate_check = check
@@ -900,11 +849,7 @@ def run_ladder(rho, k_max, ppt=True, reduced=True, tolerances=None, trace=None):
             ext_space = rep.extension_space
             traced = partial_trace(rep.extension, ext_space, {k - 1})
             sub_space = TensorSpace([rho.dim_a] * (k - 1) + [rho.dim_b])
-            descs = [
-                BlockDescriptor(l, b, _desc_label(l, b), 0)
-                for l, b in transpose_descriptors(k - 1, ppt)
-            ]
-            chk = check_extension_properties(traced, sub_space, rho, descs)
+            chk = check_extension_properties(traced, sub_space, rho, ppt)
             mono.append({"level": k, **chk})
             if not chk["passed"]:
                 raise SolverFailure(

@@ -30,18 +30,25 @@ class MatrixFormatError(ValueError):
         self.field = field
 
 
+def format_matrix(mat, space, kind):
+    """The lines of the on-disk format for one matrix, without line ends."""
+    mat = np.asarray(mat, dtype=complex)
+    lines = [
+        MAGIC,
+        "dims: " + " ".join(str(d) for d in space.factor_dims),
+        f"kind: {kind}",
+        "entries:",
+    ]
+    lines += [f"{v.real:.16e} {v.imag:.16e}" for v in mat.ravel()]
+    return lines
+
+
 def save_matrix(path, mat, space, kind):
     if kind not in KINDS:
         raise MatrixFormatError(f"kind must be one of {KINDS}, got {kind!r}", "kind")
     space.check_matrix(mat)
-    mat = np.asarray(mat, dtype=complex)
     with open(path, "w") as fh:
-        fh.write(MAGIC + "\n")
-        fh.write("dims: " + " ".join(str(d) for d in space.factor_dims) + "\n")
-        fh.write(f"kind: {kind}\n")
-        fh.write("entries:\n")
-        for v in mat.ravel():
-            fh.write(f"{v.real:.16e} {v.imag:.16e}\n")
+        fh.write("\n".join(format_matrix(mat, space, kind)) + "\n")
 
 
 def load_matrix(path):

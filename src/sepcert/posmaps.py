@@ -76,24 +76,6 @@ class PositivityReport:
     product_search_min: float = None
 
 
-def map_from_operator(choi, in_dim, out_dim):
-    return LinearMap(in_dim=in_dim, out_dim=out_dim, choi=choi)
-
-
-def operator_from_map(lmap):
-    """Rebuild the defining operator from the map's action on matrix units."""
-    din, dout = lmap.in_dim, lmap.out_dim
-    out = np.zeros((din * dout, din * dout), dtype=complex)
-    for i in range(din):
-        for j in range(din):
-            unit = np.zeros((din, din), dtype=complex)
-            unit[i, j] = 1.0
-            out[i * dout : (i + 1) * dout, j * dout : (j + 1) * dout] = apply_map(
-                lmap, unit
-            )
-    return out
-
-
 def apply_map(lmap, rho):
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (lmap.in_dim, lmap.in_dim):
@@ -149,17 +131,6 @@ def normalize_unital(lmap):
             f"identity by {dev:.2e}; scalar normalization cannot fix that"
         )
     return LinearMap(lmap.in_dim, lmap.out_dim, lmap.choi / lam)
-
-
-def blend(map0, map1, alpha):
-    """(1 - alpha) * map0 + alpha * map1 as a map."""
-    if (map0.in_dim, map0.out_dim) != (map1.in_dim, map1.out_dim):
-        raise ValueError("blended maps must share input and output dimensions")
-    return LinearMap(
-        map0.in_dim,
-        map0.out_dim,
-        (1.0 - alpha) * map0.choi + alpha * map1.choi,
-    )
 
 
 def compose_with_symmetric_embedding(lmap, k):

@@ -16,7 +16,7 @@ import hashlib
 import os
 from datetime import datetime, timezone
 
-from .matio import MAGIC, parse_matrix_text
+from .matio import format_matrix, parse_matrix_text
 
 REPORT_MAGIC = "sepcert report v1"
 
@@ -57,13 +57,7 @@ class ReportBuilder:
         return self
 
     def add_matrix(self, name, mat, space, kind):
-        lines = [f"matrix {name}:", MAGIC]
-        lines.append("dims: " + " ".join(str(d) for d in space.factor_dims))
-        lines.append(f"kind: {kind}")
-        lines.append("entries:")
-        for v in mat.ravel():
-            lines.append(f"{v.real:.16e} {v.imag:.16e}")
-        lines.append("end matrix")
+        lines = [f"matrix {name}:", *format_matrix(mat, space, kind), "end matrix"]
         self._sections.append("\n".join(lines))
         return self
 

@@ -213,7 +213,6 @@ class SdpProblem:
     f0s: list
     fs: Sequence
     c: np.ndarray
-    name: str = ""
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float)

@@ -5,10 +5,9 @@ never knows its own factor structure, so every operation takes a TensorSpace
 describing how the ambient space splits into factors.  Matrices are dense
 numpy arrays, complex128 unless stated otherwise.
 
-The symmetric-subspace helpers (isometry, projector, operator basis) are the
-workhorses of the extension tests: the projector onto the symmetric subspace
-of k copies of C^d has rank binom(d+k-1, k), and the isometry maps the
-occupation-number basis of that subspace into the full k-fold tensor power.
+The symmetric-subspace isometry is the workhorse of the extension tests: it
+maps the occupation-number basis of the symmetric subspace of k copies of
+C^d, of dimension binom(d+k-1, k), into the full k-fold tensor power.
 """
 
 from dataclasses import dataclass
@@ -127,35 +126,6 @@ def partial_trace(mat, space, which):
     return t.reshape(dkeep, dkeep)
 
 
-def factor_permutation_operator(space, perm):
-    """Unitary that maps |i_perm[0], i_perm[1], ...> onto |i_0, i_1, ...>.
-
-    perm lists, for each output slot, which input factor lands there.  All
-    permuted slots must carry equal dimensions pairwise where they move.
-    """
-    dims = space.factor_dims
-    f = len(dims)
-    if sorted(perm) != list(range(f)):
-        raise FactorError(f"{perm} is not a permutation of 0..{f - 1}")
-    for out_slot, in_factor in enumerate(perm):
-        if dims[out_slot] != dims[in_factor]:
-            raise FactorError(
-                f"cannot move factor {in_factor} (dim {dims[in_factor]}) into "
-                f"slot {out_slot} (dim {dims[out_slot]})",
-                factor=in_factor,
-                size=dims[in_factor],
-            )
-    d = space.dim
-    eye = np.eye(d).reshape(dims + dims)
-    # P[(r), (c)] = prod_s delta(r_s, c_perm[s]), so the column axis feeding
-    # old factor t must sit at position perm^-1(t)
-    inv = [0] * f
-    for slot, factor in enumerate(perm):
-        inv[factor] = slot
-    axes = list(range(f)) + [f + inv[s] for s in range(f)]
-    return eye.transpose(axes).reshape(d, d)
-
-
 def permute_factors(mat, space, perm):
     """Conjugate a matrix by the factor permutation: rows and columns move."""
     space.check_matrix(mat)
@@ -168,23 +138,6 @@ def permute_factors(mat, space, perm):
     new_dims = [dims[p] for p in perm]
     d = space.dim
     return t.transpose(axes).reshape(d, d), TensorSpace(new_dims)
-
-
-def swap_operator(space, i, j):
-    """Self-inverse Hermitian unitary exchanging factors i and j."""
-    space.check_factor(i)
-    space.check_factor(j)
-    dims = space.factor_dims
-    if dims[i] != dims[j]:
-        raise FactorError(
-            f"cannot swap factor {i} (dim {dims[i]}) with factor {j} "
-            f"(dim {dims[j]}): dimensions differ",
-            factor=j,
-            size=dims[j],
-        )
-    perm = list(range(space.nfactors))
-    perm[i], perm[j] = perm[j], perm[i]
-    return factor_permutation_operator(space, perm)
 
 
 def symmetric_subspace_dim(d, k):
@@ -230,26 +183,6 @@ def symmetric_isometry(d, k):
     return b
 
 
-_PROJECTOR_CAP = 8192
-
-
-def symmetric_projector(d, k):
-    """Orthogonal projector onto the symmetric subspace of (C^d)^(x k).
-
-    Equals the average of all k! factor-permutation operators; built here as
-    B B^dag from the occupation-number isometry, which is the same matrix.
-    Real-valued, rank binom(d+k-1, k).
-    """
-    if d**k > _PROJECTOR_CAP:
-        raise FactorError(
-            f"dense symmetric projector for d={d}, k={k} would be "
-            f"{d**k}x{d**k}; beyond the cap {_PROJECTOR_CAP}. "
-            "Use symmetric_isometry instead."
-        )
-    b = symmetric_isometry(d, k)
-    return b @ b.T
-
-
 @dataclass
 class OperatorBasis:
     """Hermitian operator basis: first element is identity-like with unit
@@ -284,48 +217,6 @@ def hermitian_basis(d):
             y[b, a] = 1j / np.sqrt(2)
             out.append(y)
     return OperatorBasis(dim=d, elements=out)
-
-
-def basis_expand(mat, basis):
-    """Coefficients c with mat = sum_i c_i s_i (real for Hermitian input).
-
-    Uses the dual normalization: element 0 has Tr[s_0^2] = 1/d, the rest are
-    orthonormal, so c_0 = Tr[mat] and c_i = Tr[mat s_i] for i >= 1.
-    """
-    c = np.empty(len(basis.elements))
-    c[0] = np.trace(mat).real
-    for i, s in enumerate(basis.elements[1:], start=1):
-        c[i] = np.trace(mat @ s).real
-    return c
-
-
-def basis_assemble(coeffs, basis):
-    out = np.zeros((basis.dim, basis.dim), dtype=complex)
-    for c, s in zip(coeffs, basis.elements):
-        out += c * s
-    return out
-
-
-_SYM_OP_BASIS_CAP = 160
-
-
-def symmetric_operator_basis(d, k):
-    """Hermitian basis of operators supported on the symmetric subspace.
-
-    binom(d+k-1,k)^2 elements acting on the full d^k-dimensional space, each
-    invariant under conjugation by the symmetric projector.  Ordering and
-    normalization follow hermitian_basis of the subspace dimension.
-    """
-    if d**k > _SYM_OP_BASIS_CAP:
-        raise FactorError(
-            f"dense symmetric operator basis for d={d}, k={k} would hold "
-            f"{symmetric_subspace_dim(d, k) ** 2} matrices of side {d**k}; "
-            f"beyond the cap {_SYM_OP_BASIS_CAP}"
-        )
-    b = symmetric_isometry(d, k)
-    small = hermitian_basis(symmetric_subspace_dim(d, k))
-    elements = [b @ s @ b.T for s in small.elements]
-    return OperatorBasis(dim=d**k, elements=elements)
 
 
 def multisets(n, k):

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import sdp
 from .tensorops import (
     TensorSpace,
     multiset_arrangements,
@@ -58,23 +57,23 @@ class Witness:
         return self.space.factor_dims[1]
 
 
-def extract_witness(assembly, z_blocks, tolerances=None):
-    """Build a witness from certificate blocks of an extension problem.
+def extract_witness(shape, problem, rho, z_blocks):
+    """Build a witness from certificate blocks of the extension problem of
+    rho, assembled on shape.
 
     Each dual block is un-transposed in its own coordinates and the adjoint
     of the pinned-part embedding maps the sum back to A x B.  The identity
     Tr[rho Z~] = sum_b Tr[F0_b Z_b] must hold to 1e-9; the result is
     normalized to unit spectral radius together with its blocks.
     """
-    tol = tolerances or sdp.SolverTolerances()
-    raw = assembly.dual_pairing(z_blocks)
+    raw = shape.dual_pairing(z_blocks)
     herm_dev = np.abs(raw - raw.conj().T).max()
     raw = (raw + raw.conj().T) / 2
     objective = sum(
         np.einsum("pq,qp->", f0, np.asarray(z)).real
-        for f0, z in zip(assembly.problem.f0s, z_blocks)
+        for f0, z in zip(problem.f0s, z_blocks)
     )
-    on_state = np.einsum("pq,qp->", assembly.rho.matrix, raw).real
+    on_state = np.einsum("pq,qp->", rho.matrix, raw).real
     residual = abs(on_state - objective)
     if residual > 1e-9 * max(1.0, abs(objective)) or herm_dev > 1e-9:
         raise WitnessExtractionError(
@@ -87,10 +86,10 @@ def extract_witness(assembly, z_blocks, tolerances=None):
         raise WitnessExtractionError("certificate maps to the zero operator")
     return Witness(
         matrix=raw / scale,
-        space=TensorSpace([assembly.d_a, assembly.d_b]),
-        level=assembly.k,
-        reduced=assembly.reduced,
-        descriptors=list(assembly.descriptors),
+        space=TensorSpace([shape.d_a, shape.d_b]),
+        level=shape.k,
+        reduced=shape.reduced,
+        descriptors=list(shape.descriptors),
         blocks=[np.asarray(z) / scale for z in z_blocks],
         value=on_state / scale,
         pairing_residual=residual,
@@ -167,12 +166,6 @@ def minimize_on_products(mat, space, samples=10000, seed=1234, polish=50):
         "state_b": best_pair[1],
         "samples": samples,
     }
-
-
-def evaluate_on_product_states(witness, samples=10000, seed=1234, polish=50):
-    return minimize_on_products(
-        witness.matrix, witness.space, samples=samples, seed=seed, polish=polish
-    )
 
 
 # -- sum-of-squares identity --------------------------------------------

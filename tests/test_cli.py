@@ -25,11 +25,12 @@ import re
 import numpy as np
 import pytest
 
+from oracles import swap_operator
 from sepcert.cli import _sweep_values, main
 from sepcert.matio import load_matrix, save_matrix
 from sepcert.reports import read_report_matrices
 from sepcert.states import choi_family_state, max_entangled, maximally_mixed
-from sepcert.tensorops import TensorSpace, swap_operator
+from sepcert.tensorops import TensorSpace
 
 REFERENCE_THRESHOLDS = {1: 0.4, 2: 0.58769, 3: 0.68556}
 
@@ -103,6 +104,14 @@ def test_embedded_witness_matches_the_sidecar_file(entangled_run):
     assert kind == side_kind == "operator"
     assert space.factor_dims == side_space.factor_dims == (3, 3)
     assert np.array_equal(mat, side_mat)
+    # both files hold the same entry lines, byte for byte
+    text = entangled_run["text"]
+    start = text.index("matrix witness:\n")
+    embedded_entries = text[start : text.index("end matrix\n", start)].split(
+        "entries:\n"
+    )[1]
+    side_entries = open(entangled_run["witness"]).read().split("entries:\n")[1]
+    assert embedded_entries == side_entries
 
 
 def test_witness_sidecar_verifies_against_the_source_state(

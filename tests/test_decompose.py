@@ -18,6 +18,7 @@ Exact reference values used below:
 import numpy as np
 import pytest
 
+from oracles import swap_operator
 from sepcert import sdp
 from sepcert.decompose import (
     DECOMPOSABLE,
@@ -28,7 +29,7 @@ from sepcert.decompose import (
 )
 from sepcert.hierarchy import ENTANGLED, DensityMatrix, ExtensionSpec, run_test
 from sepcert.states import choi_family_state, choi_family_witness, max_entangled
-from sepcert.tensorops import FactorError, TensorSpace, partial_transpose, swap_operator
+from sepcert.tensorops import FactorError, TensorSpace, partial_transpose
 
 SP22 = TensorSpace([2, 2])
 SP33 = TensorSpace([3, 3])

@@ -19,6 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from oracles import swap_operator
 from sepcert import hierarchy, sdp
 from sepcert.hierarchy import (
     ENTANGLED,
@@ -26,7 +27,6 @@ from sepcert.hierarchy import (
     SEPARABLE_CONSISTENT,
     AssemblyError,
     DensityMatrix,
-    ExtensionAssembly,
     ExtensionShape,
     ExtensionSpec,
     build_extension_problem,
@@ -51,7 +51,6 @@ from sepcert.tensorops import (
     partial_trace,
     partial_transpose,
     partial_transpose_multi,
-    swap_operator,
     symmetric_subspace_dim,
 )
 
@@ -148,7 +147,7 @@ def test_level1_reduced_matches_plain_ppt_sizes():
 def test_directions_are_swap_invariant_and_trace_down_to_zero():
     # exhaustive structural check on the smallest nontrivial instance
     rho = random_state(2, 2, seed=5)
-    problem, asm = build_extension_problem(rho, ExtensionSpec(k=2, reduced=False))
+    problem, _ = build_extension_problem(rho, ExtensionSpec(k=2, reduced=False))
     space = TensorSpace([2, 2, 2])
     swap = swap_operator(space, 0, 1)
     assert problem.fs[0].shape[0] == 24
@@ -163,37 +162,53 @@ def test_sparse_stacks_equal_dense_constructions():
     # reduced mode: direction (v, j) of every block is A_v x sigma_j
     # (sigma_j^T on tb blocks), built densely here entry for entry
     rho = random_state(2, 2, seed=9)
-    problem, asm = build_extension_problem(rho, ExtensionSpec(k=3))
-    assert [d.label for d in asm.descriptors] == ["plain", "ta1", "ta2", "tb"]
+    problem, shape = build_extension_problem(rho, ExtensionSpec(k=3))
+    assert [d.label for d in shape.descriptors] == ["plain", "ta1", "ta2", "tb"]
     basis_b = hermitian_basis(2).elements
-    for desc, fmat in zip(asm.descriptors, problem.fs):
-        astack = asm.shape._acomp[desc.a_transposed]
+    for desc, fmat in zip(shape.descriptors, problem.fs):
+        astack = shape._acomp[desc.a_transposed]
         bmats = [sj.T if desc.b_transposed else sj for sj in basis_b]
         dense = np.array(
             [
                 np.kron(np.tensordot(v, astack, axes=1), sj)
-                for v in asm.shape._nullmat
+                for v in shape._nullmat
                 for sj in bmats
             ]
-        ).reshape(asm.m, -1)
+        ).reshape(shape.m, -1)
         assert fmat.shape == dense.shape
         assert fmat.nnz == np.count_nonzero(dense)
         assert np.array_equal(fmat.toarray(), dense)
     # unreduced mode: each transposed block is the plain stack with every
     # direction partially transposed
-    problem, asm = build_extension_problem(rho, ExtensionSpec(k=3, reduced=False))
-    space = asm.extension_space()
+    problem, shape = build_extension_problem(rho, ExtensionSpec(k=3, reduced=False))
+    space = shape.extension_space()
     side = space.dim
-    plain = problem.fs[0].toarray().reshape(asm.m, side, side)
-    for desc, fmat in zip(asm.descriptors[1:], problem.fs[1:]):
+    plain = problem.fs[0].toarray().reshape(shape.m, side, side)
+    for desc, fmat in zip(shape.descriptors[1:], problem.fs[1:]):
         which = set(range(desc.a_transposed)) | ({3} if desc.b_transposed else set())
         dense = np.array([partial_transpose_multi(f, space, which) for f in plain])
-        assert np.array_equal(fmat.toarray(), dense.reshape(asm.m, -1))
+        assert np.array_equal(fmat.toarray(), dense.reshape(shape.m, -1))
+
+
+def test_adjointness_check_covers_every_block():
+    # the build checks dual_pairing against pinned_blocks over all blocks,
+    # so a 1e-6 skew of the transposed block ta1 fails it in both modes
+    class SkewedShape(ExtensionShape):
+        def pinned_blocks(self, rho_mat):
+            blocks = super().pinned_blocks(rho_mat)
+            blocks[1] = blocks[1] * (1 + 1e-6)
+            return blocks
+
+    for reduced in (True, False):
+        spec = ExtensionSpec(k=2, reduced=reduced)
+        ExtensionShape(2, 2, spec)
+        with pytest.raises(AssemblyError, match="adjoint"):
+            SkewedShape(2, 2, spec)
 
 
 def test_fixed_part_traces_down_to_state():
     rho = random_state(3, 2, seed=8)
-    problem, asm = build_extension_problem(rho, ExtensionSpec(k=2, reduced=False))
+    problem, _ = build_extension_problem(rho, ExtensionSpec(k=2, reduced=False))
     space = TensorSpace([3, 3, 2])
     traced = partial_trace(problem.f0s[0], space, {1})
     assert np.abs(traced - rho.matrix).max() < 1e-12
@@ -212,11 +227,11 @@ def test_states_of_one_shape_share_one_assembly():
         assert all(a is b for a, b in zip(problems[0].fs, problems[1].fs))
         assert not np.array_equal(problems[0].f0s[0], problems[1].f0s[0])
         for rho, problem in zip(rhos, problems):
-            fresh = ExtensionAssembly(rho, ExtensionShape(2, 3, spec)).problem
-            assert fresh.fs is not problem.fs
-            for f0, g0 in zip(problem.f0s, fresh.f0s):
+            fresh = ExtensionShape(2, 3, spec)
+            assert fresh.stacks is not problem.fs
+            for f0, g0 in zip(problem.f0s, fresh.pinned_blocks(rho.matrix)):
                 assert np.array_equal(f0, g0)
-            for fmat, gmat in zip(problem.fs, fresh.fs):
+            for fmat, gmat in zip(problem.fs, fresh.stacks):
                 assert fmat.shape == gmat.shape
                 assert np.array_equal(fmat.toarray(), gmat.toarray())
 
@@ -476,11 +491,11 @@ def test_extension_recheck_skip_is_recorded():
 
 def test_check_extension_properties_flags_bad_candidates():
     rho = random_state(2, 2, seed=9)
-    problem, asm = build_extension_problem(rho, ExtensionSpec(k=2, reduced=False))
+    problem, _ = build_extension_problem(rho, ExtensionSpec(k=2, reduced=False))
     space = TensorSpace([2, 2, 2])
-    good = asm.problem.f0s[0]
+    good = problem.f0s[0]
     bad = good + 0.05 * np.diag([1.0, -1.0, 0, 0, 0, 0, 0, 0])
-    chk = check_extension_properties(bad, space, rho, asm.descriptors)
+    chk = check_extension_properties(bad, space, rho, ppt=True)
     assert not chk["passed"]
 
 

@@ -15,6 +15,7 @@ forever without certifying.
 import numpy as np
 import pytest
 
+from oracles import operator_from_map, swap_operator
 from sepcert.posmaps import (
     CERTIFIED,
     COMPLETELY_POSITIVE,
@@ -23,13 +24,10 @@ from sepcert.posmaps import (
     LinearMap,
     alpha_threshold,
     apply_map,
-    blend,
     check_strict_positivity,
     compose_with_symmetric_embedding,
-    map_from_operator,
     map_from_witness,
     normalize_unital,
-    operator_from_map,
     threshold_family,
     threshold_sweep,
     tracial_map,
@@ -38,7 +36,6 @@ from sepcert.states import choi_family_witness
 from sepcert.tensorops import (
     TensorSpace,
     multisets,
-    swap_operator,
     symmetric_isometry,
     symmetric_subspace_dim,
 )
@@ -55,6 +52,12 @@ REFERENCE_LADDER = [
 ]
 
 
+def table1_blend(alpha):
+    """(1 - alpha) * tracial + alpha * unital witness map on qutrits."""
+    m0, m1 = threshold_family()
+    return LinearMap(3, 3, (1.0 - alpha) * m0.choi + alpha * m1.choi)
+
+
 def random_hermitian(rng, d):
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     return (g + g.conj().T) / 2
@@ -62,7 +65,7 @@ def random_hermitian(rng, d):
 
 def test_swap_operator_defines_the_transpose():
     sp = TensorSpace([3, 3])
-    tmap = map_from_operator(swap_operator(sp, 0, 1), 3, 3)
+    tmap = LinearMap(3, 3, swap_operator(sp, 0, 1))
     rng = np.random.default_rng(0)
     m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     assert np.abs(apply_map(tmap, m) - m.T).max() < 1e-12
@@ -74,7 +77,7 @@ def test_unnormalized_maxent_defines_the_identity_map():
     for i in range(d):
         for j in range(d):
             ident_choi[i * d + i, j * d + j] = 1.0
-    imap = map_from_operator(ident_choi, d, d)
+    imap = LinearMap(d, d, ident_choi)
     rng = np.random.default_rng(1)
     for _ in range(5):
         m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
@@ -95,7 +98,7 @@ def test_operator_round_trip_through_the_action():
     for din, dout in [(2, 2), (2, 3), (3, 2), (3, 3)]:
         for _ in range(3):
             L = random_hermitian(rng, din * dout)
-            lmap = map_from_operator(L, din, dout)
+            lmap = LinearMap(din, dout, L)
             assert np.abs(operator_from_map(lmap) - L).max() < 1e-12
 
 
@@ -104,7 +107,7 @@ def test_matrix_element_formula_on_units():
     rng = np.random.default_rng(4)
     din, dout = 3, 2
     L = random_hermitian(rng, din * dout)
-    lmap = map_from_operator(L, din, dout)
+    lmap = LinearMap(din, dout, L)
     for i in range(din):
         for j in range(din):
             unit = np.zeros((din, din))
@@ -132,7 +135,7 @@ def test_witness_map_directions():
 def test_psd_operator_gives_completely_positive_map():
     rng = np.random.default_rng(5)
     g = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    lmap = map_from_operator(g @ g.conj().T, 2, 3)
+    lmap = LinearMap(2, 3, g @ g.conj().T)
     report = check_strict_positivity(lmap, samples=500)
     assert report.verdict == COMPLETELY_POSITIVE
 
@@ -143,7 +146,7 @@ def test_unital_normalization():
     assert np.abs(apply_map(lmap, np.eye(3)) - np.eye(3)).max() < 1e-12
     assert np.abs(lmap.choi - w / 2).max() < 1e-14
 
-    lopsided = map_from_operator(np.diag([1.0, 0, 0, 0]), 2, 2)
+    lopsided = LinearMap(2, 2, np.diag([1.0, 0, 0, 0]))
     with pytest.raises(ValueError):
         normalize_unital(lopsided)
 
@@ -152,7 +155,7 @@ def test_composition_matches_explicit_isometry_sandwich():
     rng = np.random.default_rng(6)
     for din, dout, k in [(2, 2, 2), (2, 3, 2), (3, 2, 3), (2, 2, 4)]:
         L = random_hermitian(rng, din * dout)
-        lmap = map_from_operator(L, din, dout)
+        lmap = LinearMap(din, dout, L)
         comb = compose_with_symmetric_embedding(lmap, k)
         v = symmetric_isometry(dout, k)
         lift = np.kron(np.eye(din), v)
@@ -163,7 +166,7 @@ def test_composition_matches_explicit_isometry_sandwich():
 def test_composition_level_one_is_the_operator_itself():
     rng = np.random.default_rng(7)
     L = random_hermitian(rng, 6)
-    lmap = map_from_operator(L, 2, 3)
+    lmap = LinearMap(2, 3, L)
     assert np.abs(compose_with_symmetric_embedding(lmap, 1) - L).max() == 0
 
 
@@ -181,7 +184,7 @@ def test_composition_preserves_repeated_diagonal():
     rng = np.random.default_rng(8)
     din, dout, k = 2, 3, 3
     L = random_hermitian(rng, din * dout)
-    lmap = map_from_operator(L, din, dout)
+    lmap = LinearMap(din, dout, L)
     comp = compose_with_symmetric_embedding(lmap, k)
     s_dim = symmetric_subspace_dim(dout, k)
     mu_list = multisets(dout, k)
@@ -204,18 +207,18 @@ def test_composition_size_cap():
 
 def test_violation_search_finds_nonpositive_map():
     z = np.eye(4) - 2.0 * np.diag([0.0, 1.0, 0.0, 0.0])
-    report = check_strict_positivity(map_from_operator(z, 2, 2), samples=2000)
+    report = check_strict_positivity(LinearMap(2, 2, z), samples=2000)
     assert report.verdict == NOT_POSITIVE
     sigma = report.violation_input
     assert np.linalg.eigvalsh(sigma)[0] > -1e-12
     assert report.violation_eigenvalue <= -1e-9
-    lam = np.linalg.eigvalsh(apply_map(map_from_operator(z, 2, 2), sigma))[0]
+    lam = np.linalg.eigvalsh(apply_map(LinearMap(2, 2, z), sigma))[0]
     assert abs(lam - report.violation_eigenvalue) < 1e-9
 
 
 def test_transpose_map_stays_undetermined():
     sp = TensorSpace([3, 3])
-    tmap = map_from_operator(swap_operator(sp, 0, 1), 3, 3)
+    tmap = LinearMap(3, 3, swap_operator(sp, 0, 1))
     report = check_strict_positivity(tmap, k_max=6, samples=3000)
     assert report.verdict == UNDETERMINED
     assert report.product_search_min > -1e-9
@@ -225,20 +228,18 @@ def test_transpose_map_stays_undetermined():
 
 
 def test_blend_certification_climbs_the_ladder():
-    m0, m1 = threshold_family()
-    below = check_strict_positivity(blend(m0, m1, 0.39), k_max=2, samples=500)
+    below = check_strict_positivity(table1_blend(0.39), k_max=2, samples=500)
     assert below.verdict == COMPLETELY_POSITIVE
-    above = check_strict_positivity(blend(m0, m1, 0.41), k_max=4, samples=500)
+    above = check_strict_positivity(table1_blend(0.41), k_max=4, samples=500)
     assert above.verdict == CERTIFIED
     assert above.k_certified == 2
-    higher = check_strict_positivity(blend(m0, m1, 0.6), k_max=4, samples=500)
+    higher = check_strict_positivity(table1_blend(0.6), k_max=4, samples=500)
     assert higher.verdict == CERTIFIED
     assert higher.k_certified == 3
 
 
 def test_certification_is_monotone_in_k():
-    m0, m1 = threshold_family()
-    mixed = blend(m0, m1, 0.45)
+    mixed = table1_blend(0.45)
     lam2 = np.linalg.eigvalsh(compose_with_symmetric_embedding(mixed, 2))[0]
     lam3 = np.linalg.eigvalsh(compose_with_symmetric_embedding(mixed, 3))[0]
     assert lam2 >= -1e-10
@@ -257,7 +258,7 @@ def test_threshold_ladder_matches_reference():
 
 
 def test_threshold_requires_definite_reference():
-    lop = map_from_operator(np.diag([1.0, 0, 0, 0]), 2, 2)
+    lop = LinearMap(2, 2, np.diag([1.0, 0, 0, 0]))
     other = tracial_map(2)
     with pytest.raises(ValueError):
         alpha_threshold(lop, other, 1)
@@ -276,5 +277,3 @@ def test_map_validation():
         apply_map(tracial_map(2), np.eye(3))
     with pytest.raises(ValueError):
         check_strict_positivity(tracial_map(2), k_max=0)
-    with pytest.raises(ValueError):
-        blend(tracial_map(2), tracial_map(3), 0.5)

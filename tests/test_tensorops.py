@@ -9,13 +9,11 @@ import math
 import numpy as np
 import pytest
 
+from oracles import factor_permutation_operator, swap_operator
 from sepcert.tensorops import (
     FactorError,
     TensorSpace,
-    basis_assemble,
-    basis_expand,
     check_hermitian,
-    factor_permutation_operator,
     hermitian_basis,
     multiset_arrangements,
     multisets,
@@ -23,10 +21,7 @@ from sepcert.tensorops import (
     partial_transpose,
     partial_transpose_multi,
     permute_factors,
-    swap_operator,
     symmetric_isometry,
-    symmetric_operator_basis,
-    symmetric_projector,
     symmetric_subspace_dim,
 )
 
@@ -200,7 +195,8 @@ def perm_sum_projector(d, k):
 
 def test_symmetric_projector_equals_permutation_average():
     for d, k in [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 2)]:
-        got = symmetric_projector(d, k)
+        b = symmetric_isometry(d, k)
+        got = b @ b.T
         want = perm_sum_projector(d, k)
         np.testing.assert_allclose(got, want, atol=1e-13)
 
@@ -234,14 +230,10 @@ def test_symmetric_projector_rank_formula():
     assert b.shape == (3**8, 45)
     assert abs(np.linalg.norm(b) ** 2 - 45) < 1e-10
     np.testing.assert_allclose(b.T @ b, np.eye(45), atol=1e-13)
-    p = symmetric_projector(3, 2)
+    b = symmetric_isometry(3, 2)
+    p = b @ b.T
     assert abs(np.trace(p) - 6) < 1e-12
     np.testing.assert_allclose(p @ p, p, atol=1e-13)
-
-
-def test_symmetric_projector_cap():
-    with pytest.raises(FactorError):
-        symmetric_projector(4, 8)
 
 
 def test_hermitian_basis_gram():
@@ -264,31 +256,6 @@ def test_hermitian_basis_gram():
         for s in basis.elements[1:]:
             assert abs(np.trace(s)) < 1e-14
             check_hermitian(s)
-
-
-def test_basis_expand_round_trip():
-    for d in (2, 3, 4):
-        for seed in range(8):
-            basis = hermitian_basis(d)
-            m = rand_matrix((d,), seed, hermitian=True)
-            coeffs = basis_expand(m, basis)
-            np.testing.assert_allclose(
-                basis_assemble(coeffs, basis), m, atol=1e-12
-            )
-
-
-def test_symmetric_operator_basis():
-    d, k = 3, 2
-    ds = symmetric_subspace_dim(d, k)
-    basis = symmetric_operator_basis(d, k)
-    assert len(basis.elements) == ds * ds == 36
-    pi = symmetric_projector(d, k)
-    for s in basis.elements:
-        np.testing.assert_allclose(pi @ s @ pi, s, atol=1e-13)
-    assert abs(np.trace(basis.elements[0]) - 1) < 1e-13
-    # same Gram structure as the subspace-dimension Hermitian basis
-    g01 = np.trace(basis.elements[0] @ basis.elements[1]).real
-    assert abs(g01) < 1e-13
 
 
 def test_multiset_helpers():

@@ -30,7 +30,6 @@ from sepcert.tensorops import (
 )
 from sepcert.witness import (
     WitnessExtractionError,
-    evaluate_on_product_states,
     extract_witness,
     find_gamma_star,
     minimize_on_products,
@@ -114,12 +113,11 @@ def test_extraction_rejects_zero_blocks():
     rep = entangled_report(4.0)
     from sepcert.hierarchy import build_extension_problem
 
-    problem, asm = build_extension_problem(
-        choi_family_state(4.0), ExtensionSpec(k=2, reduced=True)
-    )
-    zeros = [np.zeros((d.side, d.side), dtype=complex) for d in asm.descriptors]
+    rho = choi_family_state(4.0)
+    problem, shape = build_extension_problem(rho, ExtensionSpec(k=2, reduced=True))
+    zeros = [np.zeros((d.side, d.side), dtype=complex) for d in shape.descriptors]
     with pytest.raises(WitnessExtractionError):
-        extract_witness(asm, zeros)
+        extract_witness(shape, problem, rho, zeros)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +196,8 @@ def test_ksos_batch_equals_per_sample_evaluation():
 
 
 def test_product_minimum_nonnegative_for_extracted_witness():
-    res = evaluate_on_product_states(REPORT_35.witness, samples=3000, seed=12)
+    wit = REPORT_35.witness
+    res = minimize_on_products(wit.matrix, wit.space, samples=3000, seed=12)
     assert res["min_value"] > -1e-9
     # the polished minimum never sits above the raw sampled one
     assert res["min_value"] <= res["sampled_min"] + 1e-12
