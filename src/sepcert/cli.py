@@ -38,6 +38,7 @@ from .posmaps import (
     CERTIFIED,
     COMPLETELY_POSITIVE,
     NOT_POSITIVE,
+    VIOLATION_TOL,
     check_strict_positivity,
     map_from_witness,
     threshold_family,
@@ -513,7 +514,7 @@ def cmd_verify_witness(args):
     rb = ReportBuilder("verify-witness", config)
     result = {
         "product_minimum": search["min_value"],
-        "is_witness": search["min_value"] >= -1e-9,
+        "is_witness": search["min_value"] >= -VIOLATION_TOL,
     }
     value = None
     if args.state:
@@ -536,7 +537,7 @@ def cmd_verify_witness(args):
             path,
         )
     )
-    if search["min_value"] < -1e-9:
+    if search["min_value"] < -VIOLATION_TOL:
         return 2
     if args.state and not result["detects_state"]:
         return 1

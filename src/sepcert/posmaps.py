@@ -148,6 +148,9 @@ def compose_with_symmetric_embedding(lmap, k):
     where tau runs over the common (k-1)-sub-multisets.  This is the
     occupation-basis form of sandwiching L x 1^(k-1) between symmetric
     projectors, checked against the explicit construction in the tests.
+    The coefficients are real, so a map whose defining operator has no
+    imaginary part gets a real composed operator, and its eigenproblems run
+    in real arithmetic.
     """
     if k < 1:
         raise ValueError(f"copy count must be at least 1, got {k}")
@@ -160,8 +163,9 @@ def compose_with_symmetric_embedding(lmap, k):
             f"{COMPOSED_CAP}"
         )
     mu_index = {mu: pos for pos, mu in enumerate(multisets(dout, k))}
-    lr = lmap.choi.reshape(din, dout, din, dout)
-    comp = np.zeros((din, s_dim, din, s_dim), dtype=complex)
+    choi = lmap.choi if lmap.choi.imag.any() else lmap.choi.real
+    lr = choi.reshape(din, dout, din, dout)
+    comp = np.zeros((din, s_dim, din, s_dim), dtype=choi.dtype)
     inv_sqrt_n = np.array(
         [1.0 / math.sqrt(multiset_arrangements(mu)) for mu in multisets(dout, k)]
     )

@@ -5,12 +5,10 @@ The two named families are classics of the bound-entanglement literature: a
 3x3 family that is separable for alpha in [2, 3], entangled with positive
 partial transpose for alpha in (3, 4], and NPT outside [1, 4]; and a 4x4
 family whose entanglement for small mixing parameter is invisible to the
-partial transpose test but caught at level 2.  Both come with exact
-witnesses whose expectation values on the family are known in closed form,
-which gives the test suite independent oracles.
+partial transpose test but caught at level 2.  The 3x3 family comes with
+an exact witness whose expectation values on the family are known in
+closed form, which gives the test suite an independent oracle.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,73 +58,6 @@ def random_state(d_a, d_b, rank=None, seed=0):
     return DensityMatrix(m / np.trace(m).real, TensorSpace([d_a, d_b]))
 
 
-@dataclass
-class ProductEnsemble:
-    """Explicit separable decomposition: weights with local pure states."""
-
-    weights: list
-    a_states: list
-    b_states: list
-
-    def __post_init__(self):
-        if not (len(self.weights) == len(self.a_states) == len(self.b_states)):
-            raise ValueError("ensemble lists must have equal length")
-        w = np.asarray(self.weights, dtype=float)
-        if (w < 0).any():
-            raise ValueError("ensemble weights must be nonnegative")
-        if abs(w.sum() - 1.0) > 1e-12:
-            raise ValueError(f"ensemble weights sum to {w.sum()!r}, not 1")
-        self.a_states = [
-            np.asarray(v, dtype=complex) / np.linalg.norm(v) for v in self.a_states
-        ]
-        self.b_states = [
-            np.asarray(v, dtype=complex) / np.linalg.norm(v) for v in self.b_states
-        ]
-
-
-def from_ensemble(ensemble):
-    da = len(ensemble.a_states[0])
-    db = len(ensemble.b_states[0])
-    m = np.zeros((da * db, da * db), dtype=complex)
-    for w, a, b in zip(ensemble.weights, ensemble.a_states, ensemble.b_states):
-        m += w * _proj(np.kron(a, b))
-    return DensityMatrix(m, TensorSpace([da, db]))
-
-
-def separable_extension(ensemble, k):
-    """Explicit level-k extension of an ensemble state.
-
-    Ordering [A, B, A^(k-1)]: the original pair first, then the extra
-    copies, each carrying the same local pure state as the first factor.
-    Returns (matrix, space).
-    """
-    da = len(ensemble.a_states[0])
-    db = len(ensemble.b_states[0])
-    dims = [da, db] + [da] * (k - 1)
-    n = int(np.prod(dims))
-    m = np.zeros((n, n), dtype=complex)
-    for w, a, b in zip(ensemble.weights, ensemble.a_states, ensemble.b_states):
-        v = np.kron(np.kron(a, b), _power_vec(a, k - 1))
-        m += w * _proj(v)
-    return m, TensorSpace(dims)
-
-
-def _power_vec(a, l):
-    out = np.ones(1, dtype=complex)
-    for _ in range(l):
-        out = np.kron(out, a)
-    return out
-
-
-def random_product_ensemble(d_a, d_b, terms, seed=0):
-    rng = np.random.default_rng(seed)
-    w = rng.random(terms)
-    w /= w.sum()
-    avs = rng.standard_normal((terms, d_a)) + 1j * rng.standard_normal((terms, d_a))
-    bvs = rng.standard_normal((terms, d_b)) + 1j * rng.standard_normal((terms, d_b))
-    return ProductEnsemble(list(w), list(avs), list(bvs))
-
-
 # -- 3x3 family with a bound-entangled window ---------------------------
 
 
@@ -173,18 +104,6 @@ def gisin_family_state(alpha):
     ) / 8.0
     m = (_proj(psi1) + _proj(psi2) + alpha * noise) / (2.0 + alpha)
     return DensityMatrix(m, TensorSpace([4, 4]))
-
-
-def gisin_family_witness():
-    """Exact witness for the 4x4 family: expectation -2(sqrt(2)-1)/(2+alpha)."""
-    k = _ket
-    w = _proj(k(4, 2, 2) - k(4, 0, 0))
-    w += _proj(k(4, 2, 2) - k(4, 1, 1))
-    w += _proj(k(4, 3, 3) - k(4, 0, 1))
-    w += _proj(k(4, 3, 3) - k(4, 1, 0))
-    w += _proj(k(4, 2, 3)) + _proj(k(4, 3, 2))
-    w -= _proj(k(4, 2, 2)) + _proj(k(4, 3, 3))
-    return np.asarray(w, dtype=complex), TensorSpace([4, 4])
 
 
 # -- named catalog for the command line ---------------------------------

@@ -104,24 +104,40 @@ def _haar_vectors(rng, n, d):
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def _polish_pair(z4, x, y, iters=60):
-    """Alternating smallest-eigenvector descent on the product expectation."""
-    val = None
-    for _ in range(iters):
-        mx = np.einsum("abcd,b,d->ac", z4, y.conj(), y)
-        mx = (mx + mx.conj().T) / 2
-        w, v = np.linalg.eigh(mx)
-        x = v[:, 0]
-        my = np.einsum("abcd,a,c->bd", z4, x.conj(), x)
-        my = (my + my.conj().T) / 2
-        w, v = np.linalg.eigh(my)
-        y = v[:, 0]
-        new = np.einsum("a,b,abcd,c,d->", x.conj(), y.conj(), z4, x, y).real
-        if val is not None and abs(val - new) <= 1e-14 * max(1.0, abs(new)):
-            val = new
-            break
-        val = new
-    return val, x, y
+def _polish_products(z4, ys, iters=60):
+    """Alternating smallest-eigenvector descent on the product expectation,
+    advancing every starting pair at once.
+
+    Each row of ys seeds one descent: x is the lowest eigenvector of the
+    operator y leaves on A, then y the lowest one of what x leaves on B.  A
+    row stops once its value changes by at most 1e-14 relative; the others
+    go on, for at most iters rounds.  The stacked contractions and
+    eigensolvers do per row what one pair at a time would, so every row's
+    value and vectors are those of a separate descent.  Returns the values
+    and the final x and y, one row per start.
+    """
+    n = len(ys)
+    xs = np.empty((n, z4.shape[0]), dtype=complex)
+    ys = np.array(ys, dtype=complex)
+    vals = np.empty(n)
+    active = np.arange(n)
+    for step in range(iters):
+        y = ys[active]
+        mx = np.einsum("abcd,nb,nd->nac", z4, y.conj(), y)
+        mx = (mx + mx.conj().transpose(0, 2, 1)) / 2
+        x = np.linalg.eigh(mx)[1][:, :, 0]
+        my = np.einsum("abcd,na,nc->nbd", z4, x.conj(), x)
+        my = (my + my.conj().transpose(0, 2, 1)) / 2
+        y = np.linalg.eigh(my)[1][:, :, 0]
+        new = np.einsum("na,nb,abcd,nc,nd->n", x.conj(), y.conj(), z4, x, y).real
+        old = vals[active]
+        xs[active], ys[active], vals[active] = x, y, new
+        if step:
+            moving = np.abs(old - new) > 1e-14 * np.maximum(1.0, np.abs(new))
+            active = active[moving]
+            if not len(active):
+                break
+    return vals, xs, ys
 
 
 def minimize_on_products(mat, space, samples=10000, seed=1234, polish=50):
@@ -131,34 +147,36 @@ def minimize_on_products(mat, space, samples=10000, seed=1234, polish=50):
     most promising starting points.  Deterministic for a fixed seed.
     """
     da, db = space.factor_dims
-    z4 = mat.reshape(da, db, da, db)
     rng = np.random.default_rng(seed)
     best_val = np.inf
     best_pair = None
     chunk = 2000
     done = 0
-    keep = []
+    keep_vals, keep_ys = [], []
     while done < samples:
         n = min(chunk, samples - done)
         xs = _haar_vectors(rng, n, da)
         ys = _haar_vectors(rng, n, db)
-        vals = np.einsum(
-            "na,nb,abcd,nc,nd->n", xs.conj(), ys.conj(), z4, xs, ys, optimize=True
-        ).real
+        v = _row_kron(xs, ys)
+        vals = np.einsum("ni,ni->n", v.conj(), v @ mat.T).real
         order = np.argsort(vals)
-        for idx in order[: max(1, polish // 4)]:
-            keep.append((vals[idx], xs[idx], ys[idx]))
+        top = order[: max(1, polish // 4)]
+        keep_vals.append(vals[top])
+        keep_ys.append(ys[top])
         if vals[order[0]] < best_val:
             best_val = float(vals[order[0]])
             best_pair = (xs[order[0]], ys[order[0]])
         done += n
-    keep.sort(key=lambda t: t[0])
     sampled_min = best_val
-    for _, x0, y0 in keep[:polish]:
-        val, x, y = _polish_pair(z4, x0.copy(), y0.copy())
-        if val < best_val:
-            best_val = float(val)
-            best_pair = (x, y)
+    starts = np.argsort(np.concatenate(keep_vals), kind="stable")[:polish]
+    if len(starts):
+        vals, xs, ys = _polish_products(
+            mat.reshape(da, db, da, db), np.concatenate(keep_ys)[starts]
+        )
+        i = int(np.argmin(vals))
+        if vals[i] < best_val:
+            best_val = float(vals[i])
+            best_pair = (xs[i], ys[i])
     return {
         "min_value": best_val,
         "sampled_min": sampled_min,

@@ -6,11 +6,12 @@ the scorecard even when pytest captures are enabled only on failure.
 Run with -s to stream the lines as they happen.
 
 Criterion 1 carries a known, documented limitation: the 3x3 family
-states at parameters 2.0 and 2.5 lie exactly on the boundary of the
-level-2 feasible set (the membership value is zero to solver precision),
-so the refusal band reports marginal instead of separable-consistent.
-The test prints the honest FAIL line and is marked xfail; the analysis
-lives in the build decision ledger outside the package.
+state has rank 7 of 9 at every parameter in (0, 5), with a 2-dimensional
+kernel inside span{|00>, |11>, |22>}.  Every extension inherits a kernel,
+so no extension is positive definite and the margin at the separable
+parameters 2.0 and 2.5 is zero to solver precision; the refusal band
+reports marginal instead of separable-consistent.  The test prints the
+honest FAIL line and is marked xfail; the README states the cause.
 """
 
 import math
@@ -22,6 +23,7 @@ import time
 import numpy as np
 import pytest
 
+from oracles import gisin_family_witness
 from sepcert.decompose import INDECOMPOSABLE, decompose, extract_edge_state
 from sepcert.hierarchy import (
     ENTANGLED,
@@ -37,7 +39,6 @@ from sepcert.states import (
     choi_family_state,
     choi_family_witness,
     gisin_family_state,
-    gisin_family_witness,
     max_entangled,
     random_state,
 )
@@ -98,7 +99,7 @@ def gisin_runs():
 
 def test_acceptance_1_choi_family_window(choi_level2, choi_level1):
     failures = []
-    boundary_refusals = []
+    marginal_refusals = []
     for alpha in (3.1, 3.5, 4.0):
         report, _ = choi_level2[alpha]
         if report.status != ENTANGLED:
@@ -106,7 +107,7 @@ def test_acceptance_1_choi_family_window(choi_level2, choi_level1):
     for alpha in (2.0, 2.5):
         report, _ = choi_level2[alpha]
         if report.status == MARGINAL:
-            boundary_refusals.append(f"alpha {alpha} level 2 -> marginal")
+            marginal_refusals.append(f"alpha {alpha} level 2 -> marginal")
         elif report.status != SEPARABLE_CONSISTENT:
             failures.append(f"alpha {alpha} level 2 -> {report.status}")
     report, _ = choi_level2[3.0]
@@ -121,16 +122,16 @@ def test_acceptance_1_choi_family_window(choi_level2, choi_level1):
             if elapsed >= 30.0:
                 failures.append(f"alpha {alpha} took {elapsed:.0f}s")
 
-    if not failures and not boundary_refusals:
+    if not failures and not marginal_refusals:
         _announce(1, True)
         return
-    _announce(1, False, "; ".join(failures + boundary_refusals))
+    _announce(1, False, "; ".join(failures + marginal_refusals))
     if failures:
         pytest.fail("; ".join(failures))
     pytest.xfail(
-        "interior window edge sits exactly on the level-2 feasible "
-        "boundary, so the refusal band reports marginal; documented in "
-        "the build decision ledger"
+        "the choi-family state has rank 7 of 9, so no extension is "
+        "positive definite and the margin sits at zero, inside the "
+        "refusal band: marginal; the README states the cause"
     )
 
 

@@ -19,7 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from oracles import swap_operator
+from oracles import from_ensemble, random_product_ensemble, swap_operator
 from sepcert import hierarchy, sdp
 from sepcert.hierarchy import (
     ENTANGLED,
@@ -39,10 +39,8 @@ from sepcert.hierarchy import (
 )
 from sepcert.states import (
     choi_family_state,
-    from_ensemble,
     max_entangled,
     maximally_mixed,
-    random_product_ensemble,
     random_state,
 )
 from sepcert.tensorops import (

@@ -157,10 +157,29 @@ def test_composition_matches_explicit_isometry_sandwich():
         L = random_hermitian(rng, din * dout)
         lmap = LinearMap(din, dout, L)
         comb = compose_with_symmetric_embedding(lmap, k)
+        assert comb.dtype == complex
         v = symmetric_isometry(dout, k)
         lift = np.kron(np.eye(din), v)
         explicit = lift.conj().T @ np.kron(L, np.eye(dout ** (k - 1))) @ lift
         assert np.abs(comb - explicit).max() < 1e-12
+
+
+def test_real_maps_compose_in_real_arithmetic():
+    # every coefficient of the composition is real and a complex product
+    # with a real coefficient rounds its two parts separately, so the real
+    # part of a complex construction depends on the real part of the
+    # defining operator alone: it is the complex construction of the real map
+    rng = np.random.default_rng(9)
+    for din, dout in [(2, 2), (2, 3), (3, 3)]:
+        L = random_hermitian(rng, din * dout)
+        real_map = LinearMap(din, dout, L.real)
+        complex_map = LinearMap(din, dout, L)
+        for k in range(1, 5):
+            real = compose_with_symmetric_embedding(real_map, k)
+            comp = compose_with_symmetric_embedding(complex_map, k)
+            assert real.dtype == np.float64 and comp.dtype == complex
+            assert np.abs(comp.imag).max() > 0
+            assert np.array_equal(real, comp.real)
 
 
 def test_composition_level_one_is_the_operator_itself():

@@ -12,6 +12,13 @@ import math
 import numpy as np
 import pytest
 
+from oracles import (
+    ProductEnsemble,
+    from_ensemble,
+    gisin_family_witness,
+    random_product_ensemble,
+    separable_extension,
+)
 from sepcert.hierarchy import (
     BlockDescriptor,
     DensityMatrix,
@@ -19,19 +26,14 @@ from sepcert.hierarchy import (
     transpose_descriptors,
 )
 from sepcert.states import (
-    ProductEnsemble,
     catalog_entries,
     choi_family_state,
     choi_family_witness,
-    from_ensemble,
     gisin_family_state,
-    gisin_family_witness,
     make_catalog_state,
     max_entangled,
     maximally_mixed,
-    random_product_ensemble,
     random_state,
-    separable_extension,
 )
 from sepcert.tensorops import TensorSpace, partial_trace, partial_transpose, permute_factors
 

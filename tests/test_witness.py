@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import gisin_family_witness
 from sepcert.hierarchy import (
     ENTANGLED,
     DensityMatrix,
@@ -30,6 +31,7 @@ from sepcert.tensorops import (
 )
 from sepcert.witness import (
     WitnessExtractionError,
+    _polish_products,
     extract_witness,
     find_gamma_star,
     minimize_on_products,
@@ -203,13 +205,72 @@ def test_product_minimum_nonnegative_for_extracted_witness():
     assert res["min_value"] <= res["sampled_min"] + 1e-12
 
 
+def _polish_pair(z4, x, y, iters=60):
+    """The alternating descent one starting pair at a time: the reference
+    for the batched _polish_products."""
+    val = None
+    for _ in range(iters):
+        mx = np.einsum("abcd,b,d->ac", z4, y.conj(), y)
+        mx = (mx + mx.conj().T) / 2
+        w, v = np.linalg.eigh(mx)
+        x = v[:, 0]
+        my = np.einsum("abcd,a,c->bd", z4, x.conj(), x)
+        my = (my + my.conj().T) / 2
+        w, v = np.linalg.eigh(my)
+        y = v[:, 0]
+        new = np.einsum("a,b,abcd,c,d->", x.conj(), y.conj(), z4, x, y).real
+        if val is not None and abs(val - new) <= 1e-14 * max(1.0, abs(new)):
+            val = new
+            break
+        val = new
+    return val, x, y
+
+
+def _product_value(mat, x, y):
+    v = np.kron(x, y)
+    return np.vdot(v, mat @ v).real
+
+
 def test_product_minimization_is_seeded():
-    mat = REPORT_35.witness.matrix
-    space = REPORT_35.witness.space
-    a = minimize_on_products(mat, space, samples=500, seed=5, polish=8)
-    b = minimize_on_products(mat, space, samples=500, seed=5, polish=8)
-    assert a["min_value"] == b["min_value"]
-    assert np.array_equal(a["state_a"], b["state_a"])
+    rng = np.random.default_rng(8)
+    indefinite = rand_herm(6, rng)
+    indefinite -= np.trace(indefinite).real * np.eye(6) / 6
+    operators = [
+        (REPORT_35.witness.matrix, REPORT_35.witness.space),
+        gisin_family_witness(),
+        (indefinite, TensorSpace([2, 3])),
+    ]
+    for mat, space in operators:
+        # 500 samples is below one sampling chunk
+        a = minimize_on_products(mat, space, samples=500, seed=5, polish=8)
+        b = minimize_on_products(mat, space, samples=500, seed=5, polish=8)
+        assert a["min_value"] == b["min_value"]
+        assert np.array_equal(a["state_a"], b["state_a"])
+        assert a["min_value"] <= a["sampled_min"]
+        assert abs(
+            a["min_value"] - _product_value(mat, a["state_a"], a["state_b"])
+        ) < 1e-12
+
+        # without polishing the sampled minimum is the answer
+        c = minimize_on_products(mat, space, samples=500, seed=5, polish=0)
+        assert c["min_value"] == c["sampled_min"] == a["sampled_min"]
+        assert abs(
+            c["min_value"] - _product_value(mat, c["state_a"], c["state_b"])
+        ) < 1e-12
+
+        # every start of the batched descent is the one-pair descent, bit
+        # for bit, whichever round it settles in
+        da, db = space.factor_dims
+        z4 = mat.reshape(da, db, da, db)
+        starts = np.random.default_rng(3)
+        xs = starts.standard_normal((50, da)) + 1j * starts.standard_normal((50, da))
+        ys = starts.standard_normal((50, db)) + 1j * starts.standard_normal((50, db))
+        ys /= np.linalg.norm(ys, axis=1, keepdims=True)
+        vals, px, py = _polish_products(z4, ys)
+        for i in range(50):
+            val, x, y = _polish_pair(z4, xs[i], ys[i])
+            assert vals[i] == val
+            assert np.array_equal(px[i], x) and np.array_equal(py[i], y)
 
 
 def test_product_minimum_finds_negative_directions_of_non_witnesses():
