@@ -45,7 +45,7 @@ def main(argv=None):
     )
     args = parser.parse_args(argv)
 
-    spec = ExtensionSpec(k=args.k, ppt=args.ppt, reduced=True)
+    spec = ExtensionSpec(k=args.k, ppt=args.ppt)
     res = required_resources(3, 3, spec)
     print(f"level {args.k} probe of the 3x3 family, ppt={args.ppt}")
     print("required resources:")

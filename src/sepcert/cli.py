@@ -79,13 +79,11 @@ def _build_parser():
     p.add_argument("state")
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--no-ppt", action="store_true")
-    p.add_argument("--no-reduce", action="store_true")
 
     p = sub.add_parser("ladder", parents=[common], help="run levels 1..kmax")
     p.add_argument("state")
     p.add_argument("--kmax", type=int, default=3)
     p.add_argument("--no-ppt", action="store_true")
-    p.add_argument("--no-reduce", action="store_true")
 
     p = sub.add_parser("sweep", parents=[common], help="family parameter sweep")
     p.add_argument("family", choices=["choi", "gisin", "choi-scaled"])
@@ -212,13 +210,11 @@ def cmd_test(args):
     _prepare_out(args)
     rho = _load_state(args.state)
     tol = _tolerances(args)
-    spec = ExtensionSpec(k=args.k, ppt=not args.no_ppt, reduced=not args.no_reduce)
+    spec = ExtensionSpec(k=args.k, ppt=not args.no_ppt)
     report = run_test(rho, spec, tolerances=tol, trace=_trace_cb(args))
 
     config = _base_config(args)
-    config.update(
-        state=args.state, k=args.k, ppt=spec.ppt, reduced=spec.reduced
-    )
+    config.update(state=args.state, k=args.k, ppt=spec.ppt)
     rb = ReportBuilder("test", config)
     result = {
         "status": report.status,
@@ -259,17 +255,11 @@ def cmd_ladder(args):
         rho,
         args.kmax,
         ppt=not args.no_ppt,
-        reduced=not args.no_reduce,
         tolerances=tol,
         trace=_trace_cb(args),
     )
     config = _base_config(args)
-    config.update(
-        state=args.state,
-        kmax=args.kmax,
-        ppt=not args.no_ppt,
-        reduced=not args.no_reduce,
-    )
+    config.update(state=args.state, kmax=args.kmax, ppt=not args.no_ppt)
     rb = ReportBuilder("ladder", config)
     rows = [
         (rep.spec.k, rep.status, rep.margin, rep.iterations)
@@ -563,6 +553,8 @@ def main(argv=None):
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else EXIT_USAGE
     try:
+        if args.jobs < 1:
+            raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
         return DISPATCH[args.command](args)
     except MatrixFormatError as exc:
         print(f"error in {exc.field}: {exc}", file=sys.stderr)

@@ -19,27 +19,19 @@ k+1 inequivalent blocks: the plain extension, transposition of l copies of
 A for l = 1..ceil(k/2), and transposition of B together with l copies of A
 for l = 0..k-ceil(k/2)-1.
 
-Free directions of the extension are parametrized in a Hermitian product
-basis: symmetrized multiset products on the copies tensored with a basis of
-B, dropping the multisets pinned by the trace-down requirement.  The pinned
-part is the averaged embedding of rho,
-
-    E_k(rho) = (1/d_A^(k-1)) sum_l embed_l(rho)
-               - ((k-1)/d_A^k) * 1 x Tr_A[rho],
-
-which is permutation symmetric and traces down to rho.  In reduced mode the
-problem is compressed onto the symmetric subspace of the copies: the
-extension may be assumed supported there, and a transposed block with l
-transposed copies is supported on Sym_l x Sym_(k-l) x B, which shrinks
-every block substantially.  The pinned part is then the minimum-norm
-symmetric-subspace solution of the trace-down constraint.
+The problem is posed on the symmetric subspace of the copies: every
+separable state has a Bose-symmetric extension, supported on Sym_k(A) x B,
+so asking for one keeps the test sound and never makes it weaker, while it
+shrinks every block.  A transposed block with l transposed copies is
+then supported on Sym_l x Sym_(k-l) x B.  Free directions are a Hermitian
+basis of operators on Sym_k(A) tensored with a basis of B, restricted to
+the null space of the trace-down map; the pinned part is the
+minimum-norm symmetric-subspace solution of the trace-down constraint.
 """
 
-import math
 import threading
 import warnings
 from dataclasses import dataclass, field
-from itertools import permutations
 
 import numpy as np
 import scipy.sparse as sps
@@ -49,7 +41,6 @@ from .tensorops import (
     FactorError,
     TensorSpace,
     hermitian_basis,
-    multisets,
     partial_trace,
     partial_transpose_multi,
     permute_factors,
@@ -142,7 +133,8 @@ class ExtensionSpec:
 
     k: int
     ppt: bool = True
-    reduced: bool = True
+    # not a field: perfbench/spans.py reads it into its per-case key
+    reduced = True
 
     def __post_init__(self):
         if self.k < 1:
@@ -168,12 +160,6 @@ def transpose_descriptors(k, ppt):
     return descs
 
 
-def _transposed_factors(k, l, b):
-    """Factors of A_1 ... A_k, B that block (l, b) transposes: the first l
-    copies, and B when b is set."""
-    return set(range(l)) | ({k} if b else set())
-
-
 def _desc_label(l, b):
     if l == 0 and not b:
         return "plain"
@@ -185,10 +171,8 @@ def _desc_label(l, b):
     return "".join(parts)
 
 
-def free_direction_count(d_a, d_b, k, reduced):
-    if reduced:
-        return (symmetric_subspace_dim(d_a, k) ** 2 - d_a**2) * d_b**2
-    return (math.comb(d_a**2 + k - 1, k) - d_a**2) * d_b**2
+def free_direction_count(d_a, d_b, k):
+    return (symmetric_subspace_dim(d_a, k) ** 2 - d_a**2) * d_b**2
 
 
 def required_resources(d_a, d_b, spec):
@@ -207,23 +191,20 @@ def required_resources(d_a, d_b, spec):
       * the largest block's dense (n^2, m) Schur workspace, held twice
         while it is transposed into place;
       * the m x m Schur matrix and its Cholesky factor;
-      * in reduced mode, the product basis of A x B that the per-state
-        step contracts rho against.
+      * the product basis of A x B that the per-state step contracts rho
+        against.
 
     Complex values are assumed throughout.  schur_flops_per_iteration is
     sum_b (2 m n_b^3 + 2 m nnz_b): the dense S^-1 product plus the sparse
     trace pairing.
     """
     k = spec.k
-    m = free_direction_count(d_a, d_b, k, spec.reduced)
+    m = free_direction_count(d_a, d_b, k)
     descs = transpose_descriptors(k, spec.ppt)
-    if spec.reduced:
-        sides_a = [
-            symmetric_subspace_dim(d_a, l) * symmetric_subspace_dim(d_a, k - l)
-            for l, _ in descs
-        ]
-    else:
-        sides_a = [d_a**k for _ in descs]
+    sides_a = [
+        symmetric_subspace_dim(d_a, l) * symmetric_subspace_dim(d_a, k - l)
+        for l, _ in descs
+    ]
     sides = [s * d_b for s in sides_a]
     groups = m // d_b**2
     b_entries = sum(int(np.count_nonzero(e)) for e in hermitian_basis(d_b).elements)
@@ -232,7 +213,7 @@ def required_resources(d_a, d_b, spec):
     factor_bytes = 2 * 16 * groups * max(sides_a) ** 2
     workspace_bytes = 2 * 16 * m * max(sides) ** 2
     schur_bytes = 2 * 8 * m * m
-    pair_bytes = 16 * (d_a * d_b) ** 4 if spec.reduced else 0
+    pair_bytes = 16 * (d_a * d_b) ** 4
     return {
         "free_directions": m,
         "block_sides": sides,
@@ -244,55 +225,6 @@ def required_resources(d_a, d_b, spec):
             sum(2 * m * n**3 + 2 * m * z for z, n in zip(nnz, sides))
         ),
     }
-
-
-def averaged_embedding(rho_mat, d_a, d_b, k):
-    """Pinned part of the extension in full coordinates.
-
-    Places rho at each copy slot in turn (identity elsewhere), averages, and
-    subtracts the overcounted product part.  Traces down to rho over copies
-    2..k, is permutation symmetric, and is the identity map for k = 1.
-    """
-    if k == 1:
-        return rho_mat.copy()
-    full = np.zeros((d_a**k * d_b,) * 2, dtype=complex)
-    base_space = TensorSpace([d_a, d_b] + [d_a] * (k - 1))
-    for slot in range(k):
-        m = np.kron(rho_mat, np.eye(d_a ** (k - 1)))
-        # factors currently [A, B, A^(k-1)]; send A to `slot`, B to the end
-        perm = [0] * (k + 1)
-        perm[slot] = 0
-        perm[k] = 1
-        rest = list(range(2, k + 1))
-        for pos in range(k):
-            if pos != slot:
-                perm[pos] = rest.pop(0)
-        moved, _ = permute_factors(m, base_space, perm)
-        full += moved
-    full /= d_a ** (k - 1)
-    rho_b = partial_trace(rho_mat, TensorSpace([d_a, d_b]), {0})
-    full -= (k - 1) / d_a**k * np.kron(np.eye(d_a**k), rho_b)
-    return full
-
-
-def averaged_embedding_adjoint(v_mat, d_a, d_b, k):
-    """Adjoint of averaged_embedding in the trace pairing.
-
-    Traces the operator down to each copy slot in turn, averages, and
-    subtracts the counterterm; maps the identity on the extended space to
-    the identity on A x B (scaled consistently).
-    """
-    if k == 1:
-        return v_mat.copy()
-    ext_space = TensorSpace([d_a] * k + [d_b])
-    out = np.zeros((d_a * d_b, d_a * d_b), dtype=complex)
-    for slot in range(k):
-        others = set(range(k)) - {slot}
-        out += partial_trace(v_mat, ext_space, others)
-    out /= d_a ** (k - 1)
-    tr_all_a = partial_trace(v_mat, ext_space, set(range(k)))
-    out -= (k - 1) / d_a**k * np.kron(np.eye(d_a), tr_all_a)
-    return out
 
 
 def _kron_stack(avecs, side_a, bmats):
@@ -355,7 +287,7 @@ class ExtensionShape:
     """The part of a level-k extension problem that does not depend on rho.
 
     rho enters only through the trace-down constraint, which pins the F0
-    blocks.  Everything else is fixed by (d_a, d_b, k, ppt, reduced): the
+    blocks.  Everything else is fixed by (d_a, d_b, k, ppt): the
     trace-down map and its pseudo-inverses, the null-space basis of the
     free directions, the copy-side compressors, the block descriptors and
     the direction stacks (one sdp.DirectionStacks).  The adjointness check
@@ -367,7 +299,6 @@ class ExtensionShape:
         self.d_b = d_b
         self.spec = spec
         self.k = spec.k
-        self.reduced = spec.reduced
         self.descriptors = []
         self.warnings = []
         res = required_resources(d_a, d_b, spec)
@@ -383,7 +314,7 @@ class ExtensionShape:
                 "GB of working memory",
                 resources=res,
             )
-        stacks = self._build_reduced() if self.reduced else self._build_full()
+        stacks = self._build_stacks()
         self.stacks = sdp.DirectionStacks.from_blocks(
             stacks, [d.side for d in self.descriptors], self.m
         )
@@ -391,50 +322,7 @@ class ExtensionShape:
 
     # -- construction ----------------------------------------------------
 
-    def _build_full(self):
-        """Directions of the unreduced problem; returns the block stacks."""
-        d_a, d_b, k = self.d_a, self.d_b, self.k
-        basis_a = hermitian_basis(d_a)
-        basis_b = hermitian_basis(d_b)
-        na = d_a**2
-
-        # multisets with >= k-1 identity factors carry the pinned trace-down
-        # coefficients and are excluded from the free directions
-        kept = [mu for mu in multisets(na, k) if mu.count(0) < k - 1]
-
-        sym_vecs = np.zeros((len(kept), d_a ** (2 * k)), dtype=complex)
-        for mu, vec in zip(kept, sym_vecs):
-            acc = vec.reshape(d_a**k, d_a**k)  # a view: fills sym_vecs
-            seen = set()
-            for perm in permutations(mu):
-                if perm in seen:
-                    continue
-                seen.add(perm)
-                term = basis_a.elements[perm[0]]
-                for idx in perm[1:]:
-                    term = np.kron(term, basis_a.elements[idx])
-                acc += term
-
-        self.m = len(kept) * d_b**2
-        space = self.extension_space()
-        nfull = d_a**k * d_b
-        directions = _kron_stack(sym_vecs, d_a**k, basis_b.elements)
-
-        # a partial transpose permutes matrix entries, so each transposed
-        # block is a column permutation of the plain stack
-        entries = np.arange(nfull * nfull).reshape(nfull, nfull)
-        stacks = []
-        for l, b in transpose_descriptors(k, self.spec.ppt):
-            which = _transposed_factors(k, l, b)
-            if which:
-                cols = partial_transpose_multi(entries, space, which).ravel()
-                stacks.append(directions[:, cols])
-            else:
-                stacks.append(directions)
-            self.descriptors.append(BlockDescriptor(l, b, _desc_label(l, b), nfull))
-        return stacks
-
-    def _build_reduced(self):
+    def _build_stacks(self):
         """Directions compressed onto the symmetric subspace; returns the
         block stacks."""
         d_a, d_b, k = self.d_a, self.d_b, self.k
@@ -580,19 +468,10 @@ class ExtensionShape:
         """The full copy space A_1 ... A_k, B of the extension."""
         return TensorSpace([self.d_a] * self.k + [self.d_b])
 
-    def _transpose_block(self, mat, desc):
-        """mat on the full copy space with the factors of block desc
-        transposed (unreduced mode)."""
-        which = _transposed_factors(self.k, desc.a_transposed, desc.b_transposed)
-        return partial_transpose_multi(mat, self.extension_space(), which)
-
     # -- the per-state step ---------------------------------------------
 
     def pinned_blocks(self, rho_mat):
         """The F0 blocks of the problem for the state rho_mat."""
-        if not self.reduced:
-            g0 = averaged_embedding(rho_mat, self.d_a, self.d_b, self.k)
-            return [self._transpose_block(g0, d) for d in self.descriptors]
         y0 = self._pinned_coefficients(rho_mat)
         return [
             _kron_sum(
@@ -606,21 +485,19 @@ class ExtensionShape:
         """Extension on the full copy space from the solver variables x of
         a problem of this shape.
 
-        The plain block of the problem is the extension itself (compressed
-        in reduced mode), so reconstruction is a contraction against the
-        direction stack plus, in reduced mode, a lift through the
-        symmetric-subspace isometry.
+        The plain block of the problem is the extension compressed onto
+        Sym_k(A) x B, so reconstruction is a contraction against the
+        direction stack plus a lift through the symmetric-subspace
+        isometry.
         """
         x = np.asarray(x, dtype=float)
         comp = problem.f0s[0].astype(complex, copy=True)
         if x.size:
             comp += (problem.fs[0].T @ x).reshape(comp.shape)
-        if not self.reduced:
-            return comp
         lift = np.kron(self._iso_k, np.eye(self.d_b))
         return lift @ comp @ lift.conj().T
 
-    # -- reduced-mode helpers -------------------------------------------
+    # -- trace-down helpers ---------------------------------------------
 
     def _pinned_coefficients(self, mat):
         """Coefficients y[i, j] over s_i x sigma_j solving the trace-down
@@ -653,14 +530,8 @@ class ExtensionShape:
 
         Un-transposes each dual block in its own coordinates and applies the
         adjoint of the pinned-part embedding.  Works entirely in compressed
-        coordinates in reduced mode.
+        coordinates.
         """
-        if not self.reduced:
-            v = sum(
-                self._transpose_block(np.asarray(z, dtype=complex), desc)
-                for desc, z in zip(self.descriptors, z_blocks)
-            )
-            return averaged_embedding_adjoint(v, self.d_a, self.d_b, self.k)
         pair = sum(
             _block_pairings(
                 z, self._acomp[desc.a_transposed], self._bstacks[desc.b_transposed]
@@ -722,7 +593,9 @@ def check_extension_properties(ext, ext_space, rho, ppt, tol=1e-7):
     trace_dev = float(np.abs(traced - rho.matrix).max())
     min_eig = np.inf
     for l, b in transpose_descriptors(k, ppt):
-        block = partial_transpose_multi(ext, ext_space, _transposed_factors(k, l, b))
+        # block (l, b) transposes the first l copies, and B when b is set
+        which = set(range(l)) | ({k} if b else set())
+        block = partial_transpose_multi(ext, ext_space, which)
         block = (block + block.conj().T) / 2
         min_eig = min(min_eig, float(np.linalg.eigvalsh(block)[0]))
     ok = swap_dev <= tol and trace_dev <= tol and min_eig >= -tol
@@ -764,7 +637,6 @@ def run_test(rho, spec, tolerances=None, trace=None, keep_extension=True):
         "free_directions": shape.m,
         "block_sides": [d.side for d in shape.descriptors],
         "block_labels": [d.label for d in shape.descriptors],
-        "reduced": spec.reduced,
         "warnings": list(shape.warnings),
         "solver": dict(outcome.diagnostics),
     }
@@ -830,21 +702,21 @@ class LadderReport:
     monotonicity_checks: list = field(default_factory=list)
 
 
-def run_ladder(rho, k_max, ppt=True, reduced=True, tolerances=None, trace=None):
+def run_ladder(rho, k_max, ppt=True, tolerances=None, trace=None):
     """Run levels 1..k_max, stopping early once entanglement is certified.
 
     A marginal level does not terminate the ladder.  At each feasible level
     above the first, the reported extension traced down by one copy is
     checked to be a valid extension one level below (monotonicity).
     """
+    if k_max < 1:
+        raise ValueError(f"k_max must be at least 1, got {k_max}")
     reports = []
     mono = []
-    final = None
     for k in range(1, k_max + 1):
-        spec = ExtensionSpec(k=k, ppt=ppt, reduced=reduced)
+        spec = ExtensionSpec(k=k, ppt=ppt)
         rep = run_test(rho, spec, tolerances=tolerances, trace=trace)
         reports.append(rep)
-        final = rep.status
         if rep.status == SEPARABLE_CONSISTENT and k > 1 and rep.extension is not None:
             ext_space = rep.extension_space
             traced = partial_trace(rep.extension, ext_space, {k - 1})
@@ -858,4 +730,6 @@ def run_ladder(rho, k_max, ppt=True, reduced=True, tolerances=None, trace=None):
                 )
         if rep.status == ENTANGLED:
             break
-    return LadderReport(reports=reports, final_status=final, monotonicity_checks=mono)
+    return LadderReport(
+        reports=reports, final_status=reports[-1].status, monotonicity_checks=mono
+    )

@@ -255,6 +255,8 @@ def alpha_threshold(map0, map1, k):
 
 def threshold_sweep(map0, map1, k_max=8):
     """alpha thresholds for k = 1 .. k_max, as a list of (k, alpha_k)."""
+    if k_max < 1:
+        raise ValueError(f"k_max must be at least 1, got {k_max}")
     return [(k, alpha_threshold(map0, map1, k)) for k in range(1, k_max + 1)]
 
 

@@ -42,7 +42,6 @@ class Witness:
     matrix: np.ndarray
     space: TensorSpace
     level: int
-    reduced: bool
     descriptors: list
     blocks: list
     value: float
@@ -88,7 +87,6 @@ def extract_witness(shape, problem, rho, z_blocks):
         matrix=raw / scale,
         space=TensorSpace([shape.d_a, shape.d_b]),
         level=shape.k,
-        reduced=shape.reduced,
         descriptors=list(shape.descriptors),
         blocks=[np.asarray(z) / scale for z in z_blocks],
         value=on_state / scale,
@@ -220,24 +218,17 @@ def _row_kron(a, b):
 
 
 def _block_vectors(witness, desc, x, y):
-    """Product vectors in the coordinates of one certificate block, one row
-    per row of x and y.
+    """Product vectors in the coordinates of one certificate block,
+    Sym_l x Sym_(k-l) x B, one row per row of x and y.
 
     Transposed slots carry conjugated entries: the first `a_transposed`
     copies use conj(x) and the B slot uses conj(y) when B is transposed.
     """
-    k = witness.level
     l = desc.a_transposed
     yv = y.conj() if desc.b_transposed else y
-    if witness.reduced:
-        left = _compress_power(x.conj(), l)
-        right = _compress_power(x, k - l)
-        return _row_kron(_row_kron(left, right), yv)
-    parts = [x.conj()] * l + [x] * (k - l)
-    acc = parts[0]
-    for p in parts[1:]:
-        acc = _row_kron(acc, p)
-    return _row_kron(acc, yv)
+    left = _compress_power(x.conj(), l)
+    right = _compress_power(x, witness.level - l)
+    return _row_kron(_row_kron(left, right), yv)
 
 
 def verify_ksos_identity(witness, samples=1000, seed=7):

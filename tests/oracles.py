@@ -4,17 +4,35 @@ Explicit factor-permutation matrices stand beside the package's
 index-level permute_factors, and the defining operator rebuilt from a
 map's action on matrix units stands beside the stored one.  Separable
 states come from explicit product ensembles, which also give their level-k
-extensions, and the 4x4 family has its exact witness here.  None of these
-is needed by the package itself.
+extensions, and the 4x4 family has its exact witness here.  The extension
+test is also posed on the full copy space, without the package's
+symmetric-subspace reduction, as a dense problem built from the averaged
+embedding of the state.  None of these is needed by the package itself.
 """
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from sepcert.hierarchy import DensityMatrix
+from sepcert import sdp
+from sepcert.hierarchy import (
+    ENTANGLED,
+    MARGINAL,
+    SEPARABLE_CONSISTENT,
+    DensityMatrix,
+    transpose_descriptors,
+)
 from sepcert.posmaps import apply_map
-from sepcert.tensorops import FactorError, TensorSpace
+from sepcert.tensorops import (
+    FactorError,
+    TensorSpace,
+    hermitian_basis,
+    partial_trace,
+    partial_transpose_multi,
+    permute_factors,
+)
 
 
 def factor_permutation_operator(space, perm):
@@ -161,3 +179,91 @@ def gisin_family_witness():
     w += _proj(k(2, 3)) + _proj(k(3, 2))
     w -= _proj(k(2, 2)) + _proj(k(3, 3))
     return w, TensorSpace([4, 4])
+
+
+# -- the extension test on the full copy space ------------------------------
+
+
+def averaged_embedding(rho_mat, d_a, d_b, k):
+    """Pinned part of the extension in full coordinates A_1 ... A_k, B.
+
+    Places rho at each copy slot in turn (identity elsewhere), averages, and
+    subtracts the overcounted product part.  Traces down to rho over copies
+    2..k, is permutation symmetric, and is rho itself for k = 1.
+    """
+    n = d_a**k * d_b
+    out = np.zeros((n, n), dtype=complex)
+    placed = np.kron(rho_mat, np.eye(d_a ** (k - 1)))  # factors A, B, A^(k-1)
+    space = TensorSpace([d_a, d_b] + [d_a] * (k - 1))
+    for slot in range(k):
+        # the placed A goes to `slot`, the extra copies fill the other
+        # slots in order, and B goes last
+        rest = iter(range(2, k + 1))
+        perm = [0 if s == slot else next(rest) for s in range(k)] + [1]
+        out += permute_factors(placed, space, perm)[0]
+    out /= d_a ** (k - 1)
+    rho_b = partial_trace(rho_mat, TensorSpace([d_a, d_b]), {0})
+    out -= (k - 1) / d_a**k * np.kron(np.eye(d_a**k), rho_b)
+    return out
+
+
+def full_directions(d_a, d_b, k):
+    """Free directions of the full-space extension, as a list of matrices.
+
+    Each is a product of k elements of the Hermitian basis of A summed over
+    its distinct arrangements, tensored with an element of the Hermitian
+    basis of B.  Products with k - 1 or more identity factors carry the
+    pinned trace-down part and are left out; every other one traces down
+    to zero.
+    """
+    basis_a = hermitian_basis(d_a).elements
+    basis_b = hermitian_basis(d_b).elements
+    out = []
+    for mu in itertools.combinations_with_replacement(range(d_a**2), k):
+        if mu.count(0) >= k - 1:
+            continue
+        sym = sum(
+            functools.reduce(np.kron, [basis_a[i] for i in arrangement])
+            for arrangement in set(itertools.permutations(mu))
+        )
+        out.extend(np.kron(sym, sigma) for sigma in basis_b)
+    return out
+
+
+def full_extension_problem(rho, k, ppt=True):
+    """The level-k extension problem of rho on the full copy space.
+
+    Every block of the package's problem appears here with side
+    d_a^k * d_b: the averaged embedding and each direction under the
+    block's partial transpose (the first l copies, and B when b is set).
+    The stacks are dense (m, n, n) arrays.
+    """
+    d_a, d_b = rho.dim_a, rho.dim_b
+    space = TensorSpace([d_a] * k + [d_b])
+    n = space.dim
+    pinned = averaged_embedding(rho.matrix, d_a, d_b, k)
+    directions = full_directions(d_a, d_b, k)
+    f0s, fs = [], []
+    for l, b in transpose_descriptors(k, ppt):
+        which = set(range(l)) | ({k} if b else set())
+        f0s.append(partial_transpose_multi(pinned, space, which))
+        fs.append(
+            np.array(
+                [partial_transpose_multi(f, space, which) for f in directions]
+            ).reshape(len(directions), n, n)
+        )
+    return sdp.SdpProblem(f0s=f0s, fs=fs, c=np.zeros(len(directions)))
+
+
+_VERDICTS = {
+    sdp.FEASIBLE: SEPARABLE_CONSISTENT,
+    sdp.INFEASIBLE: ENTANGLED,
+    sdp.MARGINAL: MARGINAL,
+}
+
+
+def full_extension_verdict(rho, k, ppt=True):
+    """(status, margin) of the full-space test, the status named as
+    run_test names its verdicts."""
+    outcome = sdp.feasibility_margin(full_extension_problem(rho, k, ppt))
+    return _VERDICTS.get(outcome.status, outcome.status), outcome.margin_t

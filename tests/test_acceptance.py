@@ -23,7 +23,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import gisin_family_witness
+from oracles import full_extension_verdict, gisin_family_witness
 from sepcert.decompose import INDECOMPOSABLE, decompose, extract_edge_state
 from sepcert.hierarchy import (
     ENTANGLED,
@@ -320,14 +320,11 @@ def test_acceptance_8_property_suite():
         if mismatches:
             errors.append(f"{mismatches} verdict mismatches on {dims}")
 
-    # the symmetric-subspace reduction must not change any verdict
+    # the symmetric-subspace reduction must not change any verdict: the
+    # same test posed on the full copy space agrees
     for index, rho in enumerate(corpus):
-        reduced = run_test(
-            rho, ExtensionSpec(k=2, reduced=True), keep_extension=False
-        ).status
-        full = run_test(
-            rho, ExtensionSpec(k=2, reduced=False), keep_extension=False
-        ).status
+        reduced = run_test(rho, ExtensionSpec(k=2), keep_extension=False).status
+        full, _ = full_extension_verdict(rho, 2)
         if reduced != full:
             errors.append(
                 f"corpus state {index}: reduced {reduced} vs full {full}"
@@ -342,7 +339,7 @@ def test_acceptance_8_property_suite():
         for d_b in (2, 3):
             for k in range(1, 6):
                 expected = (math.comb(d_a + k - 1, k) ** 2 - d_a**2) * d_b**2
-                if free_direction_count(d_a, d_b, k, True) != expected:
+                if free_direction_count(d_a, d_b, k) != expected:
                     errors.append(
                         f"free directions wrong at d_a={d_a} d_b={d_b} k={k}"
                     )

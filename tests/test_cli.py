@@ -294,6 +294,18 @@ def test_ladder_reports_each_level(files, tmp_path, capsys):
     assert _field(text, "monotonicity_checks_passed") == "True"
 
 
+@pytest.mark.parametrize("kmax", ["0", "-1"])
+def test_ladder_rejects_a_level_bound_below_one(files, tmp_path, capsys, kmax):
+    code = main(
+        ["ladder", files["choi35.mat"], "--kmax", kmax, "--out", str(tmp_path)]
+    )
+    out, err = capsys.readouterr()
+    assert code == 64
+    assert "k_max" in err
+    assert out == ""
+    assert not glob.glob(str(tmp_path / "ladder-*.txt"))
+
+
 def test_posmap_swap_is_undetermined_with_exact_level_floors(
     files, tmp_path, capsys
 ):
@@ -422,6 +434,15 @@ def test_malformed_files_name_the_offending_field(tmp_path, capsys):
     assert "error in entries:" in err
 
 
+def test_table1_rejects_a_level_bound_below_one(tmp_path, capsys):
+    code = main(["table1", "--kmax", "0", "--out", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert code == 64
+    assert "k_max" in err
+    assert out == ""
+    assert not glob.glob(str(tmp_path / "table1-*.txt"))
+
+
 def test_missing_input_file(tmp_path, capsys):
     code = main(["test", str(tmp_path / "nope.mat"), "--out", str(tmp_path)])
     capsys.readouterr()
@@ -442,6 +463,24 @@ def test_tolerance_flags_must_be_positive(files, tmp_path, capsys):
     _, err = capsys.readouterr()
     assert "--tol-gap" in err
     assert "--tol-feas" in err
+
+
+def test_job_count_must_be_at_least_one(tmp_path, capsys):
+    argv = ["sweep", "gisin", "--from", "2.7", "--to", "2.7", "--step", "0.1"]
+    assert main(argv + ["--k", "1", "--jobs", "0", "--out", str(tmp_path)]) == 64
+    _, err = capsys.readouterr()
+    assert "--jobs" in err
+    assert not glob.glob(str(tmp_path / "sweep-*.txt"))
+
+
+def test_no_reduce_flag_is_gone(files, tmp_path, capsys):
+    # the symmetric-subspace build is the only one, so there is nothing to
+    # switch off
+    state, out = files["maxmixed22.mat"], ["--out", str(tmp_path)]
+    assert main(["test", state, "--k", "1", "--no-reduce"] + out) == 64
+    assert main(["ladder", state, "--no-reduce"] + out) == 64
+    capsys.readouterr()
+    assert not glob.glob(str(tmp_path / "*.txt"))
 
 
 def test_verify_witness_flags_a_non_witness(files, tmp_path, capsys):

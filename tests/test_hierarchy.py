@@ -3,9 +3,12 @@
 Level 1 is completely characterized by eigenvalues of the state and of its
 partial transpose, which gives an exact external oracle for verdicts and
 margins.  Higher levels are pinned through closed-form problem sizes, exact
-margins for the maximally mixed state (cross-checked between the reduced
-and unreduced assemblies), verdict monotonicity along the ladder, and
-direct re-verification of returned extensions.
+margins for the maximally mixed state, verdict monotonicity along the
+ladder, and direct re-verification of returned extensions.  The package
+poses every level on the symmetric subspace of the copies; the same test
+on the full copy space (tests/oracles.py) is an independent build whose
+verdicts must agree, with equal margins at level 1 where the two spaces
+coincide.
 """
 
 import gc
@@ -19,7 +22,13 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from oracles import from_ensemble, random_product_ensemble, swap_operator
+from oracles import (
+    from_ensemble,
+    full_extension_problem,
+    full_extension_verdict,
+    random_product_ensemble,
+    swap_operator,
+)
 from sepcert import hierarchy, sdp
 from sepcert.hierarchy import (
     ENTANGLED,
@@ -48,7 +57,6 @@ from sepcert.tensorops import (
     hermitian_basis,
     partial_trace,
     partial_transpose,
-    partial_transpose_multi,
     symmetric_subspace_dim,
 )
 
@@ -80,35 +88,33 @@ def test_descriptor_sets_small_levels():
 
 
 def test_problem_sizes_3x3_level2():
-    res = required_resources(3, 3, ExtensionSpec(k=2, reduced=False))
-    assert res["free_directions"] == 324
-    assert res["block_sides"] == [27, 27, 27]
-    res = required_resources(3, 3, ExtensionSpec(k=2, reduced=True))
+    full = full_extension_problem(maximally_mixed(3, 3), 2)
+    assert full.m == 324
+    assert full.block_sizes == [27, 27, 27]
+    res = required_resources(3, 3, ExtensionSpec(k=2))
     assert res["free_directions"] == 243
     assert res["block_sides"] == [18, 27, 18]
     assert res["block_labels"] == ["plain", "ta1", "tb"]
 
 
 def test_problem_sizes_2x2_level3_reduced():
-    res = required_resources(2, 2, ExtensionSpec(k=3, reduced=True))
+    res = required_resources(2, 2, ExtensionSpec(k=3))
     assert res["free_directions"] == 48
     assert res["block_sides"] == [8, 12, 12, 8]
 
 
 def test_size_formulas_match_closed_forms():
-    # reduced: (dim Sym_k ^2 - d_a^2) d_b^2 over a symmetric-subspace
-    # ambient; unreduced: (multichoose(d_a^2, k) - d_a^2) d_b^2 over the
-    # full copy space
+    # the package: (dim Sym_k ^2 - d_a^2) d_b^2 over a symmetric-subspace
+    # ambient; the full-space oracle: (multichoose(d_a^2, k) - d_a^2) d_b^2
+    # over the full copy space
     for d_a in (2, 3, 4):
         for d_b in (2, 3):
             for k in range(1, 6):
                 ds = symmetric_subspace_dim(d_a, k)
                 assert ds == math.comb(d_a + k - 1, k)
-                m_red = free_direction_count(d_a, d_b, k, True)
+                m_red = free_direction_count(d_a, d_b, k)
                 assert m_red == (ds**2 - d_a**2) * d_b**2
-                m_full = free_direction_count(d_a, d_b, k, False)
-                assert m_full == (math.comb(d_a**2 + k - 1, k) - d_a**2) * d_b**2
-                spec = ExtensionSpec(k=k, ppt=True, reduced=True)
+                spec = ExtensionSpec(k=k, ppt=True)
                 res = required_resources(d_a, d_b, spec)
                 assert res["free_directions"] == m_red
                 expect_sides = [
@@ -118,6 +124,9 @@ def test_size_formulas_match_closed_forms():
                     for l, _ in transpose_descriptors(k, True)
                 ]
                 assert res["block_sides"] == expect_sides
+    for d_a, d_b, k in ((2, 2, 1), (2, 2, 2), (2, 2, 3), (2, 3, 2), (3, 2, 2)):
+        m_full = full_extension_problem(maximally_mixed(d_a, d_b), k).m
+        assert m_full == (math.comb(d_a**2 + k - 1, k) - d_a**2) * d_b**2
 
 
 def test_resource_estimate_covers_traced_peak():
@@ -136,28 +145,35 @@ def test_resource_estimate_covers_traced_peak():
 
 
 def test_level1_reduced_matches_plain_ppt_sizes():
-    for reduced in (True, False):
-        res = required_resources(3, 3, ExtensionSpec(k=1, reduced=reduced))
-        assert res["free_directions"] == 0
-        assert res["block_sides"] == [9, 9]
+    res = required_resources(3, 3, ExtensionSpec(k=1))
+    assert res["free_directions"] == 0
+    assert res["block_sides"] == [9, 9]
+    full = full_extension_problem(maximally_mixed(3, 3), 1)
+    assert full.m == 0
+    assert full.block_sizes == [9, 9]
 
 
 def test_directions_are_swap_invariant_and_trace_down_to_zero():
-    # exhaustive structural check on the smallest nontrivial instance
+    # exhaustive structural check on the smallest nontrivial instance: each
+    # plain-block direction lifted from Sym_2 x B to the full copy space
     rho = random_state(2, 2, seed=5)
-    problem, _ = build_extension_problem(rho, ExtensionSpec(k=2, reduced=False))
-    space = TensorSpace([2, 2, 2])
+    problem, shape = build_extension_problem(rho, ExtensionSpec(k=2))
+    space = shape.extension_space()
     swap = swap_operator(space, 0, 1)
-    assert problem.fs[0].shape[0] == 24
+    lift = np.kron(shape._iso_k, np.eye(2))
+    side = problem.f0s[0].shape[0]
+    assert problem.fs[0].shape[0] == 20
     for j in range(problem.fs[0].shape[0]):
-        direction = problem.fs[0][[j]].toarray().reshape(8, 8)
+        compressed = problem.fs[0][[j]].toarray().reshape(side, side)
+        direction = lift @ compressed @ lift.conj().T
+        assert np.abs(direction).max() > 1e-3
         traced = partial_trace(direction, space, {1})
         assert np.abs(traced).max() < 1e-12
         assert np.abs(swap @ direction @ swap - direction).max() < 1e-12
 
 
 def test_sparse_stacks_equal_dense_constructions():
-    # reduced mode: direction (v, j) of every block is A_v x sigma_j
+    # direction (v, j) of every block is A_v x sigma_j
     # (sigma_j^T on tb blocks), built densely here entry for entry
     rho = random_state(2, 2, seed=9)
     problem, shape = build_extension_problem(rho, ExtensionSpec(k=3))
@@ -176,39 +192,31 @@ def test_sparse_stacks_equal_dense_constructions():
         assert fmat.shape == dense.shape
         assert fmat.nnz == np.count_nonzero(dense)
         assert np.array_equal(fmat.toarray(), dense)
-    # unreduced mode: each transposed block is the plain stack with every
-    # direction partially transposed
-    problem, shape = build_extension_problem(rho, ExtensionSpec(k=3, reduced=False))
-    space = shape.extension_space()
-    side = space.dim
-    plain = problem.fs[0].toarray().reshape(shape.m, side, side)
-    for desc, fmat in zip(shape.descriptors[1:], problem.fs[1:]):
-        which = set(range(desc.a_transposed)) | ({3} if desc.b_transposed else set())
-        dense = np.array([partial_transpose_multi(f, space, which) for f in plain])
-        assert np.array_equal(fmat.toarray(), dense.reshape(shape.m, -1))
 
 
 def test_adjointness_check_covers_every_block():
     # the build checks dual_pairing against pinned_blocks over all blocks,
-    # so a 1e-6 skew of the transposed block ta1 fails it in both modes
+    # so a 1e-6 skew of the transposed block ta1 fails it
     class SkewedShape(ExtensionShape):
         def pinned_blocks(self, rho_mat):
             blocks = super().pinned_blocks(rho_mat)
             blocks[1] = blocks[1] * (1 + 1e-6)
             return blocks
 
-    for reduced in (True, False):
-        spec = ExtensionSpec(k=2, reduced=reduced)
-        ExtensionShape(2, 2, spec)
-        with pytest.raises(AssemblyError, match="adjoint"):
-            SkewedShape(2, 2, spec)
+    spec = ExtensionSpec(k=2)
+    ExtensionShape(2, 2, spec)
+    with pytest.raises(AssemblyError, match="adjoint"):
+        SkewedShape(2, 2, spec)
 
 
 def test_fixed_part_traces_down_to_state():
+    # the plain F0 block lifted to the full copy space is an extension
+    # candidate: it reproduces rho on tracing out the second copy
     rho = random_state(3, 2, seed=8)
-    problem, _ = build_extension_problem(rho, ExtensionSpec(k=2, reduced=False))
-    space = TensorSpace([3, 3, 2])
-    traced = partial_trace(problem.f0s[0], space, {1})
+    problem, shape = build_extension_problem(rho, ExtensionSpec(k=2))
+    fixed = shape.extension_matrix(problem, np.zeros(shape.m))
+    assert fixed.shape == (18, 18)
+    traced = partial_trace(fixed, shape.extension_space(), {1})
     assert np.abs(traced - rho.matrix).max() < 1e-12
 
 
@@ -218,20 +226,19 @@ def test_fixed_part_traces_down_to_state():
 
 def test_states_of_one_shape_share_one_assembly():
     rhos = [random_state(2, 3, seed=s) for s in (31, 32)]
-    for reduced in (True, False):
-        spec = ExtensionSpec(k=2, reduced=reduced)
-        problems = [build_extension_problem(rho, spec)[0] for rho in rhos]
-        assert problems[0].fs is problems[1].fs
-        assert all(a is b for a, b in zip(problems[0].fs, problems[1].fs))
-        assert not np.array_equal(problems[0].f0s[0], problems[1].f0s[0])
-        for rho, problem in zip(rhos, problems):
-            fresh = ExtensionShape(2, 3, spec)
-            assert fresh.stacks is not problem.fs
-            for f0, g0 in zip(problem.f0s, fresh.pinned_blocks(rho.matrix)):
-                assert np.array_equal(f0, g0)
-            for fmat, gmat in zip(problem.fs, fresh.stacks):
-                assert fmat.shape == gmat.shape
-                assert np.array_equal(fmat.toarray(), gmat.toarray())
+    spec = ExtensionSpec(k=2)
+    problems = [build_extension_problem(rho, spec)[0] for rho in rhos]
+    assert problems[0].fs is problems[1].fs
+    assert all(a is b for a, b in zip(problems[0].fs, problems[1].fs))
+    assert not np.array_equal(problems[0].f0s[0], problems[1].f0s[0])
+    for rho, problem in zip(rhos, problems):
+        fresh = ExtensionShape(2, 3, spec)
+        assert fresh.stacks is not problem.fs
+        for f0, g0 in zip(problem.f0s, fresh.pinned_blocks(rho.matrix)):
+            assert np.array_equal(f0, g0)
+        for fmat, gmat in zip(problem.fs, fresh.stacks):
+            assert fmat.shape == gmat.shape
+            assert np.array_equal(fmat.toarray(), gmat.toarray())
 
 
 def test_building_another_shape_releases_the_previous_one():
@@ -361,26 +368,27 @@ def test_level1_margin_invariant_under_local_unitaries():
 
 
 def test_maximally_mixed_margins_are_exact_rationals():
-    # frozen oracles; the level-2 value is cross-checked between the two
-    # assembly modes below, and the level-1 value is -lambda_min = -1/9
+    # frozen oracles; the level-1 value is -lambda_min = -1/9, and the
+    # margin is measured on Sym_k x B, so level 2 gives -1/36 where the
+    # full copy space gives -1/27 (next test)
     rho = maximally_mixed(3, 3)
     rep = run_test(rho, ExtensionSpec(k=1))
     assert rep.status == SEPARABLE_CONSISTENT
     assert abs(rep.margin - (-1 / 9)) < 1e-8
-    rep = run_test(rho, ExtensionSpec(k=2, reduced=True))
+    rep = run_test(rho, ExtensionSpec(k=2))
     assert rep.status == SEPARABLE_CONSISTENT
     assert abs(rep.margin - (-1 / 36)) < 1e-7
-    rep = run_test(rho, ExtensionSpec(k=3, reduced=True))
+    rep = run_test(rho, ExtensionSpec(k=3))
     assert rep.status == SEPARABLE_CONSISTENT
     assert abs(rep.margin - (-1 / 90)) < 1e-7
 
 
 def test_maximally_mixed_unreduced_level2_margin():
-    # the unreduced body measures the margin in the full copy space, so the
-    # optimal value differs from the reduced one while the verdict agrees
-    rep = run_test(maximally_mixed(3, 3), ExtensionSpec(k=2, reduced=False))
-    assert rep.status == SEPARABLE_CONSISTENT
-    assert abs(rep.margin - (-1 / 27)) < 1e-7
+    # the full-space oracle measures the margin in the full copy space, so
+    # the optimal value differs from the package's while the verdict agrees
+    status, margin = full_extension_verdict(maximally_mixed(3, 3), 2)
+    assert status == SEPARABLE_CONSISTENT
+    assert abs(margin - (-1 / 27)) < 1e-7
 
 
 def test_isotropic_level1_margin_analytic():
@@ -401,7 +409,7 @@ def test_isotropic_level1_margin_analytic():
 
 
 # ---------------------------------------------------------------------------
-# corpus: monotonicity and mode agreement
+# corpus: monotonicity and agreement with the full-space oracle
 
 
 def build_corpus():
@@ -455,9 +463,18 @@ def test_entangled_states_stay_entangled_one_level_up():
 
 def test_reduced_and_unreduced_verdicts_agree_on_corpus():
     for idx, rho in enumerate(CORPUS):
-        a = run_test(rho, ExtensionSpec(k=2, reduced=True), keep_extension=False)
-        b = run_test(rho, ExtensionSpec(k=2, reduced=False), keep_extension=False)
-        assert a.status == b.status, (idx, a.status, b.status, a.margin, b.margin)
+        a = run_test(rho, ExtensionSpec(k=2), keep_extension=False)
+        status, margin = full_extension_verdict(rho, 2)
+        assert a.status == status, (idx, a.status, status, a.margin, margin)
+
+
+def test_level1_margins_equal_the_full_space_oracle_on_corpus():
+    # Sym_1 is A itself, so at level 1 both builds pose the same problem
+    for idx, rho in enumerate(CORPUS):
+        a = run_test(rho, ExtensionSpec(k=1), keep_extension=False)
+        status, margin = full_extension_verdict(rho, 1)
+        assert a.status == status, (idx, a.status, status)
+        assert abs(a.margin - margin) < 1e-8, (idx, a.margin, margin)
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +485,7 @@ def test_feasible_report_carries_verified_extension():
     ens = random_product_ensemble(2, 2, terms=10, seed=17)
     rho = from_ensemble(ens)
     rho = DensityMatrix(0.85 * rho.matrix + 0.15 * np.eye(4) / 4, rho.space)
-    rep = run_test(rho, ExtensionSpec(k=2, reduced=True))
+    rep = run_test(rho, ExtensionSpec(k=2))
     assert rep.status == SEPARABLE_CONSISTENT
     assert rep.extension is not None
     assert rep.extension_checks["passed"]
@@ -489,9 +506,9 @@ def test_extension_recheck_skip_is_recorded():
 
 def test_check_extension_properties_flags_bad_candidates():
     rho = random_state(2, 2, seed=9)
-    problem, _ = build_extension_problem(rho, ExtensionSpec(k=2, reduced=False))
-    space = TensorSpace([2, 2, 2])
-    good = problem.f0s[0]
+    problem, shape = build_extension_problem(rho, ExtensionSpec(k=2))
+    space = shape.extension_space()
+    good = shape.extension_matrix(problem, np.zeros(shape.m))
     bad = good + 0.05 * np.diag([1.0, -1.0, 0, 0, 0, 0, 0, 0])
     chk = check_extension_properties(bad, space, rho, ppt=True)
     assert not chk["passed"]
@@ -551,14 +568,21 @@ def test_extension_spec_validation():
         ExtensionSpec(k=1, ppt=False)
     spec = ExtensionSpec(k=2, ppt=False)
     assert transpose_descriptors(spec.k, spec.ppt) == [(0, False)]
+    # the symmetric-subspace build is the only one
+    with pytest.raises(TypeError):
+        ExtensionSpec(k=2, reduced=False)
 
 
 def test_oversized_problems_are_rejected_with_estimate():
+    # 3x3 at level 5 with PPT blocks is over the memory budget
     rho = random_state(3, 3, seed=1)
     with pytest.raises(AssemblyError) as err:
-        build_extension_problem(rho, ExtensionSpec(k=8, reduced=False))
-    assert err.value.resources is not None
-    assert err.value.resources["block_sides"][0] == 3**8 * 3
+        build_extension_problem(rho, ExtensionSpec(k=5))
+    res = err.value.resources
+    assert res is not None
+    assert res["stack_bytes"] > hierarchy.MEMORY_BUDGET_BYTES
+    # Sym_l x Sym_(5-l) x B for l = 0, 1, 2, 3 and, with B, l = 0, 1
+    assert res["block_sides"] == [63, 135, 180, 180, 63, 135]
 
 
 def test_nonppt_mode_runs_and_is_weaker():

@@ -1,7 +1,6 @@
 """Witness extraction, certification, and the state-scaling search.
 
-Oracles: the embedding adjoint is checked against the defining inner
-product identity; extracted witnesses are validated on the state that
+Oracles: extracted witnesses are validated on the state that
 produced them and on sampled product states; the squared-overlap identity
 ties the full-space witness back to its certificate blocks at random
 product inputs, which is an independent reconstruction of both sides.
@@ -12,13 +11,11 @@ import math
 import numpy as np
 import pytest
 
-from oracles import gisin_family_witness
+from oracles import averaged_embedding, gisin_family_witness
 from sepcert.hierarchy import (
     ENTANGLED,
     DensityMatrix,
     ExtensionSpec,
-    averaged_embedding,
-    averaged_embedding_adjoint,
     run_test,
 )
 from sepcert.states import choi_family_state, max_entangled, random_state
@@ -47,7 +44,7 @@ def rand_herm(n, rng):
 
 
 def entangled_report(alpha=3.5):
-    rep = run_test(choi_family_state(alpha), ExtensionSpec(k=2, reduced=True))
+    rep = run_test(choi_family_state(alpha), ExtensionSpec(k=2))
     assert rep.status == ENTANGLED
     return rep
 
@@ -56,34 +53,16 @@ REPORT_35 = entangled_report()
 
 
 # ---------------------------------------------------------------------------
-# embedding and its adjoint
+# the full-space embedding of the oracle
 
 
 def test_averaged_embedding_traces_down_to_state():
-    rng = np.random.default_rng(4)
     for d_a, d_b, k in ((2, 2, 2), (2, 3, 3), (3, 2, 2)):
         rho = random_state(d_a, d_b, seed=11)
         emb = averaged_embedding(rho.matrix, d_a, d_b, k)
         space = TensorSpace([d_a] * k + [d_b])
         traced = partial_trace(emb, space, set(range(1, k)))
         assert np.abs(traced - rho.matrix).max() < 1e-12
-
-
-def test_averaged_embedding_adjoint_identity():
-    rng = np.random.default_rng(5)
-    for d_a, d_b, k in ((2, 2, 2), (2, 2, 3), (3, 2, 2)):
-        for _ in range(5):
-            lower = rand_herm(d_a * d_b, rng)
-            upper = rand_herm(d_a**k * d_b, rng)
-            lhs = np.trace(averaged_embedding(lower, d_a, d_b, k) @ upper)
-            rhs = np.trace(lower @ averaged_embedding_adjoint(upper, d_a, d_b, k))
-            assert abs(lhs - rhs) < 1e-11 * max(1.0, abs(lhs))
-
-
-def test_averaged_embedding_adjoint_of_identity():
-    # the embedding preserves the trace, so its adjoint fixes the identity
-    out = averaged_embedding_adjoint(np.eye(8, dtype=complex), 2, 2, 2)
-    assert np.abs(out - np.eye(4)).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +95,7 @@ def test_extraction_rejects_zero_blocks():
     from sepcert.hierarchy import build_extension_problem
 
     rho = choi_family_state(4.0)
-    problem, shape = build_extension_problem(rho, ExtensionSpec(k=2, reduced=True))
+    problem, shape = build_extension_problem(rho, ExtensionSpec(k=2))
     zeros = [np.zeros((d.side, d.side), dtype=complex) for d in shape.descriptors]
     with pytest.raises(WitnessExtractionError):
         extract_witness(shape, problem, rho, zeros)
@@ -154,12 +133,7 @@ def _ksos_residual_per_sample(witness, samples, seed):
     def block_vector(desc, x, y):
         k, l = witness.level, desc.a_transposed
         yv = y.conj() if desc.b_transposed else y
-        if witness.reduced:
-            return np.kron(np.kron(power(x.conj(), l), power(x, k - l)), yv)
-        acc = np.ones(1, dtype=complex)
-        for p in [x.conj()] * l + [x] * (k - l):
-            acc = np.kron(acc, p)
-        return np.kron(acc, yv)
+        return np.kron(np.kron(power(x.conj(), l), power(x, k - l)), yv)
 
     rng = np.random.default_rng(seed)
     da, db = witness.space.factor_dims
@@ -184,10 +158,9 @@ def _ksos_residual_per_sample(witness, samples, seed):
 
 def test_ksos_batch_equals_per_sample_evaluation():
     # the batch reorders no arithmetic, so the residual is the same number
-    rho = random_state(2, 2, seed=3)
     witnesses = [REPORT_35.witness] + [
-        run_test(rho, ExtensionSpec(k=k, reduced=reduced)).witness
-        for k, reduced in ((3, True), (2, False))
+        run_test(random_state(d_a, d_b, seed=3), ExtensionSpec(k=k)).witness
+        for d_a, d_b, k in ((2, 2, 3), (2, 3, 2))
     ]
     for wit in witnesses:
         for samples, seed in ((200, 7), (150, 31)):
@@ -319,7 +292,7 @@ def test_scale_state_rejects_nonpositive_gamma():
 
 def test_gamma_search_brackets_are_nested():
     rho = choi_family_state(3.0001)
-    spec = ExtensionSpec(k=2, reduced=True)
+    spec = ExtensionSpec(k=2)
     coarse = find_gamma_star(rho, spec, resolution=0.1)
     fine = find_gamma_star(rho, spec, resolution=5e-3)
     c_lo, c_hi = coarse["bracket"]
