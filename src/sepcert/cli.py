@@ -21,6 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import sdp
+from . import tolerances as policy
 from .decompose import decompose, extract_edge_state
 from .hierarchy import (
     ENTANGLED,
@@ -38,7 +39,6 @@ from .posmaps import (
     CERTIFIED,
     COMPLETELY_POSITIVE,
     NOT_POSITIVE,
-    VIOLATION_TOL,
     check_strict_positivity,
     map_from_witness,
     threshold_family,
@@ -51,7 +51,7 @@ from .states import (
     gisin_family_state,
     make_catalog_state,
 )
-from .tensorops import TensorSpace
+from .tensorops import TensorSpace, check_hermitian
 from .witness import minimize_on_products, scale_state, verify_ksos_identity
 
 EXIT_USAGE = 64
@@ -61,6 +61,8 @@ STATUS_EXIT = {SEPARABLE_CONSISTENT: 0, ENTANGLED: 1, MARGINAL: 2}
 
 
 def _build_parser():
+    # input paths are normalized, so one file spelled two ways is one job
+    path = os.path.normpath
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol-gap", type=float, default=None)
     common.add_argument("--tol-feas", type=float, default=None)
@@ -76,12 +78,12 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("test", parents=[common], help="run one hierarchy level")
-    p.add_argument("state")
+    p.add_argument("state", type=path)
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--no-ppt", action="store_true")
 
     p = sub.add_parser("ladder", parents=[common], help="run levels 1..kmax")
-    p.add_argument("state")
+    p.add_argument("state", type=path)
     p.add_argument("--kmax", type=int, default=3)
     p.add_argument("--no-ppt", action="store_true")
 
@@ -102,12 +104,12 @@ def _build_parser():
     p = sub.add_parser(
         "decompose", parents=[common], help="split or refute P + Q^(T_A) form"
     )
-    p.add_argument("witness")
+    p.add_argument("witness", type=path)
 
     p = sub.add_parser(
         "posmap", parents=[common], help="positivity of the induced map"
     )
-    p.add_argument("operator")
+    p.add_argument("operator", type=path)
     p.add_argument("--kmax", type=int, default=8)
     p.add_argument("--direction", choices=["a_to_b", "b_to_a"], default="a_to_b")
 
@@ -130,8 +132,8 @@ def _build_parser():
     p = sub.add_parser(
         "verify-witness", parents=[common], help="check witness properties"
     )
-    p.add_argument("witness")
-    p.add_argument("state", nargs="?")
+    p.add_argument("witness", type=path)
+    p.add_argument("state", nargs="?", type=path)
     return parser
 
 
@@ -203,6 +205,7 @@ def _load_operator(path):
             f"operators must have two tensor factors, got {space.factor_dims}",
             "dims",
         )
+    check_hermitian(mat, what="operator")
     return mat, space
 
 
@@ -286,7 +289,7 @@ def _sweep_values(start, stop, step):
         raise ValueError(f"--step must be positive, got {step}")
     if stop < start:
         raise ValueError(f"--to {stop} is below --from {start}")
-    count = int(round((stop - start) / step)) + 1
+    count = int((stop - start) / step + policy.SWEEP_SLACK) + 1
     return [round(start + i * step, 12) for i in range(count)]
 
 
@@ -504,7 +507,7 @@ def cmd_verify_witness(args):
     rb = ReportBuilder("verify-witness", config)
     result = {
         "product_minimum": search["min_value"],
-        "is_witness": search["min_value"] >= -VIOLATION_TOL,
+        "is_witness": search["min_value"] >= -policy.VIOLATION,
     }
     value = None
     if args.state:
@@ -517,7 +520,7 @@ def cmd_verify_witness(args):
             )
         value = float(np.trace(mat @ rho.matrix).real)
         result["state_value"] = value
-        result["detects_state"] = value < -1e-9
+        result["detects_state"] = value < -policy.VIOLATION
     rb.add_fields("result", result)
     path = rb.write(args.out)
     print(
@@ -527,7 +530,7 @@ def cmd_verify_witness(args):
             path,
         )
     )
-    if search["min_value"] < -VIOLATION_TOL:
+    if search["min_value"] < -policy.VIOLATION:
         return 2
     if args.state and not result["detects_state"]:
         return 1

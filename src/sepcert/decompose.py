@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import sdp
+from . import tolerances as policy
 from .hierarchy import DensityMatrix, SolverFailure
 from .tensorops import (
     TensorSpace,
@@ -35,9 +36,6 @@ from .tensorops import (
 DECOMPOSABLE = "decomposable"
 INDECOMPOSABLE = "indecomposable"
 MARGINAL = "marginal"
-
-EPSILON_BAND = 1e-7
-RANK_CUTOFF = 1e-7
 
 
 @dataclass
@@ -122,15 +120,15 @@ def decompose(z, space, tolerances=None):
     zero.  For indecomposable Z the report carries rho_opt, the positive
     partial-transpose state achieving Tr[Z rho_opt] = epsilon < 0.
     """
-    tol = tolerances or sdp.SolverTolerances()
     z = _check_input(z, space)
     d = space.dim
-    cval, p, q, split_out = _split_form(z, space, tol)
+    cval, p, q, split_out = _split_form(z, space, tolerances)
     epsilon = -cval
     eta = epsilon - np.trace(z).real / d
-    state_val, rho_primal, state_out = _state_form(z, space, tol)
+    state_val, rho_primal, state_out = _state_form(z, space, tolerances)
     agreement = abs(epsilon - state_val)
-    if agreement > 1e-6 * max(1.0, float(np.abs(z).max())):
+    scale = max(1.0, float(np.abs(z).max()))
+    if agreement > policy.DECOMPOSE_AGREEMENT * scale:
         raise SolverFailure(
             f"the two decomposability programs disagree: {epsilon:.3e} vs "
             f"{state_val:.3e}",
@@ -142,7 +140,7 @@ def decompose(z, space, tolerances=None):
     canon = z - (p + epsilon * np.eye(d)) - partial_transpose(q, space, 0)
     canonical_residual = float(np.abs(canon).max())
 
-    if abs(epsilon) < EPSILON_BAND:
+    if abs(epsilon) < policy.REFUSAL_BAND:
         verdict = MARGINAL
     elif epsilon > 0:
         verdict = DECOMPOSABLE
@@ -166,7 +164,7 @@ def decompose(z, space, tolerances=None):
         # back to the state-side optimizer if the duals are degenerate
         zb = split_out.z_blocks[0]
         tr = np.trace(zb).real
-        cand = zb / tr if tr > 1e-6 else rho_primal
+        cand = zb / tr if tr > policy.DUAL_TRACE_FLOOR else rho_primal
         raw = (cand + cand.conj().T) / 2
         raw /= np.trace(raw).real
         raw_ta = partial_transpose(raw, space, 0)
@@ -198,7 +196,7 @@ def _numerical_rank(mat):
     s = np.linalg.svd(mat, compute_uv=False)
     if s.size == 0 or s[0] == 0:
         return 0
-    return int((s > RANK_CUTOFF * s[0]).sum())
+    return int((s > policy.EDGE_RANK_CUTOFF * s[0]).sum())
 
 
 def extract_edge_state(report):

@@ -37,9 +37,11 @@ import numpy as np
 import scipy.sparse as sps
 
 from . import sdp
+from . import tolerances as policy
 from .tensorops import (
     FactorError,
     TensorSpace,
+    check_hermitian,
     hermitian_basis,
     partial_trace,
     partial_transpose_multi,
@@ -75,9 +77,9 @@ class SolverFailure(RuntimeError):
 class DensityMatrix:
     """Validated bipartite state: Hermitian, unit trace, PSD.
 
-    Eigenvalues in (-1e-10, 0) are treated as rounding debris: clipped to
-    zero with a warning and the state renormalized.  Anything below -1e-10
-    is rejected.
+    Eigenvalues in (-policy.PSD_SLACK, -policy.QUIET_CLIP) are treated as
+    rounding debris: clipped to zero with a warning and the state
+    renormalized.  Anything below -policy.PSD_SLACK is rejected.
     """
 
     matrix: np.ndarray
@@ -91,20 +93,18 @@ class DensityMatrix:
             )
         self.matrix = np.asarray(self.matrix, dtype=complex)
         self.space.check_matrix(self.matrix)
-        dev = np.abs(self.matrix - self.matrix.conj().T).max()
-        if dev > 1e-12 * max(1.0, np.abs(self.matrix).max()):
-            raise ValueError(f"state is not Hermitian (deviation {dev:.2e})")
+        check_hermitian(self.matrix, what="state")
         tr = np.trace(self.matrix).real
-        if abs(tr - 1.0) > 1e-10:
+        if abs(tr - 1.0) > policy.PSD_SLACK:
             raise ValueError(f"state trace is {tr!r}, not 1")
         vals, vecs = np.linalg.eigh(self.matrix)
-        if vals[0] < -1e-10:
+        if vals[0] < -policy.PSD_SLACK:
             raise ValueError(
                 f"state has negative eigenvalue {vals[0]:.3e} beyond tolerance"
             )
-        if vals[0] < -1e-13:
-            # visible rounding debris: clip, renormalize, and say so; noise
-            # below 1e-13 is left alone to keep constructions quiet
+        if vals[0] < -policy.QUIET_CLIP:
+            # visible rounding debris: clip, renormalize, and say so; smaller
+            # noise is left alone to keep constructions quiet
             warnings.warn(
                 f"clipping negative eigenvalue {vals[0]:.3e} of a state "
                 "(within rounding tolerance)",
@@ -300,7 +300,6 @@ class ExtensionShape:
         self.spec = spec
         self.k = spec.k
         self.descriptors = []
-        self.warnings = []
         res = required_resources(d_a, d_b, spec)
         side_cap = max(res["block_sides"])
         if side_cap > AMBIENT_CAP:
@@ -348,14 +347,14 @@ class ExtensionShape:
         # parity split: each s_i (and each row's basis element) is either
         # purely real or purely imaginary, and the two sectors decouple
         col_par = np.array(
-            [np.abs(s.imag).max() > 1e-13 for s in sbasis.elements]
+            [np.abs(s.imag).max() > policy.ZERO_PART for s in sbasis.elements]
         )
         row_par = np.array(
-            [np.abs(s.imag).max() > 1e-13 for s in basis_a.elements]
+            [np.abs(s.imag).max() > policy.ZERO_PART for s in basis_a.elements]
         )
         off = np.abs(lmat[np.ix_(row_par, ~col_par)]).max() if row_par.any() else 0.0
         off2 = np.abs(lmat[np.ix_(~row_par, col_par)]).max()
-        if max(off, off2) > 1e-10:
+        if max(off, off2) > policy.PARITY_LEAK:
             raise AssemblyError(
                 f"trace-down map mixes parity sectors (off-block {max(off, off2):.2e})"
             )
@@ -368,18 +367,19 @@ class ExtensionShape:
             cols = np.nonzero(col_par == par)[0]
             block = lmat[np.ix_(rows, cols)]
             _, sv, vt = np.linalg.svd(block, full_matrices=True)
-            tol = 1e-10 * (sv[0] if sv.size else 1.0)
+            tol = policy.RANK_CUTOFF * (sv[0] if sv.size else 1.0)
             rank = int((sv > tol).sum())
             rank_total += rank
-            pinvs[par] = (rows, cols, np.linalg.pinv(block, rcond=1e-10))
+            pinv = np.linalg.pinv(block, rcond=policy.RANK_CUTOFF)
+            pinvs[par] = (rows, cols, pinv)
             for row in vt[rank:]:
                 v = np.zeros(ns)
                 v[cols] = row
                 null_cols.append(v)
         if rank_total != d_a**2:
-            self.warnings.append(
-                f"trace-down map has rank {rank_total}, expected {d_a**2}; "
-                "free-direction count deviates from the closed formula"
+            # the trace-down map onto Herm(A) is surjective
+            raise AssemblyError(
+                f"trace-down map has rank {rank_total}, expected {d_a**2}"
             )
         nullmat = np.array(null_cols)  # (n_null, ns)
         self._nullmat = nullmat
@@ -404,7 +404,7 @@ class ExtensionShape:
                 stack[i] = comp.T @ t @ comp
                 if i in (0, ns - 1):
                     resid = np.linalg.norm(t - comp @ stack[i] @ comp.T)
-                    if resid > 1e-9 * max(1.0, np.linalg.norm(t)):
+                    if resid > policy.SELF_CHECK * max(1.0, np.linalg.norm(t)):
                         raise AssemblyError(
                             f"support of the {l}-copy transposed block leaks "
                             f"out of the predicted subspace (residual {resid:.2e})"
@@ -459,7 +459,7 @@ class ExtensionShape:
         )
         rhs = np.einsum("pq,qp->", y, self.dual_pairing(vs)).real
         scale = max(1.0, abs(lhs), abs(rhs))
-        if abs(lhs - rhs) > 1e-9 * scale:
+        if abs(lhs - rhs) > policy.SELF_CHECK * scale:
             raise AssemblyError(
                 f"embedding adjoint mismatch: {lhs!r} vs {rhs!r}"
             )
@@ -575,7 +575,7 @@ def build_extension_problem(rho, spec):
     return problem, shape
 
 
-def check_extension_properties(ext, ext_space, rho, ppt, tol=1e-7):
+def check_extension_properties(ext, ext_space, rho, ppt, tol=policy.RECHECK):
     """Direct verification of the three defining extension properties.
 
     Returns a dict of worst-case deviations: copy-swap symmetry, trace-down
@@ -630,14 +630,12 @@ def run_test(rho, spec, tolerances=None, trace=None, keep_extension=True):
     feasibility yields the extension itself, re-checked directly against
     the three defining properties (when it fits in memory).
     """
-    tol = tolerances or sdp.SolverTolerances()
     problem, shape = build_extension_problem(rho, spec)
-    outcome = sdp.feasibility_margin(problem, tolerances=tol, trace=trace)
+    outcome = sdp.feasibility_margin(problem, tolerances=tolerances, trace=trace)
     metadata = {
         "free_directions": shape.m,
         "block_sides": [d.side for d in shape.descriptors],
         "block_labels": [d.label for d in shape.descriptors],
-        "warnings": list(shape.warnings),
         "solver": dict(outcome.diagnostics),
     }
     common = dict(
@@ -673,7 +671,7 @@ def run_test(rho, spec, tolerances=None, trace=None, keep_extension=True):
     if outcome.status == sdp.INFEASIBLE:
         from . import witness as witness_mod
 
-        check = sdp.verify_certificate(problem, outcome.z_blocks, tolerances=tol)
+        check = sdp.verify_certificate(problem, outcome.z_blocks)
         if not check.passed:
             raise SolverFailure(
                 f"infeasibility claimed but certificate failed independent "

@@ -111,4 +111,8 @@ def parse_matrix_text(text):
             raise MatrixFormatError(
                 f"entries: row {row} holds non-numeric data {ln!r}", "entries"
             ) from None
+        if not np.isfinite(vals[row]):
+            raise MatrixFormatError(
+                f"entries: row {row} holds a non-finite value {ln!r}", "entries"
+            )
     return vals.reshape(d, d), TensorSpace(dims), kind

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import tolerances as policy
 from .tensorops import (
     TensorSpace,
     check_hermitian,
@@ -36,8 +37,6 @@ CERTIFIED = "strictly_positive_certified"
 NOT_POSITIVE = "not_positive"
 UNDETERMINED = "undetermined"
 
-CP_TOL = 1e-10
-VIOLATION_TOL = 1e-9
 COMPOSED_CAP = 4000
 
 
@@ -122,10 +121,10 @@ def normalize_unital(lmap):
     """
     t_in = partial_trace(lmap.choi, lmap.space, {0})
     lam = np.trace(t_in).real / lmap.out_dim
-    if abs(lam) < 1e-14:
+    if abs(lam) < policy.UNITAL_ZERO:
         raise ValueError("map annihilates the identity, cannot normalize")
     dev = np.abs(t_in - lam * np.eye(lmap.out_dim)).max()
-    if dev > 1e-9 * abs(lam):
+    if dev > policy.SELF_CHECK * abs(lam):
         raise ValueError(
             f"image of the identity deviates from a multiple of the "
             f"identity by {dev:.2e}; scalar normalization cannot fix that"
@@ -197,7 +196,7 @@ def check_strict_positivity(lmap, k_max=8, samples=10000, seed=1234):
     report = PositivityReport(
         verdict=UNDETERMINED, choi_min_eigenvalue=choi_min, k_max=k_max
     )
-    if choi_min >= -CP_TOL:
+    if choi_min >= -policy.PSD_SLACK:
         report.verdict = COMPLETELY_POSITIVE
         return report
 
@@ -205,7 +204,7 @@ def check_strict_positivity(lmap, k_max=8, samples=10000, seed=1234):
         lmap.choi, lmap.space, samples=samples, seed=seed
     )
     report.product_search_min = search["min_value"]
-    if search["min_value"] < -VIOLATION_TOL:
+    if search["min_value"] < -policy.VIOLATION:
         # <a x b| L |a x b> = <b| map(conj(a) conj(a)^dag) |b>
         x = np.conj(search["state_a"])
         sigma = np.outer(x, x.conj())
@@ -219,7 +218,7 @@ def check_strict_positivity(lmap, k_max=8, samples=10000, seed=1234):
         comp = compose_with_symmetric_embedding(lmap, k)
         lam = float(np.linalg.eigvalsh(comp)[0])
         report.per_k_min_eigenvalues[k] = lam
-        if lam >= -CP_TOL:
+        if lam >= -policy.PSD_SLACK:
             report.verdict = CERTIFIED
             report.k_certified = k
             return report
@@ -239,7 +238,7 @@ def alpha_threshold(map0, map1, k):
     c0 = compose_with_symmetric_embedding(map0, k)
     c1 = compose_with_symmetric_embedding(map1, k)
     vals, vecs = np.linalg.eigh(c0)
-    if vals[0] <= 1e-12 * max(vals[-1], 1.0):
+    if vals[0] <= policy.POSITIVE_DEFINITE * max(vals[-1], 1.0):
         raise ValueError(
             "reference operator is not positive definite at this level; "
             "rescale the reference map (for example blend in a tracial "

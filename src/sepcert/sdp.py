@@ -54,6 +54,9 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sps
 
+from . import tolerances as policy
+from .tensorops import check_hermitian
+
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
 MARGINAL = "marginal"
@@ -62,12 +65,11 @@ ITER_LIMIT = "iter_limit"
 
 @dataclass
 class SolverTolerances:
-    gap_tol: float = 1e-8
-    feas_tol: float = 1e-9
-    cert_tol: float = 1e-8
-    margin_tol: float = 1e-7
-    cert_margin: float = 1e-7
-    max_iter: int = 200
+    """The convergence tolerances a caller may set; every other threshold
+    is fixed in sepcert.tolerances."""
+
+    gap_tol: float = policy.GAP_TOL
+    feas_tol: float = policy.FEAS_TOL
 
 
 class SdpNumericalError(RuntimeError):
@@ -139,7 +141,7 @@ class DirectionStacks(Sequence):
             if m:
                 devs = _row_absmax(stack - stack[:, _vec_transpose(n)].conj())
                 scales = np.maximum(1.0, _row_absmax(stack))
-                bad = np.nonzero(devs > 1e-12 * scales)[0]
+                bad = np.nonzero(devs > policy.HERMITIAN * scales)[0]
                 if bad.size:
                     raise ValueError(
                         f"block {b}: direction {bad[0]} is not Hermitian "
@@ -223,9 +225,7 @@ class SdpProblem:
             n = f0.shape[0]
             if f0.shape != (n, n):
                 raise ValueError(f"block {b}: constant matrix is not square")
-            dev = np.abs(f0 - f0.conj().T).max()
-            if dev > 1e-12 * max(1.0, np.abs(f0).max()):
-                raise ValueError(f"block {b}: constant matrix is not Hermitian")
+            check_hermitian(f0, what=f"block {b}: constant matrix")
         sides = self.block_sizes
         if not isinstance(self.fs, DirectionStacks):
             self.fs = DirectionStacks.from_blocks(self.fs, sides, m)
@@ -253,7 +253,6 @@ class SdpOutcome:
     gap: float
     iterations: int
     diagnostics: dict = field(default_factory=dict)
-    iteration_log: list = field(default_factory=list)
 
 
 @dataclass
@@ -276,7 +275,7 @@ def _structured_real_reduction(f0s, fs, c):
     objective value.
     """
     for f0 in f0s:
-        if np.abs(f0.imag).max() > 1e-13 * max(1.0, np.abs(f0).max()):
+        if np.abs(f0.imag).max() > policy.ZERO_PART * max(1.0, np.abs(f0).max()):
             return None
     real_f0s = [f0.real.copy() for f0 in f0s]
     if len(c) == 0:
@@ -284,8 +283,10 @@ def _structured_real_reduction(f0s, fs, c):
     re_max, im_max = fs.row_maxima()
     scales = np.maximum(1.0, np.maximum(re_max, im_max))
     c_scale = max(1.0, np.abs(c).max())
-    real = im_max <= 1e-13 * scales
-    droppable = (re_max <= 1e-13 * scales) & (np.abs(c) <= 1e-13 * c_scale)
+    real = im_max <= policy.ZERO_PART * scales
+    droppable = (re_max <= policy.ZERO_PART * scales) & (
+        np.abs(c) <= policy.ZERO_PART * c_scale
+    )
     if not np.all(real | droppable) or not real.any():
         return None
     keep = np.nonzero(real)[0]
@@ -365,13 +366,14 @@ def _project_dual_constraints(fs_list, c, z_blocks):
 
 
 def _solve_core(f0s, fs, c, tol, trace_cb=None):
-    """Interior-point loop over a DirectionStacks fs.  Returns raw final
-    state plus the iteration log."""
+    """Interior-point loop over a DirectionStacks fs.  Returns the raw
+    final state; trace_cb, when given, receives each iteration's row."""
     nb = len(f0s)
     m = len(c)
     ns = [f0.shape[0] for f0 in f0s]
     ntot = sum(ns)
     stacks = fs.schur()
+    trace_cb = trace_cb or (lambda row: None)
 
     beta = 1.0 + np.sqrt(sum(np.linalg.norm(f0) ** 2 for f0 in f0s))
     x = np.zeros(m)
@@ -390,7 +392,6 @@ def _solve_core(f0s, fs, c, tol, trace_cb=None):
     f0_scale = 1.0 + np.sqrt(sum(np.linalg.norm(f0) ** 2 for f0 in f0s))
     c_scale = 1.0 + (np.abs(c).max() if m else 0.0)
     frac = 0.98
-    log = []
     status = ITER_LIMIT
     stalls = 0
     floor_hits = 0
@@ -403,12 +404,12 @@ def _solve_core(f0s, fs, c, tol, trace_cb=None):
         # strict convergence test did not fire
         return (
             rec is not None
-            and rec["pinf"] <= 1e-8
-            and rec["dinf"] <= 1e-8
-            and abs(rec["gap"]) <= 1e-6 * rec["gscale"]
+            and rec["pinf"] <= policy.USABLE_RESIDUAL
+            and rec["dinf"] <= policy.USABLE_RESIDUAL
+            and abs(rec["gap"]) <= policy.USABLE_GAP * rec["gscale"]
         )
 
-    for it in range(1, tol.max_iter + 1):
+    for it in range(1, policy.MAX_ITER + 1):
         fx = [f0s[b] + _combine(x, fs[b], ns[b]) for b in range(nb)]
         rp = [fx[b] - slack[b] for b in range(nb)]
         rd = c.copy()
@@ -448,9 +449,7 @@ def _solve_core(f0s, fs, c, tol, trace_cb=None):
             and dinf <= tol.feas_tol
             and abs(gap) <= tol.gap_tol * gscale
         ):
-            log.append(row)
-            if trace_cb:
-                trace_cb(row)
+            trace_cb(row)
             status = "converged"
             break
 
@@ -463,9 +462,7 @@ def _solve_core(f0s, fs, c, tol, trace_cb=None):
         else:
             floor_hits = 0
         if floor_hits >= 2:
-            log.append(row)
-            if trace_cb:
-                trace_cb(row)
+            trace_cb(row)
             status = "stalled"
             break
 
@@ -477,9 +474,7 @@ def _solve_core(f0s, fs, c, tol, trace_cb=None):
                 # so close to the boundary that factorization noise flips
                 # eigenvalue signs; the best iterate seen is already good
                 # enough for residual-based classification, so stop
-                log.append(row)
-                if trace_cb:
-                    trace_cb(row)
+                trace_cb(row)
                 status = "stalled"
                 break
             raise SdpNumericalError(
@@ -503,9 +498,7 @@ def _solve_core(f0s, fs, c, tol, trace_cb=None):
                 schur_fact = sla.cho_factor(schur + jitter * np.eye(m))
             except np.linalg.LinAlgError:
                 if iterate_usable(best):
-                    log.append(row)
-                    if trace_cb:
-                        trace_cb(row)
+                    trace_cb(row)
                     status = "stalled"
                     break
                 raise SdpNumericalError(
@@ -552,9 +545,7 @@ def _solve_core(f0s, fs, c, tol, trace_cb=None):
         row["sigma"] = sigma
         row["alpha_p"] = alpha_p
         row["alpha_d"] = alpha_d
-        log.append(row)
-        if trace_cb:
-            trace_cb(row)
+        trace_cb(row)
 
         if alpha_p < 1e-8 and alpha_d < 1e-8:
             stalls += 1
@@ -584,7 +575,6 @@ def _solve_core(f0s, fs, c, tol, trace_cb=None):
         "z": zdual,
         "slack": slack,
         "iterations": it,
-        "log": log,
         "gap": gap,
         "pinf": pinf,
         "dinf": dinf,
@@ -648,7 +638,6 @@ def solve(problem, tolerances=None, trace=None):
         gap=res["gap"],
         iterations=res["iterations"],
         diagnostics=diagnostics,
-        iteration_log=res["log"],
     )
 
 
@@ -660,19 +649,18 @@ def feasibility_margin(problem, tolerances=None, trace=None):
     the margin tolerance, feasibility requires the primal point to do so,
     and when both optima are pinched inside the band the answer is marginal.
     """
-    tol = tolerances or SolverTolerances()
     m = problem.m
     aug_fs = problem.fs.with_margin()
     aug_c = np.zeros(m + 1)
     aug_c[m] = 1.0
-    res = _run(tol, trace, problem.f0s, aug_fs, aug_c)
+    res = _run(tolerances or SolverTolerances(), trace, problem.f0s, aug_fs, aug_c)
 
     t_primal = float(res["x"][m])
     zraw = res["z"]
     viol = aug_c.copy()
     for b in range(len(zraw)):
         viol -= _trace_pairs(aug_fs[b], np.asarray(zraw[b]))
-    if np.abs(viol).max() > 0.25 * tol.cert_tol:
+    if np.abs(viol).max() > 0.25 * policy.CERT_TOL:
         zraw = _project_dual_constraints(aug_fs, aug_c, zraw)
     zsum = sum(np.trace(z).real for z in zraw)
     zblocks = [z / zsum for z in zraw]
@@ -687,17 +675,19 @@ def feasibility_margin(problem, tolerances=None, trace=None):
         "t_dual": t_dual,
     }
     converged = res["status"] == "converged"
-    residuals_ok = res["pinf"] <= 1e-8 and res["dinf"] <= 1e-8
+    residuals_ok = (
+        res["pinf"] <= policy.USABLE_RESIDUAL and res["dinf"] <= policy.USABLE_RESIDUAL
+    )
     margin_t = (t_primal + t_dual) / 2
 
-    if (converged or residuals_ok) and t_dual >= tol.margin_tol:
+    if (converged or residuals_ok) and t_dual >= policy.REFUSAL_BAND:
         status = INFEASIBLE
-    elif (converged or residuals_ok) and t_primal <= -tol.margin_tol:
+    elif (converged or residuals_ok) and t_primal <= -policy.REFUSAL_BAND:
         status = FEASIBLE
     elif (
         (converged or residuals_ok)
-        and abs(t_primal) < tol.margin_tol
-        and abs(t_dual) < tol.margin_tol
+        and abs(t_primal) < policy.REFUSAL_BAND
+        and abs(t_dual) < policy.REFUSAL_BAND
     ):
         status = MARGINAL
     else:
@@ -710,11 +700,10 @@ def feasibility_margin(problem, tolerances=None, trace=None):
         gap=res["gap"],
         iterations=res["iterations"],
         diagnostics=diagnostics,
-        iteration_log=res["log"],
     )
 
 
-def verify_certificate(problem, z_blocks, tolerances=None):
+def verify_certificate(problem, z_blocks):
     """Independent check of an infeasibility certificate.
 
     Recomputes, from the problem data alone: the smallest eigenvalue over
@@ -722,7 +711,6 @@ def verify_certificate(problem, z_blocks, tolerances=None):
     sparse product per block), and the value Tr[F0 Z] (which must be
     strictly negative).
     """
-    tol = tolerances or SolverTolerances()
     min_eig = min(
         float(np.linalg.eigvalsh(_herm(np.asarray(z)))[0]) for z in z_blocks
     )
@@ -735,9 +723,9 @@ def verify_certificate(problem, z_blocks, tolerances=None):
         for b in range(len(z_blocks))
     )
     passed = (
-        min_eig >= -tol.cert_tol
-        and viol <= tol.cert_tol
-        and value <= -tol.cert_margin
+        min_eig >= -policy.CERT_TOL
+        and viol <= policy.CERT_TOL
+        and value <= -policy.REFUSAL_BAND
     )
     return CertificateCheck(
         passed=passed,

@@ -16,6 +16,8 @@ import math
 
 import numpy as np
 
+from . import tolerances as policy
+
 
 class FactorError(ValueError):
     """A matrix does not match the tensor space, or a factor index is bad."""
@@ -64,17 +66,18 @@ class TensorSpace:
             )
 
 
-def check_hermitian(mat, tol=1e-12, what="matrix"):
+def check_hermitian(mat, what="matrix"):
     """Reject (never symmetrize) inputs that are not Hermitian.
 
-    The tolerance is relative: ||M - M^dag||_F <= tol * max(1, ||M||_F).
+    The tolerance is relative:
+    ||M - M^dag||_F <= policy.HERMITIAN * max(1, ||M||_F).
     """
     dev = np.linalg.norm(mat - mat.conj().T)
     scale = max(1.0, np.linalg.norm(mat))
-    if dev > tol * scale:
+    if dev > policy.HERMITIAN * scale:
         raise ValueError(
             f"{what} is not Hermitian: deviation {dev:.3e} exceeds "
-            f"{tol:.1e} relative tolerance"
+            f"{policy.HERMITIAN:.1e} relative tolerance"
         )
 
 

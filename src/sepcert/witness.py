@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tolerances as policy
 from .tensorops import (
     TensorSpace,
     multiset_arrangements,
@@ -62,8 +63,8 @@ def extract_witness(shape, problem, rho, z_blocks):
 
     Each dual block is un-transposed in its own coordinates and the adjoint
     of the pinned-part embedding maps the sum back to A x B.  The identity
-    Tr[rho Z~] = sum_b Tr[F0_b Z_b] must hold to 1e-9; the result is
-    normalized to unit spectral radius together with its blocks.
+    Tr[rho Z~] = sum_b Tr[F0_b Z_b] must hold to policy.SELF_CHECK; the
+    result is normalized to unit spectral radius together with its blocks.
     """
     raw = shape.dual_pairing(z_blocks)
     herm_dev = np.abs(raw - raw.conj().T).max()
@@ -74,7 +75,8 @@ def extract_witness(shape, problem, rho, z_blocks):
     )
     on_state = np.einsum("pq,qp->", rho.matrix, raw).real
     residual = abs(on_state - objective)
-    if residual > 1e-9 * max(1.0, abs(objective)) or herm_dev > 1e-9:
+    tol = policy.SELF_CHECK
+    if residual > tol * max(1.0, abs(objective)) or herm_dev > tol:
         raise WitnessExtractionError(
             f"witness pairing inconsistent with the certificate: "
             f"Tr[rho Z] = {on_state!r} vs dual objective {objective!r} "

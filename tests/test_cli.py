@@ -278,6 +278,9 @@ def test_sweep_grid_rounding():
     values = _sweep_values(3.1, 4.0, 0.1)
     assert values == [3.1, 3.2, 3.3, 3.4, 3.5, 3.6, 3.7, 3.8, 3.9, 4.0]
     assert _sweep_values(2.0, 2.0, 0.5) == [2.0]
+    # no point past --to
+    assert _sweep_values(4.0, 5.0, 0.6) == [4.0, 4.6]
+    assert _sweep_values(0, 1, 0.6) == [0.0, 0.6]
 
 
 def test_ladder_reports_each_level(files, tmp_path, capsys):
@@ -427,11 +430,41 @@ def test_malformed_files_name_the_offending_field(tmp_path, capsys):
     truncated.write_text(
         "sepcert matrix v1\ndims: 2 2\nkind: state\nentries:\n1.0 0.0\n"
     )
+    nonfinite = tmp_path / "nonfinite.mat"
+    nonfinite.write_text(
+        "sepcert matrix v1\ndims: 1 1\nkind: operator\nentries:\nnan 0.0\n"
+    )
     assert main(["test", str(bad_magic), "--out", str(tmp_path)]) == 64
     assert main(["test", str(truncated), "--out", str(tmp_path)]) == 64
     _, err = capsys.readouterr()
     assert "error in header:" in err
     assert "error in entries:" in err
+    for verb in ("test", "posmap", "verify-witness"):
+        assert main([verb, str(nonfinite), "--out", str(tmp_path)]) == 64
+        _, err = capsys.readouterr()
+        assert err.startswith("error in entries: entries: row 0 holds a non-finite")
+
+
+def test_every_operator_verb_rejects_a_non_hermitian_operator(tmp_path, capsys):
+    skew = np.eye(4)
+    skew[0, 1] = 0.5
+    path = str(tmp_path / "skew.mat")
+    save_matrix(path, skew, TensorSpace([2, 2]), "operator")
+    for verb in ("verify-witness", "decompose", "posmap"):
+        assert main([verb, path, "--out", str(tmp_path)]) == 64
+        _, err = capsys.readouterr()
+        assert "operator is not Hermitian" in err
+    assert not glob.glob(str(tmp_path / "*.txt"))
+
+
+def test_one_input_spelled_two_ways_writes_one_report(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    save_matrix("bell.mat", max_entangled(2).matrix, TensorSpace([2, 2]), "state")
+    for spelling in ("bell.mat", "./bell.mat"):
+        assert main(["test", spelling, "--k", "1"]) == 1
+    capsys.readouterr()
+    assert len(glob.glob("test-*.txt")) == 1
+    assert len(glob.glob("test-*-witness.mat")) == 1
 
 
 def test_table1_rejects_a_level_bound_below_one(tmp_path, capsys):

@@ -186,7 +186,7 @@ def test_input_validation():
 
 
 def test_tolerances_are_forwarded():
-    loose = sdp.SolverTolerances(gap_tol=1e-6, max_iter=60)
+    loose = sdp.SolverTolerances(gap_tol=1e-6)
     report = decompose(np.eye(4), SP22, tolerances=loose)
     assert report.verdict == DECOMPOSABLE
     assert report.diagnostics["split_iterations"] <= 60

@@ -209,6 +209,17 @@ def test_adjointness_check_covers_every_block():
         SkewedShape(2, 2, spec)
 
 
+def test_trace_down_rank_deficit_is_an_assembly_error(monkeypatch):
+    # the trace-down map onto Herm(A) is surjective; a partial trace that
+    # drops the off-diagonal part leaves it rank 2 of 4 for d_a = 2
+    def diagonal_trace(mat, space, which):
+        return np.diag(np.diag(partial_trace(mat, space, which)))
+
+    monkeypatch.setattr(hierarchy, "partial_trace", diagonal_trace)
+    with pytest.raises(AssemblyError, match="rank 2, expected 4"):
+        ExtensionShape(2, 2, ExtensionSpec(k=2))
+
+
 def test_fixed_part_traces_down_to_state():
     # the plain F0 block lifted to the full copy space is an extension
     # candidate: it reproduces rho on tracing out the second copy

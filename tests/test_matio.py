@@ -57,13 +57,15 @@ def test_bad_kind(tmp_path):
 
 def test_non_numeric_entry(tmp_path):
     path = tmp_path / "bad.mat"
-    path.write_text(
-        "sepcert matrix v1\ndims: 2\nkind: state\nentries:\n1 0\n1 0\nx 0\n1 0\n"
-    )
-    with pytest.raises(MatrixFormatError) as err:
-        load_matrix(path)
-    assert err.value.field == "entries"
-    assert "row 2" in str(err.value)
+    for row in ("x 0", "nan 0", "0 inf", "-inf 0"):
+        path.write_text(
+            "sepcert matrix v1\ndims: 2\nkind: state\nentries:\n"
+            f"1 0\n1 0\n{row}\n1 0\n"
+        )
+        with pytest.raises(MatrixFormatError) as err:
+            load_matrix(path)
+        assert err.value.field == "entries"
+        assert "row 2" in str(err.value)
 
 
 def test_missing_header(tmp_path):

@@ -186,8 +186,9 @@ def test_weak_duality_on_accepted_iterates():
     p_obj, _, _, _ = diagonal_problem(rng)
     problems.append(p_obj)
     for p in problems:
-        out = solve(p)
-        for row in out.iteration_log:
+        rows = []
+        solve(p, trace=rows.append)
+        for row in rows:
             if row["pinf"] <= 1e-9 and row["dinf"] <= 1e-9:
                 scale = max(1.0, abs(row["pobj"]), abs(row["dobj"]))
                 assert row["gap"] >= -1e-8 * scale

@@ -19,12 +19,7 @@ from oracles import (
     random_product_ensemble,
     separable_extension,
 )
-from sepcert.hierarchy import (
-    BlockDescriptor,
-    DensityMatrix,
-    check_extension_properties,
-    transpose_descriptors,
-)
+from sepcert.hierarchy import DensityMatrix, check_extension_properties
 from sepcert.states import (
     catalog_entries,
     choi_family_state,
@@ -155,10 +150,7 @@ def test_separable_extension_passes_extension_checks():
         # reorder [A, B, copies...] into [copies..., B] for the checker
         perm = [0] + list(range(2, k + 1)) + [1]
         reordered, rspace = permute_factors(ext, space, perm)
-        descs = [
-            BlockDescriptor(l, b, "", 0) for l, b in transpose_descriptors(k, True)
-        ]
-        chk = check_extension_properties(reordered, rspace, rho, descs, tol=1e-9)
+        chk = check_extension_properties(reordered, rspace, rho, ppt=True, tol=1e-9)
         assert chk["passed"], chk
 
 
