@@ -188,8 +188,10 @@ def required_resources(d_a, d_b, spec):
         Schur assembly multiplies with (sdp.schur_stacks);
       * the dense A factors the build hands to the Kronecker product
         (held twice);
-      * the largest block's dense (n^2, m) Schur workspace, held twice
-        while it is transposed into place;
+      * the Schur assembly workspace of the largest chunk (sdp.schur_block
+        over c_b = sdp.schur_chunk(m + 1, n_b, 16) direction columns): the
+        two reused (n_b^2, c_b) arrays, the fresh sparse product of the
+        same size, and the (m, c_b) contraction;
       * the m x m Schur matrix and its Cholesky factor;
       * the product basis of A x B that the per-state step contracts rho
         against.
@@ -211,7 +213,9 @@ def required_resources(d_a, d_b, spec):
     nnz = [groups * s**2 * b_entries for s in sides_a]
     csr_bytes = 5 * sum(20 * z + 4 * m * n for z, n in zip(nnz, sides))
     factor_bytes = 2 * 16 * groups * max(sides_a) ** 2
-    workspace_bytes = 2 * 16 * m * max(sides) ** 2
+    workspace_bytes = max(
+        16 * sdp.schur_chunk(m + 1, n, 16) * (3 * n * n + m) for n in sides
+    )
     schur_bytes = 2 * 8 * m * m
     pair_bytes = 16 * (d_a * d_b) ** 4
     return {

@@ -38,9 +38,12 @@ the Schur complement is assembled as in Fujisawa, Kojima & Nakata
 ("Exploiting sparsity in primal-dual interior-point methods for SDP",
 Math. Program. 79, 1997): S^-1 formed once, one sparse product with Z, one
 dense product with S^-1, and one sparse contraction against the stack.
-The stacks of all blocks form one DirectionStacks object, which problems
-differing only in F0 share; the layouts derived from the stacks alone are
-built once per object.
+The assembly runs over chunks of direction columns, so its dense
+workspace is two arrays of about SCHUR_CHUNK_BYTES each, whatever m is;
+each solve allocates them once and reuses them for every chunk, block and
+iteration.  The stacks of all blocks form one DirectionStacks object,
+which problems differing only in F0 share; the layouts derived from the
+stacks alone are built once per object.
 
 Everything is deterministic: no randomness, fixed starting point.
 """
@@ -61,6 +64,9 @@ FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
 MARGINAL = "marginal"
 ITER_LIMIT = "iter_limit"
+
+# bytes of one Schur assembly workspace array (see schur_chunk)
+SCHUR_CHUNK_BYTES = 4 << 20
 
 
 @dataclass
@@ -308,36 +314,68 @@ def _trace_pairs(fmat, z):
     return (fmat @ z.T.ravel()).real
 
 
-def schur_stacks(fmat, n):
-    """The two re-layouts of one block's stack that schur_block uses.
+def schur_chunk(m, n, itemsize):
+    """Direction columns per Schur assembly chunk of a side-n block with m
+    directions: as many (n, n) matrices of itemsize bytes per entry as fit
+    in SCHUR_CHUNK_BYTES, at least one and at most m."""
+    return max(1, min(m, SCHUR_CHUNK_BYTES // (itemsize * n * n)))
 
-    Returns (ftrans, fperm): ftrans is fmat with the columns of each row
-    in vec(F_i^T) order, and fperm has row r*m + i equal to row r of F_i,
-    so that fperm @ Z, read as an (n, m*n) array, is [F_1 Z | ... | F_m Z].
+
+def schur_stacks(fmat, n):
+    """The re-layouts of one block's stack that schur_block uses.
+
+    Returns (ftrans, chunk, fperms): ftrans is fmat with the columns of
+    each row in vec(F_i^T) order; the directions are split into runs of
+    chunk consecutive rows (the last one may be shorter), and fperms[j]
+    holds run j = rows lo..hi-1 with row r*(hi - lo) + (i - lo) equal to
+    row r of F_i, so that fperms[j] @ Z, read as an (n, (hi - lo)*n)
+    array, is [F_lo Z | ... | F_(hi-1) Z].
     """
     m = fmat.shape[0]
-    coo = fmat.tocoo()
-    fperm = sps.csr_array(
-        (coo.data, ((coo.col // n) * m + coo.row, coo.col % n)), shape=(m * n, n)
+    chunk = schur_chunk(m, n, fmat.dtype.itemsize)
+    fperms = []
+    for lo in range(0, m, chunk):
+        coo = fmat[lo:lo + chunk].tocoo()
+        width = coo.shape[0]
+        fperms.append(sps.csr_array(
+            (coo.data, ((coo.col // n) * width + coo.row, coo.col % n)),
+            shape=(width * n, n),
+        ))
+    return fmat[:, _vec_transpose(n)], chunk, fperms
+
+
+def schur_workspace(stacks, dtype):
+    """The two flat arrays schur_block works in, large enough for the
+    chunks of every block in stacks (a list of schur_stacks)."""
+    size = max(
+        (ftrans.shape[1] * chunk for ftrans, chunk, _ in stacks), default=0
     )
-    return fmat[:, _vec_transpose(n)], fperm
+    return np.empty(size, dtype), np.empty(size, dtype)
 
 
-def schur_block(stacks, sinv, z):
-    """One block's share M_ij = Re Tr[F_i S^-1 F_j Z] of the Schur complement.
+def schur_block(stacks, sinv, z, out, work):
+    """Add one block's share M_ij = Re Tr[F_i S^-1 F_j Z] of the Schur
+    complement into the (m, m) array out.
 
-    stacks is schur_stacks(fmat, n).  G_j = S^-1 F_j Z for all j is one
-    sparse product and one dense product over m*n columns; G_j[q, p] is
-    then moved to row q*n + p, column j of an (n^2, m) array, so that the
-    trace pairing Tr[F_i G_j] = sum F_i[p, q] G_j[q, p] with every F_i is
-    one sparse product.
+    stacks is schur_stacks(fmat, n) and work a schur_workspace pair that
+    fits it, of a dtype that holds S^-1 F_j Z.  Per chunk of columns j,
+    G_j = S^-1 F_j Z is one sparse product and one dense product into
+    work[0]; G_j[q, p] is then copied to row q*n + p, column j of an
+    (n^2, c) view of work[1], so that the trace pairing
+    Tr[F_i G_j] = sum F_i[p, q] G_j[q, p] with every F_i is one sparse
+    product, added into out[:, chunk].
     """
-    ftrans, fperm = stacks
+    ftrans, chunk, fperms = stacks
     n = z.shape[0]
-    m = ftrans.shape[0]
-    g = sinv @ (fperm @ z).reshape(n, m * n)
-    g = g.reshape(n, m, n).transpose(0, 2, 1).reshape(n * n, m)
-    return (ftrans @ g).real
+    for lo, fperm in zip(range(0, ftrans.shape[0], chunk), fperms):
+        width = fperm.shape[0] // n
+        g = work[0][: n * width * n].reshape(n, width * n)
+        np.matmul(sinv, (fperm @ z).reshape(n, width * n), out=g)
+        gt = work[1][: n * n * width].reshape(n * n, width)
+        np.copyto(
+            gt.reshape(n, n, width), g.reshape(n, width, n).transpose(0, 2, 1)
+        )
+        out[:, lo:lo + width] += (ftrans @ gt).real
 
 
 def _project_dual_constraints(fs_list, c, z_blocks):
@@ -373,6 +411,10 @@ def _solve_core(f0s, fs, c, tol, trace_cb=None):
     ns = [f0.shape[0] for f0 in f0s]
     ntot = sum(ns)
     stacks = fs.schur()
+    # per solve, not cached on fs: concurrent solves share the stacks
+    work = schur_workspace(
+        stacks, np.result_type(*(f0.dtype for f0 in f0s), *(f.dtype for f in fs))
+    )
     trace_cb = trace_cb or (lambda row: None)
 
     beta = 1.0 + np.sqrt(sum(np.linalg.norm(f0) ** 2 for f0 in f0s))
@@ -488,7 +530,7 @@ def _solve_core(f0s, fs, c, tol, trace_cb=None):
         schur = np.zeros((m, m))
         for b in range(nb):
             sinv = sla.cho_solve((chols[b], True), eye[b])
-            schur += schur_block(stacks[b], sinv, zdual[b])
+            schur_block(stacks[b], sinv, zdual[b], schur, work)
         schur = (schur + schur.T) / 2
         try:
             schur_fact = sla.cho_factor(schur)

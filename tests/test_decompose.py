@@ -20,6 +20,7 @@ import pytest
 
 from oracles import swap_operator
 from sepcert import sdp
+from sepcert import tolerances as policy
 from sepcert.decompose import (
     DECOMPOSABLE,
     INDECOMPOSABLE,
@@ -27,7 +28,13 @@ from sepcert.decompose import (
     decompose,
     extract_edge_state,
 )
-from sepcert.hierarchy import ENTANGLED, DensityMatrix, ExtensionSpec, run_test
+from sepcert.hierarchy import (
+    ENTANGLED,
+    DensityMatrix,
+    ExtensionSpec,
+    SolverFailure,
+    run_test,
+)
 from sepcert.states import choi_family_state, choi_family_witness, max_entangled
 from sepcert.tensorops import FactorError, TensorSpace, partial_transpose
 
@@ -186,7 +193,22 @@ def test_input_validation():
 
 
 def test_tolerances_are_forwarded():
-    loose = sdp.SolverTolerances(gap_tol=1e-6)
+    # a looser gap stops both solves earlier, and the cross-check of the
+    # two optima loosens with it
+    default = decompose(np.eye(4), SP22)
+    loose = sdp.SolverTolerances(gap_tol=1e-3, feas_tol=1e-4)
     report = decompose(np.eye(4), SP22, tolerances=loose)
     assert report.verdict == DECOMPOSABLE
-    assert report.diagnostics["split_iterations"] <= 60
+    assert report.diagnostics["cross_check_gap"] > policy.DECOMPOSE_AGREEMENT
+    for name in ("split_iterations", "state_iterations"):
+        assert report.diagnostics[name] < default.diagnostics[name]
+
+
+def test_disagreement_message_shows_both_optima_in_full(monkeypatch):
+    monkeypatch.setattr(policy, "DECOMPOSE_AGREEMENT", 0.0)
+    with pytest.raises(SolverFailure) as err:
+        decompose(np.eye(4), SP22)
+    eps = err.value.outcome.x[0]
+    # epsilon = 1 up to the solver's last digits, which three digits hide
+    assert str(float(-eps)) in str(err.value)
+    assert "vs 1.0 (difference " in str(err.value)

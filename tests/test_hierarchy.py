@@ -130,18 +130,28 @@ def test_size_formulas_match_closed_forms():
 
 
 def test_resource_estimate_covers_traced_peak():
-    spec = ExtensionSpec(k=2)
     rho = choi_family_state(3.5)
-    # another shape first, so the traced build starts from nothing cached
-    build_extension_problem(maximally_mixed(2, 2), ExtensionSpec(k=1))
-    tracemalloc.start()
-    try:
-        problem, _ = build_extension_problem(rho, spec)
-        sdp.feasibility_margin(problem)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert required_resources(3, 3, spec)["stack_bytes"] >= peak
+    for k in (2, 3):
+        spec = ExtensionSpec(k=k)
+        # another shape first, so the traced build starts from nothing cached
+        build_extension_problem(maximally_mixed(2, 2), ExtensionSpec(k=1))
+        tracemalloc.start()
+        try:
+            problem, _ = build_extension_problem(rho, spec)
+            sdp.feasibility_margin(problem)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert required_resources(3, 3, spec)["stack_bytes"] >= peak
+    # at k = 3 even real arithmetic assembles the side-54 blocks in 5 chunks
+    stacks = sdp.schur_stacks(problem.fs.with_margin()[1].real, 54)
+    assert problem.block_sizes == [30, 54, 54, 30] and len(stacks[2]) == 5
+
+
+def test_level6_without_ppt_fits_the_budget():
+    res = required_resources(3, 3, ExtensionSpec(k=6, ppt=False))
+    assert res["block_sides"] == [84]
+    assert res["stack_bytes"] < hierarchy.MEMORY_BUDGET_BYTES
 
 
 def test_level1_reduced_matches_plain_ppt_sizes():

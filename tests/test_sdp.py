@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from sepcert import sdp
 from sepcert.sdp import (
     FEASIBLE,
     INFEASIBLE,
@@ -23,6 +24,7 @@ from sepcert.sdp import (
     feasibility_margin,
     schur_block,
     schur_stacks,
+    schur_workspace,
     solve,
     verify_certificate,
 )
@@ -260,7 +262,7 @@ def test_real_fast_path_matches_complex_path():
 
 
 @pytest.mark.parametrize("complex_data", [False, True])
-def test_schur_block_matches_dense_definition(complex_data):
+def test_schur_block_matches_dense_definition(complex_data, monkeypatch):
     rng = np.random.default_rng(41 + complex_data)
     m, n = 7, 6
 
@@ -282,8 +284,24 @@ def test_schur_block_matches_dense_definition(complex_data):
         [[np.trace(fs[i] @ sinv @ fs[j] @ z).real for j in range(m)] for i in range(m)]
     )
     fmat = SdpProblem(f0s=[s], fs=[fs], c=np.zeros(m)).fs[0]
-    got = schur_block(schur_stacks(fmat, n), sinv, z)
-    assert np.abs(got - dense).max() <= 1e-12 * np.abs(dense).max()
+
+    def assemble():
+        stacks = schur_stacks(fmat, n)
+        out = np.zeros((m, m))
+        schur_block(stacks, sinv, z, out, schur_workspace([stacks], z.dtype))
+        return [fperm.shape[0] // n for fperm in stacks[2]], out
+
+    widths, whole = assemble()
+    assert widths == [m]
+    assert np.abs(whole - dense).max() <= 1e-12 * np.abs(dense).max()
+    # three columns per chunk: m = 7 splits 3 + 3 + 1
+    monkeypatch.setattr(
+        sdp, "SCHUR_CHUNK_BYTES", 3 * fmat.dtype.itemsize * n * n + 1
+    )
+    widths, chunked = assemble()
+    assert widths == [3, 3, 1]
+    assert np.abs(chunked - dense).max() <= 1e-12 * np.abs(dense).max()
+    assert np.abs(chunked - whole).max() <= 1e-14 * np.abs(whole).max()
 
 
 def test_certificate_check_rejects_small_defects():
