@@ -9,10 +9,12 @@ certificates (margins 1.4e-5 at 3.70 to 6.6e-4 at 4.00): the level-6
 extension does not exist there, so the boundary of this test lies below
 3.7, not near 3.84.  From 3.1 to 3.65 the verdict is marginal, because
 the family state is rank deficient and every extension inherits its
-kernel.  A level-6 solve takes about 10-15 s and 420 MB on a 2-vCPU
-host with one BLAS thread, so the script first discloses the projected
-problem size and starts the solves only when --yes-really is passed.
-It is deliberately excluded from the test suite.
+kernel.  A level-6 solve takes about 9-15 s (0.9-1.1 s per iteration)
+and 410 MB on a 2-vCPU host with one BLAS thread, so the script first
+discloses the projected problem size and each block's stored entries,
+and starts the solves only when --yes-really is passed.  --k 5 --ppt
+runs level 5 with the partial-transpose blocks (about 31 s and 330 MB
+at 3.5).  It is deliberately excluded from the test suite.
 """
 
 import argparse
@@ -57,6 +59,7 @@ def main(argv=None):
     print("required resources:")
     print(f"  free directions:       {res['free_directions']}")
     print(f"  block sides:           {res['block_sides']}")
+    print(f"  stored entries:        {res['stored_entries']}")
     print(f"  working-set estimate:  {res['stack_bytes'] / 1e9:.2f} GB")
     print(f"  memory budget:         {MEMORY_BUDGET_BYTES / 1e9:.2f} GB")
     print(f"  schur flops/iteration: {res['schur_flops_per_iteration']:.2e}")
@@ -66,14 +69,23 @@ def main(argv=None):
 
     for token in args.alphas.split(","):
         alpha = float(token)
+        stamps = []
         start = time.perf_counter()
-        report = run_test(choi_family_state(alpha), spec, keep_extension=False)
+        report = run_test(
+            choi_family_state(alpha),
+            spec,
+            trace=lambda row: stamps.append(time.perf_counter()),
+            keep_extension=False,
+        )
         elapsed = time.perf_counter() - start
+        # mean spacing of the solver's iteration rows
+        per_iter = (stamps[-1] - stamps[0]) / max(1, len(stamps) - 1)
         peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         print(
             f"alpha={alpha:.4f} status={report.status} "
             f"margin={report.margin:.3e} iterations={report.iterations} "
-            f"elapsed={elapsed:.0f}s peak_rss_so_far={peak_mb:.0f}MB"
+            f"elapsed={elapsed:.0f}s s_per_iteration={per_iter:.2f} "
+            f"peak_rss_so_far={peak_mb:.0f}MB"
         )
     return 0
 

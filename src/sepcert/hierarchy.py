@@ -23,12 +23,19 @@ The problem is posed on the symmetric subspace of the copies: every
 separable state has a Bose-symmetric extension, supported on Sym_k(A) x B,
 so asking for one keeps the test sound and never makes it weaker, while it
 shrinks every block.  A transposed block with l transposed copies is
-then supported on Sym_l x Sym_(k-l) x B.  Free directions are a Hermitian
-basis of operators on Sym_k(A) tensored with a basis of B, restricted to
-the null space of the trace-down map; the pinned part is the
-minimum-norm symmetric-subspace solution of the trace-down constraint.
+then supported on Sym_l x Sym_(k-l) x B.  The free directions are
+A_v x e_j: A_v runs over a sparse basis of the null space of the
+trace-down map on Hermitian operators of Sym_k(A), built from matrix
+units of the occupation basis with a few coefficients each, and e_j over
+the diagonal units and off-diagonal pairs of B.  Every entry of a
+transposed block's copy side comes from one entry of A_v, so the stacks
+store only what the units put there, and their size is known exactly
+before they are built.  The pinned part is the minimum-norm
+symmetric-subspace solution of the trace-down constraint.
 """
 
+import functools
+import math
 import threading
 import warnings
 from dataclasses import dataclass, field
@@ -43,6 +50,7 @@ from .tensorops import (
     TensorSpace,
     check_hermitian,
     hermitian_basis,
+    multisets,
     partial_trace,
     partial_transpose_multi,
     permute_factors,
@@ -178,16 +186,16 @@ def free_direction_count(d_a, d_b, k):
 def required_resources(d_a, d_b, spec):
     """Arithmetic estimate of the assembled problem's memory and cost.
 
-    Every direction is A x sigma_j with sigma_j from hermitian_basis(d_b)
-    and A a side_a x side_a matrix on the copies, so a block stores at
-    most (m / d_b^2) * side_a^2 * (entries of the whole B basis) values;
-    that bound stands in for the block's nnz.  stack_bytes counts
+    Every direction is A_v x e_j with A_v from the sparse null basis
+    (_null_basis) carried to the block's copy side and e_j a B unit, so
+    each block's stored entries are counted exactly from the patterns
+    (_stored_entries) before anything is built.  stack_bytes counts
 
       * the CSR stacks five times over: as assembled, with the margin
         direction appended, their real copy, and the two re-layouts the
         Schur assembly multiplies with (sdp.schur_stacks);
-      * the dense A factors the build hands to the Kronecker product
-        (held twice);
+      * the dense images of the Hermitian basis of Sym_k(A) on each copy
+        side, which the pinned part and the witness map are built from;
       * the Schur assembly workspace of the largest chunk (sdp.schur_block
         over c_b = sdp.schur_chunk(m + 1, n_b, 16) direction columns): the
         two reused (n_b^2, c_b) arrays, the fresh sparse product of the
@@ -196,39 +204,180 @@ def required_resources(d_a, d_b, spec):
       * the product basis of A x B that the per-state step contracts rho
         against.
 
-    Complex values are assumed throughout.  schur_flops_per_iteration is
-    sum_b (2 m n_b^3 + 2 m nnz_b): the dense S^-1 product plus the sparse
-    trace pairing.
+    A problem whose Schur matrix and images alone are over
+    MEMORY_BUDGET_BYTES is refused whatever its stacks hold, so they are
+    left uncounted (the count itself takes memory in proportion to the
+    images): stored_entries is None, and stack_bytes and the flops are
+    lower bounds.  Complex values are assumed throughout.
+    schur_flops_per_iteration is sum_b (2 m n_b^3 + 2 nnz_b (m + n_b)):
+    the dense S^-1 product, and the two sparse products with the stack,
+    F Z and the trace pairing.
     """
     k = spec.k
     m = free_direction_count(d_a, d_b, k)
     descs = transpose_descriptors(k, spec.ppt)
-    sides_a = [
-        symmetric_subspace_dim(d_a, l) * symmetric_subspace_dim(d_a, k - l)
+    sides_a = {
+        l: symmetric_subspace_dim(d_a, l) * symmetric_subspace_dim(d_a, k - l)
         for l, _ in descs
-    ]
-    sides = [s * d_b for s in sides_a]
-    groups = m // d_b**2
-    b_entries = sum(int(np.count_nonzero(e)) for e in hermitian_basis(d_b).elements)
-    nnz = [groups * s**2 * b_entries for s in sides_a]
+    }
+    sides = [sides_a[l] * d_b for l, _ in descs]
+    schur_bytes = 2 * 8 * m * m
+    image_bytes = 16 * symmetric_subspace_dim(d_a, k) ** 2 * sum(
+        s * s for s in sides_a.values()
+    )
+    counted = schur_bytes + image_bytes <= MEMORY_BUDGET_BYTES
+    nnz = _stored_entries(d_a, d_b, k, spec.ppt) if counted else (0,) * len(descs)
     csr_bytes = 5 * sum(20 * z + 4 * m * n for z, n in zip(nnz, sides))
-    factor_bytes = 2 * 16 * groups * max(sides_a) ** 2
     workspace_bytes = max(
         16 * sdp.schur_chunk(m + 1, n, 16) * (3 * n * n + m) for n in sides
     )
-    schur_bytes = 2 * 8 * m * m
     pair_bytes = 16 * (d_a * d_b) ** 4
     return {
         "free_directions": m,
         "block_sides": sides,
         "block_labels": [_desc_label(l, b) for l, b in descs],
+        "stored_entries": list(nnz) if counted else None,
         "stack_bytes": (
-            csr_bytes + factor_bytes + workspace_bytes + schur_bytes + pair_bytes
+            csr_bytes + image_bytes + workspace_bytes + schur_bytes + pair_bytes
         ),
         "schur_flops_per_iteration": float(
-            sum(2 * m * n**3 + 2 * m * z for z, n in zip(nnz, sides))
+            sum(2 * m * n**3 + 2 * z * (m + n) for z, n in zip(nnz, sides))
         ),
     }
+
+
+@functools.lru_cache(maxsize=64)
+def _stored_entries(d_a, d_b, k, ppt):
+    """Stored entries of each block's direction stack, from the patterns.
+
+    Each entry of a block's copy side comes from one unit |mu><nu|
+    (_copy_image), and the units of one null vector differ, so A_v has
+    as many entries in the block as the image rows of its units hold.
+    The B units hold one entry on the diagonal and two off it.
+    """
+    units = _null_basis(d_a, k).indices
+    b_entries = d_b + 2 * d_b * (d_b - 1)
+    return tuple(
+        int(np.diff(_copy_image(d_a, k, l).indptr)[units].sum()) * b_entries
+        for l, _ in transpose_descriptors(k, ppt)
+    )
+
+
+def _occupations(d, k):
+    """Occupation vectors of the sorted k-multisets over range(d), one row
+    each, in the column order of symmetric_isometry(d, k)."""
+    ms = multisets(d, k)
+    ms = np.array(ms, dtype=int).reshape(len(ms), k)
+    return (ms[:, :, None] == np.arange(d)).sum(axis=1)
+
+
+def _occupation_index(d, k, occ):
+    """Position among the k-multisets over range(d) of each occupation
+    vector along the last axis of occ."""
+    radix = (k + 1) ** np.arange(d)
+    codes = _occupations(d, k) @ radix
+    order = np.argsort(codes)
+    return order[np.searchsorted(codes, occ @ radix, sorter=order)]
+
+
+def _null_basis(d, k):
+    """Sparse basis of the null space of the trace-down map Tr_(2..k) on
+    Hermitian operators of Sym_k(C^d).
+
+    Returns a CSR matrix of shape (dsym^2 - d^2, dsym^2): row v holds the
+    coefficients of A_v over the matrix units |mu><nu| of the occupation
+    basis (column mu * dsym + nu).  Tr_(2..k) |mu><nu| is
+    sqrt(mu_a nu_b) / k |a><b| when mu = kappa + a and nu = kappa + b for
+    one (k-1)-multiset kappa, and zero otherwise, so the null space has a
+    basis of three kinds of vectors:
+
+      * (|mu><nu| + h.c.) / sqrt2 and (-i|mu><nu| + h.c.) / sqrt2 for
+        multisets that differ in two or more slots;
+      * within one class a < b of units U_kappa = |kappa + a><kappa + b|
+        of trace-down weight w_kappa = sqrt(mu_a nu_b) / k, the same two
+        Hermitian parts of U_kappa - (w_kappa / w_0) U_0, U_0 the first
+        unit of largest weight in the class;
+      * |mu><mu| - sum_a (mu_a / k) |k a><k a| for every mu that is not a
+        pure k a: an echelon basis of the null space of the occupation
+        count on the diagonal.
+
+    Each vector stores at most max(4, d + 1) coefficients, all of
+    magnitude at most one.
+    """
+    occ = _occupations(d, k)
+    n = len(occ)
+    # off-diagonal terms: coefficient c of |p><q| in pair t, whose real
+    # and imaginary Hermitian parts are two directions
+    mu, nu = np.triu_indices(n, 1)
+    far = np.nonzero(np.abs(occ[mu] - occ[nu]).sum(axis=1) > 2)[0]
+    pair, p, q, c = [np.arange(len(far))], [mu[far]], [nu[far]], [np.ones(len(far))]
+    kappa = _occupations(d, k - 1)
+    eye = np.eye(d, dtype=int)
+    npairs = len(far)
+    for a, b in zip(*np.triu_indices(d, 1)):
+        pa = _occupation_index(d, k, kappa + eye[a])
+        qb = _occupation_index(d, k, kappa + eye[b])
+        w = np.sqrt((kappa[:, a] + 1) * (kappa[:, b] + 1)) / k
+        top = np.argmax(w)
+        rest = np.delete(np.arange(len(w)), top)
+        ids = npairs + np.arange(len(rest))
+        npairs += len(rest)
+        pair += [ids, ids]
+        p += [pa[rest], np.full(len(rest), pa[top])]
+        q += [qb[rest], np.full(len(rest), qb[top])]
+        c += [np.ones(len(rest)), -w[rest] / w[top]]
+    pair, p, q = (np.concatenate(x) for x in (pair, p, q))
+    c = np.concatenate(c) / np.sqrt(2)
+
+    pure = np.argmax(occ == k, axis=0)  # position of the multiset k a
+    mixed = np.nonzero(occ.max(axis=1) < k)[0]
+    row, letter = np.nonzero(occ[mixed])
+    ndiag = len(mixed)
+    real, imag = ndiag + 2 * pair, ndiag + 2 * pair + 1
+    rows = np.concatenate([np.arange(ndiag), row, real, real, imag, imag])
+    upper, lower = p * n + q, q * n + p
+    cols = np.concatenate(
+        [mixed * (n + 1), pure[letter] * (n + 1), upper, lower, upper, lower]
+    )
+    vals = np.concatenate(
+        [np.ones(ndiag), -occ[mixed[row], letter] / k, c, c, -1j * c, 1j * c]
+    )
+    return sps.csr_array((vals, (rows, cols)), shape=(ndiag + 2 * npairs, n * n))
+
+
+def _copy_image(d, k, l):
+    """The map X -> comp^T PT_(1..l)(iso X iso^T) comp from operators X on
+    Sym_k(C^d) to the copy side of the block with l transposed copies, as
+    a sparse (dsym^2, side^2) matrix acting on row-major vecs; iso is the
+    isometry of Sym_k and comp that of Sym_l x Sym_(k-l).
+
+    Sym_k sits in Sym_l x Sym_(k-l) through the overlaps
+    <alpha, beta | alpha + beta> = sqrt(N(alpha) N(beta) / N(alpha + beta)),
+    N the arrangement count.  Entry [(a, b), (a', b')] of the image is
+    X[mu, nu] times two overlaps, with mu = a' + b and nu = a + b' (a, a'
+    in Sym_l, b, b' in Sym_(k-l)): each entry of the image comes from
+    exactly one entry of X.
+    """
+    occ_l, occ_r = _occupations(d, l), _occupations(d, k - l)
+    sums = occ_l[:, None, :] + occ_r[None, :, :]
+    fact = np.array([float(math.factorial(i)) for i in range(k + 1)])
+
+    def arrangements(occ):
+        return fact[occ.sum(axis=-1)] / fact[occ].prod(axis=-1)
+
+    coef = np.sqrt(
+        arrangements(occ_l)[:, None] * arrangements(occ_r)[None, :] / arrangements(sums)
+    )
+    idx = _occupation_index(d, k, sums)
+    n_l, n_r = idx.shape
+    dsym = symmetric_subspace_dim(d, k)
+    ra, rb, ca, cb = np.indices((n_l, n_r, n_l, n_r)).reshape(4, -1)
+    side = n_l * n_r
+    rows = idx[ca, rb] * dsym + idx[ra, cb]
+    return sps.csr_array(
+        (coef[ca, rb] * coef[ra, cb], (rows, np.arange(side * side))),
+        shape=(dsym * dsym, side * side),
+    )
 
 
 def _kron_stack(avecs, side_a, bmats):
@@ -292,9 +441,10 @@ class ExtensionShape:
 
     rho enters only through the trace-down constraint, which pins the F0
     blocks.  Everything else is fixed by (d_a, d_b, k, ppt): the
-    trace-down map and its pseudo-inverses, the null-space basis of the
-    free directions, the copy-side compressors, the block descriptors and
-    the direction stacks (one sdp.DirectionStacks).  The adjointness check
+    trace-down map and its pseudo-inverses, the copy-side images of the
+    Hermitian basis of Sym_k(A) that the pinned part is built from, the
+    block descriptors and the direction stacks (one sdp.DirectionStacks,
+    built from the sparse null basis).  The adjointness check
     runs once here.  pinned_blocks is the per-state step.
     """
 
@@ -363,59 +513,39 @@ class ExtensionShape:
                 f"trace-down map mixes parity sectors (off-block {max(off, off2):.2e})"
             )
 
-        null_cols = []
         pinvs = {}
         rank_total = 0
         for par in (False, True):
             rows = np.nonzero(row_par == par)[0]
             cols = np.nonzero(col_par == par)[0]
             block = lmat[np.ix_(rows, cols)]
-            _, sv, vt = np.linalg.svd(block, full_matrices=True)
+            sv = np.linalg.svd(block, compute_uv=False)
             tol = policy.RANK_CUTOFF * (sv[0] if sv.size else 1.0)
-            rank = int((sv > tol).sum())
-            rank_total += rank
+            rank_total += int((sv > tol).sum())
             pinv = np.linalg.pinv(block, rcond=policy.RANK_CUTOFF)
             pinvs[par] = (rows, cols, pinv)
-            for row in vt[rank:]:
-                v = np.zeros(ns)
-                v[cols] = row
-                null_cols.append(v)
         if rank_total != d_a**2:
             # the trace-down map onto Herm(A) is surjective
             raise AssemblyError(
                 f"trace-down map has rank {rank_total}, expected {d_a**2}"
             )
-        nullmat = np.array(null_cols)  # (n_null, ns)
-        self._nullmat = nullmat
         self._pinvs = pinvs
-        self.m = len(null_cols) * d_b**2
+        null = _null_basis(d_a, k)
+        self.m = null.shape[0] * d_b**2
 
-        # per-descriptor compressors of the copy side: for l transposed
-        # copies, Sym_k-supported operators land in Sym_l x Sym_(k-l)
+        # copy sides: for l transposed copies, Sym_k-supported operators
+        # land in Sym_l x Sym_(k-l); _acomp[l] holds the image of each s_i
         descs = transpose_descriptors(k, self.spec.ppt)
-        self._acomp = {}
-        for l in sorted({l for l, _ in descs}):
-            if l == 0:
-                self._acomp[0] = np.stack([s.copy() for s in sbasis.elements])
-                continue
-            iso_l = symmetric_isometry(d_a, l)
-            iso_rest = symmetric_isometry(d_a, k - l) if k > l else np.eye(1)
-            comp = np.kron(iso_l, iso_rest)  # columns span the support
-            stack = np.empty((ns, comp.shape[1], comp.shape[1]), dtype=complex)
-            for i, s in enumerate(sbasis.elements):
-                emb = iso_k @ s @ iso_k.T
-                t = partial_transpose_multi(emb, copies_space, set(range(l)))
-                stack[i] = comp.T @ t @ comp
-                if i in (0, ns - 1):
-                    resid = np.linalg.norm(t - comp @ stack[i] @ comp.T)
-                    if resid > policy.SELF_CHECK * max(1.0, np.linalg.norm(t)):
-                        raise AssemblyError(
-                            f"support of the {l}-copy transposed block leaks "
-                            f"out of the predicted subspace (residual {resid:.2e})"
-                        )
-            self._acomp[l] = stack
+        images = {l: _copy_image(d_a, k, l) for l in sorted({l for l, _ in descs})}
+        svecs = np.stack(sbasis.elements).reshape(ns, ns)
+        self._acomp = {
+            l: np.ascontiguousarray((image.T @ svecs.T).T).reshape(
+                ns, math.isqrt(image.shape[1]), -1
+            )
+            for l, image in images.items()
+        }
 
-        # B side of direction (v, j): sigma_j, or sigma_j^T on tb blocks
+        # B side of the pinned part: sigma_j, or sigma_j^T on tb blocks
         bstack = np.stack(basis_b.elements)
         self._bstacks = {
             False: bstack,
@@ -432,15 +562,18 @@ class ExtensionShape:
         weights_a[0], weights_b[0] = 1.0 / d_a, 1.0 / d_b
         self._pair_weights = np.outer(weights_a, weights_b)
 
-        # direction (v, j) of every block is A_v x sigma_j
+        # direction (v, j) of every block is A_v x e_j: A_v from the sparse
+        # null basis carried to the block's copy side, e_j a diagonal unit
+        # or an off-diagonal pair of B (transposed on tb blocks)
+        units = np.stack(
+            [np.diag(e).astype(complex) for e in np.eye(d_b)]
+            + basis_b.elements[d_b:]
+        )
         stacks = []
         for l, b in descs:
-            astack = self._acomp[l]
-            side_a = astack.shape[1]
-            avecs = np.array(
-                [np.tensordot(v, astack, axes=1).ravel() for v in nullmat]
-            ).reshape(len(nullmat), side_a * side_a)
-            stacks.append(_kron_stack(avecs, side_a, self._bstacks[b]))
+            side_a = self._acomp[l].shape[1]
+            bmats = units.transpose(0, 2, 1) if b else units
+            stacks.append(_kron_stack(null @ images[l], side_a, bmats))
             self.descriptors.append(
                 BlockDescriptor(l, b, _desc_label(l, b), side_a * d_b)
             )

@@ -15,6 +15,7 @@ drives the threshold sweep, where the largest mixing weight alpha keeping
 generalized eigenvalue problem rather than a semidefinite program.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -161,22 +162,40 @@ def compose_with_symmetric_embedding(lmap, k):
             f"composed operator side {side} exceeds the size cap "
             f"{COMPOSED_CAP}"
         )
-    mu_index = {mu: pos for pos, mu in enumerate(multisets(dout, k))}
+    idx, n_tau, inv_sqrt_n = _embedding_index(dout, k)
     choi = lmap.choi if lmap.choi.imag.any() else lmap.choi.real
-    lr = choi.reshape(din, dout, din, dout)
+    # blocks[a, c] is the (din, din) block L[(., a), (., c)]
+    blocks = choi.reshape(din, dout, din, dout).transpose(1, 3, 0, 2)
     comp = np.zeros((din, s_dim, din, s_dim), dtype=choi.dtype)
-    inv_sqrt_n = np.array(
-        [1.0 / math.sqrt(multiset_arrangements(mu)) for mu in multisets(dout, k)]
-    )
-    for tau in multisets(dout, k - 1):
-        n_tau = multiset_arrangements(tau)
-        for a in range(dout):
-            mu = mu_index[tuple(sorted(tau + (a,)))]
-            for c in range(dout):
-                nu = mu_index[tuple(sorted(tau + (c,)))]
-                coef = n_tau * inv_sqrt_n[mu] * inv_sqrt_n[nu]
-                comp[:, mu, :, nu] += coef * lr[:, a, :, c]
+    # one tau at a time: its terms land on distinct entries, so every
+    # entry sums its terms in the order of tau
+    for mu, count in zip(idx, n_tau):
+        coef = (count * inv_sqrt_n[mu])[:, None] * inv_sqrt_n[mu][None, :]
+        comp[:, mu[:, None], :, mu[None, :]] += coef[:, :, None, None] * blocks
     return comp.reshape(side, side)
+
+
+@functools.lru_cache(maxsize=32)
+def _embedding_index(dout, k):
+    """The index arrays of compose_with_symmetric_embedding's entry
+    formula: row r of idx holds the positions of tau + a among the
+    k-multisets, a = 0..dout-1, for the r-th (k-1)-multiset tau, n_tau[r]
+    is N(tau), and inv_sqrt_n holds 1/sqrt(N(mu)) for every k-multiset.
+    Read-only, since callers share them."""
+    mu_index = {mu: pos for pos, mu in enumerate(multisets(dout, k))}
+    taus = multisets(dout, k - 1)
+    arrays = (
+        np.array(
+            [[mu_index[tuple(sorted(tau + (a,)))] for a in range(dout)] for tau in taus]
+        ),
+        np.array([multiset_arrangements(tau) for tau in taus]),
+        np.array(
+            [1.0 / math.sqrt(multiset_arrangements(mu)) for mu in multisets(dout, k)]
+        ),
+    )
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
 
 
 def check_strict_positivity(lmap, k_max=8, samples=10000, seed=1234):

@@ -57,6 +57,8 @@ from sepcert.tensorops import (
     hermitian_basis,
     partial_trace,
     partial_transpose,
+    partial_transpose_multi,
+    symmetric_isometry,
     symmetric_subspace_dim,
 )
 
@@ -154,6 +156,12 @@ def test_level6_without_ppt_fits_the_budget():
     assert res["stack_bytes"] < hierarchy.MEMORY_BUDGET_BYTES
 
 
+def test_level5_with_ppt_fits_the_budget():
+    res = required_resources(3, 3, ExtensionSpec(k=5))
+    assert res["block_sides"] == [63, 135, 180, 180, 63, 135]
+    assert res["stack_bytes"] < hierarchy.MEMORY_BUDGET_BYTES
+
+
 def test_level1_reduced_matches_plain_ppt_sizes():
     res = required_resources(3, 3, ExtensionSpec(k=1))
     assert res["free_directions"] == 0
@@ -182,26 +190,108 @@ def test_directions_are_swap_invariant_and_trace_down_to_zero():
         assert np.abs(swap @ direction @ swap - direction).max() < 1e-12
 
 
-def test_sparse_stacks_equal_dense_constructions():
-    # direction (v, j) of every block is A_v x sigma_j
-    # (sigma_j^T on tb blocks), built densely here entry for entry
-    rho = random_state(2, 2, seed=9)
+def test_directions_on_3x3_level3_are_swap_invariant_and_trace_down_to_zero():
+    # the same exhaustive check on every one of the 819 plain-block
+    # directions of 3x3 at level 3, whose null basis has all three kinds of
+    # vectors (units differing in two slots, two-term differences, and
+    # diagonal echelon vectors)
+    rho = random_state(3, 3, seed=2)
     problem, shape = build_extension_problem(rho, ExtensionSpec(k=3))
+    space = shape.extension_space()
+    swaps = [swap_operator(space, 0, 1), swap_operator(space, 1, 2)]
+    lift = np.kron(shape._iso_k, np.eye(3))
+    side = problem.f0s[0].shape[0]
+    assert problem.fs[0].shape[0] == 819
+    worst = 0.0
+    for j in range(problem.fs[0].shape[0]):
+        compressed = problem.fs[0][[j]].toarray().reshape(side, side)
+        direction = lift @ compressed @ lift.conj().T
+        assert np.abs(direction).max() > 1e-3
+        worst = max(worst, np.abs(partial_trace(direction, space, {1, 2})).max())
+        for swap in swaps:
+            worst = max(worst, np.abs(swap @ direction @ swap - direction).max())
+    assert worst < 1e-12
+
+
+@pytest.mark.parametrize("d, k", [(2, 2), (2, 4), (3, 2), (3, 3), (4, 2), (3, 4)])
+def test_null_basis_spans_the_trace_down_null_space(d, k):
+    # every A_v traces down to zero on the full copy space, and the A_v are
+    # linearly independent over the reals, so their number m / d_b^2 =
+    # dsym^2 - d^2 (the trace-down map is onto Herm(A)) is the rank, and
+    # they span the whole null space; each stores at most max(4, d + 1)
+    # coefficients, of magnitude at most one
+    dsym = symmetric_subspace_dim(d, k)
+    null = hierarchy._null_basis(d, k)
+    assert null.shape[0] == free_direction_count(d, 1, k) == dsym**2 - d**2
+    mats = null.toarray().reshape(-1, dsym, dsym)
+    assert np.array_equal(mats, mats.conj().transpose(0, 2, 1))
+    real = np.concatenate([mats.real, mats.imag], axis=1).reshape(len(mats), -1)
+    assert np.linalg.matrix_rank(real) == len(mats)
+    assert np.diff(null.indptr).max() <= max(4, d + 1)
+    assert np.abs(null.data).max() <= 1.0
+    iso = symmetric_isometry(d, k)
+    space = TensorSpace([d] * k)
+    for a in mats:
+        traced = partial_trace(iso @ a @ iso.T, space, set(range(1, k)))
+        assert np.abs(traced).max() < 1e-14
+
+
+def test_sparse_stacks_equal_dense_constructions():
+    # direction (v, j) of every block is A_v x e_j, A_v from the null
+    # basis carried to the block's copy side, e_j a diagonal unit or an
+    # off-diagonal basis pair of B (transposed on tb blocks); built densely
+    # here entry for entry through the isometries and partial transposes
+    d_a, d_b, k = 2, 2, 3
+    rho = random_state(d_a, d_b, seed=9)
+    problem, shape = build_extension_problem(rho, ExtensionSpec(k=k))
     assert [d.label for d in shape.descriptors] == ["plain", "ta1", "ta2", "tb"]
-    basis_b = hermitian_basis(2).elements
+    dsym = symmetric_subspace_dim(d_a, k)
+    amats = hierarchy._null_basis(d_a, k).toarray().reshape(-1, dsym, dsym)
+    units = [np.diag(e).astype(complex) for e in np.eye(d_b)]
+    units += hermitian_basis(d_b).elements[d_b:]
+    iso_k = symmetric_isometry(d_a, k)
+    space = TensorSpace([d_a] * k)
     for desc, fmat in zip(shape.descriptors, problem.fs):
-        astack = shape._acomp[desc.a_transposed]
-        bmats = [sj.T if desc.b_transposed else sj for sj in basis_b]
+        l = desc.a_transposed
+        comp = np.kron(
+            symmetric_isometry(d_a, l) if l else np.eye(1),
+            symmetric_isometry(d_a, k - l) if k > l else np.eye(1),
+        )
+        bmats = [e.T if desc.b_transposed else e for e in units]
         dense = np.array(
             [
-                np.kron(np.tensordot(v, astack, axes=1), sj)
-                for v in shape._nullmat
-                for sj in bmats
+                np.kron(
+                    comp.T
+                    @ partial_transpose_multi(iso_k @ a @ iso_k.T, space, set(range(l)))
+                    @ comp,
+                    e,
+                )
+                for a in amats
+                for e in bmats
             ]
         ).reshape(shape.m, -1)
+        stored = fmat.toarray()
         assert fmat.shape == dense.shape
         assert fmat.nnz == np.count_nonzero(dense)
-        assert np.array_equal(fmat.toarray(), dense)
+        assert np.array_equal(stored != 0, dense != 0)
+        assert np.abs(stored - dense).max() < 1e-15
+
+
+def test_stored_entries_are_counted_exactly_and_stay_small():
+    # the count runs on the patterns before the build; at the parent
+    # construction (dense null vectors, Gell-Mann B basis) these two shapes
+    # stored 139,120 and 124,098 entries
+    for d_a, d_b, k in ((3, 3, 3), (4, 4, 2), (2, 3, 4)):
+        spec = ExtensionSpec(k=k)
+        shape = ExtensionShape(d_a, d_b, spec)
+        counted = required_resources(d_a, d_b, spec)["stored_entries"]
+        assert counted == [stack.nnz for stack in shape.stacks]
+        if d_a == d_b:
+            assert sum(counted) <= 60_000
+    # a problem refused on its Schur matrix and images alone is not counted
+    res = required_resources(4, 4, ExtensionSpec(k=4))
+    assert res["stored_entries"] is None
+    assert res["stack_bytes"] > hierarchy.MEMORY_BUDGET_BYTES
 
 
 def test_adjointness_check_covers_every_block():
@@ -595,15 +685,15 @@ def test_extension_spec_validation():
 
 
 def test_oversized_problems_are_rejected_with_estimate():
-    # 3x3 at level 5 with PPT blocks is over the memory budget
+    # 3x3 at level 7 with PPT blocks is over the memory budget
     rho = random_state(3, 3, seed=1)
     with pytest.raises(AssemblyError) as err:
-        build_extension_problem(rho, ExtensionSpec(k=5))
+        build_extension_problem(rho, ExtensionSpec(k=7))
     res = err.value.resources
     assert res is not None
     assert res["stack_bytes"] > hierarchy.MEMORY_BUDGET_BYTES
-    # Sym_l x Sym_(5-l) x B for l = 0, 1, 2, 3 and, with B, l = 0, 1
-    assert res["block_sides"] == [63, 135, 180, 180, 63, 135]
+    # Sym_l x Sym_(7-l) x B for l = 0, ..., 4 and, with B, l = 0, 1, 2
+    assert res["block_sides"] == [108, 252, 378, 450, 450, 108, 252, 378]
 
 
 def test_nonppt_mode_runs_and_is_weaker():
