@@ -630,7 +630,7 @@ class ExtensionShape:
         x = np.asarray(x, dtype=float)
         comp = problem.f0s[0].astype(complex, copy=True)
         if x.size:
-            comp += (problem.fs[0].T @ x).reshape(comp.shape)
+            comp += (problem.fs.transposed()[0] @ x).reshape(comp.shape)
         lift = np.kron(self._iso_k, np.eye(self.d_b))
         return lift @ comp @ lift.conj().T
 

@@ -43,7 +43,19 @@ workspace is two arrays of about SCHUR_CHUNK_BYTES each, whatever m is;
 each solve allocates them once and reuses them for every chunk, block and
 iteration.  The stacks of all blocks form one DirectionStacks object,
 which problems differing only in F0 share; the layouts derived from the
-stacks alone are built once per object.
+stacks alone (among them each stack's transpose, a view of the same
+arrays) are built once per object.
+
+Per iteration, each block's S and Z are factored once (Cholesky) and
+S^-1 is formed once.  Every other block-level solve reuses the factors
+through LAPACK's potrs and trtrs, bound once per solve and called with
+the operands and layout that scipy's cho_solve and solve_triangular
+pass, so the iterates equal the wrappers' bit for bit.  The finite
+checks those wrappers made on every call run once per iteration, on the
+factors, the iterates, the right-hand sides and the directions.  The
+step-length tests of all blocks, primal and dual, take one symmetric
+eigenvalue call per distinct block side and dtype.  The Schur matrix
+alone goes through scipy's cho_factor and cho_solve.
 
 Everything is deterministic: no randomness, fixed starting point.
 """
@@ -101,9 +113,58 @@ def _vec_transpose(n):
     return np.arange(n * n).reshape(n, n).T.ravel()
 
 
-def _combine(x, fmat, n):
-    """sum_i x_i F_i as a dense n x n matrix."""
-    return (fmat.T @ x).reshape(n, n)
+def _combine(x, fmat_t, n):
+    """sum_i x_i F_i as a dense n x n matrix, from the transposed stack
+    (DirectionStacks.transposed)."""
+    return (fmat_t @ x).reshape(n, n)
+
+
+def _require_finite(arrays):
+    """The finite check scipy's linear-algebra wrappers make on their
+    inputs, with the error they raise."""
+    for a in arrays:
+        if not np.isfinite(a).all():
+            raise ValueError("array must not contain infs or NaNs")
+
+
+def _lapack_binder():
+    """A function (a, b) -> (potrs, trtrs) that returns the LAPACK
+    routines scipy's wrappers pick for operands a and b, looked up once
+    per pair of dtypes.  Made per solve: the memo is never shared."""
+    bound = {}
+
+    def lapack(a, b):
+        key = (a.dtype, b.dtype)
+        if key not in bound:
+            bound[key] = sla.get_lapack_funcs(("potrs", "trtrs"), (a, b))
+        return bound[key]
+
+    return lapack
+
+
+def _cho_solve(lapack, chol, rhs):
+    """sla.cho_solve((chol, True), rhs) without the finite scans: the same
+    potrs call on the same operands."""
+    x, info = lapack(chol, rhs)[0](chol, rhs, lower=1)
+    if info:
+        raise ValueError(f"illegal value in {-info}th argument of internal potrs")
+    return x
+
+
+def _tri_solve(lapack, chol, rhs):
+    """sla.solve_triangular(chol, rhs, lower=True) without the finite scans
+    for a C-ordered lower factor chol: trtrs on its transpose, read as
+    Fortran-ordered, with lower=0, trans=1, which is how the wrapper lays
+    it out (a 1 x 1 factor, which it passes as is, gives the same
+    quotient)."""
+    x, info = lapack(chol, rhs)[1](chol.T, rhs, lower=0, trans=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"singular matrix: resolution failed at diagonal {info - 1}"
+        )
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal trtrs")
+    return x
 
 
 class DirectionStacks(Sequence):
@@ -127,7 +188,7 @@ class DirectionStacks(Sequence):
     @classmethod
     def from_blocks(cls, stacks, sides, m):
         """Convert dense (m, n, n) or sparse stacks to CSR and check that
-        every direction is Hermitian (rejected when not)."""
+        every direction is finite and Hermitian (rejected when not)."""
         blocks = []
         for b, (stack, n) in enumerate(zip(stacks, sides)):
             if not sps.issparse(stack):
@@ -144,6 +205,8 @@ class DirectionStacks(Sequence):
                     f"block {b}: direction stack has shape {stack.shape}, "
                     f"expected {(m, n * n)}"
                 )
+            if not np.isfinite(stack.data).all():
+                raise ValueError(f"block {b}: direction stack is not finite")
             if m:
                 devs = _row_absmax(stack - stack[:, _vec_transpose(n)].conj())
                 scales = np.maximum(1.0, _row_absmax(stack))
@@ -199,6 +262,11 @@ class DirectionStacks(Sequence):
             stack[keep].real for stack in self._blocks
         ))
 
+    def transposed(self):
+        """Each block's stack transposed, (n_b**2, m): a CSC view that
+        shares the CSR stack's arrays."""
+        return self._cached("transposed", lambda: [stack.T for stack in self._blocks])
+
     def schur(self):
         """schur_stacks of every block."""
         return self._cached("schur", lambda: [
@@ -215,7 +283,7 @@ class SdpProblem:
     the row-major vec of F_i.  fs may be a DirectionStacks shared with
     other problems (checked once when it was made) or a list of CSR or
     dense (m, n_b, n_b) stacks, converted once.  All matrices must be
-    Hermitian (checked, rejected when not).
+    finite and Hermitian, and c finite (checked, rejected when not).
     """
 
     f0s: list
@@ -225,6 +293,9 @@ class SdpProblem:
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float)
         m = len(self.c)
+        bad = np.nonzero(~np.isfinite(self.c))[0]
+        if bad.size:
+            raise ValueError(f"objective coefficient {bad[0]} is not finite")
         if len(self.f0s) != len(self.fs):
             raise ValueError("f0s and fs must list the same blocks")
         for b, f0 in enumerate(self.f0s):
@@ -299,14 +370,27 @@ def _structured_real_reduction(f0s, fs, c):
     return real_f0s, fs.real_rows(keep), keep
 
 
-def _max_step(chol, delta):
-    """Largest alpha <= 1 with X + alpha*delta >= 0, given X = L L^dag."""
-    y = sla.solve_triangular(chol, delta, lower=True)
-    y = sla.solve_triangular(chol, y.conj().T, lower=True).conj().T
-    lam = np.linalg.eigvalsh(_herm(y))[0]
-    if lam >= -1e-14:
-        return 1.0
-    return min(1.0, -1.0 / lam)
+def _max_step(lapack, pairs):
+    """Largest alpha <= 1 with X + alpha*delta >= 0, given X = L L^dag,
+    for each (L, delta) of pairs.
+
+    The smallest eigenvalue of L^-1 delta L^-dag decides; the matrices of
+    one side and dtype go to np.linalg.eigvalsh as one stack, which runs
+    the same LAPACK call on each of them.
+    """
+    ys = []
+    for chol, delta in pairs:
+        y = _tri_solve(lapack, chol, delta)
+        ys.append(_herm(_tri_solve(lapack, chol, y.conj().T).conj().T))
+    groups = {}
+    for i, y in enumerate(ys):
+        groups.setdefault((y.shape[0], y.dtype), []).append(i)
+    lams = [None] * len(ys)
+    for idx in groups.values():
+        low = np.linalg.eigvalsh(np.stack([ys[i] for i in idx]))[:, 0]
+        for i, lam in zip(idx, low):
+            lams[i] = lam
+    return [1.0 if lam >= -1e-14 else min(1.0, -1.0 / lam) for lam in lams]
 
 
 def _trace_pairs(fmat, z):
@@ -389,17 +473,17 @@ def _project_dual_constraints(fs_list, c, z_blocks):
     m = len(c)
     resid = np.asarray(c, dtype=float).copy()
     gram = np.zeros((m, m))
-    for fmat, z in zip(fs_list, z_blocks):
+    for fmat, fmat_t, z in zip(fs_list, fs_list.transposed(), z_blocks):
         resid -= _trace_pairs(fmat, np.asarray(z))
-        gram += (fmat @ fmat.conj().T).real.toarray()
+        gram += (fmat @ fmat_t.conj()).real.toarray()
     try:
         lam = sla.cho_solve(sla.cho_factor(gram), resid)
     except np.linalg.LinAlgError:
         lam = np.linalg.lstsq(gram, resid, rcond=None)[0]
     out = []
-    for fmat, z in zip(fs_list, z_blocks):
+    for fmat_t, z in zip(fs_list.transposed(), z_blocks):
         z = np.asarray(z)
-        out.append(_herm(z + _combine(lam, fmat, z.shape[0])))
+        out.append(_herm(z + _combine(lam, fmat_t, z.shape[0])))
     return out
 
 
@@ -411,10 +495,12 @@ def _solve_core(f0s, fs, c, tol, trace_cb=None):
     ns = [f0.shape[0] for f0 in f0s]
     ntot = sum(ns)
     stacks = fs.schur()
+    fts = fs.transposed()
     # per solve, not cached on fs: concurrent solves share the stacks
     work = schur_workspace(
         stacks, np.result_type(*(f0.dtype for f0 in f0s), *(f.dtype for f in fs))
     )
+    lapack = _lapack_binder()
     trace_cb = trace_cb or (lambda row: None)
 
     beta = 1.0 + np.sqrt(sum(np.linalg.norm(f0) ** 2 for f0 in f0s))
@@ -452,7 +538,7 @@ def _solve_core(f0s, fs, c, tol, trace_cb=None):
         )
 
     for it in range(1, policy.MAX_ITER + 1):
-        fx = [f0s[b] + _combine(x, fs[b], ns[b]) for b in range(nb)]
+        fx = [f0s[b] + _combine(x, fts[b], ns[b]) for b in range(nb)]
         rp = [fx[b] - slack[b] for b in range(nb)]
         rd = c.copy()
         for b in range(nb):
@@ -475,11 +561,13 @@ def _solve_core(f0s, fs, c, tol, trace_cb=None):
         gscale = max(1.0, abs(pobj), abs(dobj))
         score = max(pinf, dinf, abs(gap) / gscale)
         if best is None or score < best["score"]:
+            # held by reference: every iteration binds x, slack and zdual
+            # to new arrays in new lists and never writes into old ones
             best = {
                 "score": score,
-                "x": x.copy(),
-                "slack": [s.copy() for s in slack],
-                "z": [z.copy() for z in zdual],
+                "x": x,
+                "slack": slack,
+                "z": zdual,
                 "gap": gap,
                 "pinf": pinf,
                 "dinf": dinf,
@@ -524,12 +612,13 @@ def _solve_core(f0s, fs, c, tol, trace_cb=None):
                 iteration=it,
                 diagnostics=row,
             ) from None
+        _require_finite([*chols, *cholz, *slack, *zdual])
 
         # Schur complement M_ij = sum_b Re Tr[F_i S^-1 F_j Z] (symmetric
         # positive definite) and the pieces reused by both direction solves
         schur = np.zeros((m, m))
         for b in range(nb):
-            sinv = sla.cho_solve((chols[b], True), eye[b])
+            sinv = _cho_solve(lapack, chols[b], eye[b])
             schur_block(stacks[b], sinv, zdual[b], schur, work)
         schur = (schur + schur.T) / 2
         try:
@@ -551,24 +640,22 @@ def _solve_core(f0s, fs, c, tol, trace_cb=None):
 
         def direction(kmats):
             rhs = -rd.copy()
+            v0 = [kmats[b] - rp[b] @ zdual[b] for b in range(nb)]
             for b in range(nb):
-                v0 = kmats[b] - rp[b] @ zdual[b]
-                u = sla.cho_solve((chols[b], True), v0)
                 # Re Tr[F_i U] with U = S^-1 (K - Rp Z)
-                rhs += _trace_pairs(fs[b], u)
+                rhs += _trace_pairs(fs[b], _cho_solve(lapack, chols[b], v0[b]))
             dx = sla.cho_solve(schur_fact, rhs)
-            ds = [_combine(dx, fs[b], ns[b]) + rp[b] for b in range(nb)]
-            dz = []
-            for b in range(nb):
-                v = kmats[b] - ds[b] @ zdual[b]
-                dz.append(_herm(sla.cho_solve((chols[b], True), v)))
+            ds = [_combine(dx, fts[b], ns[b]) + rp[b] for b in range(nb)]
+            v = [kmats[b] - ds[b] @ zdual[b] for b in range(nb)]
+            dz = [_herm(_cho_solve(lapack, chols[b], v[b])) for b in range(nb)]
+            _require_finite([*v0, *v, *ds, *dz])
             return dx, ds, dz
 
         # predictor (affine scaling: K = -S Z)
         kaff = [-(slack[b] @ zdual[b]) for b in range(nb)]
         dx_a, ds_a, dz_a = direction(kaff)
-        ap_a = min(_max_step(chols[b], ds_a[b]) for b in range(nb))
-        ad_a = min(_max_step(cholz[b], dz_a[b]) for b in range(nb))
+        steps = _max_step(lapack, [*zip(chols, ds_a), *zip(cholz, dz_a)])
+        ap_a, ad_a = min(steps[:nb]), min(steps[nb:])
         mu_aff = sum(
             ((slack[b] + ap_a * ds_a[b]) * (zdual[b] + ad_a * dz_a[b]).T).sum().real
             for b in range(nb)
@@ -582,8 +669,9 @@ def _solve_core(f0s, fs, c, tol, trace_cb=None):
             for b in range(nb)
         ]
         dx, ds, dz = direction(kc)
-        alpha_p = min(1.0, frac * min(_max_step(chols[b], ds[b]) for b in range(nb)))
-        alpha_d = min(1.0, frac * min(_max_step(cholz[b], dz[b]) for b in range(nb)))
+        steps = _max_step(lapack, [*zip(chols, ds), *zip(cholz, dz)])
+        alpha_p = min(1.0, frac * min(steps[:nb]))
+        alpha_d = min(1.0, frac * min(steps[nb:]))
         row["sigma"] = sigma
         row["alpha_p"] = alpha_p
         row["alpha_d"] = alpha_d
@@ -666,8 +754,8 @@ def solve(problem, tolerances=None, trace=None):
         # the loop hit its numerical floor; accept the point only if the
         # linear matrix inequality verifies directly from the problem data
         lam = min(
-            float(np.linalg.eigvalsh(_herm(f0 + _combine(res["x"], fmat, len(f0))))[0])
-            for f0, fmat in zip(problem.f0s, problem.fs)
+            float(np.linalg.eigvalsh(_herm(f0 + _combine(res["x"], fmat_t, len(f0))))[0])
+            for f0, fmat_t in zip(problem.f0s, problem.fs.transposed())
         )
         if lam >= -tol.feas_tol:
             status = FEASIBLE

@@ -67,11 +67,14 @@ class TensorSpace:
 
 
 def check_hermitian(mat, what="matrix"):
-    """Reject (never symmetrize) inputs that are not Hermitian.
+    """Reject (never symmetrize) inputs that are not Hermitian, and
+    inputs with an infinite or NaN entry.
 
     The tolerance is relative:
     ||M - M^dag||_F <= policy.HERMITIAN * max(1, ||M||_F).
     """
+    if not np.isfinite(mat).all():
+        raise ValueError(f"{what} is not finite")
     dev = np.linalg.norm(mat - mat.conj().T)
     scale = max(1.0, np.linalg.norm(mat))
     if dev > policy.HERMITIAN * scale:

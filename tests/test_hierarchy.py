@@ -654,6 +654,14 @@ def test_state_validation_rejects_bad_inputs():
         DensityMatrix(np.eye(4) / 4, TensorSpace([2, 2, 2]))
 
 
+@pytest.mark.parametrize("entry", [np.nan, np.inf])
+def test_state_validation_rejects_non_finite_entries(entry):
+    m = np.eye(4) / 4
+    m[1, 2] = m[2, 1] = entry
+    with pytest.raises(ValueError, match="state is not finite"):
+        DensityMatrix(m, TensorSpace([2, 2]))
+
+
 def test_state_validation_clips_rounding_debris_with_warning():
     space = TensorSpace([2, 2])
     m = np.diag([0.4, 0.3, 0.3 + 5e-11, -5e-11])

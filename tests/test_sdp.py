@@ -7,14 +7,22 @@ Independent oracles used here:
   * infeasible instances are built around a planted certificate (a positive
     definite Z0 orthogonal to every direction with Tr[F0 Z0] < 0);
   * the Schur complement is compared with its dense definition
-    M_ij = Re Tr[F_i S^-1 F_j Z].
+    M_ij = Re Tr[F_i S^-1 F_j Z];
+  * the stacked step-length test is compared with one scipy
+    solve_triangular pair and one eigvalsh call per block.
 """
+
+import collections
+import inspect
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from scipy.optimize import linprog
 
 from sepcert import sdp
+from sepcert.hierarchy import ExtensionSpec, build_extension_problem
+from sepcert.states import choi_family_state, random_state
 from sepcert.sdp import (
     FEASIBLE,
     INFEASIBLE,
@@ -322,3 +330,103 @@ def test_certificate_check_rejects_small_defects():
     assert not negative.passed
     assert negative.min_eigenvalue == pytest.approx(-1e-6, rel=1e-9)
     assert negative.constraint_violation == 0
+
+
+@pytest.mark.parametrize(
+    "where, build",
+    [
+        ("block 1", lambda: SdpProblem(
+            f0s=[np.eye(2, dtype=complex), np.diag([1.0, np.nan]).astype(complex)],
+            fs=[np.zeros((0, 2, 2)), np.zeros((0, 2, 2))],
+            c=np.zeros(0),
+        )),
+        ("block 0", lambda: SdpProblem(
+            f0s=[np.eye(2, dtype=complex)],
+            fs=[np.array([[[np.inf, 0.0], [0.0, 1.0]]])],
+            c=np.zeros(1),
+        )),
+        ("coefficient 1", lambda: SdpProblem(
+            f0s=[np.eye(2, dtype=complex)],
+            fs=[np.array([np.eye(2), np.diag([1.0, -1.0])])],
+            c=np.array([0.0, np.nan]),
+        )),
+    ],
+)
+def test_non_finite_problem_data_is_rejected(where, build):
+    with pytest.raises(ValueError, match=f"{where}.*not finite"):
+        build()
+
+
+def test_transposed_stacks_share_the_stack_arrays():
+    p = SdpProblem(
+        f0s=[np.eye(2, dtype=complex)],
+        fs=[np.array([np.eye(2), np.diag([1.0, -1.0])])],
+        c=np.zeros(2),
+    )
+    (ft,) = p.fs.transposed()
+    assert p.fs.transposed()[0] is ft
+    assert ft.shape == (4, 2)
+    for mine, stack in ((ft.data, p.fs[0].data), (ft.indices, p.fs[0].indices)):
+        assert np.shares_memory(mine, stack)
+    assert np.array_equal(ft.toarray(), p.fs[0].toarray().T)
+
+
+def test_stacked_step_lengths_equal_the_per_block_ones():
+    rng = np.random.default_rng(5)
+    pairs = []
+    for n, dtype in [(3, float), (5, complex), (3, float), (1, float), (5, complex),
+                     (4, complex), (3, complex), (1, complex)]:
+        g = rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n)) if dtype is complex else 0)
+        chol = np.linalg.cholesky(g @ g.conj().T + 0.1 * np.eye(n))
+        delta = herm(rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n)) if dtype is complex else 0))
+        pairs.append((chol, delta * rng.choice([0.05, 3.0])))
+    # one direction that keeps X positive for every step: alpha = 1
+    pairs.append((pairs[0][0], np.eye(3)))
+    steps = sdp._max_step(sdp._lapack_binder(), pairs)
+    reference = []
+    for chol, delta in pairs:
+        y = sla.solve_triangular(chol, delta, lower=True)
+        y = sla.solve_triangular(chol, y.conj().T, lower=True).conj().T
+        lam = np.linalg.eigvalsh(herm(y))[0]
+        reference.append(1.0 if lam >= -1e-14 else min(1.0, -1.0 / lam))
+    assert np.array(steps).tobytes() == np.array(reference).tobytes()
+    assert 1.0 in steps and min(steps) < 0.5
+
+
+def _counting(calls, name, fn):
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    return counted
+
+
+def test_solver_calls_scipy_linalg_only_for_the_schur_system(monkeypatch):
+    problem, _ = build_extension_problem(choi_family_state(3.5), ExtensionSpec(k=2, ppt=True))
+    calls = collections.Counter()
+    for name in dir(sla):
+        fn = getattr(sla, name)
+        if inspect.isfunction(fn):
+            monkeypatch.setattr(sla, name, _counting(calls, name, fn))
+    out = feasibility_margin(problem)
+    factors = out.iterations - 1  # the last iteration only tests convergence
+    # block solves go to LAPACK directly, bound once per solve
+    assert calls.pop("get_lapack_funcs") <= 2
+    assert dict(calls) == {"cho_factor": factors, "cho_solve": 2 * factors}
+
+
+@pytest.mark.parametrize(
+    "rho, real_path, iterations, margin",
+    [
+        (choi_family_state(3.5), True, 9, 0.0059912060021329785),
+        (random_state(2, 3, seed=0), False, 9, 0.03519932626255439),
+        (choi_family_state(2.5), True, 8, -1.0938397204139063e-09),
+    ],
+    ids=["real", "complex", "marginal"],
+)
+def test_frozen_iteration_counts_and_margins(rho, real_path, iterations, margin):
+    problem, _ = build_extension_problem(rho, ExtensionSpec(k=2, ppt=True))
+    out = feasibility_margin(problem)
+    assert out.diagnostics["real_path"] is real_path
+    assert out.iterations == iterations
+    assert abs(out.margin_t - margin) <= 1e-12

@@ -273,3 +273,11 @@ def test_check_hermitian_rejects():
     with pytest.raises(ValueError):
         check_hermitian(m)
     check_hermitian(np.eye(3))
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+def test_check_hermitian_rejects_non_finite_entries(entry):
+    m = np.eye(3, dtype=complex)
+    m[0, 0] = entry
+    with pytest.raises(ValueError, match="operator is not finite"):
+        check_hermitian(m, what="operator")
