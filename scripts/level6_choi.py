@@ -9,12 +9,14 @@ certificates (margins 1.4e-5 at 3.70 to 6.6e-4 at 4.00): the level-6
 extension does not exist there, so the boundary of this test lies below
 3.7, not near 3.84.  From 3.1 to 3.65 the verdict is marginal, because
 the family state is rank deficient and every extension inherits its
-kernel.  A level-6 solve takes about 9-15 s (0.9-1.1 s per iteration)
-and 410 MB on a 2-vCPU host with one BLAS thread, so the script first
+kernel.  A level-6 solve takes about 9-11 s (0.9-1.1 s per iteration)
+and 420 MB on a 2-vCPU host with one BLAS thread, so the script first
 discloses the projected problem size and each block's stored entries,
-and starts the solves only when --yes-really is passed.  --k 5 --ppt
-runs level 5 with the partial-transpose blocks (about 31 s and 330 MB
-at 3.5).  It is deliberately excluded from the test suite.
+and starts the solves only when --yes-really is passed.  It then builds
+the problem shape, which every solve reuses, and prints the build time
+on its own line (about 0.1 s).  --k 5 --ppt runs level 5 with the
+partial-transpose blocks (a 0.4 s build, then about 31 s and 330 MB at
+3.5).  It is deliberately excluded from the test suite.
 """
 
 import argparse
@@ -25,6 +27,7 @@ import time
 from sepcert.hierarchy import (
     MEMORY_BUDGET_BYTES,
     ExtensionSpec,
+    extension_shape,
     required_resources,
     run_test,
 )
@@ -66,6 +69,11 @@ def main(argv=None):
     if not args.yes_really:
         print("dry run only; pass --yes-really to start the solves")
         return 0
+
+    # the state-independent shape, built once and reused by every solve
+    start = time.perf_counter()
+    extension_shape(3, 3, spec)
+    print(f"shape build: {time.perf_counter() - start:.2f}s")
 
     for token in args.alphas.split(","):
         alpha = float(token)

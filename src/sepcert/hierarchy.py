@@ -345,6 +345,36 @@ def _null_basis(d, k):
     return sps.csr_array((vals, (rows, cols)), shape=(ndiag + 2 * npairs, n * n))
 
 
+def _trace_down_coefficients(d, k):
+    """The trace-down map Tr_(2..k) from Hermitian operators of Sym_k(C^d)
+    to those of C^d, in bases: column i expands Tr_(2..k) s_i, s_i the
+    Hermitian basis of Sym_k, over that of C^d in dual normalization (row
+    0 the plain trace, row a the pairing with sigma_a).
+
+    Tr_(2..k) |kappa + a><kappa + b| = sqrt(mu_a nu_b) / k |a><b| with
+    mu = kappa + a and nu = kappa + b, for every (k-1)-multiset kappa;
+    every other unit traces down to zero, and each (mu, nu, a, b) comes
+    from one kappa.
+    """
+    n = symmetric_subspace_dim(d, k)
+    kappa = _occupations(d, k - 1)
+    a, b = np.divmod(np.arange(d * d), d)
+    eye = np.eye(d, dtype=int)
+    mu = _occupation_index(d, k, kappa[:, None, :] + eye[a])
+    nu = _occupation_index(d, k, kappa[:, None, :] + eye[b])
+    weight = np.sqrt((kappa[:, a] + 1) * (kappa[:, b] + 1)) / k
+    rows = np.broadcast_to(np.arange(d * d), weight.shape)
+    trace_down = sps.csr_array(
+        (weight.ravel(), (rows.ravel(), (mu * n + nu).ravel())), shape=(d * d, n * n)
+    )
+    svecs = np.stack(hermitian_basis(n).elements).reshape(n * n, n * n)
+    # Tr[t sigma_a] is the row-major vec of t against that of sigma_a^T
+    pair = np.stack(
+        [np.eye(d)] + [s.T for s in hermitian_basis(d).elements[1:]]
+    ).reshape(d * d, d * d)
+    return (pair @ (trace_down @ svecs.T)).real
+
+
 def _copy_image(d, k, l):
     """The map X -> comp^T PT_(1..l)(iso X iso^T) comp from operators X on
     Sym_k(C^d) to the copy side of the block with l transposed copies, as
@@ -482,21 +512,13 @@ class ExtensionShape:
         dsym = symmetric_subspace_dim(d_a, k)
         basis_a = hermitian_basis(d_a)
         basis_b = hermitian_basis(d_b)
-        self._iso_k = iso_k = symmetric_isometry(d_a, k)
+        self._iso_k = symmetric_isometry(d_a, k)
         sbasis = hermitian_basis(dsym)
         self._sbasis = sbasis
         ns = dsym**2
 
-        # trace-down coefficients: column i expands Tr_{2..k}[B s_i B^dag]
-        # over the A basis (dual normalization: row 0 is the plain trace)
-        copies_space = TensorSpace([d_a] * k)
-        lmat = np.empty((d_a**2, ns))
-        for i, s in enumerate(sbasis.elements):
-            emb = iso_k @ s @ iso_k.conj().T
-            t = partial_trace(emb, copies_space, set(range(1, k)))
-            lmat[0, i] = np.trace(t).real
-            for a in range(1, d_a**2):
-                lmat[a, i] = np.einsum("pq,qp->", t, basis_a.elements[a]).real
+        # column i expands Tr_{2..k} s_i over the A basis
+        lmat = _trace_down_coefficients(d_a, k)
 
         # parity split: each s_i (and each row's basis element) is either
         # purely real or purely imaginary, and the two sectors decouple

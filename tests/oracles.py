@@ -7,7 +7,9 @@ states come from explicit product ensembles, which also give their level-k
 extensions, and the 4x4 family has its exact witness here.  The extension
 test is also posed on the full copy space, without the package's
 symmetric-subspace reduction, as a dense problem built from the averaged
-embedding of the state.  None of these is needed by the package itself.
+embedding of the state, and the trace-down map is built by embedding
+and partially tracing one basis element at a time.  None of these is
+needed by the package itself.
 """
 
 import functools
@@ -32,6 +34,8 @@ from sepcert.tensorops import (
     partial_trace,
     partial_transpose_multi,
     permute_factors,
+    symmetric_isometry,
+    symmetric_subspace_dim,
 )
 
 
@@ -267,3 +271,21 @@ def full_extension_verdict(rho, k, ppt=True):
     run_test names its verdicts."""
     outcome = sdp.feasibility_margin(full_extension_problem(rho, k, ppt))
     return _VERDICTS.get(outcome.status, outcome.status), outcome.margin_t
+
+
+def trace_down_coefficients(d, k):
+    """The trace-down map Tr_(2..k) in the package's bases, one basis
+    element at a time: each Hermitian basis element s_i of Sym_k(C^d) is
+    embedded in the full copy space and partially traced, and the result
+    is expanded over the Hermitian basis of C^d (row 0 the plain trace)."""
+    iso = symmetric_isometry(d, k)
+    basis_a = hermitian_basis(d)
+    sbasis = hermitian_basis(symmetric_subspace_dim(d, k))
+    copies = TensorSpace([d] * k)
+    lmat = np.empty((d * d, len(sbasis.elements)))
+    for i, s in enumerate(sbasis.elements):
+        t = partial_trace(iso @ s @ iso.conj().T, copies, set(range(1, k)))
+        lmat[0, i] = np.trace(t).real
+        for a in range(1, d * d):
+            lmat[a, i] = np.einsum("pq,qp->", t, basis_a.elements[a]).real
+    return lmat

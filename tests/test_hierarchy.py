@@ -28,6 +28,7 @@ from oracles import (
     full_extension_verdict,
     random_product_ensemble,
     swap_operator,
+    trace_down_coefficients,
 )
 from sepcert import hierarchy, sdp
 from sepcert.hierarchy import (
@@ -213,6 +214,16 @@ def test_directions_on_3x3_level3_are_swap_invariant_and_trace_down_to_zero():
     assert worst < 1e-12
 
 
+@pytest.mark.parametrize(
+    "d, k", [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (3, 4), (4, 2), (3, 6)]
+)
+def test_trace_down_coefficients_match_the_embedding_loop(d, k):
+    closed = hierarchy._trace_down_coefficients(d, k)
+    loop = trace_down_coefficients(d, k)
+    assert closed.shape == loop.shape
+    assert np.abs(closed - loop).max() <= 1e-14
+
+
 @pytest.mark.parametrize("d, k", [(2, 2), (2, 4), (3, 2), (3, 3), (4, 2), (3, 4)])
 def test_null_basis_spans_the_trace_down_null_space(d, k):
     # every A_v traces down to zero on the full copy space, and the A_v are
@@ -311,11 +322,16 @@ def test_adjointness_check_covers_every_block():
 
 def test_trace_down_rank_deficit_is_an_assembly_error(monkeypatch):
     # the trace-down map onto Herm(A) is surjective; a partial trace that
-    # drops the off-diagonal part leaves it rank 2 of 4 for d_a = 2
-    def diagonal_trace(mat, space, which):
-        return np.diag(np.diag(partial_trace(mat, space, which)))
+    # drops the off-diagonal part (rows 2 and 3 of the A basis) leaves it
+    # rank 2 of 4 for d_a = 2
+    exact = hierarchy._trace_down_coefficients
 
-    monkeypatch.setattr(hierarchy, "partial_trace", diagonal_trace)
+    def diagonal_trace(d, k):
+        lmat = exact(d, k)
+        lmat[d:] = 0
+        return lmat
+
+    monkeypatch.setattr(hierarchy, "_trace_down_coefficients", diagonal_trace)
     with pytest.raises(AssemblyError, match="rank 2, expected 4"):
         ExtensionShape(2, 2, ExtensionSpec(k=2))
 
