@@ -173,8 +173,8 @@ class DirectionStacks(Sequence):
 
     Item b is block b's CSR stack of shape (m, n_b**2).  Problems that
     differ only in F0 can share one instance: the re-layouts the solver
-    needs (the margin direction appended, the real parts, the Schur
-    layouts) are built on first use, once even under concurrent callers,
+    needs (the margin direction appended, the real parts, the transposes,
+    the Schur layouts) are built on first use, once even under concurrent callers,
     and live exactly as long as the stacks.  The constructor trusts its
     input; from_blocks converts and checks it.
     """
@@ -385,11 +385,9 @@ def _max_step(lapack, pairs):
     groups = {}
     for i, y in enumerate(ys):
         groups.setdefault((y.shape[0], y.dtype), []).append(i)
-    lams = [None] * len(ys)
+    lams = np.empty(len(ys))
     for idx in groups.values():
-        low = np.linalg.eigvalsh(np.stack([ys[i] for i in idx]))[:, 0]
-        for i, lam in zip(idx, low):
-            lams[i] = lam
+        lams[idx] = np.linalg.eigvalsh(np.stack([ys[i] for i in idx]))[:, 0]
     return [1.0 if lam >= -1e-14 else min(1.0, -1.0 / lam) for lam in lams]
 
 
