@@ -373,13 +373,17 @@ def test_transposed_stacks_share_the_stack_arrays():
 
 def test_stacked_step_lengths_equal_the_per_block_ones():
     rng = np.random.default_rng(5)
+
+    def rand(n, dtype):
+        out = rng.standard_normal((n, n))
+        return out + 1j * rng.standard_normal((n, n)) if dtype is complex else out
+
     pairs = []
     for n, dtype in [(3, float), (5, complex), (3, float), (1, float), (5, complex),
                      (4, complex), (3, complex), (1, complex)]:
-        g = rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n)) if dtype is complex else 0)
+        g = rand(n, dtype)
         chol = np.linalg.cholesky(g @ g.conj().T + 0.1 * np.eye(n))
-        delta = herm(rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n)) if dtype is complex else 0))
-        pairs.append((chol, delta * rng.choice([0.05, 3.0])))
+        pairs.append((chol, herm(rand(n, dtype)) * rng.choice([0.05, 3.0])))
     # one direction that keeps X positive for every step: alpha = 1
     pairs.append((pairs[0][0], np.eye(3)))
     steps = sdp._max_step(sdp._lapack_binder(), pairs)
@@ -402,7 +406,9 @@ def _counting(calls, name, fn):
 
 
 def test_solver_calls_scipy_linalg_only_for_the_schur_system(monkeypatch):
-    problem, _ = build_extension_problem(choi_family_state(3.5), ExtensionSpec(k=2, ppt=True))
+    problem, _ = build_extension_problem(
+        choi_family_state(3.5), ExtensionSpec(k=2, ppt=True)
+    )
     calls = collections.Counter()
     for name in dir(sla):
         fn = getattr(sla, name)
