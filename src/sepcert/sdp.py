@@ -485,9 +485,14 @@ def _project_dual_constraints(fs_list, c, z_blocks):
     return out
 
 
-def _solve_core(f0s, fs, c, tol, trace_cb=None):
+def _solve_core(f0s, fs, c, tol, trace_cb=None, floor=-np.inf):
     """Interior-point loop over a DirectionStacks fs.  Returns the raw
-    final state; trace_cb, when given, receives each iteration's row."""
+    final state; trace_cb, when given, receives each iteration's row.
+
+    floor is an objective value that only an unbounded problem reaches at
+    a feasible point: the loop stops with status "unbounded" at the first
+    iterate below it whose F(x) has no negative eigenvalue.
+    """
     nb = len(f0s)
     m = len(c)
     ns = [f0.shape[0] for f0 in f0s]
@@ -579,6 +584,10 @@ def _solve_core(f0s, fs, c, tol, trace_cb=None):
         ):
             trace_cb(row)
             status = "converged"
+            break
+        if pobj < floor and all(np.linalg.eigvalsh(_herm(f))[0] >= 0 for f in fx):
+            trace_cb(row)
+            status = "unbounded"
             break
 
         # near-degenerate optima floor the dual residual a hair above
@@ -685,7 +694,7 @@ def _solve_core(f0s, fs, c, tol, trace_cb=None):
         slack = [_herm(slack[b] + alpha_p * ds[b]) for b in range(nb)]
         zdual = [_herm(zdual[b] + alpha_d * dz[b]) for b in range(nb)]
 
-    if status != "converged" and best is not None:
+    if status not in ("converged", "unbounded") and best is not None:
         cur_score = max(pinf, dinf)
         if np.isfinite(gap):
             cur_score = max(cur_score, abs(gap) / best["gscale"])
@@ -710,15 +719,17 @@ def _solve_core(f0s, fs, c, tol, trace_cb=None):
     }
 
 
-def _run(tol, trace_cb, f0s, fs, c):
+def _run(tol, trace_cb, f0s, fs, c, floor=-np.inf):
     """Dispatch to real or complex arithmetic and embed the solution back."""
     red = _structured_real_reduction(f0s, fs, c)
     if red is None:
-        res = _solve_core(f0s, fs, c, tol, trace_cb)
+        res = _solve_core(f0s, fs, c, tol, trace_cb, floor)
         res["real_path"] = False
         return res
     rf0s, rfs, keep = red
-    res = _solve_core(rf0s, rfs, np.asarray(c)[keep] if len(c) else c, tol, trace_cb)
+    res = _solve_core(
+        rf0s, rfs, np.asarray(c)[keep] if len(c) else c, tol, trace_cb, floor
+    )
     x = np.zeros(len(c))
     if len(keep):
         x[keep] = res["x"]
@@ -776,12 +787,26 @@ def feasibility_margin(problem, tolerances=None, trace=None):
     bound -Tr[F0 Z] (valid for any dual-feasible Z with unit trace) to clear
     the margin tolerance, feasibility requires the primal point to do so,
     and when both optima are pinched inside the band the answer is marginal.
+
+    The margin is unbounded below when some combination of the F_i is
+    positive definite.  Otherwise a unit-trace Z >= 0 with Tr[F_i Z] = 0
+    for every i exists and gives t >= -Tr[F0 Z] >= -||F0|| for every
+    feasible (x, t), so the solve stops at the first feasible iterate
+    below -(1 + ||F0||).  The verdict there is feasible once F(x) is
+    verified positive definite from the problem data, with the margin
+    -lambda_min(F(x)) that this x attains and no dual certificate;
+    SdpNumericalError is raised when it is not.
     """
     m = problem.m
     aug_fs = problem.fs.with_margin()
     aug_c = np.zeros(m + 1)
     aug_c[m] = 1.0
-    res = _run(tolerances or SolverTolerances(), trace, problem.f0s, aug_fs, aug_c)
+    floor = -1.0 - np.sqrt(sum(np.linalg.norm(f0) ** 2 for f0 in problem.f0s))
+    res = _run(
+        tolerances or SolverTolerances(), trace, problem.f0s, aug_fs, aug_c, floor
+    )
+    if res["status"] == "unbounded":
+        return _unbounded_margin(problem, res)
 
     t_primal = float(res["x"][m])
     zraw = res["z"]
@@ -825,6 +850,42 @@ def feasibility_margin(problem, tolerances=None, trace=None):
         x=x,
         z_blocks=zblocks,
         margin_t=margin_t,
+        gap=res["gap"],
+        iterations=res["iterations"],
+        diagnostics=diagnostics,
+    )
+
+
+def _unbounded_margin(problem, res):
+    """The feasible verdict of a margin problem whose solve stopped below
+    its floor, after checking F(x) > 0 block by block."""
+    x = res["x"][: problem.m]
+    eigs = [
+        np.linalg.eigvalsh(_herm(f0 + _combine(x, fmat_t, len(f0))))
+        for f0, fmat_t in zip(problem.f0s, problem.fs.transposed())
+    ]
+    lam = min(float(e[0]) for e in eigs)
+    top = max(float(e[-1]) for e in eigs)
+    diagnostics = {
+        "pinf": res["pinf"],
+        "dinf": res["dinf"],
+        "mu": res["mu"],
+        "real_path": res["real_path"],
+        "unbounded": True,
+        "min_eigenvalue": lam,
+    }
+    if lam <= policy.POSITIVE_DEFINITE * max(1.0, top):
+        raise SdpNumericalError(
+            "margin unbounded below, but F(x) at the stopping point is not "
+            f"positive definite (smallest eigenvalue {lam:.3e})",
+            iteration=res["iterations"],
+            diagnostics=diagnostics,
+        )
+    return SdpOutcome(
+        status=FEASIBLE,
+        x=x,
+        z_blocks=None,
+        margin_t=-lam,
         gap=res["gap"],
         iterations=res["iterations"],
         diagnostics=diagnostics,

@@ -14,6 +14,7 @@ Independent oracles used here:
 
 import collections
 import inspect
+import warnings
 
 import numpy as np
 import pytest
@@ -94,6 +95,33 @@ def test_weakly_infeasible_problem_is_marginal():
     out = feasibility_margin(p)
     assert out.status == MARGINAL
     assert abs(out.margin_t) < 1e-7
+
+
+def test_unbounded_margin_stops_on_a_verified_feasible_point():
+    # a 3x3 block with four random Hermitian directions and a 1x1 block
+    # where every direction is 1: some combination is positive definite
+    # on both, so t -> -inf, and the solve used to overflow into a bare
+    # ValueError after about 90 iterations
+    rng = np.random.default_rng(3)
+    f0 = rand_herm(3, rng)
+    fs = np.stack([rand_herm(3, rng) for _ in range(4)])
+    p = SdpProblem(
+        f0s=[f0, np.ones((1, 1), dtype=complex)],
+        fs=[fs, np.ones((4, 1, 1), dtype=complex)],
+        c=np.zeros(4),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = feasibility_margin(p)
+    assert out.status == FEASIBLE and out.diagnostics["unbounded"]
+    assert out.iterations < 20 and out.z_blocks is None
+    # F(x) > 0 from the data alone, and the margin is what x attains
+    lam = min(
+        np.linalg.eigvalsh(f0b + np.tensordot(out.x, fsb, axes=1))[0]
+        for f0b, fsb in zip(p.f0s, [fs, np.ones((4, 1, 1))])
+    )
+    assert lam > 0
+    assert out.margin_t == pytest.approx(-lam, rel=1e-9)
 
 
 def diagonal_problem(rng, m=3, rows=8):
