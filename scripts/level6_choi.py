@@ -9,13 +9,16 @@ certificates (margins 1.4e-5 at 3.70 to 6.6e-4 at 4.00): the level-6
 extension does not exist there, so the boundary of this test lies below
 3.7, not near 3.84.  From 3.1 to 3.65 the verdict is marginal, because
 the family state is rank deficient and every extension inherits its
-kernel.  A level-6 solve takes about 9-11 s (0.9-1.1 s per iteration)
-and 420 MB on a 2-vCPU host with one BLAS thread, so the script first
-discloses the projected problem size and each block's stored entries,
-and starts the solves only when --yes-really is passed.  It then builds
-the problem shape, which every solve reuses, and prints the build time
-on its own line (about 0.1 s).  --k 5 --ppt runs level 5 with the
-partial-transpose blocks (a 0.4 s build, then about 31 s and 330 MB at
+kernel.  The script first discloses the projected size of the problem
+on all its free directions and each block's stored entries, and starts
+the solves only when --yes-really is passed.  It then builds the
+problem shape, which every solve reuses, and prints the build time on
+its own line (about 0.1 s).  The family state is invariant under a
+torus of diagonal phases, so each solve runs on the invariant
+directions only (195 of 6975), which every line prints beside m: on a
+2-vCPU host with one BLAS thread a level-6 solve takes about 0.1 s and
+the process peaks at 112 MB.  --k 5 --ppt runs level 5 with the
+partial-transpose blocks (a 0.4 s build, then about 2.5 s and 180 MB at
 3.5).  It is deliberately excluded from the test suite.
 """
 
@@ -91,8 +94,10 @@ def main(argv=None):
         peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         print(
             f"alpha={alpha:.4f} status={report.status} "
+            f"m={report.metadata['free_directions']} "
+            f"invariant={report.metadata['invariant_directions']} "
             f"margin={report.margin:.3e} iterations={report.iterations} "
-            f"elapsed={elapsed:.0f}s s_per_iteration={per_iter:.2f} "
+            f"elapsed={elapsed:.2f}s s_per_iteration={per_iter:.3f} "
             f"peak_rss_so_far={peak_mb:.0f}MB"
         )
     return 0

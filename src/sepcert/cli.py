@@ -180,6 +180,20 @@ def _trace_cb(args):
     return cb
 
 
+def _trace_counts(args, reports):
+    """Under --trace, one line per solve with its torus dimension and its
+    full and invariant free-direction counts."""
+    if args.trace:
+        for rep in reports:
+            meta = rep.metadata
+            print(
+                f"trace: k={rep.spec.k} torus_dimension={meta['torus_dimension']} "
+                f"free_directions={meta['free_directions']} "
+                f"invariant_directions={meta['invariant_directions']}",
+                file=sys.stderr,
+            )
+
+
 def _load_state(path):
     mat, space, kind = load_matrix(path)
     if kind != "state":
@@ -215,6 +229,7 @@ def cmd_test(args):
     tol = _tolerances(args)
     spec = ExtensionSpec(k=args.k, ppt=not args.no_ppt)
     report = run_test(rho, spec, tolerances=tol, trace=_trace_cb(args))
+    _trace_counts(args, [report])
 
     config = _base_config(args)
     config.update(state=args.state, k=args.k, ppt=spec.ppt)
@@ -261,6 +276,7 @@ def cmd_ladder(args):
         tolerances=tol,
         trace=_trace_cb(args),
     )
+    _trace_counts(args, ladder.reports)
     config = _base_config(args)
     config.update(state=args.state, kmax=args.kmax, ppt=not args.no_ppt)
     rb = ReportBuilder("ladder", config)

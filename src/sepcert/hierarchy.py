@@ -32,6 +32,18 @@ transposed block's copy side comes from one entry of A_v, so the stacks
 store only what the units put there, and their size is known exactly
 before they are built.  The pinned part is the minimum-norm
 symmetric-subspace solution of the trace-down constraint.
+
+A state whose exactly-zero entries make it invariant under a torus of
+diagonal phases U_A x U_B (torus_grading) is solved on the invariant
+free directions only.  Averaging an extension over the torus keeps the
+three properties and, rho being invariant, the traced-down state, so an
+invariant extension exists whenever any does, and the verdict and margin
+do not change.  Every A_v and every e_j is built from matrix units of
+one torus weight, so each invariant direction is one A_v x e_j or a
++-1/sqrt2 sum of two (_invariant_map).  Only exact zeros count, decided
+in integer arithmetic: a tiny entry is a constraint like any other, and
+a state without zeros keeps every direction.  Certificates, witnesses
+and extensions are checked on the full problem.
 """
 
 import functools
@@ -410,6 +422,135 @@ def _copy_image(d, k, l):
     )
 
 
+def _unit_weights(vecs, occ):
+    """Torus weight of each row of a direction basis built from matrix
+    units |mu><nu| of a basis whose vector mu carries the weight occ[mu].
+
+    Rows whose units are all diagonal come first and have weight zero.
+    The others come in neighbours (N + N^dag) c and (-iN + iN^dag) c,
+    whose sum with i times the second is 2c N exactly; every unit of N
+    has the weight occ[mu] - occ[nu], which both rows get.
+    """
+    vecs = sps.csr_array(vecs)
+    coo = vecs.tocoo()
+    mu, nu = np.divmod(coo.col, len(occ))
+    ndiag = len(vecs.indptr) - 1 - len(np.unique(coo.row[mu != nu]))
+    real = np.arange(ndiag, vecs.shape[0], 2)
+    units = vecs[real] + 1j * vecs[real + 1]
+    units.eliminate_zeros()
+    mu, nu = np.divmod(units.indices[units.indptr[:-1]], len(occ))
+    weights = np.zeros((vecs.shape[0], occ.shape[1]), dtype=np.int64)
+    weights[real] = weights[real + 1] = occ[mu] - occ[nu]
+    return weights
+
+
+def torus_grading(rho):
+    """Integer generators of the largest torus of diagonal phases
+    U_A x U_B that leaves rho invariant, or None when it holds only the
+    phases that leave every state invariant.
+
+    U_A = diag(exp(i phi)) and U_B = diag(exp(i psi)) leave rho invariant
+    iff phi_i + psi_j = phi_k + psi_l for every nonzero entry
+    rho[(i, j), (k, l)]; only exact zeros lift a constraint.  The
+    constraint vectors are integer, and their span is brought to reduced
+    row echelon form exactly, in integer arithmetic, with primitive rows
+    and positive pivots, which is unique for the span.  The returned
+    (d_a + d_b, r) array holds, one per free column of that form, the
+    primitive integer solution that is positive there; its first d_a rows
+    pair with phi, the rest with psi.  A weight w (an integer vector over
+    the same d_a + d_b slots) is invariant iff w @ grading == 0.  Every
+    state is invariant under phi = 1 and under psi = 1, so the torus has
+    dimension r - 2, and None stands for r = 2.
+    """
+    d_a, d_b = rho.dim_a, rho.dim_b
+    n = d_a + d_b
+    rows, cols = np.nonzero(rho.matrix)
+    (ia, ib), (ka, kb) = np.divmod(rows, d_b), np.divmod(cols, d_b)
+    eye_a, eye_b = np.eye(d_a, dtype=np.int64), np.eye(d_b, dtype=np.int64)
+    diffs = np.hstack([eye_a[ia] - eye_a[ka], eye_b[ib] - eye_b[kb]])
+    echelon = {}  # pivot column -> primitive row, zero on the other pivots
+    for v in np.unique(diffs, axis=0).tolist():
+        for p, row in echelon.items():
+            if v[p]:
+                v = [row[p] * a - v[p] * b for a, b in zip(v, row)]
+        g = math.gcd(*v)
+        if not g:
+            continue
+        p = next(i for i, a in enumerate(v) if a)
+        v = [a // g if v[p] > 0 else -a // g for a in v]
+        for q, row in echelon.items():
+            if row[p]:
+                row = [v[p] * a - row[p] * b for a, b in zip(row, v)]
+                g = math.gcd(*row)
+                echelon[q] = [a // g for a in row]
+        echelon[p] = v
+        if len(echelon) == n - 2:
+            return None
+    gens = []
+    for f in (c for c in range(n) if c not in echelon):
+        scale = math.lcm(*(row[p] for p, row in echelon.items()))
+        gen = [0] * n
+        gen[f] = scale
+        for p, row in echelon.items():
+            gen[p] = -row[f] * scale // row[p]
+        g = math.gcd(*gen)
+        gens.append([a // g for a in gen])
+    return np.array(gens, dtype=np.int64).T
+
+
+def _invariant_map(wa, wb, grading):
+    """Sparse map T whose rows are an orthonormal basis of the directions
+    A_v x e_j (row v * len(wb) + j of the stacks) invariant under the
+    torus of grading, wa and wb the weights of the A_v and e_j
+    (_unit_weights).
+
+    A direction with a weight-zero factor is a weight vector itself, kept
+    when its weight is invariant.  Two neighbour pairs (N + N^dag) and
+    (-iN + iN^dag) on A and (e + e^dag) and (-ie + ie^dag) on B span the
+    Hermitian parts of N x e and of N x e^dag; the sum or difference of
+    two of their four products gives each, so a pair of pairs contributes
+    all four products, two +-1/sqrt2 sums, or nothing, by which of the
+    two weights is invariant.  Rows follow their first direction.
+    """
+    d_a, nb = wa.shape[1], len(wb)
+    la, lb = wa @ grading[:d_a], wb @ grading[d_a:]
+    single_a, single_b = ~wa.any(axis=1), ~wb.any(axis=1)
+    heads, cols, vals = [], [], []
+
+    def add(head, col, val):
+        heads.append(head)
+        cols.append(col)
+        vals.append(np.broadcast_to(val, col.shape))
+
+    v, j = np.nonzero(
+        (single_a[:, None] | single_b[None, :])
+        & ~(la[:, None, :] + lb[None, :, :]).any(axis=2)
+    )
+    add(v * nb + j, v * nb + j, 1.0)
+    ra, rb = np.flatnonzero(~single_a)[::2], np.flatnonzero(~single_b)[::2]
+    same = ~(la[ra][:, None, :] + lb[rb][None, :, :]).any(axis=2)
+    flip = ~(la[ra][:, None, :] - lb[rb][None, :, :]).any(axis=2)
+    t, u = np.nonzero(same & flip)
+    for da in (0, 1):
+        for db in (0, 1):
+            col = (ra[t] + da) * nb + rb[u] + db
+            add(col, col, 1.0)
+    # (real x real) -+ (imag x imag) and (real x imag) +- (imag x real)
+    t, u = np.nonzero(same ^ flip)
+    half = 1 / np.sqrt(2)
+    sign = np.where(same[t, u], -half, half)
+    rr = ra[t] * nb + rb[u]
+    add(rr, rr, half)
+    add(rr, rr + nb + 1, sign)
+    add(rr + 1, rr + 1, half)
+    add(rr + 1, rr + nb, -sign)
+    row_heads, rows = np.unique(np.concatenate(heads), return_inverse=True)
+    return sps.csr_array(
+        (np.concatenate(vals), (rows, np.concatenate(cols))),
+        shape=(len(row_heads), len(wa) * nb),
+    )
+
+
 def _kron_stack(avecs, side_a, bmats):
     """CSR direction stack whose row a*len(bmats) + j is vec(A_a x B_j).
 
@@ -466,6 +607,18 @@ def _block_pairings(z, astack, bmats):
     return pair
 
 
+@dataclass
+class InvariantDirections:
+    """The torus-invariant part of a shape's free directions: lift is
+    the sparse (m_inv, m) map T whose rows are orthonormal combinations
+    of the directions, stacks the DirectionStacks T @ stack_b.  A
+    solution x of a problem on stacks is T^T x on the full directions."""
+
+    torus_dimension: int
+    lift: sps.csr_array
+    stacks: sdp.DirectionStacks
+
+
 class ExtensionShape:
     """The part of a level-k extension problem that does not depend on rho.
 
@@ -475,7 +628,8 @@ class ExtensionShape:
     Hermitian basis of Sym_k(A) that the pinned part is built from, the
     block descriptors and the direction stacks (one sdp.DirectionStacks,
     built from the sparse null basis).  The adjointness check
-    runs once here.  pinned_blocks is the per-state step.
+    runs once here.  pinned_blocks is the per-state step, and
+    invariant_directions the per-torus one.
     """
 
     def __init__(self, d_a, d_b, spec):
@@ -502,6 +656,8 @@ class ExtensionShape:
             stacks, [d.side for d in self.descriptors], self.m
         )
         self._check_adjointness()
+        self._lock = threading.Lock()
+        self._invariant = None  # (grading key, InvariantDirections)
 
     # -- construction ----------------------------------------------------
 
@@ -599,6 +755,11 @@ class ExtensionShape:
             self.descriptors.append(
                 BlockDescriptor(l, b, _desc_label(l, b), side_a * d_b)
             )
+        # torus weights of the A_v and of the e_j, for invariant_directions
+        self._weights = (
+            _unit_weights(null, _occupations(d_a, k)),
+            _unit_weights(units.reshape(d_b**2, -1), np.eye(d_b, dtype=np.int64)),
+        )
         return stacks
 
     def _check_adjointness(self):
@@ -622,6 +783,32 @@ class ExtensionShape:
             raise AssemblyError(
                 f"embedding adjoint mismatch: {lhs!r} vs {rhs!r}"
             )
+
+    def invariant_directions(self, grading):
+        """The free directions invariant under the torus of grading
+        (torus_grading), as an InvariantDirections.
+
+        One entry is kept, replaced when another grading comes, so the
+        points of a sweep share one set of reduced stacks and solver
+        layouts; the lock makes concurrent callers wait for one build.
+        """
+        key = (grading.shape, grading.tobytes())
+        with self._lock:
+            if self._invariant is None or self._invariant[0] != key:
+                self._invariant = None
+                lift = _invariant_map(*self._weights, grading)
+                blocks = [lift @ stack for stack in self.stacks]
+                for block in blocks:
+                    # the product's indices come unsorted, and the solver's
+                    # re-layouts of a stack assume canonical CSR
+                    block.sum_duplicates()
+                    block.eliminate_zeros()
+                stacks = sdp.DirectionStacks(blocks)
+                self._invariant = (
+                    key,
+                    InvariantDirections(grading.shape[1] - 2, lift, stacks),
+                )
+            return self._invariant[1]
 
     def extension_space(self):
         """The full copy space A_1 ... A_k, B of the extension."""
@@ -725,11 +912,16 @@ def build_extension_problem(rho, spec):
     """Assemble the level-k feasibility problem; returns (problem, shape).
 
     The rho-independent part comes from extension_shape, so states of one
-    shape in a row share it.
+    shape in a row share it.  When rho is invariant under a torus of
+    diagonal phases (torus_grading), the problem is posed on the
+    invariant directions only (ExtensionShape.invariant_directions), with
+    the same F0 blocks; otherwise on all of shape.stacks.
     """
     shape = extension_shape(rho.dim_a, rho.dim_b, spec)
+    grading = torus_grading(rho)
+    fs = shape.stacks if grading is None else shape.invariant_directions(grading).stacks
     problem = sdp.SdpProblem(
-        f0s=shape.pinned_blocks(rho.matrix), fs=shape.stacks, c=np.zeros(shape.m)
+        f0s=shape.pinned_blocks(rho.matrix), fs=fs, c=np.zeros(fs.m)
     )
     return problem, shape
 
@@ -790,9 +982,18 @@ def run_test(rho, spec, tolerances=None, trace=None, keep_extension=True):
     the three defining properties (when it fits in memory).
     """
     problem, shape = build_extension_problem(rho, spec)
+    full, torus = problem, 0
+    if problem.fs is not shape.stacks:
+        invariant = shape.invariant_directions(torus_grading(rho))
+        full = sdp.SdpProblem(f0s=problem.f0s, fs=shape.stacks, c=np.zeros(shape.m))
+        torus = invariant.torus_dimension
     outcome = sdp.feasibility_margin(problem, tolerances=tolerances, trace=trace)
+    if full is not problem:
+        outcome.x = invariant.lift.T @ outcome.x
     metadata = {
+        "torus_dimension": torus,
         "free_directions": shape.m,
+        "invariant_directions": problem.m,
         "block_sides": [d.side for d in shape.descriptors],
         "block_labels": [d.label for d in shape.descriptors],
         "solver": dict(outcome.diagnostics),
@@ -808,7 +1009,7 @@ def run_test(rho, spec, tolerances=None, trace=None, keep_extension=True):
         report = TestReport(status=SEPARABLE_CONSISTENT, **common)
         full_side = rho.dim_a**spec.k * rho.dim_b
         if keep_extension and full_side <= RECHECK_CAP:
-            ext = shape.extension_matrix(problem, outcome.x)
+            ext = shape.extension_matrix(full, outcome.x)
             checks = check_extension_properties(
                 ext, shape.extension_space(), rho, spec.ppt
             )
@@ -830,14 +1031,14 @@ def run_test(rho, spec, tolerances=None, trace=None, keep_extension=True):
     if outcome.status == sdp.INFEASIBLE:
         from . import witness as witness_mod
 
-        check = sdp.verify_certificate(problem, outcome.z_blocks)
+        check = sdp.verify_certificate(full, outcome.z_blocks)
         if not check.passed:
             raise SolverFailure(
                 f"infeasibility claimed but certificate failed independent "
                 f"verification: {check}",
                 outcome=outcome,
             )
-        wit = witness_mod.extract_witness(shape, problem, rho, outcome.z_blocks)
+        wit = witness_mod.extract_witness(shape, full, rho, outcome.z_blocks)
         report = TestReport(status=ENTANGLED, **common)
         report.dual_blocks = outcome.z_blocks
         report.certificate_check = check

@@ -140,14 +140,16 @@ def test_resource_estimate_covers_traced_peak():
         build_extension_problem(maximally_mixed(2, 2), ExtensionSpec(k=1))
         tracemalloc.start()
         try:
-            problem, _ = build_extension_problem(rho, spec)
+            problem, shape = build_extension_problem(rho, spec)
             sdp.feasibility_margin(problem)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert required_resources(3, 3, spec)["stack_bytes"] >= peak
-    # at k = 3 even real arithmetic assembles the side-54 blocks in 5 chunks
-    stacks = sdp.schur_stacks(problem.fs.with_margin()[1].real, 54)
+    # at k = 3 even real arithmetic assembles the side-54 blocks of all 819
+    # directions (the shape's, not the invariant ones the state is solved
+    # on) in 5 chunks
+    stacks = sdp.schur_stacks(shape.stacks.with_margin()[1].real, 54)
     assert problem.block_sizes == [30, 54, 54, 30] and len(stacks[2]) == 5
 
 
