@@ -535,14 +535,15 @@ def _invariant_map(wa, wb, grading):
         for db in (0, 1):
             col = (ra[t] + da) * nb + rb[u] + db
             add(col, col, 1.0)
-    # (real x real) -+ (imag x imag) and (real x imag) +- (imag x real)
+    # N x e invariant: (Re x Re - Im x Im) and (Re x Im + Im x Re);
+    # N x e^dag invariant: the same with the signs flipped
     t, u = np.nonzero(same ^ flip)
-    half = 1 / np.sqrt(2)
-    sign = np.where(same[t, u], -half, half)
+    root = 1 / np.sqrt(2)
+    sign = np.where(same[t, u], -root, root)
     rr = ra[t] * nb + rb[u]
-    add(rr, rr, half)
+    add(rr, rr, root)
     add(rr, rr + nb + 1, sign)
-    add(rr + 1, rr + 1, half)
+    add(rr + 1, rr + 1, root)
     add(rr + 1, rr + nb, -sign)
     row_heads, rows = np.unique(np.concatenate(heads), return_inverse=True)
     return sps.csr_array(

@@ -805,8 +805,14 @@ def feasibility_margin(problem, tolerances=None, trace=None):
     res = _run(
         tolerances or SolverTolerances(), trace, problem.f0s, aug_fs, aug_c, floor
     )
+    diagnostics = {
+        "pinf": res["pinf"],
+        "dinf": res["dinf"],
+        "mu": res["mu"],
+        "real_path": res["real_path"],
+    }
     if res["status"] == "unbounded":
-        return _unbounded_margin(problem, res)
+        return _unbounded_margin(problem, res, diagnostics)
 
     t_primal = float(res["x"][m])
     zraw = res["z"]
@@ -819,14 +825,7 @@ def feasibility_margin(problem, tolerances=None, trace=None):
     zblocks = [z / zsum for z in zraw]
     t_dual = -sum((problem.f0s[b] * zblocks[b].T).sum().real for b in range(len(zblocks)))
     x = res["x"][:m]
-    diagnostics = {
-        "pinf": res["pinf"],
-        "dinf": res["dinf"],
-        "mu": res["mu"],
-        "real_path": res["real_path"],
-        "t_primal": t_primal,
-        "t_dual": t_dual,
-    }
+    diagnostics.update(t_primal=t_primal, t_dual=t_dual)
     converged = res["status"] == "converged"
     residuals_ok = (
         res["pinf"] <= policy.USABLE_RESIDUAL and res["dinf"] <= policy.USABLE_RESIDUAL
@@ -856,7 +855,7 @@ def feasibility_margin(problem, tolerances=None, trace=None):
     )
 
 
-def _unbounded_margin(problem, res):
+def _unbounded_margin(problem, res, diagnostics):
     """The feasible verdict of a margin problem whose solve stopped below
     its floor, after checking F(x) > 0 block by block."""
     x = res["x"][: problem.m]
@@ -866,14 +865,7 @@ def _unbounded_margin(problem, res):
     ]
     lam = min(float(e[0]) for e in eigs)
     top = max(float(e[-1]) for e in eigs)
-    diagnostics = {
-        "pinf": res["pinf"],
-        "dinf": res["dinf"],
-        "mu": res["mu"],
-        "real_path": res["real_path"],
-        "unbounded": True,
-        "min_eigenvalue": lam,
-    }
+    diagnostics.update(unbounded=True, min_eigenvalue=lam)
     if lam <= policy.POSITIVE_DEFINITE * max(1.0, top):
         raise SdpNumericalError(
             "margin unbounded below, but F(x) at the stopping point is not "
