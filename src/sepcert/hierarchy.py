@@ -620,6 +620,15 @@ class InvariantDirections:
     stacks: sdp.DirectionStacks
 
 
+@dataclass
+class ExtensionProblem(sdp.SdpProblem):
+    """A level-k problem as build_extension_problem poses it: on every
+    free direction of its shape when invariant is None, else on
+    invariant.stacks, the directions invariant under rho's torus."""
+
+    invariant: InvariantDirections = None
+
+
 class ExtensionShape:
     """The part of a level-k extension problem that does not depend on rho.
 
@@ -798,13 +807,11 @@ class ExtensionShape:
             if self._invariant is None or self._invariant[0] != key:
                 self._invariant = None
                 lift = _invariant_map(*self._weights, grading)
-                blocks = [lift @ stack for stack in self.stacks]
-                for block in blocks:
-                    # the product's indices come unsorted, and the solver's
-                    # re-layouts of a stack assume canonical CSR
-                    block.sum_duplicates()
-                    block.eliminate_zeros()
-                stacks = sdp.DirectionStacks(blocks)
+                stacks = sdp.DirectionStacks.from_blocks(
+                    [lift @ stack for stack in self.stacks],
+                    self.stacks.sides,
+                    lift.shape[0],
+                )
                 self._invariant = (
                     key,
                     InvariantDirections(grading.shape[1] - 2, lift, stacks),
@@ -916,13 +923,18 @@ def build_extension_problem(rho, spec):
     shape in a row share it.  When rho is invariant under a torus of
     diagonal phases (torus_grading), the problem is posed on the
     invariant directions only (ExtensionShape.invariant_directions), with
-    the same F0 blocks; otherwise on all of shape.stacks.
+    the same F0 blocks, and problem.invariant holds them; otherwise on all
+    of shape.stacks, and problem.invariant is None.
     """
     shape = extension_shape(rho.dim_a, rho.dim_b, spec)
     grading = torus_grading(rho)
-    fs = shape.stacks if grading is None else shape.invariant_directions(grading).stacks
-    problem = sdp.SdpProblem(
-        f0s=shape.pinned_blocks(rho.matrix), fs=fs, c=np.zeros(fs.m)
+    invariant = None if grading is None else shape.invariant_directions(grading)
+    fs = shape.stacks if invariant is None else invariant.stacks
+    problem = ExtensionProblem(
+        f0s=shape.pinned_blocks(rho.matrix),
+        fs=fs,
+        c=np.zeros(fs.m),
+        invariant=invariant,
     )
     return problem, shape
 
@@ -983,16 +995,15 @@ def run_test(rho, spec, tolerances=None, trace=None, keep_extension=True):
     the three defining properties (when it fits in memory).
     """
     problem, shape = build_extension_problem(rho, spec)
-    full, torus = problem, 0
-    if problem.fs is not shape.stacks:
-        invariant = shape.invariant_directions(torus_grading(rho))
+    invariant = problem.invariant
+    full = problem
+    if invariant is not None:
         full = sdp.SdpProblem(f0s=problem.f0s, fs=shape.stacks, c=np.zeros(shape.m))
-        torus = invariant.torus_dimension
     outcome = sdp.feasibility_margin(problem, tolerances=tolerances, trace=trace)
-    if full is not problem:
+    if invariant is not None:
         outcome.x = invariant.lift.T @ outcome.x
     metadata = {
-        "torus_dimension": torus,
+        "torus_dimension": 0 if invariant is None else invariant.torus_dimension,
         "free_directions": shape.m,
         "invariant_directions": problem.m,
         "block_sides": [d.side for d in shape.descriptors],

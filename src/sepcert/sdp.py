@@ -175,12 +175,17 @@ class DirectionStacks(Sequence):
     differ only in F0 can share one instance: the re-layouts the solver
     needs (the margin direction appended, the real parts, the transposes,
     the Schur layouts) are built on first use, once even under concurrent callers,
-    and live exactly as long as the stacks.  The constructor trusts its
-    input; from_blocks converts and checks it.
+    and live exactly as long as the stacks.  The constructor brings each
+    CSR block to canonical form in place and trusts it otherwise (finite,
+    Hermitian directions); from_blocks converts and checks it.
     """
 
     def __init__(self, blocks):
         self._blocks = list(blocks)
+        for stack in self._blocks:
+            # sorted indices: row_maxima's scan of stack.real sorts a copy
+            # of the indices in place under data it shares with the stack
+            stack.sum_duplicates()
         self.sides = [math.isqrt(stack.shape[1]) for stack in self._blocks]
         self._lock = threading.Lock()
         self._cache = {}

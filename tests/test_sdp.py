@@ -19,6 +19,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sps
 from scipy.optimize import linprog
 
 from sepcert import sdp
@@ -397,6 +398,25 @@ def test_transposed_stacks_share_the_stack_arrays():
     for mine, stack in ((ft.data, p.fs[0].data), (ft.indices, p.fs[0].indices)):
         assert np.shares_memory(mine, stack)
     assert np.array_equal(ft.toarray(), p.fs[0].toarray().T)
+
+
+def test_stacks_with_unsorted_indices_keep_their_entries():
+    # every row's column indices in reverse order, as a sparse product
+    # can leave them
+    rng = np.random.default_rng(0)
+    n = 4
+    dense = np.array([rand_herm(n, rng).reshape(-1) for _ in range(3)])
+    block = sps.csr_array(
+        (dense[:, ::-1].ravel(), np.tile(np.arange(n * n)[::-1], 3),
+         np.arange(0, 3 * n * n + 1, n * n)),
+        shape=dense.shape,
+    )
+    assert not block.has_canonical_format
+    stacks = sdp.DirectionStacks([block])
+    re_max, im_max = stacks.row_maxima()
+    assert np.array_equal(stacks[0].toarray(), dense)
+    assert np.array_equal(re_max, np.abs(dense.real).max(axis=1))
+    assert np.array_equal(im_max, np.abs(dense.imag).max(axis=1))
 
 
 def test_stacked_step_lengths_equal_the_per_block_ones():

@@ -182,7 +182,7 @@ def test_dense_state_keeps_the_full_problem_bit_for_bit():
     rho = random_state(3, 3, seed=11)
     spec = ExtensionSpec(k=2)
     problem, shape = build_extension_problem(rho, spec)
-    assert problem.fs is shape.stacks
+    assert problem.fs is shape.stacks and problem.invariant is None
     plain = sdp.SdpProblem(
         f0s=shape.pinned_blocks(rho.matrix), fs=shape.stacks, c=np.zeros(shape.m)
     )
@@ -194,8 +194,17 @@ def test_dense_state_keeps_the_full_problem_bit_for_bit():
     assert report.metadata["invariant_directions"] == shape.m
 
 
-def test_run_test_evidence_lives_on_the_full_problem():
+def test_run_test_evidence_lives_on_the_full_problem(monkeypatch):
+    gradings = []
+
+    def counting_grading(rho, _orig=hierarchy.torus_grading):
+        gradings.append(rho)
+        return _orig(rho)
+
+    monkeypatch.setattr(hierarchy, "torus_grading", counting_grading)
     report = run_test(choi_family_state(3.5), ExtensionSpec(k=2))
+    # the lift comes with the problem, not from grading rho again
+    assert len(gradings) == 1
     assert report.status == hierarchy.ENTANGLED
     meta = report.metadata
     assert (meta["torus_dimension"], meta["free_directions"],
@@ -237,7 +246,8 @@ def test_sweep_points_share_one_reduction(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert len(builds) == 1
-    assert all(p.fs is problems[0].fs for p in problems)
+    assert all(p.invariant is problems[0].invariant for p in problems)
+    assert all(p.fs is problems[0].invariant.stacks for p in problems)
 
 
 def test_choi_sweep_report_is_job_count_invariant(tmp_path, capsys):
