@@ -181,15 +181,19 @@ def _trace_cb(args):
 
 
 def _trace_counts(args, reports):
-    """Under --trace, one line per solve with its torus dimension and its
-    full and invariant free-direction counts."""
+    """Under --trace, two lines per solve: its torus dimension and its full
+    and invariant free-direction counts, then the side classes the
+    iteration ran on, as side:count pairs."""
     if args.trace:
         for rep in reports:
             meta = rep.metadata
+            classes = meta["solver"]["side_classes"]
             print(
                 f"trace: k={rep.spec.k} torus_dimension={meta['torus_dimension']} "
                 f"free_directions={meta['free_directions']} "
-                f"invariant_directions={meta['invariant_directions']}",
+                f"invariant_directions={meta['invariant_directions']}\n"
+                f"trace: k={rep.spec.k} side_classes="
+                + ",".join(f"{side}:{count}" for side, count in classes.items()),
                 file=sys.stderr,
             )
 

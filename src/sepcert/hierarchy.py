@@ -209,7 +209,7 @@ def required_resources(d_a, d_b, spec):
       * the dense images of the Hermitian basis of Sym_k(A) on each copy
         side, which the pinned part and the witness map are built from;
       * the Schur assembly workspace of the largest chunk (sdp.schur_block
-        over c_b = sdp.schur_chunk(m + 1, n_b, 16) direction columns): the
+        over c_b = sdp.schur_chunk(m + 1, n_b**2, 16) direction columns): the
         two reused (n_b^2, c_b) arrays, the fresh sparse product of the
         same size, and the (m, c_b) contraction;
       * the m x m Schur matrix and its Cholesky factor;
@@ -241,7 +241,7 @@ def required_resources(d_a, d_b, spec):
     nnz = _stored_entries(d_a, d_b, k, spec.ppt) if counted else (0,) * len(descs)
     csr_bytes = 5 * sum(20 * z + 4 * m * n for z, n in zip(nnz, sides))
     workspace_bytes = max(
-        16 * sdp.schur_chunk(m + 1, n, 16) * (3 * n * n + m) for n in sides
+        16 * sdp.schur_chunk(m + 1, n * n, 16) * (3 * n * n + m) for n in sides
     )
     pair_bytes = 16 * (d_a * d_b) ** 4
     return {

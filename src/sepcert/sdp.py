@@ -33,29 +33,42 @@ runs in real symmetric arithmetic, which is noticeably faster.
 
 Direction matrices are stored sparse: each block's stack F_1..F_m is one
 compressed-sparse-row (CSR) matrix of shape (m, n^2) whose row i is the
-row-major vec of F_i.  Every pass over the stack is a sparse product, and
-the Schur complement is assembled as in Fujisawa, Kojima & Nakata
-("Exploiting sparsity in primal-dual interior-point methods for SDP",
-Math. Program. 79, 1997): S^-1 formed once, one sparse product with Z, one
+row-major vec of F_i.  The stacks of all blocks form one DirectionStacks
+object, which problems differing only in F0 share; the layouts derived
+from the stacks (among them each stack's transpose, a view of the same
+arrays) are built once per object.
+
+The solver splits every block into the connected components of its exact
+sparsity pattern: F0_b, the union of the direction supports in block b,
+and the diagonal (Gatermann & Parrilo, "Symmetry groups, semidefinite
+programs, and sums of squares", J. Pure Appl. Algebra 192, 2004, exploit
+the same block-diagonal structure).  F(x) is block diagonal over the
+components for every x, and so is every iterate, so the split is exact.
+Components of equal side form a side class, stored as one (g, s, s)
+stack, and the classes lie one after another in one packed vector
+(BlockSplit, built once per stacks and partition).  Per iteration, each
+class's S and Z are factored once (Cholesky) and their triangular
+factors inverted once; S^-1, the direction solves and the step-length
+eigenvalues are batched calls over the class's stack.  Residuals,
+updates and Hermitian parts act on the packed vector at once, and so do
+the sparse products with the directions (F(x) and the trace pairings),
+through one packed copy of all stacks.  The number of calls per
+iteration thus grows with the side classes, not with the components; a
+dense state keeps one component per block.
+
+The Schur complement is assembled per class as in Fujisawa, Kojima &
+Nakata ("Exploiting sparsity in primal-dual interior-point methods for
+SDP", Math. Program. 79, 1997): one sparse product with Z, one batched
 dense product with S^-1, and one sparse contraction against the stack.
 The assembly runs over chunks of direction columns, so its dense
 workspace is two arrays of about SCHUR_CHUNK_BYTES each, whatever m is;
-each solve allocates them once and reuses them for every chunk, block and
-iteration.  The stacks of all blocks form one DirectionStacks object,
-which problems differing only in F0 share; the layouts derived from the
-stacks alone (among them each stack's transpose, a view of the same
-arrays) are built once per object.
+each solve allocates them once and reuses them for every chunk, class and
+iteration.  The finite checks run once per iteration, on the factors,
+the iterates and the directions.  The Schur matrix alone goes through
+scipy's cho_factor and cho_solve.
 
-Per iteration, each block's S and Z are factored once (Cholesky) and
-S^-1 is formed once.  Every other block-level solve reuses the factors
-through LAPACK's potrs and trtrs, bound once per solve and called with
-the operands and layout that scipy's cho_solve and solve_triangular
-pass, so the iterates equal the wrappers' bit for bit.  The finite
-checks those wrappers made on every call run once per iteration, on the
-factors, the iterates, the right-hand sides and the directions.  The
-step-length tests of all blocks, primal and dual, take one symmetric
-eigenvalue call per distinct block side and dtype.  The Schur matrix
-alone goes through scipy's cho_factor and cho_solve.
+The solution comes back in the caller's block layout, exactly zero off
+the components.
 
 Everything is deterministic: no randomness, fixed starting point.
 """
@@ -68,6 +81,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sps
+from scipy.sparse import csgraph
 
 from . import tolerances as policy
 from .tensorops import check_hermitian
@@ -127,46 +141,6 @@ def _require_finite(arrays):
             raise ValueError("array must not contain infs or NaNs")
 
 
-def _lapack_binder():
-    """A function (a, b) -> (potrs, trtrs) that returns the LAPACK
-    routines scipy's wrappers pick for operands a and b, looked up once
-    per pair of dtypes.  Made per solve: the memo is never shared."""
-    bound = {}
-
-    def lapack(a, b):
-        key = (a.dtype, b.dtype)
-        if key not in bound:
-            bound[key] = sla.get_lapack_funcs(("potrs", "trtrs"), (a, b))
-        return bound[key]
-
-    return lapack
-
-
-def _cho_solve(lapack, chol, rhs):
-    """sla.cho_solve((chol, True), rhs) without the finite scans: the same
-    potrs call on the same operands."""
-    x, info = lapack(chol, rhs)[0](chol, rhs, lower=1)
-    if info:
-        raise ValueError(f"illegal value in {-info}th argument of internal potrs")
-    return x
-
-
-def _tri_solve(lapack, chol, rhs):
-    """sla.solve_triangular(chol, rhs, lower=True) without the finite scans
-    for a C-ordered lower factor chol: trtrs on its transpose, read as
-    Fortran-ordered, with lower=0, trans=1, which is how the wrapper lays
-    it out (a 1 x 1 factor, which it passes as is, gives the same
-    quotient)."""
-    x, info = lapack(chol, rhs)[1](chol.T, rhs, lower=0, trans=1)
-    if info > 0:
-        raise np.linalg.LinAlgError(
-            f"singular matrix: resolution failed at diagonal {info - 1}"
-        )
-    if info < 0:
-        raise ValueError(f"illegal value in {-info}-th argument of internal trtrs")
-    return x
-
-
 class DirectionStacks(Sequence):
     """The direction stacks of every block, plus the layouts derived from
     them alone.
@@ -174,8 +148,8 @@ class DirectionStacks(Sequence):
     Item b is block b's CSR stack of shape (m, n_b**2).  Problems that
     differ only in F0 can share one instance: the re-layouts the solver
     needs (the margin direction appended, the real parts, the transposes,
-    the Schur layouts) are built on first use, once even under concurrent callers,
-    and live exactly as long as the stacks.  The constructor brings each
+    the block splits) are built on first use, once even under concurrent
+    callers, and live exactly as long as the stacks.  The constructor brings each
     CSR block to canonical form in place and trusts it otherwise (finite,
     Hermitian directions); from_blocks converts and checks it.
     """
@@ -272,11 +246,161 @@ class DirectionStacks(Sequence):
         shares the CSR stack's arrays."""
         return self._cached("transposed", lambda: [stack.T for stack in self._blocks])
 
-    def schur(self):
-        """schur_stacks of every block."""
-        return self._cached("schur", lambda: [
-            schur_stacks(stack, n) for stack, n in zip(self._blocks, self.sides)
+    def split(self, f0s):
+        """The BlockSplit of problems on these stacks with constant blocks
+        f0s: block b cut along the connected components of the pattern of
+        f0s[b], of every direction and of the diagonal.  Built once per
+        partition, which sweep points with one F0 pattern share."""
+
+        def supports():
+            out = []
+            for stack, n in zip(self._blocks, self.sides):
+                pattern = np.eye(n, dtype=bool)
+                pattern.flat[stack.indices] = True
+                out.append(pattern)
+            return out
+
+        patterns = [f0 != 0 for f0 in f0s]
+        supports = self._cached("supports", supports)
+        labels = self._cached(("labels", *(p.tobytes() for p in patterns)), lambda: [
+            csgraph.connected_components(support | pattern, directed=False)[1]
+            for support, pattern in zip(supports, patterns)
         ])
+        key = ("split", *(lab.tobytes() for lab in labels))
+        return self._cached(key, lambda: BlockSplit(self._blocks, labels))
+
+
+class BlockSplit:
+    """Blocks cut into the connected components of their sparsity pattern,
+    the components grouped into side classes.
+
+    labels[b] numbers the component of each index of block b.  A
+    component keeps its indices in increasing order; the components of
+    one side s form a class, stored as one C-ordered (g, s, s) stack, and
+    the classes lie one after another in one packed vector of length N.
+    Fields: classes, a list of (offset, g, s); stack, every block's
+    directions on the packed vector, a CSC array of shape (m, N); schur,
+    the schur_stacks of each class, on a column range of stack; dest, the
+    position of each packed entry in the blocks' row-major vecs laid end
+    to end; and the index arrays that herm, add_identity and block_norms
+    use.
+    """
+
+    def __init__(self, blocks, labels):
+        sides = [len(lab) for lab in labels]
+        starts = np.cumsum([0] + [n * n for n in sides])
+        # by side; sorted() is stable, so by block and index within a side
+        comps = sorted(
+            (
+                (idx.size, b, idx)
+                for b, lab in enumerate(labels)
+                for idx in (np.flatnonzero(lab == c) for c in range(lab.max() + 1))
+            ),
+            key=lambda comp: comp[0],
+        )
+        self.classes = []
+        dest, owner, transpose, diag = [], [], [], []
+        offset = 0
+        for s, b, idx in comps:
+            if not self.classes or self.classes[-1][2] != s:
+                self.classes.append([offset, 0, s])
+            self.classes[-1][1] += 1
+            local = np.arange(s * s).reshape(s, s)
+            dest.append(starts[b] + (idx[:, None] * sides[b] + idx).ravel())
+            owner.append(np.full(s * s, b))
+            transpose.append(offset + local.T.ravel())
+            diag.append(offset + np.diagonal(local))
+            offset += s * s
+        self.classes = [tuple(cls) for cls in self.classes]
+        self._slices = [(lo, lo + g * s * s, (g, s, s)) for lo, g, s in self.classes]
+        self.sides = sides
+        self.starts = starts
+        self.dest = np.concatenate(dest)
+        self.owner = np.concatenate(owner)
+        self.transpose = np.concatenate(transpose)
+        self.diag = np.concatenate(diag)
+        packed = np.full(starts[-1], -1)
+        packed[self.dest] = np.arange(offset)
+        coos = [stack.tocoo() for stack in blocks]
+        self.stack = sps.csc_array(
+            (
+                np.concatenate([coo.data for coo in coos]),
+                (
+                    np.concatenate([coo.row for coo in coos]),
+                    np.concatenate([
+                        packed[start + coo.col] for start, coo in zip(starts, coos)
+                    ]),
+                ),
+            ),
+            shape=(blocks[0].shape[0], offset),
+        )
+        self._combine = self.stack.T
+        ptr = self.stack.indptr
+        self.schur = [
+            schur_stacks(sps.csc_array(
+                (self.stack.data[ptr[lo]:ptr[hi]], self.stack.indices[ptr[lo]:ptr[hi]],
+                 ptr[lo:hi + 1] - ptr[lo]),
+                shape=(self.stack.shape[0], hi - lo),
+            ), s)
+            for lo, hi, s in ((lo, lo + g * s * s, s) for lo, g, s in self.classes)
+        ]
+
+    @property
+    def side_classes(self):
+        """{side: number of components} over the classes."""
+        return {s: g for _, g, s in self.classes}
+
+    def pack(self, mats):
+        """The packed vector of block matrices mats."""
+        return np.concatenate([np.ravel(mat) for mat in mats])[self.dest]
+
+    def unpack(self, packed):
+        """The block matrices of a packed vector, zero off the components."""
+        flat = np.zeros(self.starts[-1], packed.dtype)
+        flat[self.dest] = packed
+        return [
+            flat[lo:hi].reshape(n, n)
+            for lo, hi, n in zip(self.starts, self.starts[1:], self.sides)
+        ]
+
+    def views(self, packed):
+        """The (g, s, s) stack of each class in a packed vector; a list of
+        per-class stacks passes through."""
+        if isinstance(packed, list):
+            return packed
+        return [packed[lo:hi].reshape(shape) for lo, hi, shape in self._slices]
+
+    def matmul(self, a, b):
+        """The packed product of two block-diagonal matrices, each given
+        packed or as per-class stacks."""
+        a, b = self.views(a), self.views(b)
+        out = np.empty(self.dest.size, np.result_type(a[0], b[0]))
+        for x, y, o in zip(a, b, self.views(out)):
+            np.matmul(x, y, out=o)
+        return out
+
+    def herm(self, packed):
+        """The Hermitian part of a packed matrix."""
+        return (packed + packed[self.transpose].conj()) / 2
+
+    def identity(self, dtype):
+        out = np.zeros(self.dest.size, dtype)
+        out[self.diag] = 1
+        return out
+
+    def combine(self, x):
+        """sum_i x_i F_i, packed."""
+        return self._combine @ x
+
+    def trace_pairs(self, packed):
+        """Re Tr[F_i U] for every direction, U given packed: F_i is
+        Hermitian, so this is Re sum_pq F_i[p, q] conj(U[p, q])."""
+        return (self.stack @ packed.conj()).real
+
+    def block_norms(self, packed):
+        """The Frobenius norm of each caller block of a packed matrix."""
+        sq = (packed * packed.conj()).real
+        return np.sqrt(np.bincount(self.owner, sq, minlength=len(self.sides)))
 
 
 @dataclass
@@ -375,24 +499,18 @@ def _structured_real_reduction(f0s, fs, c):
     return real_f0s, fs.real_rows(keep), keep
 
 
-def _max_step(lapack, pairs):
-    """Largest alpha <= 1 with X + alpha*delta >= 0, given X = L L^dag,
-    for each (L, delta) of pairs.
+def _max_step(inverses, deltas):
+    """Step lengths for stacks of shape (k, g, n, n): item j is the
+    largest alpha <= 1 with X + alpha*delta >= 0 for each of the g pairs
+    of stack j, X = L L^dag given by the inverse L^-1 of its Cholesky
+    factor in inverses and delta at the same place in deltas.
 
-    The smallest eigenvalue of L^-1 delta L^-dag decides; the matrices of
-    one side and dtype go to np.linalg.eigvalsh as one stack, which runs
-    the same LAPACK call on each of them.
+    The smallest eigenvalue of L^-1 delta L^-dag decides; the whole stack
+    goes to np.linalg.eigvalsh at once, which reads the lower triangle of
+    each Hermitian product.
     """
-    ys = []
-    for chol, delta in pairs:
-        y = _tri_solve(lapack, chol, delta)
-        ys.append(_herm(_tri_solve(lapack, chol, y.conj().T).conj().T))
-    groups = {}
-    for i, y in enumerate(ys):
-        groups.setdefault((y.shape[0], y.dtype), []).append(i)
-    lams = np.empty(len(ys))
-    for idx in groups.values():
-        lams[idx] = np.linalg.eigvalsh(np.stack([ys[i] for i in idx]))[:, 0]
+    y = inverses @ deltas @ inverses.conj().swapaxes(-1, -2)
+    lams = np.linalg.eigvalsh(y)[..., 0].min(axis=-1)
     return [1.0 if lam >= -1e-14 else min(1.0, -1.0 / lam) for lam in lams]
 
 
@@ -401,68 +519,78 @@ def _trace_pairs(fmat, z):
     return (fmat @ z.T.ravel()).real
 
 
-def schur_chunk(m, n, itemsize):
-    """Direction columns per Schur assembly chunk of a side-n block with m
-    directions: as many (n, n) matrices of itemsize bytes per entry as fit
-    in SCHUR_CHUNK_BYTES, at least one and at most m."""
-    return max(1, min(m, SCHUR_CHUNK_BYTES // (itemsize * n * n)))
+def schur_chunk(m, entries, itemsize):
+    """Direction columns per Schur assembly chunk with m directions of
+    entries dense entries each (n^2 for a side-n block, g*s^2 for a class
+    of g side-s components): as many as fit in SCHUR_CHUNK_BYTES at
+    itemsize bytes per entry, at least one and at most m."""
+    return max(1, min(m, SCHUR_CHUNK_BYTES // (itemsize * entries)))
 
 
 def schur_stacks(fmat, n):
-    """The re-layouts of one block's stack that schur_block uses.
+    """The re-layouts of a class's stack that schur_block uses.
 
-    Returns (ftrans, chunk, fperms): ftrans is fmat with the columns of
-    each row in vec(F_i^T) order; the directions are split into runs of
-    chunk consecutive rows (the last one may be shorter), and fperms[j]
-    holds run j = rows lo..hi-1 with row r*(hi - lo) + (i - lo) equal to
-    row r of F_i, so that fperms[j] @ Z, read as an (n, (hi - lo)*n)
-    array, is [F_lo Z | ... | F_(hi-1) Z].
+    fmat, of shape (m, g*n*n), holds each direction on g side-n
+    components, their row-major vecs one after another (g = 1 for a
+    whole block).  Returns (fmat, chunk, fperms): the directions are split
+    into runs of chunk consecutive rows (the last one may be shorter), and
+    fperms[j] holds run j = rows lo..hi-1 as a (g*n*w, g*n) matrix,
+    w = hi - lo, whose row (c*n + p)*w + (i - lo) is row p of F_i on
+    component c, placed in columns c*n..c*n + n - 1.  With the
+    components' Z stacked as a (g*n, n) array, fperms[j] @ Z read as a
+    (g, n, w*n) array is [F_lo Z | ... | F_(hi-1) Z] on each component.
     """
-    m = fmat.shape[0]
-    chunk = schur_chunk(m, n, fmat.dtype.itemsize)
+    m, entries = fmat.shape
+    g = entries // (n * n)
+    chunk = schur_chunk(m, entries, fmat.dtype.itemsize)
+    coo = sps.coo_array(fmat)
+    comp, rest = np.divmod(coo.col, n * n)
+    rows = comp * n + rest // n
+    cols = comp * n + rest % n
     fperms = []
     for lo in range(0, m, chunk):
-        coo = fmat[lo:lo + chunk].tocoo()
-        width = coo.shape[0]
+        width = min(chunk, m - lo)
+        run = (coo.row >= lo) & (coo.row < lo + width)
         fperms.append(sps.csr_array(
-            (coo.data, ((coo.col // n) * width + coo.row, coo.col % n)),
-            shape=(width * n, n),
+            (coo.data[run], (rows[run] * width + coo.row[run] - lo, cols[run])),
+            shape=(g * n * width, g * n),
         ))
-    return fmat[:, _vec_transpose(n)], chunk, fperms
+    return fmat, chunk, fperms
 
 
 def schur_workspace(stacks, dtype):
     """The two flat arrays schur_block works in, large enough for the
-    chunks of every block in stacks (a list of schur_stacks)."""
-    size = max(
-        (ftrans.shape[1] * chunk for ftrans, chunk, _ in stacks), default=0
-    )
+    chunks of every class in stacks (a list of schur_stacks)."""
+    size = max((fmat.shape[1] * chunk for fmat, chunk, _ in stacks), default=0)
     return np.empty(size, dtype), np.empty(size, dtype)
 
 
 def schur_block(stacks, sinv, z, out, work):
-    """Add one block's share M_ij = Re Tr[F_i S^-1 F_j Z] of the Schur
+    """Add one class's share M_ij = Re Tr[F_i S^-1 F_j Z] of the Schur
     complement into the (m, m) array out.
 
-    stacks is schur_stacks(fmat, n) and work a schur_workspace pair that
-    fits it, of a dtype that holds S^-1 F_j Z.  Per chunk of columns j,
-    G_j = S^-1 F_j Z is one sparse product and one dense product into
-    work[0]; G_j[q, p] is then copied to row q*n + p, column j of an
-    (n^2, c) view of work[1], so that the trace pairing
-    Tr[F_i G_j] = sum F_i[p, q] G_j[q, p] with every F_i is one sparse
-    product, added into out[:, chunk].
+    stacks is schur_stacks(fmat, n); sinv and z are the class's (g, n, n)
+    stacks (or (n, n) matrices when g = 1), and work a schur_workspace
+    pair that fits stacks, of a dtype that holds S^-1 F_j Z.  Per chunk of
+    columns j, G_j = S^-1 F_j Z is one sparse product and one batched
+    dense product into work[0]; conj(G_j[p, q]) on component c is then
+    copied to row (c*n + p)*n + q, column j of a (g*n^2, w) view of
+    work[1], so that the trace pairing with every F_i,
+    Re Tr[F_i G_j] = Re sum F_i[p, q] conj(G_j[p, q]) for Hermitian F_i,
+    is one sparse product, added into out[:, chunk].
     """
-    ftrans, chunk, fperms = stacks
-    n = z.shape[0]
-    for lo, fperm in zip(range(0, ftrans.shape[0], chunk), fperms):
-        width = fperm.shape[0] // n
-        g = work[0][: n * width * n].reshape(n, width * n)
-        np.matmul(sinv, (fperm @ z).reshape(n, width * n), out=g)
-        gt = work[1][: n * n * width].reshape(n * n, width)
-        np.copyto(
-            gt.reshape(n, n, width), g.reshape(n, width, n).transpose(0, 2, 1)
-        )
-        out[:, lo:lo + width] += (ftrans @ gt).real
+    fmat, chunk, fperms = stacks
+    n = z.shape[-1]
+    g = fmat.shape[1] // (n * n)
+    zs = z.reshape(g * n, n)
+    sinv = sinv.reshape(g, n, n)
+    for lo, fperm in zip(range(0, fmat.shape[0], chunk), fperms):
+        width = fperm.shape[0] // (g * n)
+        prod = work[0][: g * n * width * n].reshape(g, n, width * n)
+        np.matmul(sinv, (fperm @ zs).reshape(g, n, width * n), out=prod)
+        gt = work[1][: g * n * n * width].reshape(g, n, n, width)
+        np.conjugate(prod.reshape(g, n, width, n).transpose(0, 1, 3, 2), out=gt)
+        out[:, lo:lo + width] += (fmat @ gt.reshape(g * n * n, width)).real
 
 
 def _project_dual_constraints(fs_list, c, z_blocks):
@@ -494,36 +622,32 @@ def _solve_core(f0s, fs, c, tol, trace_cb=None, floor=-np.inf):
     """Interior-point loop over a DirectionStacks fs.  Returns the raw
     final state; trace_cb, when given, receives each iteration's row.
 
-    floor is an objective value that only an unbounded problem reaches at
-    a feasible point: the loop stops with status "unbounded" at the first
-    iterate below it whose F(x) has no negative eigenvalue.
+    The iterates live on the packed components of fs.split(f0s); x, the
+    slack and the dual come back with the blocks unpacked.  floor is an
+    objective value that only an unbounded problem reaches at a feasible
+    point: the loop stops with status "unbounded" at the first iterate
+    below it whose F(x) has no negative eigenvalue.
     """
-    nb = len(f0s)
     m = len(c)
-    ns = [f0.shape[0] for f0 in f0s]
-    ntot = sum(ns)
-    stacks = fs.schur()
-    fts = fs.transposed()
+    split = fs.split(f0s)
+    ntot = sum(split.sides)
+    f0 = split.pack(f0s)
+    dtype = np.result_type(f0, split.stack.dtype)
     # per solve, not cached on fs: concurrent solves share the stacks
-    work = schur_workspace(
-        stacks, np.result_type(*(f0.dtype for f0 in f0s), *(f.dtype for f in fs))
-    )
-    lapack = _lapack_binder()
+    work = schur_workspace(split.schur, dtype)
     trace_cb = trace_cb or (lambda row: None)
 
     beta = 1.0 + np.sqrt(sum(np.linalg.norm(f0) ** 2 for f0 in f0s))
     x = np.zeros(m)
-    eye = [np.eye(n, dtype=f0s[0].dtype) for n in ns]
-    slack = [beta * eye[b] for b in range(nb)]
+    eye = split.identity(f0.dtype)
+    slack = beta * eye
 
-    tvec = np.zeros(m)
-    for b in range(nb):
-        tvec += _trace_pairs(fs[b], eye[b])
+    tvec = split.trace_pairs(eye)
     denom = tvec @ tvec
     tau = (c @ tvec) / denom if denom > 1e-300 else 1.0
     if not np.isfinite(tau) or tau <= 1e-10:
         tau = 1.0
-    zdual = [tau * eye[b] for b in range(nb)]
+    zdual = tau * eye
 
     f0_scale = 1.0 + np.sqrt(sum(np.linalg.norm(f0) ** 2 for f0 in f0s))
     c_scale = 1.0 + (np.abs(c).max() if m else 0.0)
@@ -545,17 +669,22 @@ def _solve_core(f0s, fs, c, tol, trace_cb=None, floor=-np.inf):
             and abs(rec["gap"]) <= policy.USABLE_GAP * rec["gscale"]
         )
 
+    def min_eigenvalue(packed):
+        return min(
+            np.linalg.eigvalsh(v)[:, 0].min() for v in split.views(split.herm(packed))
+        )
+
     for it in range(1, policy.MAX_ITER + 1):
-        fx = [f0s[b] + _combine(x, fts[b], ns[b]) for b in range(nb)]
-        rp = [fx[b] - slack[b] for b in range(nb)]
-        rd = c.copy()
-        for b in range(nb):
-            rd -= _trace_pairs(fs[b], zdual[b])
-        mu = sum((slack[b] * zdual[b].T).sum().real for b in range(nb)) / ntot
+        fx = f0 + split.combine(x)
+        rp = fx - slack
+        rd = c - split.trace_pairs(zdual)
+        # Tr[S Z] and Tr[F0 Z] as sums of S[p, q] conj(Z[p, q]): Z is
+        # Hermitian
+        mu = np.vdot(zdual, slack).real / ntot
         pobj = float(c @ x)
-        dobj = -sum((f0s[b] * zdual[b].T).sum().real for b in range(nb))
+        dobj = -np.vdot(zdual, f0).real
         gap = pobj - dobj
-        pinf = max(np.linalg.norm(rp[b]) for b in range(nb)) / f0_scale
+        pinf = split.block_norms(rp).max() / f0_scale
         dinf = (np.abs(rd).max() / c_scale) if m else 0.0
         row = {
             "iteration": it,
@@ -570,7 +699,7 @@ def _solve_core(f0s, fs, c, tol, trace_cb=None, floor=-np.inf):
         score = max(pinf, dinf, abs(gap) / gscale)
         if best is None or score < best["score"]:
             # held by reference: every iteration binds x, slack and zdual
-            # to new arrays in new lists and never writes into old ones
+            # to new arrays and never writes into old ones
             best = {
                 "score": score,
                 "x": x,
@@ -590,7 +719,7 @@ def _solve_core(f0s, fs, c, tol, trace_cb=None, floor=-np.inf):
             trace_cb(row)
             status = "converged"
             break
-        if pobj < floor and all(np.linalg.eigvalsh(_herm(f))[0] >= 0 for f in fx):
+        if pobj < floor and min_eigenvalue(fx) >= 0:
             trace_cb(row)
             status = "unbounded"
             break
@@ -609,8 +738,8 @@ def _solve_core(f0s, fs, c, tol, trace_cb=None, floor=-np.inf):
             break
 
         try:
-            chols = [np.linalg.cholesky(slack[b]) for b in range(nb)]
-            cholz = [np.linalg.cholesky(zdual[b]) for b in range(nb)]
+            chols = [np.linalg.cholesky(v) for v in split.views(slack)]
+            cholz = [np.linalg.cholesky(v) for v in split.views(zdual)]
         except np.linalg.LinAlgError:
             if iterate_usable(best):
                 # so close to the boundary that factorization noise flips
@@ -624,14 +753,18 @@ def _solve_core(f0s, fs, c, tol, trace_cb=None, floor=-np.inf):
                 iteration=it,
                 diagnostics=row,
             ) from None
-        _require_finite([*chols, *cholz, *slack, *zdual])
+        _require_finite([*chols, *cholz, slack, zdual])
+        # per class, the inverse factors of S (first) and Z (second); S^-1
+        inverses = [np.linalg.inv(np.stack(pair)) for pair in zip(chols, cholz)]
+        sinv = [inv[0].conj().swapaxes(-1, -2) @ inv[0] for inv in inverses]
+        zviews = split.views(zdual)
+        rpz = split.matmul(split.views(rp), zviews)
 
-        # Schur complement M_ij = sum_b Re Tr[F_i S^-1 F_j Z] (symmetric
-        # positive definite) and the pieces reused by both direction solves
+        # Schur complement M_ij = sum Re Tr[F_i S^-1 F_j Z] (symmetric
+        # positive definite) over the classes
         schur = np.zeros((m, m))
-        for b in range(nb):
-            sinv = _cho_solve(lapack, chols[b], eye[b])
-            schur_block(stacks[b], sinv, zdual[b], schur, work)
+        for stacks, si, z in zip(split.schur, sinv, zviews):
+            schur_block(stacks, si, z, schur, work)
         schur = (schur + schur.T) / 2
         try:
             schur_fact = sla.cho_factor(schur)
@@ -650,40 +783,40 @@ def _solve_core(f0s, fs, c, tol, trace_cb=None, floor=-np.inf):
                     diagnostics=row,
                 ) from None
 
-        def direction(kmats):
-            rhs = -rd.copy()
-            v0 = [kmats[b] - rp[b] @ zdual[b] for b in range(nb)]
-            for b in range(nb):
-                # Re Tr[F_i U] with U = S^-1 (K - Rp Z)
-                rhs += _trace_pairs(fs[b], _cho_solve(lapack, chols[b], v0[b]))
+        def direction(kmat):
+            v0 = kmat - rpz
+            # Re Tr[F_i U] with U = S^-1 (K - Rp Z)
+            rhs = split.trace_pairs(split.matmul(sinv, v0)) - rd
             dx = sla.cho_solve(schur_fact, rhs)
-            ds = [_combine(dx, fts[b], ns[b]) + rp[b] for b in range(nb)]
-            v = [kmats[b] - ds[b] @ zdual[b] for b in range(nb)]
-            dz = [_herm(_cho_solve(lapack, chols[b], v[b])) for b in range(nb)]
-            _require_finite([*v0, *v, *ds, *dz])
+            ds = split.combine(dx) + rp
+            v = kmat - split.matmul(ds, zviews)
+            dz = split.herm(split.matmul(sinv, v))
+            _require_finite([v0, v, ds, dz])
             return dx, ds, dz
 
+        def max_steps(ds, dz):
+            steps = [
+                _max_step(inv, np.stack(pair))
+                for inv, pair in zip(inverses, zip(split.views(ds), split.views(dz)))
+            ]
+            return min(s[0] for s in steps), min(s[1] for s in steps)
+
         # predictor (affine scaling: K = -S Z)
-        kaff = [-(slack[b] @ zdual[b]) for b in range(nb)]
-        dx_a, ds_a, dz_a = direction(kaff)
-        steps = _max_step(lapack, [*zip(chols, ds_a), *zip(cholz, dz_a)])
-        ap_a, ad_a = min(steps[:nb]), min(steps[nb:])
-        mu_aff = sum(
-            ((slack[b] + ap_a * ds_a[b]) * (zdual[b] + ad_a * dz_a[b]).T).sum().real
-            for b in range(nb)
-        ) / ntot
+        sz = split.matmul(split.views(slack), zviews)
+        dx_a, ds_a, dz_a = direction(-sz)
+        ap_a, ad_a = max_steps(ds_a, dz_a)
+        mu_aff = np.vdot(zdual + ad_a * dz_a, slack + ap_a * ds_a).real / ntot
         mu_aff = max(mu_aff, 0.0)
         sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3)) if mu > 0 else 0.0
 
-        # corrector
-        kc = [
-            sigma * mu * eye[b] - slack[b] @ zdual[b] - ds_a[b] @ dz_a[b]
-            for b in range(nb)
-        ]
+        # corrector: K = sigma mu 1 - S Z - dS_a dZ_a
+        kc = -sz
+        kc[split.diag] += sigma * mu
+        kc -= split.matmul(ds_a, dz_a)
         dx, ds, dz = direction(kc)
-        steps = _max_step(lapack, [*zip(chols, ds), *zip(cholz, dz)])
-        alpha_p = min(1.0, frac * min(steps[:nb]))
-        alpha_d = min(1.0, frac * min(steps[nb:]))
+        alpha_p, alpha_d = max_steps(ds, dz)
+        alpha_p = min(1.0, frac * alpha_p)
+        alpha_d = min(1.0, frac * alpha_d)
         row["sigma"] = sigma
         row["alpha_p"] = alpha_p
         row["alpha_d"] = alpha_d
@@ -696,8 +829,8 @@ def _solve_core(f0s, fs, c, tol, trace_cb=None, floor=-np.inf):
         else:
             stalls = 0
         x = x + alpha_p * dx
-        slack = [_herm(slack[b] + alpha_p * ds[b]) for b in range(nb)]
-        zdual = [_herm(zdual[b] + alpha_d * dz[b]) for b in range(nb)]
+        slack = split.herm(slack + alpha_p * ds)
+        zdual = split.herm(zdual + alpha_d * dz)
 
     if status not in ("converged", "unbounded") and best is not None:
         cur_score = max(pinf, dinf)
@@ -714,13 +847,14 @@ def _solve_core(f0s, fs, c, tol, trace_cb=None, floor=-np.inf):
     return {
         "status": status,
         "x": x,
-        "z": zdual,
-        "slack": slack,
+        "z": split.unpack(zdual),
+        "slack": split.unpack(slack),
         "iterations": it,
         "gap": gap,
         "pinf": pinf,
         "dinf": dinf,
         "mu": mu,
+        "side_classes": split.side_classes,
     }
 
 
@@ -760,6 +894,7 @@ def solve(problem, tolerances=None, trace=None):
         "dinf": res["dinf"],
         "mu": res["mu"],
         "real_path": res["real_path"],
+        "side_classes": res["side_classes"],
     }
     status = ITER_LIMIT
     if res["status"] == "converged":
@@ -815,6 +950,7 @@ def feasibility_margin(problem, tolerances=None, trace=None):
         "dinf": res["dinf"],
         "mu": res["mu"],
         "real_path": res["real_path"],
+        "side_classes": res["side_classes"],
     }
     if res["status"] == "unbounded":
         return _unbounded_margin(problem, res, diagnostics)

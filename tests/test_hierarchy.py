@@ -422,7 +422,8 @@ def test_concurrent_callers_build_one_shape_and_one_set_of_layouts(monkeypatch):
     assert len(shapes) == 1
     stacks = results[0][0].fs
     assert all(problem.fs is stacks for problem, _ in results)
-    assert len(relayouts) == len(stacks)
+    # one Schur layout per side class; a dense state keeps each block whole
+    assert sorted(relayouts) == sorted(set(stacks.sides))
     for problem, margin in results:
         assert sdp.feasibility_margin(problem).margin_t == margin
 

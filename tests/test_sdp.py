@@ -9,7 +9,7 @@ Independent oracles used here:
   * the Schur complement is compared with its dense definition
     M_ij = Re Tr[F_i S^-1 F_j Z];
   * the stacked step-length test is compared with one scipy
-    solve_triangular pair and one eigvalsh call per block.
+    solve_triangular pair and one eigvalsh call per matrix.
 """
 
 import collections
@@ -426,23 +426,34 @@ def test_stacked_step_lengths_equal_the_per_block_ones():
         out = rng.standard_normal((n, n))
         return out + 1j * rng.standard_normal((n, n)) if dtype is complex else out
 
-    pairs = []
-    for n, dtype in [(3, float), (5, complex), (3, float), (1, float), (5, complex),
-                     (4, complex), (3, complex), (1, complex)]:
+    def pair(n, dtype):
         g = rand(n, dtype)
         chol = np.linalg.cholesky(g @ g.conj().T + 0.1 * np.eye(n))
-        pairs.append((chol, herm(rand(n, dtype)) * rng.choice([0.05, 3.0])))
-    # one direction that keeps X positive for every step: alpha = 1
-    pairs.append((pairs[0][0], np.eye(3)))
-    steps = sdp._max_step(sdp._lapack_binder(), pairs)
-    reference = []
-    for chol, delta in pairs:
-        y = sla.solve_triangular(chol, delta, lower=True)
-        y = sla.solve_triangular(chol, y.conj().T, lower=True).conj().T
-        lam = np.linalg.eigvalsh(herm(y))[0]
-        reference.append(1.0 if lam >= -1e-14 else min(1.0, -1.0 / lam))
-    assert np.array(steps).tobytes() == np.array(reference).tobytes()
-    assert 1.0 in steps and min(steps) < 0.5
+        return chol, herm(rand(n, dtype)) * rng.choice([0.05, 3.0])
+
+    # stacks of shape (2, g, n, n), as the solver passes one side class
+    every = []
+    for n, dtype, g in [(3, float, 2), (5, complex, 2), (1, float, 3),
+                        (4, complex, 1), (1, complex, 2)]:
+        pairs = [[pair(n, dtype) for _ in range(g)] for _ in range(2)]
+        chols = np.array([[c for c, _ in row] for row in pairs])
+        deltas = np.array([[d for _, d in row] for row in pairs])
+        steps = sdp._max_step(np.linalg.inv(chols), deltas)
+        reference = []
+        for row in pairs:
+            lams = []
+            for chol, delta in row:
+                y = sla.solve_triangular(chol, delta, lower=True)
+                y = sla.solve_triangular(chol, y.conj().T, lower=True).conj().T
+                lams.append(np.linalg.eigvalsh(herm(y))[0])
+            lam = min(lams)
+            reference.append(1.0 if lam >= -1e-14 else min(1.0, -1.0 / lam))
+        assert np.allclose(steps, reference, rtol=1e-12, atol=0)
+        every += steps
+    # a direction that keeps X positive for every step: alpha = 1
+    chol, _ = pair(3, float)
+    assert sdp._max_step(np.linalg.inv(chol)[None, None], np.eye(3)[None, None]) == [1.0]
+    assert min(every) < 0.5
 
 
 def _counting(calls, name, fn):
@@ -464,8 +475,7 @@ def test_solver_calls_scipy_linalg_only_for_the_schur_system(monkeypatch):
             monkeypatch.setattr(sla, name, _counting(calls, name, fn))
     out = feasibility_margin(problem)
     factors = out.iterations - 1  # the last iteration only tests convergence
-    # block solves go to LAPACK directly, bound once per solve
-    assert calls.pop("get_lapack_funcs") <= 2
+    # block-level work goes to numpy's batched linear algebra
     assert dict(calls) == {"cho_factor": factors, "cho_solve": 2 * factors}
 
 
