@@ -205,13 +205,15 @@ def required_resources(d_a, d_b, spec):
 
       * the CSR stacks five times over: as assembled, with the margin
         direction appended, their real copy, and the two re-layouts the
-        Schur assembly multiplies with (sdp.schur_stacks);
+        solver multiplies with (the packed stack of sdp.BlockSplit and
+        the chunks of sdp.schur_stacks);
       * the dense images of the Hermitian basis of Sym_k(A) on each copy
         side, which the pinned part and the witness map are built from;
       * the Schur assembly workspace of the largest chunk (sdp.schur_block
         over c_b = sdp.schur_chunk(m + 1, n_b**2, 16) direction columns): the
         two reused (n_b^2, c_b) arrays, the fresh sparse product of the
-        same size, and the (m, c_b) contraction;
+        same size, and the (m, c_b) contraction (blocks of one side share
+        a chunk, which then holds fewer columns);
       * the m x m Schur matrix and its Cholesky factor;
       * the product basis of A x B that the per-state step contracts rho
         against.
@@ -223,7 +225,9 @@ def required_resources(d_a, d_b, spec):
     lower bounds.  Complex values are assumed throughout.
     schur_flops_per_iteration is sum_b (2 m n_b^3 + 2 nnz_b (m + n_b)):
     the dense S^-1 product, and the two sparse products with the stack,
-    F Z and the trace pairing.
+    F Z and the trace pairing, for blocks that stay whole; the solver cuts
+    a block whose pattern allows it into smaller components, which costs
+    less.
     """
     k = spec.k
     m = free_direction_count(d_a, d_b, k)

@@ -81,7 +81,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sps
-from scipy.sparse import csgraph
 
 from . import tolerances as policy
 from .tensorops import check_hermitian
@@ -141,6 +140,23 @@ def _require_finite(arrays):
             raise ValueError("array must not contain infs or NaNs")
 
 
+def _component_labels(adjacency):
+    """The connected component of each vertex of a symmetric boolean
+    adjacency matrix with a true diagonal, numbered by smallest vertex.
+
+    Every vertex takes the smallest label among its neighbours, then the
+    label of the vertex its label names; labels only shrink and stay
+    inside the component, so the loop ends with one label per component.
+    """
+    labels = np.arange(len(adjacency))
+    while True:
+        new = np.where(adjacency, labels, len(labels)).min(axis=1)
+        new = new[new]
+        if np.array_equal(new, labels):
+            return np.unique(labels, return_inverse=True)[1]
+        labels = new
+
+
 class DirectionStacks(Sequence):
     """The direction stacks of every block, plus the layouts derived from
     them alone.
@@ -149,9 +165,10 @@ class DirectionStacks(Sequence):
     differ only in F0 can share one instance: the re-layouts the solver
     needs (the margin direction appended, the real parts, the transposes,
     the block splits) are built on first use, once even under concurrent
-    callers, and live exactly as long as the stacks.  The constructor brings each
-    CSR block to canonical form in place and trusts it otherwise (finite,
-    Hermitian directions); from_blocks converts and checks it.
+    callers, and live exactly as long as the stacks.  The constructor
+    brings each CSR block to canonical form in place and trusts it
+    otherwise (finite, Hermitian directions); from_blocks converts and
+    checks it.
     """
 
     def __init__(self, blocks):
@@ -252,18 +269,18 @@ class DirectionStacks(Sequence):
         f0s[b], of every direction and of the diagonal.  Built once per
         partition, which sweep points with one F0 pattern share."""
 
-        def supports():
+        def scan():
             out = []
             for stack, n in zip(self._blocks, self.sides):
-                pattern = np.eye(n, dtype=bool)
-                pattern.flat[stack.indices] = True
-                out.append(pattern)
+                support = np.eye(n, dtype=bool)
+                support.flat[stack.indices] = True
+                out.append(support)
             return out
 
         patterns = [f0 != 0 for f0 in f0s]
-        supports = self._cached("supports", supports)
+        supports = self._cached("supports", scan)
         labels = self._cached(("labels", *(p.tobytes() for p in patterns)), lambda: [
-            csgraph.connected_components(support | pattern, directed=False)[1]
+            _component_labels(support | pattern)
             for support, pattern in zip(supports, patterns)
         ])
         key = ("split", *(lab.tobytes() for lab in labels))
@@ -278,12 +295,13 @@ class BlockSplit:
     component keeps its indices in increasing order; the components of
     one side s form a class, stored as one C-ordered (g, s, s) stack, and
     the classes lie one after another in one packed vector of length N.
-    Fields: classes, a list of (offset, g, s); stack, every block's
-    directions on the packed vector, a CSC array of shape (m, N); schur,
-    the schur_stacks of each class, on a column range of stack; dest, the
+    Fields: classes, the packed range and stack shape (lo, hi, (g, s, s))
+    of each class; stack, every block's directions on the packed vector,
+    a CSC array of shape (m, N); schur, the schur_stacks of each class,
+    on its column range of stack; dest, the
     position of each packed entry in the blocks' row-major vecs laid end
-    to end; and the index arrays that herm, add_identity and block_norms
-    use.
+    to end; diag, the packed positions of the diagonal; and the index
+    arrays that herm and block_norms use.
     """
 
     def __init__(self, blocks, labels):
@@ -298,21 +316,22 @@ class BlockSplit:
             ),
             key=lambda comp: comp[0],
         )
-        self.classes = []
+        counts = {}
         dest, owner, transpose, diag = [], [], [], []
         offset = 0
         for s, b, idx in comps:
-            if not self.classes or self.classes[-1][2] != s:
-                self.classes.append([offset, 0, s])
-            self.classes[-1][1] += 1
+            counts[s] = counts.get(s, 0) + 1
             local = np.arange(s * s).reshape(s, s)
             dest.append(starts[b] + (idx[:, None] * sides[b] + idx).ravel())
             owner.append(np.full(s * s, b))
             transpose.append(offset + local.T.ravel())
             diag.append(offset + np.diagonal(local))
             offset += s * s
-        self.classes = [tuple(cls) for cls in self.classes]
-        self._slices = [(lo, lo + g * s * s, (g, s, s)) for lo, g, s in self.classes]
+        self.classes = []
+        lo = 0
+        for s, g in counts.items():
+            self.classes.append((lo, lo + g * s * s, (g, s, s)))
+            lo += g * s * s
         self.sides = sides
         self.starts = starts
         self.dest = np.concatenate(dest)
@@ -334,21 +353,21 @@ class BlockSplit:
             ),
             shape=(blocks[0].shape[0], offset),
         )
-        self._combine = self.stack.T
+        self._stack_t = self.stack.T
+        self.schur = []
         ptr = self.stack.indptr
-        self.schur = [
-            schur_stacks(sps.csc_array(
-                (self.stack.data[ptr[lo]:ptr[hi]], self.stack.indices[ptr[lo]:ptr[hi]],
-                 ptr[lo:hi + 1] - ptr[lo]),
+        for lo, hi, (_, s, _) in self.classes:
+            a, z = ptr[lo], ptr[hi]
+            columns = sps.csc_array(
+                (self.stack.data[a:z], self.stack.indices[a:z], ptr[lo:hi + 1] - a),
                 shape=(self.stack.shape[0], hi - lo),
-            ), s)
-            for lo, hi, s in ((lo, lo + g * s * s, s) for lo, g, s in self.classes)
-        ]
+            )
+            self.schur.append(schur_stacks(columns, s))
 
     @property
     def side_classes(self):
         """{side: number of components} over the classes."""
-        return {s: g for _, g, s in self.classes}
+        return {s: g for _, _, (g, s, _) in self.classes}
 
     def pack(self, mats):
         """The packed vector of block matrices mats."""
@@ -368,7 +387,7 @@ class BlockSplit:
         per-class stacks passes through."""
         if isinstance(packed, list):
             return packed
-        return [packed[lo:hi].reshape(shape) for lo, hi, shape in self._slices]
+        return [packed[lo:hi].reshape(shape) for lo, hi, shape in self.classes]
 
     def matmul(self, a, b):
         """The packed product of two block-diagonal matrices, each given
@@ -384,13 +403,14 @@ class BlockSplit:
         return (packed + packed[self.transpose].conj()) / 2
 
     def identity(self, dtype):
+        """The packed identity."""
         out = np.zeros(self.dest.size, dtype)
         out[self.diag] = 1
         return out
 
     def combine(self, x):
         """sum_i x_i F_i, packed."""
-        return self._combine @ x
+        return self._stack_t @ x
 
     def trace_pairs(self, packed):
         """Re Tr[F_i U] for every direction, U given packed: F_i is
@@ -631,15 +651,15 @@ def _solve_core(f0s, fs, c, tol, trace_cb=None, floor=-np.inf):
     m = len(c)
     split = fs.split(f0s)
     ntot = sum(split.sides)
-    f0 = split.pack(f0s)
-    dtype = np.result_type(f0, split.stack.dtype)
+    fixed = split.pack(f0s)
+    dtype = np.result_type(fixed.dtype, split.stack.dtype)
     # per solve, not cached on fs: concurrent solves share the stacks
     work = schur_workspace(split.schur, dtype)
     trace_cb = trace_cb or (lambda row: None)
 
     beta = 1.0 + np.sqrt(sum(np.linalg.norm(f0) ** 2 for f0 in f0s))
     x = np.zeros(m)
-    eye = split.identity(f0.dtype)
+    eye = split.identity(fixed.dtype)
     slack = beta * eye
 
     tvec = split.trace_pairs(eye)
@@ -675,14 +695,14 @@ def _solve_core(f0s, fs, c, tol, trace_cb=None, floor=-np.inf):
         )
 
     for it in range(1, policy.MAX_ITER + 1):
-        fx = f0 + split.combine(x)
+        fx = fixed + split.combine(x)
         rp = fx - slack
         rd = c - split.trace_pairs(zdual)
         # Tr[S Z] and Tr[F0 Z] as sums of S[p, q] conj(Z[p, q]): Z is
         # Hermitian
         mu = np.vdot(zdual, slack).real / ntot
         pobj = float(c @ x)
-        dobj = -np.vdot(zdual, f0).real
+        dobj = -np.vdot(zdual, fixed).real
         gap = pobj - dobj
         pinf = split.block_norms(rp).max() / f0_scale
         dinf = (np.abs(rd).max() / c_scale) if m else 0.0

@@ -110,6 +110,23 @@ def test_split_solve_matches_the_rotated_whole_blocks(case):
         assert sdp.verify_certificate(problem, split_out.z_blocks).passed
 
 
+def test_component_labels_match_scipy():
+    rng = np.random.default_rng(4)
+    cases = []
+    for n in (1, 2, 7, 40, 120):
+        for density in (0.0, 0.01, 0.05, 0.3):
+            adjacency = rng.random((n, n)) < density
+            cases.append(adjacency | adjacency.T | np.eye(n, dtype=bool))
+    # a path visiting the vertices in scrambled order
+    path = np.eye(60, dtype=bool)
+    order = rng.permutation(60)
+    path[order[:-1], order[1:]] = path[order[1:], order[:-1]] = True
+    cases.append(path)
+    for adjacency in cases:
+        expected = csgraph.connected_components(adjacency, directed=False)[1]
+        assert np.array_equal(sdp._component_labels(adjacency), expected)
+
+
 def test_blocks_of_side_one_are_one_class():
     # a linear program: min t with f0_b + sum_i x_i f_ib + t >= 0, bounded
     # below by directions orthogonal to a positive w
