@@ -142,19 +142,22 @@ def _require_finite(arrays):
 
 def _component_labels(adjacency):
     """The connected component of each vertex of a symmetric boolean
-    adjacency matrix with a true diagonal, numbered by smallest vertex.
+    adjacency matrix, numbered by smallest vertex.
 
-    Every vertex takes the smallest label among its neighbours, then the
-    label of the vertex its label names; labels only shrink and stay
-    inside the component, so the loop ends with one label per component.
+    Every vertex points at a root, at first itself.  Each round hooks the
+    root at one end of every edge onto the root at the other end when
+    that is smaller, then points every vertex straight at its root, so
+    every tree with a smaller neighbouring root merges; the rounds end
+    when no edge joins two trees.
     """
-    labels = np.arange(len(adjacency))
+    heads, tails = np.nonzero(adjacency)
+    roots = np.arange(len(adjacency))
     while True:
-        new = np.where(adjacency, labels, len(labels)).min(axis=1)
-        new = new[new]
-        if np.array_equal(new, labels):
-            return np.unique(labels, return_inverse=True)[1]
-        labels = new
+        np.minimum.at(roots, roots[heads], roots[tails])
+        while not np.array_equal(roots[roots], roots):
+            roots = roots[roots]
+        if np.array_equal(roots[heads], roots[tails]):
+            return np.unique(roots, return_inverse=True)[1]
 
 
 class DirectionStacks(Sequence):
