@@ -451,8 +451,8 @@ def test_stacked_step_lengths_equal_the_per_block_ones():
         assert np.allclose(steps, reference, rtol=1e-12, atol=0)
         every += steps
     # a direction that keeps X positive for every step: alpha = 1
-    chol, _ = pair(3, float)
-    assert sdp._max_step(np.linalg.inv(chol)[None, None], np.eye(3)[None, None]) == [1.0]
+    inverse = np.linalg.inv(pair(3, float)[0])
+    assert sdp._max_step(inverse[None, None], np.eye(3)[None, None]) == [1.0]
     assert min(every) < 0.5
 
 

@@ -233,8 +233,9 @@ def test_concurrent_sweep_points_share_one_split(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert len(builds) == 1
+    classes = results[0][1].diagnostics["side_classes"]
     for problem, out in results:
-        assert out.diagnostics["side_classes"] == results[0][1].diagnostics["side_classes"]
+        assert out.diagnostics["side_classes"] == classes
         again = sdp.feasibility_margin(problem)
         assert (again.iterations, again.margin_t) == (out.iterations, out.margin_t)
 
