@@ -141,16 +141,18 @@ def _require_finite(arrays):
 
 
 def _component_labels(adjacency):
-    """The connected component of each vertex of a symmetric boolean
-    adjacency matrix, numbered by smallest vertex.
+    """The connected component of each vertex of a boolean adjacency
+    matrix, its edges taken both ways, numbered by smallest vertex.
 
     Every vertex points at a root, at first itself.  Each round hooks the
     root at one end of every edge onto the root at the other end when
     that is smaller, then points every vertex straight at its root, so
     every tree with a smaller neighbouring root merges; the rounds end
-    when no edge joins two trees.
+    when no edge joins two trees.  Hooking needs every edge in both
+    directions: Hermitian data within tolerance may carry a tiny entry
+    whose mirror is exactly zero.
     """
-    heads, tails = np.nonzero(adjacency)
+    heads, tails = np.nonzero(adjacency | adjacency.T)
     roots = np.arange(len(adjacency))
     while True:
         np.minimum.at(roots, roots[heads], roots[tails])

@@ -122,9 +122,34 @@ def test_component_labels_match_scipy():
     order = rng.permutation(60)
     path[order[:-1], order[1:]] = path[order[1:], order[:-1]] = True
     cases.append(path)
+    # one direction of each edge only: the labels must not depend on it
+    upper = np.triu(rng.random((50, 50)) < 0.03)
+    cases.append(upper)
+    cases.append(upper.T)
     for adjacency in cases:
         expected = csgraph.connected_components(adjacency, directed=False)[1]
         assert np.array_equal(sdp._component_labels(adjacency), expected)
+
+
+def test_unmirrored_tiny_entries_join_their_components():
+    # Hermitian within tolerance, not exactly: block 0's F0 and one of
+    # block 1's directions each carry a 1e-14 entry whose mirror is 0
+    n, m = 4, 3
+    f0a = np.diag([1.0, -0.5, 2.0, 0.3])
+    f0a[0, 1] = 1e-14
+    f0b = np.diag([0.4, 1.5, -0.2, 0.9])
+    dirs = np.zeros((m, n, n))
+    for i in range(m):
+        dirs[i, i, i], dirs[i, i + 1, i + 1] = 1.0, -1.0
+    dirs_b = dirs.copy()
+    dirs_b[1, 3, 2] = 1e-14
+    problem = sdp.SdpProblem(f0s=[f0a, f0b], fs=[dirs, dirs_b], c=np.zeros(m))
+    out = sdp.feasibility_margin(problem)
+    # block 0: {0, 1}, {2}, {3}; block 1: {0}, {1}, {2, 3}
+    assert out.diagnostics["side_classes"] == {1: 4, 2: 2}
+    whole_out = sdp.feasibility_margin(rotated(problem, seed=2, real=True))
+    assert whole_out.diagnostics["side_classes"] == {n: 2}
+    assert_same_run(out, whole_out)
 
 
 def test_blocks_of_side_one_are_one_class():
