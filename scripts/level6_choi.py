@@ -89,7 +89,6 @@ def main(argv=None):
             choi_family_state(alpha),
             spec,
             trace=lambda row: stamps.append(time.perf_counter()),
-            keep_extension=False,
         )
         elapsed = time.perf_counter() - start
         # mean spacing of the solver's iteration rows

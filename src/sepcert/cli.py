@@ -330,7 +330,7 @@ def cmd_sweep(args):
             return scale_state(base, gamma)
 
     def point(v):
-        rep = run_test(make(v), spec, tolerances=tol, keep_extension=False)
+        rep = run_test(make(v), spec, tolerances=tol)
         return (v, rep.status, rep.margin)
 
     if args.jobs > 1:

@@ -33,6 +33,15 @@ store only what the units put there, and their size is known exactly
 before they are built.  The pinned part is the minimum-norm
 symmetric-subspace solution of the trace-down constraint.
 
+Every feasible verdict is re-checked on its evidence, at every level and
+in the same coordinates (check_extension_properties).  The plain block
+X = F0_0 + sum_i x_i F_i,0 is the extension compressed onto
+Sym_k(A) x B, so it is permutation invariant by construction; its
+trace-down is a closed-form one-copy trace on the occupation basis,
+applied k - 1 times and compared with rho, and each partial transpose
+is X carried to its block's copy side, whose smallest eigenvalue is
+taken.  Nothing is lifted to the full copy space, of side d_a^k d_b.
+
 A state whose exactly-zero entries make it invariant under a torus of
 diagonal phases U_A x U_B (torus_grading) is solved on the invariant
 free directions only.  Averaging an extension over the torus keeps the
@@ -63,10 +72,6 @@ from .tensorops import (
     check_hermitian,
     hermitian_basis,
     multisets,
-    partial_trace,
-    partial_transpose_multi,
-    permute_factors,
-    symmetric_isometry,
     symmetric_subspace_dim,
 )
 
@@ -76,7 +81,6 @@ MARGINAL = "marginal"
 
 AMBIENT_CAP = 4000
 MEMORY_BUDGET_BYTES = 2_500_000_000
-RECHECK_CAP = 2000
 
 
 class AssemblyError(ValueError):
@@ -281,7 +285,7 @@ def _stored_entries(d_a, d_b, k, ppt):
 
 def _occupations(d, k):
     """Occupation vectors of the sorted k-multisets over range(d), one row
-    each, in the column order of symmetric_isometry(d, k)."""
+    each, in the lexicographic order of multisets(d, k)."""
     ms = multisets(d, k)
     ms = np.array(ms, dtype=int).reshape(len(ms), k)
     return (ms[:, :, None] == np.arange(d)).sum(axis=1)
@@ -391,6 +395,7 @@ def _trace_down_coefficients(d, k):
     return (pair @ (trace_down @ svecs.T)).real
 
 
+@functools.lru_cache(maxsize=64)
 def _copy_image(d, k, l):
     """The map X -> comp^T PT_(1..l)(iso X iso^T) comp from operators X on
     Sym_k(C^d) to the copy side of the block with l transposed copies, as
@@ -402,7 +407,8 @@ def _copy_image(d, k, l):
     N the arrangement count.  Entry [(a, b), (a', b')] of the image is
     X[mu, nu] times two overlaps, with mu = a' + b and nu = a + b' (a, a'
     in Sym_l, b, b' in Sym_(k-l)): each entry of the image comes from
-    exactly one entry of X.
+    exactly one entry of X.  Cached: the stack build, _stored_entries and
+    the extension re-check share one matrix per (d, k, l) and only read it.
     """
     occ_l, occ_r = _occupations(d, l), _occupations(d, k - l)
     sums = occ_l[:, None, :] + occ_r[None, :, :]
@@ -424,6 +430,45 @@ def _copy_image(d, k, l):
         (coef[ca, rb] * coef[ra, cb], (rows, np.arange(side * side))),
         shape=(dsym * dsym, side * side),
     )
+
+
+@functools.lru_cache(maxsize=64)
+def _trace_one_copy(d, k):
+    """The trace over one copy, from operators on Sym_k(C^d) to operators
+    on Sym_(k-1)(C^d), as a sparse (dsym_k^2, dsym_(k-1)^2) matrix acting
+    on row-major vecs as _copy_image does.
+
+    Splitting off the last copy, |mu> = sum_c sqrt(mu_c / k) |mu - c> x |c>,
+    so Tr_k |mu><nu| = sum_c sqrt(mu_c nu_c) / k |mu - c><nu - c|.  Cached
+    and read-only, like _copy_image.
+    """
+    occ = _occupations(d, k)
+    n, n_low = len(occ), symmetric_subspace_dim(d, k - 1)
+    eye = np.eye(d, dtype=int)
+    rows, cols, vals = [], [], []
+    for c in range(d):
+        has = np.flatnonzero(occ[:, c])
+        low = _occupation_index(d, k - 1, occ[has] - eye[c])
+        mu, nu = np.divmod(np.arange(len(has) ** 2), len(has))
+        rows.append(has[mu] * n + has[nu])
+        cols.append(low[mu] * n_low + low[nu])
+        vals.append(np.sqrt(occ[has[mu], c] * occ[has[nu], c]) / k)
+    return sps.csr_array(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n * n, n_low * n_low),
+    )
+
+
+def _map_copies(ext, cmap, d_b, transpose_b=False):
+    """Apply cmap, a map on the copy side given as a sparse (n^2, n'^2)
+    matrix on row-major vecs (_copy_image, _trace_one_copy), to an
+    operator on (copy side of n) x B, one B entry at a time; B is
+    transposed as well when transpose_b is set."""
+    n, n_out = math.isqrt(cmap.shape[0]), math.isqrt(cmap.shape[1])
+    vecs = ext.reshape(n, d_b, n, d_b).transpose(0, 2, 1, 3).reshape(n * n, -1)
+    out = (cmap.T @ vecs).reshape(n_out, n_out, d_b, d_b)
+    axes = (0, 3, 1, 2) if transpose_b else (0, 2, 1, 3)
+    return out.transpose(axes).reshape(n_out * d_b, n_out * d_b)
 
 
 def _unit_weights(vecs, occ):
@@ -682,7 +727,6 @@ class ExtensionShape:
         dsym = symmetric_subspace_dim(d_a, k)
         basis_a = hermitian_basis(d_a)
         basis_b = hermitian_basis(d_b)
-        self._iso_k = symmetric_isometry(d_a, k)
         sbasis = hermitian_basis(dsym)
         self._sbasis = sbasis
         ns = dsym**2
@@ -822,10 +866,6 @@ class ExtensionShape:
                 )
             return self._invariant[1]
 
-    def extension_space(self):
-        """The full copy space A_1 ... A_k, B of the extension."""
-        return TensorSpace([self.d_a] * self.k + [self.d_b])
-
     # -- the per-state step ---------------------------------------------
 
     def pinned_blocks(self, rho_mat):
@@ -838,22 +878,6 @@ class ExtensionShape:
             )
             for d in self.descriptors
         ]
-
-    def extension_matrix(self, problem, x):
-        """Extension on the full copy space from the solver variables x of
-        a problem of this shape.
-
-        The plain block of the problem is the extension compressed onto
-        Sym_k(A) x B, so reconstruction is a contraction against the
-        direction stack plus a lift through the symmetric-subspace
-        isometry.
-        """
-        x = np.asarray(x, dtype=float)
-        comp = problem.f0s[0].astype(complex, copy=True)
-        if x.size:
-            comp += (problem.fs.transposed()[0] @ x).reshape(comp.shape)
-        lift = np.kron(self._iso_k, np.eye(self.d_b))
-        return lift @ comp @ lift.conj().T
 
     # -- trace-down helpers ---------------------------------------------
 
@@ -943,35 +967,38 @@ def build_extension_problem(rho, spec):
     return problem, shape
 
 
-def check_extension_properties(ext, ext_space, rho, ppt, tol=policy.RECHECK):
-    """Direct verification of the three defining extension properties.
+def check_extension_properties(ext, rho, k, ppt, tol=policy.RECHECK):
+    """Direct verification of a level-k extension ext of rho, given in
+    the coordinates the problem is solved in: an operator on
+    Sym_k(A) x B, the plain block F0_0 + sum_i x_i F_i,0.
 
-    Returns a dict of worst-case deviations: copy-swap symmetry, trace-down
-    distance to rho, and the smallest eigenvalue over the partial
-    transposes of the level (only the plain block when ppt is off).
+    The extension it stands for on the full copy space, ext lifted
+    through the isometry of Sym_k(A), is invariant under every
+    permutation of the copies by construction.  Its trace-down is the
+    one-copy trace (_trace_one_copy) applied k - 1 times, compared with
+    rho.  Each partial transpose of the level is formed on its block's
+    copy side (_copy_image, with B transposed on tb blocks): on the full
+    copy space it is that block padded with zeros, so their smallest
+    eigenvalues agree wherever the full one is negative.
+
+    Returns the largest trace-down deviation, the smallest eigenvalue
+    over the partial transposes of the level (only the plain block when
+    ppt is off), and whether both are within tol.
     """
-    k = ext_space.nfactors - 1
-    swap_dev = 0.0
-    for i in range(k - 1):
-        perm = list(range(k + 1))
-        perm[i], perm[i + 1] = perm[i + 1], perm[i]
-        swapped, _ = permute_factors(ext, ext_space, perm)
-        swap_dev = max(swap_dev, float(np.abs(swapped - ext).max()))
-    traced = partial_trace(ext, ext_space, set(range(1, k)))
+    d_a, d_b = rho.dim_a, rho.dim_b
+    traced = ext
+    for copies in range(k, 1, -1):
+        traced = _map_copies(traced, _trace_one_copy(d_a, copies), d_b)
     trace_dev = float(np.abs(traced - rho.matrix).max())
     min_eig = np.inf
     for l, b in transpose_descriptors(k, ppt):
-        # block (l, b) transposes the first l copies, and B when b is set
-        which = set(range(l)) | ({k} if b else set())
-        block = partial_transpose_multi(ext, ext_space, which)
+        block = _map_copies(ext, _copy_image(d_a, k, l), d_b, transpose_b=b)
         block = (block + block.conj().T) / 2
         min_eig = min(min_eig, float(np.linalg.eigvalsh(block)[0]))
-    ok = swap_dev <= tol and trace_dev <= tol and min_eig >= -tol
     return {
-        "swap_deviation": swap_dev,
         "trace_down_deviation": trace_dev,
         "min_transpose_eigenvalue": min_eig,
-        "passed": bool(ok),
+        "passed": bool(trace_dev <= tol and min_eig >= -tol),
     }
 
 
@@ -984,25 +1011,22 @@ class TestReport:
     solver_status: str
     metadata: dict
     extension: np.ndarray = None
-    extension_space: TensorSpace = None
     extension_checks: dict = None
     dual_blocks: list = None
     certificate_check: object = None
     witness: object = None
 
 
-def run_test(rho, spec, tolerances=None, trace=None, keep_extension=True):
+def run_test(rho, spec, tolerances=None, trace=None):
     """Run one level of the hierarchy and package the evidence.
 
     Infeasibility yields a verified certificate plus an extracted witness;
-    feasibility yields the extension itself, re-checked directly against
-    the three defining properties (when it fits in memory).
+    feasibility yields the extension itself, on Sym_k(A) x B, re-checked
+    directly against the defining properties (check_extension_properties)
+    in those coordinates, at every level.
     """
     problem, shape = build_extension_problem(rho, spec)
     invariant = problem.invariant
-    full = problem
-    if invariant is not None:
-        full = sdp.SdpProblem(f0s=problem.f0s, fs=shape.stacks, c=np.zeros(shape.m))
     outcome = sdp.feasibility_margin(problem, tolerances=tolerances, trace=trace)
     if invariant is not None:
         outcome.x = invariant.lift.T @ outcome.x
@@ -1022,31 +1046,27 @@ def run_test(rho, spec, tolerances=None, trace=None, keep_extension=True):
         metadata=metadata,
     )
     if outcome.status == sdp.FEASIBLE:
-        report = TestReport(status=SEPARABLE_CONSISTENT, **common)
-        full_side = rho.dim_a**spec.k * rho.dim_b
-        if keep_extension and full_side <= RECHECK_CAP:
-            ext = shape.extension_matrix(full, outcome.x)
-            checks = check_extension_properties(
-                ext, shape.extension_space(), rho, spec.ppt
+        f0 = problem.f0s[0]
+        ext = f0 + (shape.stacks.transposed()[0] @ outcome.x).reshape(f0.shape)
+        checks = check_extension_properties(ext, rho, spec.k, spec.ppt)
+        if not checks["passed"]:
+            raise SolverFailure(
+                f"extension re-check failed: {checks}", outcome=outcome
             )
-            if not checks["passed"]:
-                raise SolverFailure(
-                    f"extension re-check failed: {checks}", outcome=outcome
-                )
-            report.extension = ext
-            report.extension_space = shape.extension_space()
-            report.extension_checks = checks
-        else:
-            reason = (
-                "disabled by caller"
-                if not keep_extension
-                else f"full copy-space side {full_side} exceeds {RECHECK_CAP}"
-            )
-            metadata["extension_recheck"] = "skipped, " + reason
-        return report
+        return TestReport(
+            status=SEPARABLE_CONSISTENT,
+            extension=ext,
+            extension_checks=checks,
+            **common,
+        )
     if outcome.status == sdp.INFEASIBLE:
         from . import witness as witness_mod
 
+        full = problem
+        if invariant is not None:
+            full = sdp.SdpProblem(
+                f0s=problem.f0s, fs=shape.stacks, c=np.zeros(shape.m)
+            )
         check = sdp.verify_certificate(full, outcome.z_blocks)
         if not check.passed:
             raise SolverFailure(
@@ -1091,11 +1111,11 @@ def run_ladder(rho, k_max, ppt=True, tolerances=None, trace=None):
         spec = ExtensionSpec(k=k, ppt=ppt)
         rep = run_test(rho, spec, tolerances=tolerances, trace=trace)
         reports.append(rep)
-        if rep.status == SEPARABLE_CONSISTENT and k > 1 and rep.extension is not None:
-            ext_space = rep.extension_space
-            traced = partial_trace(rep.extension, ext_space, {k - 1})
-            sub_space = TensorSpace([rho.dim_a] * (k - 1) + [rho.dim_b])
-            chk = check_extension_properties(traced, sub_space, rho, ppt)
+        if rep.status == SEPARABLE_CONSISTENT and k > 1:
+            traced = _map_copies(
+                rep.extension, _trace_one_copy(rho.dim_a, k), rho.dim_b
+            )
+            chk = check_extension_properties(traced, rho, k - 1, ppt)
             mono.append({"level": k, **chk})
             if not chk["passed"]:
                 raise SolverFailure(

@@ -5,9 +5,9 @@ never knows its own factor structure, so every operation takes a TensorSpace
 describing how the ambient space splits into factors.  Matrices are dense
 numpy arrays, complex128 unless stated otherwise.
 
-The symmetric-subspace isometry is the workhorse of the extension tests: it
-maps the occupation-number basis of the symmetric subspace of k copies of
-C^d, of dimension binom(d+k-1, k), into the full k-fold tensor power.
+The symmetric subspace of k copies of C^d, of dimension binom(d+k-1, k),
+is indexed by the sorted k-multisets over range(d) (multisets), in
+lexicographic order.
 """
 
 from dataclasses import dataclass
@@ -101,14 +101,6 @@ def partial_transpose(mat, space, which):
     return t.transpose(perm).reshape(space.dim, space.dim)
 
 
-def partial_transpose_multi(mat, space, which_set):
-    """Transpose several factors at once (composition of single transposes)."""
-    out = mat
-    for w in sorted(set(which_set)):
-        out = partial_transpose(out, space, w)
-    return out
-
-
 def partial_trace(mat, space, which):
     """Trace out a set of factors; returns a matrix on the remaining factors.
 
@@ -149,44 +141,6 @@ def permute_factors(mat, space, perm):
 def symmetric_subspace_dim(d, k):
     """Dimension of the symmetric subspace of k copies of C^d."""
     return math.comb(d + k - 1, k)
-
-
-def _multiset_index(d, k):
-    """All d^k index tuples, each mapped to its sorted-multiset id.
-
-    Returns (multisets, inverse, counts): the lexicographic list of sorted
-    k-tuples over range(d), the multiset id of every raw tuple, and the
-    number of arrangements of each multiset.
-    """
-    grids = np.indices((d,) * k).reshape(k, -1).T  # (d^k, k), rows are tuples
-    srt = np.sort(grids, axis=1)
-    multisets, inverse, counts = np.unique(
-        srt, axis=0, return_inverse=True, return_counts=True
-    )
-    return multisets, inverse.ravel(), counts
-
-
-_ISOMETRY_CAP = 20000
-
-
-def symmetric_isometry(d, k):
-    """Isometry from the occupation-number basis into (C^d)^(x k).
-
-    Columns are indexed by sorted multisets in lexicographic order; column mu
-    is the normalized sum over all distinct arrangements of mu.  B^dag B = 1
-    and B B^dag is the symmetric projector.  Real-valued.
-    """
-    if d**k > _ISOMETRY_CAP:
-        raise FactorError(
-            f"symmetric isometry for d={d}, k={k} needs ambient dimension "
-            f"{d**k}, beyond the dense cap {_ISOMETRY_CAP}"
-        )
-    _, inverse, counts = _multiset_index(d, k)
-    nrows = d**k
-    ncols = len(counts)
-    b = np.zeros((nrows, ncols))
-    b[np.arange(nrows), inverse] = 1.0 / np.sqrt(counts[inverse])
-    return b
 
 
 @dataclass

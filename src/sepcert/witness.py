@@ -323,7 +323,7 @@ def find_gamma_star(
 
     def verdict(g):
         status = hierarchy.run_test(
-            scale_state(rho, g), spec, tolerances=tolerances, keep_extension=False
+            scale_state(rho, g), spec, tolerances=tolerances
         ).status
         evaluations.append((g, status))
         return status

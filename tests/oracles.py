@@ -8,8 +8,10 @@ extensions, and the 4x4 family has its exact witness here.  The extension
 test is also posed on the full copy space, without the package's
 symmetric-subspace reduction, as a dense problem built from the averaged
 embedding of the state, and the trace-down map is built by embedding
-and partially tracing one basis element at a time.  None of these is
-needed by the package itself.
+and partially tracing one basis element at a time.  The symmetric
+isometry lifts the package's compressed extensions to the full copy
+space, where the defining properties are checked factor by factor.
+None of these is needed by the package itself.
 """
 
 import functools
@@ -19,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from sepcert import sdp
+from sepcert import tolerances as policy
 from sepcert.hierarchy import (
     ENTANGLED,
     MARGINAL,
@@ -32,9 +35,8 @@ from sepcert.tensorops import (
     TensorSpace,
     hermitian_basis,
     partial_trace,
-    partial_transpose_multi,
+    partial_transpose,
     permute_factors,
-    symmetric_isometry,
     symmetric_subspace_dim,
 )
 
@@ -83,6 +85,52 @@ def swap_operator(space, i, j):
     perm = list(range(space.nfactors))
     perm[i], perm[j] = perm[j], perm[i]
     return factor_permutation_operator(space, perm)
+
+
+def partial_transpose_multi(mat, space, which_set):
+    """Transpose several factors at once (composition of single transposes)."""
+    out = mat
+    for w in sorted(set(which_set)):
+        out = partial_transpose(out, space, w)
+    return out
+
+
+def _multiset_index(d, k):
+    """All d^k index tuples, each mapped to its sorted-multiset id.
+
+    Returns (multisets, inverse, counts): the lexicographic list of sorted
+    k-tuples over range(d), the multiset id of every raw tuple, and the
+    number of arrangements of each multiset.
+    """
+    grids = np.indices((d,) * k).reshape(k, -1).T  # (d^k, k), rows are tuples
+    srt = np.sort(grids, axis=1)
+    multisets, inverse, counts = np.unique(
+        srt, axis=0, return_inverse=True, return_counts=True
+    )
+    return multisets, inverse.ravel(), counts
+
+
+_ISOMETRY_CAP = 20000
+
+
+def symmetric_isometry(d, k):
+    """Isometry from the occupation-number basis into (C^d)^(x k).
+
+    Columns are indexed by sorted multisets in lexicographic order; column mu
+    is the normalized sum over all distinct arrangements of mu.  B^dag B = 1
+    and B B^dag is the symmetric projector.  Real-valued.
+    """
+    if d**k > _ISOMETRY_CAP:
+        raise FactorError(
+            f"symmetric isometry for d={d}, k={k} needs ambient dimension "
+            f"{d**k}, beyond the dense cap {_ISOMETRY_CAP}"
+        )
+    _, inverse, counts = _multiset_index(d, k)
+    nrows = d**k
+    ncols = len(counts)
+    b = np.zeros((nrows, ncols))
+    b[np.arange(nrows), inverse] = 1.0 / np.sqrt(counts[inverse])
+    return b
 
 
 def operator_from_map(lmap):
@@ -209,6 +257,43 @@ def averaged_embedding(rho_mat, d_a, d_b, k):
     rho_b = partial_trace(rho_mat, TensorSpace([d_a, d_b]), {0})
     out -= (k - 1) / d_a**k * np.kron(np.eye(d_a**k), rho_b)
     return out
+
+
+def lift_extension(ext, d_a, d_b, k):
+    """An operator on Sym_k(A) x B, such as a reported extension, carried
+    to the full copy space A_1 ... A_k, B; returns (matrix, space)."""
+    lift = np.kron(symmetric_isometry(d_a, k), np.eye(d_b))
+    return lift @ ext @ lift.conj().T, TensorSpace([d_a] * k + [d_b])
+
+
+def full_extension_checks(ext, space, rho, ppt, tol=policy.RECHECK):
+    """The defining extension properties checked on the full copy space,
+    factor by factor: copy-swap symmetry, the trace-down distance to rho,
+    and the smallest eigenvalue over the partial transposes of the level
+    (only the plain block when ppt is off)."""
+    k = space.nfactors - 1
+    swap_dev = 0.0
+    for i in range(k - 1):
+        perm = list(range(k + 1))
+        perm[i], perm[i + 1] = perm[i + 1], perm[i]
+        swapped, _ = permute_factors(ext, space, perm)
+        swap_dev = max(swap_dev, float(np.abs(swapped - ext).max()))
+    traced = partial_trace(ext, space, set(range(1, k)))
+    trace_dev = float(np.abs(traced - rho.matrix).max())
+    min_eig = np.inf
+    for l, b in transpose_descriptors(k, ppt):
+        # block (l, b) transposes the first l copies, and B when b is set
+        which = set(range(l)) | ({k} if b else set())
+        block = partial_transpose_multi(ext, space, which)
+        block = (block + block.conj().T) / 2
+        min_eig = min(min_eig, float(np.linalg.eigvalsh(block)[0]))
+    ok = swap_dev <= tol and trace_dev <= tol and min_eig >= -tol
+    return {
+        "swap_deviation": swap_dev,
+        "trace_down_deviation": trace_dev,
+        "min_transpose_eigenvalue": min_eig,
+        "passed": bool(ok),
+    }
 
 
 def full_directions(d_a, d_b, k):

@@ -314,7 +314,7 @@ def test_acceptance_8_property_suite():
             ).min()
             if abs(pt_min) < 1e-6:
                 continue
-            status = run_test(rho, ExtensionSpec(k=1), keep_extension=False).status
+            status = run_test(rho, ExtensionSpec(k=1)).status
             if (status == ENTANGLED) != (pt_min < 0):
                 mismatches += 1
         if mismatches:
@@ -323,7 +323,7 @@ def test_acceptance_8_property_suite():
     # the symmetric-subspace reduction must not change any verdict: the
     # same test posed on the full copy space agrees
     for index, rho in enumerate(corpus):
-        reduced = run_test(rho, ExtensionSpec(k=2), keep_extension=False).status
+        reduced = run_test(rho, ExtensionSpec(k=2)).status
         full, _ = full_extension_verdict(rho, 2)
         if reduced != full:
             errors.append(

@@ -26,7 +26,9 @@ import numpy as np
 import pytest
 
 from oracles import swap_operator
+from sepcert import cli, hierarchy
 from sepcert.cli import _sweep_values, main
+from sepcert.hierarchy import DensityMatrix
 from sepcert.matio import load_matrix, save_matrix
 from sepcert.reports import read_report_matrices
 from sepcert.states import choi_family_state, max_entangled, maximally_mixed
@@ -577,3 +579,71 @@ def test_trace_flag_streams_solver_progress(files, tmp_path, capsys):
     # rows that took a step also name the centering and the step lengths
     for key in ("sigma", "alpha_p", "alpha_d"):
         assert f" {key}=" in err
+
+
+def _record_rechecks(monkeypatch, corrupt=None):
+    """Record every extension re-check run_test makes; corrupt, when
+    given, is added to the extension before it is checked."""
+    real = hierarchy.check_extension_properties
+    seen = []
+
+    def recorded(ext, rho, k, ppt, **kwargs):
+        if corrupt is not None:
+            ext = ext + corrupt(len(ext))
+        seen.append((k, real(ext, rho, k, ppt, **kwargs)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(hierarchy, "check_extension_properties", recorded)
+    return seen
+
+
+def test_level_beyond_the_dense_isometry_is_rechecked(
+    files, tmp_path, monkeypatch, capsys
+):
+    # 2x2 at level 15 has full copy-space side 2^15 * 2; the problem has
+    # 1008 directions and one block of side 32, and the re-check stays on it
+    seen = _record_rechecks(monkeypatch)
+    argv = ["test", files["maxmixed22.mat"], "--k", "15", "--no-ppt"]
+    code = main(argv + ["--out", str(tmp_path)])
+    out, _ = capsys.readouterr()
+    assert code == 0
+    assert out.startswith("separable_consistent margin=")
+    assert [(k, chk["passed"]) for k, chk in seen] == [(15, True)]
+
+
+def _separable_family(v):
+    """Stand-in sweep family: a 2x2 product state mixed with white noise,
+    separable for every v in [0, 1]."""
+    prod = np.zeros((4, 4))
+    prod[0, 0] = 1.0
+    return DensityMatrix(v * prod + (1 - v) * np.eye(4) / 4, TensorSpace([2, 2]))
+
+
+def test_feasible_sweep_points_are_rechecked(tmp_path, monkeypatch, capsys):
+    # none of the sweep's families has a feasible point at these levels,
+    # so a separable family stands in for the 4x4 one
+    monkeypatch.setattr(cli, "gisin_family_state", _separable_family)
+    seen = _record_rechecks(monkeypatch)
+    argv = ["sweep", "gisin", "--from", "0.2", "--to", "0.6", "--step", "0.2"]
+    code = main(argv + ["--k", "2", "--out", str(tmp_path)])
+    capsys.readouterr()
+    assert code == 0
+    assert [(k, chk["passed"]) for k, chk in seen] == [(2, True)] * 3
+
+
+def test_a_broken_extension_fails_a_sweep_point(tmp_path, monkeypatch, capsys):
+    # an extension whose trace-down misses rho by 0.05 on the first two
+    # diagonal entries is a solver failure, not a feasible point
+    monkeypatch.setattr(cli, "gisin_family_state", _separable_family)
+
+    def corrupt(n):
+        return 0.05 * np.diag([1.0, -1.0] + [0.0] * (n - 2))
+
+    seen = _record_rechecks(monkeypatch, corrupt)
+    argv = ["sweep", "gisin", "--from", "0.2", "--to", "0.2", "--step", "0.2"]
+    code = main(argv + ["--k", "2", "--out", str(tmp_path)])
+    _, err = capsys.readouterr()
+    assert code == 70
+    assert "extension re-check failed" in err
+    assert abs(seen[0][1]["trace_down_deviation"] - 0.05) < 1e-12
+    assert not glob.glob(str(tmp_path / "sweep-*.txt"))

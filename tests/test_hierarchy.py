@@ -24,10 +24,14 @@ import pytest
 
 from oracles import (
     from_ensemble,
+    full_extension_checks,
     full_extension_problem,
     full_extension_verdict,
+    lift_extension,
+    partial_transpose_multi,
     random_product_ensemble,
     swap_operator,
+    symmetric_isometry,
     trace_down_coefficients,
 )
 from sepcert import hierarchy, sdp
@@ -58,8 +62,6 @@ from sepcert.tensorops import (
     hermitian_basis,
     partial_trace,
     partial_transpose,
-    partial_transpose_multi,
-    symmetric_isometry,
     symmetric_subspace_dim,
 )
 
@@ -186,9 +188,9 @@ def test_directions_are_swap_invariant_and_trace_down_to_zero():
     # plain-block direction lifted from Sym_2 x B to the full copy space
     rho = random_state(2, 2, seed=5)
     problem, shape = build_extension_problem(rho, ExtensionSpec(k=2))
-    space = shape.extension_space()
+    space = TensorSpace([2, 2, 2])
     swap = swap_operator(space, 0, 1)
-    lift = np.kron(shape._iso_k, np.eye(2))
+    lift = np.kron(symmetric_isometry(2, 2), np.eye(2))
     side = problem.f0s[0].shape[0]
     assert problem.fs[0].shape[0] == 20
     for j in range(problem.fs[0].shape[0]):
@@ -207,9 +209,9 @@ def test_directions_on_3x3_level3_are_swap_invariant_and_trace_down_to_zero():
     # diagonal echelon vectors)
     rho = random_state(3, 3, seed=2)
     problem, shape = build_extension_problem(rho, ExtensionSpec(k=3))
-    space = shape.extension_space()
+    space = TensorSpace([3, 3, 3, 3])
     swaps = [swap_operator(space, 0, 1), swap_operator(space, 1, 2)]
-    lift = np.kron(shape._iso_k, np.eye(3))
+    lift = np.kron(symmetric_isometry(3, 3), np.eye(3))
     side = problem.f0s[0].shape[0]
     assert problem.fs[0].shape[0] == 819
     worst = 0.0
@@ -349,10 +351,10 @@ def test_fixed_part_traces_down_to_state():
     # the plain F0 block lifted to the full copy space is an extension
     # candidate: it reproduces rho on tracing out the second copy
     rho = random_state(3, 2, seed=8)
-    problem, shape = build_extension_problem(rho, ExtensionSpec(k=2))
-    fixed = shape.extension_matrix(problem, np.zeros(shape.m))
+    problem, _ = build_extension_problem(rho, ExtensionSpec(k=2))
+    fixed, space = lift_extension(problem.f0s[0], 3, 2, 2)
     assert fixed.shape == (18, 18)
-    traced = partial_trace(fixed, shape.extension_space(), {1})
+    traced = partial_trace(fixed, space, {1})
     assert np.abs(traced - rho.matrix).max() < 1e-12
 
 
@@ -473,7 +475,7 @@ def test_level1_verdicts_match_exact_ppt_characterization():
                     0.45 * rho.matrix + 0.55 * np.eye(n) / n, rho.space
                 )
             lam = min(ppt_min_eigenvalue(rho), float(np.linalg.eigvalsh(rho.matrix)[0]))
-            rep = run_test(rho, ExtensionSpec(k=1), keep_extension=False)
+            rep = run_test(rho, ExtensionSpec(k=1))
             if lam < -1e-6:
                 assert rep.status == ENTANGLED, (d_a, d_b, i, lam, rep.status)
                 entangled += 1
@@ -490,13 +492,13 @@ def test_level1_verdicts_match_exact_ppt_characterization():
 def test_level1_margin_invariant_under_local_unitaries():
     rng = np.random.default_rng(77)
     rho = random_state(2, 2, rank=2, seed=3)
-    base = run_test(rho, ExtensionSpec(k=1), keep_extension=False).margin
+    base = run_test(rho, ExtensionSpec(k=1)).margin
     for _ in range(5):
         ua = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
         ub = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
         u = np.kron(ua, ub)
         rotated = DensityMatrix(u @ rho.matrix @ u.conj().T, rho.space)
-        rep = run_test(rotated, ExtensionSpec(k=1), keep_extension=False)
+        rep = run_test(rotated, ExtensionSpec(k=1))
         assert abs(rep.margin - base) < 1e-7
 
 
@@ -591,16 +593,16 @@ def test_ladder_is_monotone_on_corpus():
 
 def test_entangled_states_stay_entangled_one_level_up():
     for idx, rho in enumerate(CORPUS):
-        rep1 = run_test(rho, ExtensionSpec(k=1), keep_extension=False)
+        rep1 = run_test(rho, ExtensionSpec(k=1))
         if rep1.status != ENTANGLED or rep1.margin < 1e-4:
             continue
-        rep2 = run_test(rho, ExtensionSpec(k=2), keep_extension=False)
+        rep2 = run_test(rho, ExtensionSpec(k=2))
         assert rep2.status == ENTANGLED, (idx, rep1.margin, rep2.status)
 
 
 def test_reduced_and_unreduced_verdicts_agree_on_corpus():
     for idx, rho in enumerate(CORPUS):
-        a = run_test(rho, ExtensionSpec(k=2), keep_extension=False)
+        a = run_test(rho, ExtensionSpec(k=2))
         status, margin = full_extension_verdict(rho, 2)
         assert a.status == status, (idx, a.status, status, a.margin, margin)
 
@@ -608,7 +610,7 @@ def test_reduced_and_unreduced_verdicts_agree_on_corpus():
 def test_level1_margins_equal_the_full_space_oracle_on_corpus():
     # Sym_1 is A itself, so at level 1 both builds pose the same problem
     for idx, rho in enumerate(CORPUS):
-        a = run_test(rho, ExtensionSpec(k=1), keep_extension=False)
+        a = run_test(rho, ExtensionSpec(k=1))
         status, margin = full_extension_verdict(rho, 1)
         assert a.status == status, (idx, a.status, status)
         assert abs(a.margin - margin) < 1e-8, (idx, a.margin, margin)
@@ -624,31 +626,103 @@ def test_feasible_report_carries_verified_extension():
     rho = DensityMatrix(0.85 * rho.matrix + 0.15 * np.eye(4) / 4, rho.space)
     rep = run_test(rho, ExtensionSpec(k=2))
     assert rep.status == SEPARABLE_CONSISTENT
-    assert rep.extension is not None
     assert rep.extension_checks["passed"]
     assert rep.extension_checks["trace_down_deviation"] < 1e-7
-    assert rep.extension_checks["swap_deviation"] < 1e-7
     assert rep.extension_checks["min_transpose_eigenvalue"] > -1e-7
-    # the reconstruction really lives in the full copy space
-    assert rep.extension.shape == (8, 8)
+    # the extension is kept on Sym_2(A) x B, of side 3 * 2
+    assert rep.extension.shape == (6, 6)
     assert abs(np.trace(rep.extension).real - 1.0) < 1e-8
-
-
-def test_extension_recheck_skip_is_recorded():
-    rho = maximally_mixed(2, 2)
-    rep = run_test(rho, ExtensionSpec(k=2), keep_extension=False)
-    assert rep.extension is None
-    assert "skipped" in rep.metadata["extension_recheck"]
 
 
 def test_check_extension_properties_flags_bad_candidates():
     rho = random_state(2, 2, seed=9)
-    problem, shape = build_extension_problem(rho, ExtensionSpec(k=2))
-    space = shape.extension_space()
-    good = shape.extension_matrix(problem, np.zeros(shape.m))
-    bad = good + 0.05 * np.diag([1.0, -1.0, 0, 0, 0, 0, 0, 0])
-    chk = check_extension_properties(bad, space, rho, ppt=True)
+    rho = DensityMatrix(0.2 * rho.matrix + 0.8 * np.eye(4) / 4, rho.space)
+    good = run_test(rho, ExtensionSpec(k=2)).extension
+    assert check_extension_properties(good, rho, 2, ppt=True)["passed"]
+    # the first two rows are |00> x |0> and |00> x |1>
+    bad = good + 0.05 * np.diag([1.0, -1.0, 0, 0, 0, 0])
+    chk = check_extension_properties(bad, rho, 2, ppt=True)
     assert not chk["passed"]
+    assert abs(chk["trace_down_deviation"] - 0.05) < 1e-12
+
+
+def _agrees_with_the_full_space_oracle(rho, report):
+    """The block-coordinate re-check of a feasible report against the
+    full-space oracle on the lifted extension."""
+    k, ppt = report.spec.k, report.spec.ppt
+    block = check_extension_properties(report.extension, rho, k, ppt)
+    assert block == report.extension_checks
+    ext, space = lift_extension(report.extension, rho.dim_a, rho.dim_b, k)
+    full = full_extension_checks(ext, space, rho, ppt)
+    assert block["passed"] == full["passed"]
+    assert full["swap_deviation"] < 1e-12
+    assert abs(block["trace_down_deviation"] - full["trace_down_deviation"]) <= 1e-12
+    # above level 1 the plain block misses the antisymmetric part of the
+    # copies, so the full transposes are the blocks padded with zeros
+    block_min = block["min_transpose_eigenvalue"]
+    if k > 1:
+        block_min = min(block_min, 0.0)
+    assert abs(block_min - full["min_transpose_eigenvalue"]) <= 1e-12
+    # block by block, too: the minimum over the level does not see a block
+    # whose spectrum another block repeats
+    for l, b in transpose_descriptors(k, ppt):
+        image = hierarchy._copy_image(rho.dim_a, k, l)
+        got = np.linalg.eigvalsh(
+            hierarchy._map_copies(report.extension, image, rho.dim_b, transpose_b=b)
+        )
+        got = np.sort(np.concatenate([got, np.zeros(space.dim - len(got))]))
+        which = set(range(l)) | ({k} if b else set())
+        want = np.linalg.eigvalsh(partial_transpose_multi(ext, space, which))
+        assert np.abs(got - want).max() <= 1e-12, (l, b)
+
+
+def test_block_recheck_matches_the_full_space_oracle_on_corpus():
+    feasible = 0
+    for rho in CORPUS:
+        for rep in run_ladder(rho, k_max=2).reports:
+            if rep.status == SEPARABLE_CONSISTENT:
+                _agrees_with_the_full_space_oracle(rho, rep)
+                feasible += 1
+    assert feasible >= 8
+
+
+@pytest.mark.parametrize(
+    "d_a, d_b, k", [(2, 4, 1), (2, 4, 2), (2, 4, 3), (2, 4, 4), (3, 3, 2), (3, 3, 3)]
+)
+def test_block_recheck_matches_the_full_space_oracle(d_a, d_b, k):
+    ens = random_product_ensemble(d_a, d_b, terms=2 * d_a * d_b, seed=40 + k)
+    rho = from_ensemble(ens)
+    n = rho.matrix.shape[0]
+    rho = DensityMatrix(0.9 * rho.matrix + 0.1 * np.eye(n) / n, rho.space)
+    rep = run_test(rho, ExtensionSpec(k=k))
+    assert rep.status == SEPARABLE_CONSISTENT
+    _agrees_with_the_full_space_oracle(rho, rep)
+
+
+@pytest.mark.parametrize("d_a, d_b, k", [(2, 4, 4), (3, 3, 3)])
+def test_one_copy_trace_equals_the_partial_trace_of_the_lift(d_a, d_b, k):
+    n = symmetric_subspace_dim(d_a, k) * d_b
+    rng = np.random.default_rng(k)
+    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    x = x + x.conj().T
+    traced = hierarchy._map_copies(x, hierarchy._trace_one_copy(d_a, k), d_b)
+    lifted, space = lift_extension(x, d_a, d_b, k)
+    want = partial_trace(lifted, space, {k - 1})
+    got, _ = lift_extension(traced, d_a, d_b, k - 1)
+    assert np.abs(got - want).max() <= 1e-12
+
+
+def test_level_beyond_the_dense_isometry_builds_and_rechecks():
+    # the full copy space of 2x2 at level 15, of side 2^15 * 2, is never
+    # formed; the problem has one block of side 16 * 2
+    shape = ExtensionShape(2, 2, ExtensionSpec(k=15, ppt=False))
+    assert shape.m == 1008
+    assert [d.side for d in shape.descriptors] == [32]
+    # level 11 with partial transposes: full side 4096
+    rep = run_test(maximally_mixed(2, 2), ExtensionSpec(k=11))
+    assert rep.status == SEPARABLE_CONSISTENT
+    assert rep.extension_checks["passed"]
+    assert rep.extension.shape == (24, 24)
 
 
 # ---------------------------------------------------------------------------

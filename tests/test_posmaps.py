@@ -17,7 +17,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import operator_from_map, swap_operator
+from oracles import operator_from_map, swap_operator, symmetric_isometry
 from sepcert.posmaps import (
     CERTIFIED,
     COMPLETELY_POSITIVE,
@@ -39,7 +39,6 @@ from sepcert.tensorops import (
     TensorSpace,
     multiset_arrangements,
     multisets,
-    symmetric_isometry,
     symmetric_subspace_dim,
 )
 

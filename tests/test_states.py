@@ -3,8 +3,8 @@
 The two parametrized families come with closed-form witness traces, which
 are asserted here at tight tolerance against exact arithmetic.  Ensemble
 states are checked to be separable by construction, and their explicit
-extensions are verified against the extension-property checker used by the
-hierarchy itself.
+extensions, compressed onto Sym_k(A) x B, are verified against the
+extension-property checker used by the hierarchy itself.
 """
 
 import math
@@ -16,8 +16,10 @@ from oracles import (
     ProductEnsemble,
     from_ensemble,
     gisin_family_witness,
+    lift_extension,
     random_product_ensemble,
     separable_extension,
+    symmetric_isometry,
 )
 from sepcert.hierarchy import DensityMatrix, check_extension_properties
 from sepcert.states import (
@@ -147,10 +149,15 @@ def test_separable_extension_passes_extension_checks():
         rho = from_ensemble(ens)
         ext, space = separable_extension(ens, k)
         assert abs(np.trace(ext).real - 1.0) < 1e-12
-        # reorder [A, B, copies...] into [copies..., B] for the checker
+        # reorder [A, B, copies...] into [copies..., B], then compress onto
+        # Sym_k(A) x B, which holds the whole extension
         perm = [0] + list(range(2, k + 1)) + [1]
-        reordered, rspace = permute_factors(ext, space, perm)
-        chk = check_extension_properties(reordered, rspace, rho, ppt=True, tol=1e-9)
+        reordered, _ = permute_factors(ext, space, perm)
+        lift = np.kron(symmetric_isometry(2, k), np.eye(2))
+        compressed = lift.T @ reordered @ lift
+        lifted, _ = lift_extension(compressed, 2, 2, k)
+        assert np.abs(lifted - reordered).max() < 1e-12
+        chk = check_extension_properties(compressed, rho, k, ppt=True, tol=1e-9)
         assert chk["passed"], chk
 
 

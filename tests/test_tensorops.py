@@ -9,7 +9,12 @@ import math
 import numpy as np
 import pytest
 
-from oracles import factor_permutation_operator, swap_operator
+from oracles import (
+    factor_permutation_operator,
+    partial_transpose_multi,
+    swap_operator,
+    symmetric_isometry,
+)
 from sepcert.tensorops import (
     FactorError,
     TensorSpace,
@@ -19,9 +24,7 @@ from sepcert.tensorops import (
     multisets,
     partial_trace,
     partial_transpose,
-    partial_transpose_multi,
     permute_factors,
-    symmetric_isometry,
     symmetric_subspace_dim,
 )
 

@@ -212,8 +212,8 @@ def test_run_test_evidence_lives_on_the_full_problem(monkeypatch):
     assert report.certificate_check.passed
     # the witness is checked against the unreduced state's problem
     assert report.witness.value < 0
-    # a feasible verdict carries the lifted extension, re-checked in full;
-    # a diagonal state is invariant under every diagonal phase
+    # a feasible verdict carries the extension on the full directions,
+    # re-checked; a diagonal state is invariant under every diagonal phase
     report = run_test(maximally_mixed(3, 3), ExtensionSpec(k=2))
     assert report.status == hierarchy.SEPARABLE_CONSISTENT
     assert report.metadata["torus_dimension"] == 4
