@@ -187,7 +187,7 @@ def test_directions_are_swap_invariant_and_trace_down_to_zero():
     # exhaustive structural check on the smallest nontrivial instance: each
     # plain-block direction lifted from Sym_2 x B to the full copy space
     rho = random_state(2, 2, seed=5)
-    problem, shape = build_extension_problem(rho, ExtensionSpec(k=2))
+    problem, _ = build_extension_problem(rho, ExtensionSpec(k=2))
     space = TensorSpace([2, 2, 2])
     swap = swap_operator(space, 0, 1)
     lift = np.kron(symmetric_isometry(2, 2), np.eye(2))
@@ -208,7 +208,7 @@ def test_directions_on_3x3_level3_are_swap_invariant_and_trace_down_to_zero():
     # vectors (units differing in two slots, two-term differences, and
     # diagonal echelon vectors)
     rho = random_state(3, 3, seed=2)
-    problem, shape = build_extension_problem(rho, ExtensionSpec(k=3))
+    problem, _ = build_extension_problem(rho, ExtensionSpec(k=3))
     space = TensorSpace([3, 3, 3, 3])
     swaps = [swap_operator(space, 0, 1), swap_operator(space, 1, 2)]
     lift = np.kron(symmetric_isometry(3, 3), np.eye(3))
