@@ -30,8 +30,14 @@ units of the occupation basis with a few coefficients each, and e_j over
 the diagonal units and off-diagonal pairs of B.  Every entry of a
 transposed block's copy side comes from one entry of A_v, so the stacks
 store only what the units put there, and their size is known exactly
-before they are built.  The pinned part is the minimum-norm
-symmetric-subspace solution of the trace-down constraint.
+before they are built.  The pinned part is the minimum-norm solution
+X0 = T^T (T T^T)^-1 rho of the trace-down constraint on Sym_k(A) x B, one
+B entry at a time, T the sparse unit map of the trace-down (_trace_down);
+T T^T is a scalar on every off-diagonal unit of A and d_a x d_a on the
+diagonal ones.  So every entry of X0 comes from rho entries of its own
+torus weight (below), and X0 is exactly zero between basis vectors of
+different weights.  The witness map is the exact adjoint of the pinned
+part, built from the same unit maps.
 
 Every feasible verdict is re-checked on its evidence, at every level and
 in the same coordinates (check_extension_properties).  The plain block
@@ -62,6 +68,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sps
 
 from . import sdp
@@ -211,22 +218,20 @@ def required_resources(d_a, d_b, spec):
         direction appended, their real copy, and the two re-layouts the
         solver multiplies with (the packed stack of sdp.BlockSplit and
         the chunks of sdp.schur_stacks);
-      * the dense images of the Hermitian basis of Sym_k(A) on each copy
-        side, which the pinned part and the witness map are built from;
       * the Schur assembly workspace of the largest chunk (sdp.schur_block
         over c_b = sdp.schur_chunk(m + 1, n_b**2, 16) direction columns): the
         two reused (n_b^2, c_b) arrays, the fresh sparse product of the
         same size, and the (m, c_b) contraction (blocks of one side share
         a chunk, which then holds fewer columns);
-      * the m x m Schur matrix and its Cholesky factor;
-      * the product basis of A x B that the per-state step contracts rho
-        against.
+      * the m x m Schur matrix and its Cholesky factor.
 
-    A problem whose Schur matrix and images alone are over
-    MEMORY_BUDGET_BYTES is refused whatever its stacks hold, so they are
-    left uncounted (the count itself takes memory in proportion to the
-    images): stored_entries is None, and stack_bytes and the flops are
-    lower bounds.  Complex values are assumed throughout.
+    The pinned part and the witness map act through the sparse unit maps
+    the stacks are built from (_trace_down, _copy_image), which hold no
+    more entries than the blocks themselves, so they are not counted.  A
+    problem whose Schur matrix alone is over MEMORY_BUDGET_BYTES is
+    refused whatever its stacks hold, so they are left uncounted:
+    stored_entries is None, and stack_bytes and the flops are lower
+    bounds.  Complex values are assumed throughout.
     schur_flops_per_iteration is sum_b (2 m n_b^3 + 2 nnz_b (m + n_b)):
     the dense S^-1 product, and the two sparse products with the stack,
     F Z and the trace pairing, for blocks that stay whole; the solver cuts
@@ -236,30 +241,23 @@ def required_resources(d_a, d_b, spec):
     k = spec.k
     m = free_direction_count(d_a, d_b, k)
     descs = transpose_descriptors(k, spec.ppt)
-    sides_a = {
-        l: symmetric_subspace_dim(d_a, l) * symmetric_subspace_dim(d_a, k - l)
+    sides = [
+        symmetric_subspace_dim(d_a, l) * symmetric_subspace_dim(d_a, k - l) * d_b
         for l, _ in descs
-    }
-    sides = [sides_a[l] * d_b for l, _ in descs]
+    ]
     schur_bytes = 2 * 8 * m * m
-    image_bytes = 16 * symmetric_subspace_dim(d_a, k) ** 2 * sum(
-        s * s for s in sides_a.values()
-    )
-    counted = schur_bytes + image_bytes <= MEMORY_BUDGET_BYTES
+    counted = schur_bytes <= MEMORY_BUDGET_BYTES
     nnz = _stored_entries(d_a, d_b, k, spec.ppt) if counted else (0,) * len(descs)
     csr_bytes = 5 * sum(20 * z + 4 * m * n for z, n in zip(nnz, sides))
     workspace_bytes = max(
         16 * sdp.schur_chunk(m + 1, n * n, 16) * (3 * n * n + m) for n in sides
     )
-    pair_bytes = 16 * (d_a * d_b) ** 4
     return {
         "free_directions": m,
         "block_sides": sides,
         "block_labels": [_desc_label(l, b) for l, b in descs],
         "stored_entries": list(nnz) if counted else None,
-        "stack_bytes": (
-            csr_bytes + image_bytes + workspace_bytes + schur_bytes + pair_bytes
-        ),
+        "stack_bytes": csr_bytes + workspace_bytes + schur_bytes,
         "schur_flops_per_iteration": float(
             sum(2 * m * n**3 + 2 * z * (m + n) for z, n in zip(nnz, sides))
         ),
@@ -365,16 +363,19 @@ def _null_basis(d, k):
     return sps.csr_array((vals, (rows, cols)), shape=(ndiag + 2 * npairs, n * n))
 
 
-def _trace_down_coefficients(d, k):
-    """The trace-down map Tr_(2..k) from Hermitian operators of Sym_k(C^d)
-    to those of C^d, in bases: column i expands Tr_(2..k) s_i, s_i the
-    Hermitian basis of Sym_k, over that of C^d in dual normalization (row
-    0 the plain trace, row a the pairing with sigma_a).
+@functools.lru_cache(maxsize=64)
+def _trace_down(d, k):
+    """The trace-down map Tr_(2..k) from operators on Sym_k(C^d) to those
+    on C^d, as a sparse real (d^2, dsym^2) matrix T on row-major vecs:
+    vec(Tr_(2..k) X) = T vec(X), X on the occupation basis.
 
     Tr_(2..k) |kappa + a><kappa + b| = sqrt(mu_a nu_b) / k |a><b| with
     mu = kappa + a and nu = kappa + b, for every (k-1)-multiset kappa;
     every other unit traces down to zero, and each (mu, nu, a, b) comes
-    from one kappa.
+    from one kappa.  So two rows a != b and a' != b' share no column
+    unless (a, b) = (a', b'), and T T^T is a scalar on every off-diagonal
+    unit and a d x d block on the diagonal ones.  Cached and read-only,
+    like _copy_image.
     """
     n = symmetric_subspace_dim(d, k)
     kappa = _occupations(d, k - 1)
@@ -384,15 +385,9 @@ def _trace_down_coefficients(d, k):
     nu = _occupation_index(d, k, kappa[:, None, :] + eye[b])
     weight = np.sqrt((kappa[:, a] + 1) * (kappa[:, b] + 1)) / k
     rows = np.broadcast_to(np.arange(d * d), weight.shape)
-    trace_down = sps.csr_array(
+    return sps.csr_array(
         (weight.ravel(), (rows.ravel(), (mu * n + nu).ravel())), shape=(d * d, n * n)
     )
-    svecs = np.stack(hermitian_basis(n).elements).reshape(n * n, n * n)
-    # Tr[t sigma_a] is the row-major vec of t against that of sigma_a^T
-    pair = np.stack(
-        [np.eye(d)] + [s.T for s in hermitian_basis(d).elements[1:]]
-    ).reshape(d * d, d * d)
-    return (pair @ (trace_down @ svecs.T)).real
 
 
 @functools.lru_cache(maxsize=64)
@@ -460,10 +455,11 @@ def _trace_one_copy(d, k):
 
 
 def _map_copies(ext, cmap, d_b, transpose_b=False):
-    """Apply cmap, a map on the copy side given as a sparse (n^2, n'^2)
-    matrix on row-major vecs (_copy_image, _trace_one_copy), to an
-    operator on (copy side of n) x B, one B entry at a time; B is
-    transposed as well when transpose_b is set."""
+    """Apply cmap, a map from operators on C^n to those on C^n' given as
+    an (n^2, n'^2) matrix on row-major vecs (_copy_image, _trace_one_copy,
+    the pinned-part map of ExtensionShape, or a transpose of one), to an
+    operator on C^n x B, one B entry at a time; B is transposed as well
+    when transpose_b is set."""
     n, n_out = math.isqrt(cmap.shape[0]), math.isqrt(cmap.shape[1])
     vecs = ext.reshape(n, d_b, n, d_b).transpose(0, 2, 1, 3).reshape(n * n, -1)
     out = (cmap.T @ vecs).reshape(n_out, n_out, d_b, d_b)
@@ -622,39 +618,9 @@ def _kron_stack(avecs, side_a, bmats):
     return sps.csr_array((kron.data, (kron.row, cols)), shape=kron.shape)
 
 
-def _kron_sum(amats, bmats):
-    """sum_n amats[n] x bmats[n] as one dense matrix.
-
-    The products and the sum over n are elementwise and run in the order
-    of n, so the result equals accumulating np.kron terms one at a time.
-    """
-    sa, sb = amats.shape[1], bmats.shape[1]
-    terms = amats[:, :, None, :, None] * bmats[:, None, :, None, :]
-    return terms.sum(axis=0).reshape(sa * sb, sa * sb)
-
-
-def _combine_copies(coef, astack):
-    """The matrices sum_i coef[i, j] A_i for every column j, one
-    vector-matrix product per column."""
-    ns, sa, _ = astack.shape
-    return np.matmul(coef.T[:, None, :], astack.reshape(ns, -1)).reshape(-1, sa, sa)
-
-
 def _random_hermitian(rng, n):
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return (g + g.conj().T) / 2
-
-
-def _block_pairings(z, astack, bmats):
-    """Re Tr[(A_i x B_j) Z] for every pair, as a (len(astack), len(bmats))
-    array."""
-    side_a, side_b = astack.shape[1], bmats.shape[1]
-    z4 = np.asarray(z).reshape(side_a, side_b, side_a, side_b)
-    pair = np.empty((len(astack), len(bmats)))
-    for j, bm in enumerate(bmats):
-        vb = np.einsum("aibj,ji->ab", z4, bm)
-        pair[:, j] = np.einsum("spq,qp->s", astack, vb).real
-    return pair
 
 
 @dataclass
@@ -682,13 +648,15 @@ class ExtensionShape:
     """The part of a level-k extension problem that does not depend on rho.
 
     rho enters only through the trace-down constraint, which pins the F0
-    blocks.  Everything else is fixed by (d_a, d_b, k, ppt): the
-    trace-down map and its pseudo-inverses, the copy-side images of the
-    Hermitian basis of Sym_k(A) that the pinned part is built from, the
-    block descriptors and the direction stacks (one sdp.DirectionStacks,
-    built from the sparse null basis).  The adjointness check
-    runs once here.  pinned_blocks is the per-state step, and
-    invariant_directions the per-torus one.
+    blocks.  Everything else is fixed by (d_a, d_b, k, ppt): the map
+    (T T^T)^-1 T, T the trace-down map on the units of Sym_k(A), its Gram
+    factored once (a Gram that is not positive definite is an
+    AssemblyError: T must be onto the operators on A); the copy maps of
+    the blocks (_copy_image); the block descriptors; and the direction
+    stacks (one sdp.DirectionStacks, built from the sparse null basis).
+    The adjointness check runs once here.  pinned_blocks is the per-state
+    step, dual_pairing its adjoint, and invariant_directions the
+    per-torus step.
     """
 
     def __init__(self, d_a, d_b, spec):
@@ -721,95 +689,37 @@ class ExtensionShape:
     # -- construction ----------------------------------------------------
 
     def _build_stacks(self):
-        """Directions compressed onto the symmetric subspace; returns the
-        block stacks."""
+        """Directions compressed onto the symmetric subspace, and the
+        pinned-part map; returns the block stacks."""
         d_a, d_b, k = self.d_a, self.d_b, self.k
-        dsym = symmetric_subspace_dim(d_a, k)
-        basis_a = hermitian_basis(d_a)
-        basis_b = hermitian_basis(d_b)
-        sbasis = hermitian_basis(dsym)
-        self._sbasis = sbasis
-        ns = dsym**2
-
-        # column i expands Tr_{2..k} s_i over the A basis
-        lmat = _trace_down_coefficients(d_a, k)
-
-        # parity split: each s_i (and each row's basis element) is either
-        # purely real or purely imaginary, and the two sectors decouple
-        col_par = np.array(
-            [np.abs(s.imag).max() > policy.ZERO_PART for s in sbasis.elements]
-        )
-        row_par = np.array(
-            [np.abs(s.imag).max() > policy.ZERO_PART for s in basis_a.elements]
-        )
-        off = np.abs(lmat[np.ix_(row_par, ~col_par)]).max() if row_par.any() else 0.0
-        off2 = np.abs(lmat[np.ix_(~row_par, col_par)]).max()
-        if max(off, off2) > policy.PARITY_LEAK:
+        trace_down = _trace_down(d_a, k)
+        try:
+            factor = np.linalg.cholesky((trace_down @ trace_down.T).toarray())
+        except np.linalg.LinAlgError:
             raise AssemblyError(
-                f"trace-down map mixes parity sectors (off-block {max(off, off2):.2e})"
-            )
-
-        pinvs = {}
-        rank_total = 0
-        for par in (False, True):
-            rows = np.nonzero(row_par == par)[0]
-            cols = np.nonzero(col_par == par)[0]
-            block = lmat[np.ix_(rows, cols)]
-            sv = np.linalg.svd(block, compute_uv=False)
-            tol = policy.RANK_CUTOFF * (sv[0] if sv.size else 1.0)
-            rank_total += int((sv > tol).sum())
-            pinv = np.linalg.pinv(block, rcond=policy.RANK_CUTOFF)
-            pinvs[par] = (rows, cols, pinv)
-        if rank_total != d_a**2:
-            # the trace-down map onto Herm(A) is surjective
-            raise AssemblyError(
-                f"trace-down map has rank {rank_total}, expected {d_a**2}"
-            )
-        self._pinvs = pinvs
+                "trace-down Gram T T^T is not positive definite: the map is "
+                "not onto the operators on A"
+            ) from None
+        # (T T^T)^-1 T: its transpose takes rho to the minimum-norm solution
+        # of the trace-down constraint, one B entry at a time
+        self._pin = sps.csr_array(sla.cho_solve((factor, True), trace_down.toarray()))
         null = _null_basis(d_a, k)
         self.m = null.shape[0] * d_b**2
-
-        # copy sides: for l transposed copies, Sym_k-supported operators
-        # land in Sym_l x Sym_(k-l); _acomp[l] holds the image of each s_i
-        descs = transpose_descriptors(k, self.spec.ppt)
-        images = {l: _copy_image(d_a, k, l) for l in sorted({l for l, _ in descs})}
-        svecs = np.stack(sbasis.elements).reshape(ns, ns)
-        self._acomp = {
-            l: np.ascontiguousarray((image.T @ svecs.T).T).reshape(
-                ns, math.isqrt(image.shape[1]), -1
-            )
-            for l, image in images.items()
-        }
-
-        # B side of the pinned part: sigma_j, or sigma_j^T on tb blocks
-        bstack = np.stack(basis_b.elements)
-        self._bstacks = {
-            False: bstack,
-            True: np.ascontiguousarray(bstack.transpose(0, 2, 1)),
-        }
-        # the product basis sigma_a x sigma_j of A x B (row a * d_b^2 + j)
-        # and its squared norms, which turn trace pairings with it into
-        # expansion coefficients
-        astack = np.stack(basis_a.elements)
-        self._pair_basis = (
-            astack[:, None, :, None, :, None] * bstack[None, :, None, :, None, :]
-        ).reshape(d_a**2 * d_b**2, d_a * d_b, d_a * d_b)
-        weights_a, weights_b = np.ones(d_a**2), np.ones(d_b**2)
-        weights_a[0], weights_b[0] = 1.0 / d_a, 1.0 / d_b
-        self._pair_weights = np.outer(weights_a, weights_b)
 
         # direction (v, j) of every block is A_v x e_j: A_v from the sparse
         # null basis carried to the block's copy side, e_j a diagonal unit
         # or an off-diagonal pair of B (transposed on tb blocks)
+        descs = transpose_descriptors(k, self.spec.ppt)
+        self._images = {l: _copy_image(d_a, k, l) for l, _ in descs}
         units = np.stack(
             [np.diag(e).astype(complex) for e in np.eye(d_b)]
-            + basis_b.elements[d_b:]
+            + hermitian_basis(d_b).elements[d_b:]
         )
         stacks = []
         for l, b in descs:
-            side_a = self._acomp[l].shape[1]
+            side_a = math.isqrt(self._images[l].shape[1])
             bmats = units.transpose(0, 2, 1) if b else units
-            stacks.append(_kron_stack(null @ images[l], side_a, bmats))
+            stacks.append(_kron_stack(null @ self._images[l], side_a, bmats))
             self.descriptors.append(
                 BlockDescriptor(l, b, _desc_label(l, b), side_a * d_b)
             )
@@ -869,58 +779,35 @@ class ExtensionShape:
     # -- the per-state step ---------------------------------------------
 
     def pinned_blocks(self, rho_mat):
-        """The F0 blocks of the problem for the state rho_mat."""
-        y0 = self._pinned_coefficients(rho_mat)
+        """The F0 blocks of the problem for the state rho_mat: the
+        minimum-norm solution X0 = T^T (T T^T)^-1 rho of the trace-down
+        constraint on Sym_k(A) x B, carried to each block's copy side."""
+        ext = _map_copies(rho_mat, self._pin, self.d_b)
         return [
-            _kron_sum(
-                _combine_copies(y0, self._acomp[d.a_transposed]),
-                self._bstacks[d.b_transposed],
-            )
+            _map_copies(ext, self._images[d.a_transposed], self.d_b, d.b_transposed)
             for d in self.descriptors
         ]
 
-    # -- trace-down helpers ---------------------------------------------
-
-    def _pinned_coefficients(self, mat):
-        """Coefficients y[i, j] over s_i x sigma_j solving the trace-down
-        constraint for mat, minimum norm within the symmetric support."""
-        # expansion R[a, j] of mat over the product basis sigma_a x sigma_j
-        rcoef = np.einsum("pq,nqp->n", mat, self._pair_basis).real.reshape(
-            self._pair_weights.shape
-        ) / self._pair_weights
-        y = np.zeros((len(self._sbasis.elements), self.d_b**2))
-        for rows, cols, pinv in self._pinvs.values():
-            y[cols] += pinv @ rcoef[rows]
-        return y
-
-    def _adjoint_from_pairings(self, pair):
-        """Map per-(s_i, sigma_j) trace pairings back to an A x B matrix
-        through the transposed pseudo-inverse of the trace-down map."""
-        rows, coefs = [], []
-        for prow, cols, pinv in self._pinvs.values():
-            rows.append(prow)
-            coefs.append((pinv.T @ pair[cols]) / self._pair_weights[prow])
-        d = self.d_a * self.d_b
-        pairs = self._pair_basis.reshape(self.d_a**2, self.d_b**2, d, d)
-        return (
-            np.concatenate(coefs).ravel()[:, None, None]
-            * pairs[np.concatenate(rows)].reshape(-1, d, d)
-        ).sum(axis=0)
-
     def dual_pairing(self, z_blocks):
-        """Witness operator (unnormalized) from certificate blocks.
+        """Witness operator (unnormalized) from certificate blocks: the
+        exact adjoint of pinned_blocks in the trace pairing.
 
-        Un-transposes each dual block in its own coordinates and applies the
-        adjoint of the pinned-part embedding.  Works entirely in compressed
-        coordinates.
+        A map X -> M^T vec(X) on row-major vecs has the adjoint
+        V -> (unvec M vec(V^T))^T.  So each block, its copy map applied to
+        Z_b^T one B entry at a time (B transposed back on tb blocks), gives
+        the transpose of its adjoint image on Sym_k(A) x B, and
+        (T T^T)^-1 T takes their sum down to A x B.
         """
-        pair = sum(
-            _block_pairings(
-                z, self._acomp[desc.a_transposed], self._bstacks[desc.b_transposed]
+        adjoint_t = sum(
+            _map_copies(
+                np.asarray(z).T,
+                self._images[d.a_transposed].T,
+                self.d_b,
+                d.b_transposed,
             )
-            for desc, z in zip(self.descriptors, z_blocks)
+            for d, z in zip(self.descriptors, z_blocks)
         )
-        return self._adjoint_from_pairings(pair)
+        return _map_copies(adjoint_t, self._pin.T, self.d_b).T
 
 
 _shape_lock = threading.Lock()

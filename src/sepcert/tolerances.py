@@ -62,7 +62,3 @@ UNITAL_ZERO = 1e-14
 
 # residual allowed in an identity the code checks on its own output
 SELF_CHECK = 1e-9
-# trace-down rank: singular values above this fraction of the largest count
-RANK_CUTOFF = 1e-10
-# largest trace-down coefficient allowed between the two parity sectors
-PARITY_LEAK = 1e-10

@@ -21,6 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+import scipy.sparse as sps
 
 from oracles import (
     from_ensemble,
@@ -49,10 +50,12 @@ from sepcert.hierarchy import (
     required_resources,
     run_ladder,
     run_test,
+    torus_grading,
     transpose_descriptors,
 )
 from sepcert.states import (
     choi_family_state,
+    gisin_family_state,
     max_entangled,
     maximally_mixed,
     random_state,
@@ -229,7 +232,16 @@ def test_directions_on_3x3_level3_are_swap_invariant_and_trace_down_to_zero():
     "d, k", [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (3, 4), (4, 2), (3, 6)]
 )
 def test_trace_down_coefficients_match_the_embedding_loop(d, k):
-    closed = hierarchy._trace_down_coefficients(d, k)
+    # the sparse unit map, expanded here over the Hermitian basis of Sym_k
+    # (columns) and paired with that of C^d (row 0 the plain trace, row a
+    # the pairing with sigma_a, which is the row-major vec against that of
+    # sigma_a^T)
+    n = symmetric_subspace_dim(d, k)
+    svecs = np.stack(hermitian_basis(n).elements).reshape(n * n, n * n)
+    pair = np.stack(
+        [np.eye(d)] + [s.T for s in hermitian_basis(d).elements[1:]]
+    ).reshape(d * d, d * d)
+    closed = (pair @ (hierarchy._trace_down(d, k) @ svecs.T)).real
     loop = trace_down_coefficients(d, k)
     assert closed.shape == loop.shape
     assert np.abs(closed - loop).max() <= 1e-14
@@ -310,7 +322,7 @@ def test_stored_entries_are_counted_exactly_and_stay_small():
         assert counted == [stack.nnz for stack in shape.stacks]
         if d_a == d_b:
             assert sum(counted) <= 60_000
-    # a problem refused on its Schur matrix and images alone is not counted
+    # a problem refused on its Schur matrix alone is not counted
     res = required_resources(4, 4, ExtensionSpec(k=4))
     assert res["stored_entries"] is None
     assert res["stack_bytes"] > hierarchy.MEMORY_BUDGET_BYTES
@@ -332,19 +344,47 @@ def test_adjointness_check_covers_every_block():
 
 
 def test_trace_down_rank_deficit_is_an_assembly_error(monkeypatch):
-    # the trace-down map onto Herm(A) is surjective; a partial trace that
-    # drops the off-diagonal part (rows 2 and 3 of the A basis) leaves it
-    # rank 2 of 4 for d_a = 2
-    exact = hierarchy._trace_down_coefficients
+    # the trace-down map onto the operators on A is surjective; a partial
+    # trace that drops the off-diagonal part (the rows of units |a><b|,
+    # a != b) leaves T T^T singular
+    exact = hierarchy._trace_down
 
     def diagonal_trace(d, k):
-        lmat = exact(d, k)
-        lmat[d:] = 0
-        return lmat
+        tmat = exact(d, k).toarray()
+        a, b = np.divmod(np.arange(d * d), d)
+        tmat[a != b] = 0
+        return sps.csr_array(tmat)
 
-    monkeypatch.setattr(hierarchy, "_trace_down_coefficients", diagonal_trace)
-    with pytest.raises(AssemblyError, match="rank 2, expected 4"):
+    monkeypatch.setattr(hierarchy, "_trace_down", diagonal_trace)
+    with pytest.raises(AssemblyError, match="not positive definite"):
         ExtensionShape(2, 2, ExtensionSpec(k=2))
+
+
+@pytest.mark.parametrize(
+    "rho, k", [(choi_family_state(3.5), 3), (gisin_family_state(3.0), 2)]
+)
+def test_pinned_part_keeps_the_torus_weights_exactly(rho, k):
+    # F0 is a sum of matrix units of the torus weight of the rho entries
+    # they come from, so an entry joining basis vectors of two different
+    # weights is exactly zero: the block split cuts along exact zeros.  A
+    # transposed copy or a transposed B carries the negated weight.  A dense
+    # Hermitian-basis expansion of the trace-down map left 120 and 80 such
+    # entries of size up to 3.5e-18 and 6.9e-18 here
+    grading = torus_grading(rho)
+    d_a, d_b = rho.dim_a, rho.dim_b
+    problem, shape = build_extension_problem(rho, ExtensionSpec(k=k))
+    for desc, f0 in zip(shape.descriptors, problem.f0s):
+        l = desc.a_transposed
+        left = hierarchy._occupations(d_a, l)
+        right = hierarchy._occupations(d_a, k - l)
+        wa = (right[None, :, :] - left[:, None, :]).reshape(-1, d_a)
+        wb = np.eye(d_b, dtype=np.int64) * (-1 if desc.b_transposed else 1)
+        weights = np.concatenate(
+            [np.repeat(wa, d_b, axis=0), np.tile(wb, (len(wa), 1))], axis=1
+        ) @ grading
+        across = (weights[:, None, :] != weights[None, :, :]).any(axis=2)
+        assert across.any()
+        assert not f0[across].any(), desc.label
 
 
 def test_fixed_part_traces_down_to_state():

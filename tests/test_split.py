@@ -224,8 +224,9 @@ def test_cholesky_runs_twice_per_side_class_and_iteration(monkeypatch):
     monkeypatch.setattr(np.linalg, "cholesky", counting)
     out = sdp.feasibility_margin(problem)
     classes = out.diagnostics["side_classes"]
-    # 39 components of side at most 15 in 7 classes
-    assert sum(classes.values()) == 39 and len(classes) == 7
+    # 70 components of side at most 9 in 6 classes
+    assert sum(classes.values()) == 70 and len(classes) == 6
+    assert max(classes) == 9
     factors = out.iterations - 1  # the last iteration only tests convergence
     assert len(calls) == 2 * len(classes) * factors
     assert {shape[1:] for shape in calls} == {(s, s) for s in classes}
@@ -287,4 +288,4 @@ def test_trace_prints_the_side_classes(tmp_path, capsys):
     lines = capsys.readouterr().err.splitlines()
     # level 1 is the plain PPT test on A x B, sides 9 and 9
     assert "trace: k=1 side_classes=1:9,2:3,3:1" in lines
-    assert "trace: k=2 side_classes=1:2,3:2,4:2,5:4,6:1,7:3" in lines
+    assert "trace: k=2 side_classes=1:18,2:9,3:4,5:3" in lines
