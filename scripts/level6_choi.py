@@ -13,15 +13,15 @@ kernel.  The script first discloses the projected size of the problem
 on all its free directions and each block's stored entries, and starts
 the solves only when --yes-really is passed.  It then builds the
 problem shape, which every solve reuses, and prints the build time on
-its own line (about 0.1 s).  The family state is invariant under a
+its own line (about 0.01 s).  The family state is invariant under a
 torus of diagonal phases, so each solve runs on the invariant
 directions only (195 of 6975), which every line prints beside m, and
 the solver splits each block into the components of its sparsity
 pattern: on a 2-vCPU host with one BLAS thread a level-6 solve takes
-about 0.05 s and the process peaks at 112 MB.  --k 5 --ppt runs level 5
-with the partial-transpose blocks (a 0.4 s build, then about 0.8 s and
-170 MB at 3.5), and --k 6 --ppt level 6 with them (a 2.6 s build, then
-about 4 s and 490 MB).  It is deliberately excluded from the test
+about 0.03 s and the process peaks at 68 MB.  --k 5 --ppt runs level 5
+with the partial-transpose blocks (a 0.1 s build, then about 0.24 s and
+85 MB at 3.5), and --k 6 --ppt level 6 with them (a 0.27 s build, then
+about 0.6 s and 122 MB).  It is deliberately excluded from the test
 suite.
 """
 

@@ -793,10 +793,11 @@ class ExtensionShape:
         exact adjoint of pinned_blocks in the trace pairing.
 
         A map X -> M^T vec(X) on row-major vecs has the adjoint
-        V -> (unvec M vec(V^T))^T.  So each block, its copy map applied to
-        Z_b^T one B entry at a time (B transposed back on tb blocks), gives
-        the transpose of its adjoint image on Sym_k(A) x B, and
-        (T T^T)^-1 T takes their sum down to A x B.
+        V -> (unvec M vec(V^T))^T.  So the transposed copy map of each
+        block, applied to Z_b^T one B entry at a time (B transposed back
+        on tb blocks), gives the transpose of the block's adjoint image on
+        Sym_k(A) x B; the transposed pinned-part map (T T^T)^-1 T takes
+        their sum to A x B, and one more transpose gives the adjoint.
         """
         adjoint_t = sum(
             _map_copies(
