@@ -19,10 +19,12 @@ directions only (195 of 6975), which every line prints beside m, and
 the solver splits each block into the components of its sparsity
 pattern: on a 2-vCPU host with one BLAS thread a level-6 solve takes
 about 0.03 s and the process peaks at 68 MB.  --k 5 --ppt runs level 5
-with the partial-transpose blocks (a 0.1 s build, then about 0.24 s and
-85 MB at 3.5), and --k 6 --ppt level 6 with them (a 0.27 s build, then
-about 0.6 s and 122 MB).  It is deliberately excluded from the test
-suite.
+with the partial-transpose blocks (a 0.07 s build, then about 0.2 s and
+82 MB at 3.5), and --k 6 --ppt level 6 with them (a 0.19 s build, then
+about 0.6 s and 111 MB).  Every free direction carries one torus weight
+up to sign, so the invariant directions are a row selection of the
+stacks, whose stored entries the dry run prints (16,935 in the level-6
+block).  It is deliberately excluded from the test suite.
 """
 
 import argparse

@@ -23,21 +23,23 @@ The problem is posed on the symmetric subspace of the copies: every
 separable state has a Bose-symmetric extension, supported on Sym_k(A) x B,
 so asking for one keeps the test sound and never makes it weaker, while it
 shrinks every block.  A transposed block with l transposed copies is
-then supported on Sym_l x Sym_(k-l) x B.  The free directions are
-A_v x e_j: A_v runs over a sparse basis of the null space of the
-trace-down map on Hermitian operators of Sym_k(A), built from matrix
-units of the occupation basis with a few coefficients each, and e_j over
-the diagonal units and off-diagonal pairs of B.  Every entry of a
-transposed block's copy side comes from one entry of A_v, so the stacks
-store only what the units put there, and their size is known exactly
-before they are built.  The pinned part is the minimum-norm solution
-X0 = T^T (T T^T)^-1 rho of the trace-down constraint on Sym_k(A) x B, one
-B entry at a time, T the sparse unit map of the trace-down (_trace_down);
-T T^T is a scalar on every off-diagonal unit of A and d_a x d_a on the
-diagonal ones.  So every entry of X0 comes from rho entries of its own
-torus weight (below), and X0 is exactly zero between basis vectors of
-different weights.  The witness map is the exact adjoint of the pinned
-part, built from the same unit maps.
+then supported on Sym_l x Sym_(k-l) x B.  The free directions come
+from a sparse basis of the null space of the trace-down map on
+operators of Sym_k(A), built from matrix units of the occupation basis
+with a few coefficients each: D_r x e_j for the diagonal null vectors
+D_r, e_j a diagonal unit or an off-diagonal pair of B, and the two
+Hermitian parts of U_t x E for the off-diagonal ones U_t, E any unit of
+B.  Every entry of a transposed block's copy side comes from one entry
+of an operator on Sym_k(A), so the stacks store only what the units put
+there, and their size is known exactly before they are built.  The
+pinned part is the minimum-norm solution X0 = T^T (T T^T)^-1 rho of the
+trace-down constraint on Sym_k(A) x B, one B entry at a time, T the
+sparse unit map of the trace-down (_trace_down); T T^T is a scalar on
+every off-diagonal unit of A and d_a x d_a on the diagonal ones.  So
+every entry of X0 comes from rho entries of its own torus weight
+(below), and X0 is exactly zero between basis vectors of different
+weights.  The witness map is the exact adjoint of the pinned part, built
+from the same unit maps.
 
 Every feasible verdict is re-checked on its evidence, at every level and
 in the same coordinates (check_extension_properties).  The plain block
@@ -53,12 +55,14 @@ diagonal phases U_A x U_B (torus_grading) is solved on the invariant
 free directions only.  Averaging an extension over the torus keeps the
 three properties and, rho being invariant, the traced-down state, so an
 invariant extension exists whenever any does, and the verdict and margin
-do not change.  Every A_v and every e_j is built from matrix units of
-one torus weight, so each invariant direction is one A_v x e_j or a
-+-1/sqrt2 sum of two (_invariant_map).  Only exact zeros count, decided
-in integer arithmetic: a tiny entry is a constraint like any other, and
-a state without zeros keeps every direction.  Certificates, witnesses
-and extensions are checked on the full problem.
+do not change.  Every D_r and U_t is built from matrix units of one
+torus weight, and every direction is the Hermitian part of its product
+with a unit of B, so it carries one weight up to sign, recorded as it is
+built.  The invariant directions are those whose weight the torus
+fixes: the reduction is a row selection.  Only exact zeros count,
+decided in integer arithmetic: a tiny entry is a constraint like any
+other, and a state without zeros keeps every direction.  Certificates,
+witnesses and extensions are checked on the full problem.
 """
 
 import functools
@@ -77,7 +81,6 @@ from .tensorops import (
     FactorError,
     TensorSpace,
     check_hermitian,
-    hermitian_basis,
     multisets,
     symmetric_subspace_dim,
 )
@@ -209,9 +212,9 @@ def free_direction_count(d_a, d_b, k):
 def required_resources(d_a, d_b, spec):
     """Arithmetic estimate of the assembled problem's memory and cost.
 
-    Every direction is A_v x e_j with A_v from the sparse null basis
-    (_null_basis) carried to the block's copy side and e_j a B unit, so
-    each block's stored entries are counted exactly from the patterns
+    Every direction is built from the sparse null basis (_null_basis)
+    carried to the block's copy side and from units of B, so each
+    block's stored entries are counted exactly from the patterns
     (_stored_entries) before anything is built.  stack_bytes counts
 
       * the CSR stacks five times over: as assembled, with the margin
@@ -269,16 +272,21 @@ def _stored_entries(d_a, d_b, k, ppt):
     """Stored entries of each block's direction stack, from the patterns.
 
     Each entry of a block's copy side comes from one unit |mu><nu|
-    (_copy_image), and the units of one null vector differ, so A_v has
-    as many entries in the block as the image rows of its units hold.
-    The B units hold one entry on the diagonal and two off it.
+    (_copy_image), and the units of one null vector differ, so a D_r or
+    U_t has as many entries in the block as the image rows of its units
+    hold.  The d_b^2 directions of a D_r hold that many times one entry
+    of B on the diagonal and two off it; each U_t has 2 d_b^2 directions
+    U_t x E + h.c., whose two terms share no entry, so 4 d_b^2 times.
     """
-    units = _null_basis(d_a, k).indices
-    b_entries = d_b + 2 * d_b * (d_b - 1)
-    return tuple(
-        int(np.diff(_copy_image(d_a, k, l).indptr)[units].sum()) * b_entries
-        for l, _ in transpose_descriptors(k, ppt)
-    )
+    diag, upper = _null_basis(d_a, k)
+    counts = []
+    for l, _ in transpose_descriptors(k, ppt):
+        per_unit = np.diff(_copy_image(d_a, k, l).indptr)
+        counts.append(
+            int(per_unit[diag.indices].sum()) * (2 * d_b * d_b - d_b)
+            + int(per_unit[upper.indices].sum()) * 4 * d_b * d_b
+        )
+    return tuple(counts)
 
 
 def _occupations(d, k):
@@ -298,34 +306,36 @@ def _occupation_index(d, k, occ):
     return order[np.searchsorted(codes, occ @ radix, sorter=order)]
 
 
+@functools.lru_cache(maxsize=64)
 def _null_basis(d, k):
     """Sparse basis of the null space of the trace-down map Tr_(2..k) on
-    Hermitian operators of Sym_k(C^d).
-
-    Returns a CSR matrix of shape (dsym^2 - d^2, dsym^2): row v holds the
-    coefficients of A_v over the matrix units |mu><nu| of the occupation
-    basis (column mu * dsym + nu).  Tr_(2..k) |mu><nu| is
+    operators of Sym_k(C^d), as two CSR matrices over the matrix units
+    |mu><nu| of the occupation basis (column mu * dsym + nu), each row
+    the coefficients of one operator.  Tr_(2..k) |mu><nu| is
     sqrt(mu_a nu_b) / k |a><b| when mu = kappa + a and nu = kappa + b for
     one (k-1)-multiset kappa, and zero otherwise, so the null space has a
     basis of three kinds of vectors:
 
-      * (|mu><nu| + h.c.) / sqrt2 and (-i|mu><nu| + h.c.) / sqrt2 for
-        multisets that differ in two or more slots;
-      * within one class a < b of units U_kappa = |kappa + a><kappa + b|
-        of trace-down weight w_kappa = sqrt(mu_a nu_b) / k, the same two
-        Hermitian parts of U_kappa - (w_kappa / w_0) U_0, U_0 the first
-        unit of largest weight in the class;
       * |mu><mu| - sum_a (mu_a / k) |k a><k a| for every mu that is not a
         pure k a: an echelon basis of the null space of the occupation
-        count on the diagonal.
+        count on the diagonal, the rows D_r of the first matrix;
+      * |mu><nu| / sqrt2 for mu < nu multisets that differ in two or more
+        slots;
+      * within one class a < b of units U_kappa = |kappa + a><kappa + b|
+        of trace-down weight w_kappa = sqrt(mu_a nu_b) / k,
+        (U_kappa - (w_kappa / w_0) U_0) / sqrt2, U_0 the first unit of
+        largest weight in the class.
 
-    Each vector stores at most max(4, d + 1) coefficients, all of
-    magnitude at most one.
+    The last two kinds are the rows U_t of the second matrix, each
+    strictly upper triangular and made of units of one torus weight; with
+    the D_r, the Hermitian parts U_t + U_t^dag and -i U_t + i U_t^dag span
+    the Hermitian null space.  A D_r stores at most d + 1 coefficients
+    and a U_t at most two, all real and of magnitude at most one.  Cached
+    and read-only, like _copy_image.
     """
     occ = _occupations(d, k)
     n = len(occ)
-    # off-diagonal terms: coefficient c of |p><q| in pair t, whose real
-    # and imaginary Hermitian parts are two directions
+    # off-diagonal terms: coefficient c of |p><q| in class t
     mu, nu = np.triu_indices(n, 1)
     far = np.nonzero(np.abs(occ[mu] - occ[nu]).sum(axis=1) > 2)[0]
     pair, p, q, c = [np.arange(len(far))], [mu[far]], [nu[far]], [np.ones(len(far))]
@@ -345,22 +355,19 @@ def _null_basis(d, k):
         q += [qb[rest], np.full(len(rest), qb[top])]
         c += [np.ones(len(rest)), -w[rest] / w[top]]
     pair, p, q = (np.concatenate(x) for x in (pair, p, q))
-    c = np.concatenate(c) / np.sqrt(2)
+    upper = sps.csr_array(
+        (np.concatenate(c) / np.sqrt(2), (pair, p * n + q)), shape=(npairs, n * n)
+    )
 
     pure = np.argmax(occ == k, axis=0)  # position of the multiset k a
     mixed = np.nonzero(occ.max(axis=1) < k)[0]
     row, letter = np.nonzero(occ[mixed])
     ndiag = len(mixed)
-    real, imag = ndiag + 2 * pair, ndiag + 2 * pair + 1
-    rows = np.concatenate([np.arange(ndiag), row, real, real, imag, imag])
-    upper, lower = p * n + q, q * n + p
-    cols = np.concatenate(
-        [mixed * (n + 1), pure[letter] * (n + 1), upper, lower, upper, lower]
-    )
-    vals = np.concatenate(
-        [np.ones(ndiag), -occ[mixed[row], letter] / k, c, c, -1j * c, 1j * c]
-    )
-    return sps.csr_array((vals, (rows, cols)), shape=(ndiag + 2 * npairs, n * n))
+    rows = np.concatenate([np.arange(ndiag), row])
+    cols = np.concatenate([mixed, pure[letter]]) * (n + 1)
+    vals = np.concatenate([np.ones(ndiag), -occ[mixed[row], letter] / k])
+    diag = sps.csr_array((vals, (rows, cols)), shape=(ndiag, n * n))
+    return diag, upper
 
 
 @functools.lru_cache(maxsize=64)
@@ -467,28 +474,6 @@ def _map_copies(ext, cmap, d_b, transpose_b=False):
     return out.transpose(axes).reshape(n_out * d_b, n_out * d_b)
 
 
-def _unit_weights(vecs, occ):
-    """Torus weight of each row of a direction basis built from matrix
-    units |mu><nu| of a basis whose vector mu carries the weight occ[mu].
-
-    Rows whose units are all diagonal come first and have weight zero.
-    The others come in neighbours (N + N^dag) c and (-iN + iN^dag) c,
-    whose sum with i times the second is 2c N exactly; every unit of N
-    has the weight occ[mu] - occ[nu], which both rows get.
-    """
-    vecs = sps.csr_array(vecs)
-    coo = vecs.tocoo()
-    mu, nu = np.divmod(coo.col, len(occ))
-    ndiag = len(vecs.indptr) - 1 - len(np.unique(coo.row[mu != nu]))
-    real = np.arange(ndiag, vecs.shape[0], 2)
-    units = vecs[real] + 1j * vecs[real + 1]
-    units.eliminate_zeros()
-    mu, nu = np.divmod(units.indices[units.indptr[:-1]], len(occ))
-    weights = np.zeros((vecs.shape[0], occ.shape[1]), dtype=np.int64)
-    weights[real] = weights[real + 1] = occ[mu] - occ[nu]
-    return weights
-
-
 def torus_grading(rho):
     """Integer generators of the largest torus of diagonal phases
     U_A x U_B that leaves rho invariant, or None when it holds only the
@@ -543,81 +528,6 @@ def torus_grading(rho):
     return np.array(gens, dtype=np.int64).T
 
 
-def _invariant_map(wa, wb, grading):
-    """Sparse map T whose rows are an orthonormal basis of the directions
-    A_v x e_j (row v * len(wb) + j of the stacks) invariant under the
-    torus of grading, wa and wb the weights of the A_v and e_j
-    (_unit_weights).
-
-    A direction with a weight-zero factor is a weight vector itself, kept
-    when its weight is invariant.  Two neighbour pairs (N + N^dag) and
-    (-iN + iN^dag) on A and (e + e^dag) and (-ie + ie^dag) on B span the
-    Hermitian parts of N x e and of N x e^dag; the sum or difference of
-    two of their four products gives each, so a pair of pairs contributes
-    all four products, two +-1/sqrt2 sums, or nothing, by which of the
-    two weights is invariant.  Rows follow their first direction.
-    """
-    d_a, nb = wa.shape[1], len(wb)
-    la, lb = wa @ grading[:d_a], wb @ grading[d_a:]
-    single_a, single_b = ~wa.any(axis=1), ~wb.any(axis=1)
-    heads, cols, vals = [], [], []
-
-    def add(head, col, val):
-        heads.append(head)
-        cols.append(col)
-        vals.append(np.broadcast_to(val, col.shape))
-
-    v, j = np.nonzero(
-        (single_a[:, None] | single_b[None, :])
-        & ~(la[:, None, :] + lb[None, :, :]).any(axis=2)
-    )
-    add(v * nb + j, v * nb + j, 1.0)
-    ra, rb = np.flatnonzero(~single_a)[::2], np.flatnonzero(~single_b)[::2]
-    same = ~(la[ra][:, None, :] + lb[rb][None, :, :]).any(axis=2)
-    flip = ~(la[ra][:, None, :] - lb[rb][None, :, :]).any(axis=2)
-    t, u = np.nonzero(same & flip)
-    for da in (0, 1):
-        for db in (0, 1):
-            col = (ra[t] + da) * nb + rb[u] + db
-            add(col, col, 1.0)
-    # N x e invariant: (Re x Re - Im x Im) and (Re x Im + Im x Re);
-    # N x e^dag invariant: the same with the signs flipped
-    t, u = np.nonzero(same ^ flip)
-    root = 1 / np.sqrt(2)
-    sign = np.where(same[t, u], -root, root)
-    rr = ra[t] * nb + rb[u]
-    add(rr, rr, root)
-    add(rr, rr + nb + 1, sign)
-    add(rr + 1, rr + 1, root)
-    add(rr + 1, rr + nb, -sign)
-    row_heads, rows = np.unique(np.concatenate(heads), return_inverse=True)
-    return sps.csr_array(
-        (np.concatenate(vals), (rows, np.concatenate(cols))),
-        shape=(len(row_heads), len(wa) * nb),
-    )
-
-
-def _kron_stack(avecs, side_a, bmats):
-    """CSR direction stack whose row a*len(bmats) + j is vec(A_a x B_j).
-
-    avecs[a] is the row-major vec of the side_a x side_a matrix A_a.  The
-    sparse Kronecker product of the two vec stacks holds every product
-    entry; one fixed column permutation turns its (a1, a2, b1, b2) column
-    order into the row-major vec order (a1, b1, a2, b2) of A_a x B_j.
-    Only exact zeros are left out.
-    """
-    d_b = bmats[0].shape[0]
-    side = side_a * d_b
-    kron = sps.kron(
-        sps.csr_array(avecs),
-        sps.csr_array(np.stack([bm.ravel() for bm in bmats])),
-        format="coo",
-    )
-    cols = np.arange(side * side).reshape(side_a, d_b, side_a, d_b)
-    cols = cols.transpose(0, 2, 1, 3).ravel()[kron.col]
-    return sps.csr_array((kron.data, (kron.row, cols)), shape=kron.shape)
-
-
 def _random_hermitian(rng, n):
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return (g + g.conj().T) / 2
@@ -626,9 +536,9 @@ def _random_hermitian(rng, n):
 @dataclass
 class InvariantDirections:
     """The torus-invariant part of a shape's free directions: lift is
-    the sparse (m_inv, m) map T whose rows are orthonormal combinations
-    of the directions, stacks the DirectionStacks T @ stack_b.  A
-    solution x of a problem on stacks is T^T x on the full directions."""
+    the sparse (m_inv, m) 0/1 map T that selects them, stacks the
+    DirectionStacks of the selected rows T @ stack_b.  A solution x of a
+    problem on stacks is T^T x on the full directions."""
 
     torus_dimension: int
     lift: sps.csr_array
@@ -652,9 +562,10 @@ class ExtensionShape:
     (T T^T)^-1 T, T the trace-down map on the units of Sym_k(A), its Gram
     factored once (a Gram that is not positive definite is an
     AssemblyError: T must be onto the operators on A); the copy maps of
-    the blocks (_copy_image); the block descriptors; and the direction
-    stacks (one sdp.DirectionStacks, built from the sparse null basis).
-    The adjointness check runs once here.  pinned_blocks is the per-state
+    the blocks (_copy_image); the block descriptors; the direction stacks
+    (one sdp.DirectionStacks, built from the sparse null basis in one
+    pass per block); and the torus weight of every direction.  The
+    adjointness check runs once here.  pinned_blocks is the per-state
     step, dual_pairing its adjoint, and invariant_directions the
     per-torus step.
     """
@@ -689,8 +600,8 @@ class ExtensionShape:
     # -- construction ----------------------------------------------------
 
     def _build_stacks(self):
-        """Directions compressed onto the symmetric subspace, and the
-        pinned-part map; returns the block stacks."""
+        """Directions compressed onto the symmetric subspace, their torus
+        weights, and the pinned-part map; returns the block stacks."""
         d_a, d_b, k = self.d_a, self.d_b, self.k
         trace_down = _trace_down(d_a, k)
         try:
@@ -703,31 +614,69 @@ class ExtensionShape:
         # (T T^T)^-1 T: its transpose takes rho to the minimum-norm solution
         # of the trace-down constraint, one B entry at a time
         self._pin = sps.csr_array(sla.cho_solve((factor, True), trace_down.toarray()))
-        null = _null_basis(d_a, k)
-        self.m = null.shape[0] * d_b**2
+        diag, upper = _null_basis(d_a, k)
+        nb = d_b * d_b
+        j, (a, b) = np.arange(d_b), np.triu_indices(d_b, 1)
+        pair, root = d_b + 2 * np.arange(len(a)), np.full(len(a), 1 / np.sqrt(2))
+        ua, ub = np.divmod(np.arange(nb), d_b)
+        # the two kinds of direction, D_r x e with e = E_jj or the Gell-Mann
+        # pair of a < b, and U_t x E + h.c. and -i U_t x E + h.c. for every
+        # unit E = |a><b| of B: (A rows, B directions per row, whether the
+        # adjoint is added, then the direction, row, column and value of
+        # every entry of the B side).  Direction (r, s) of a kind is row
+        # offset + r * width + s
+        kinds = [
+            (diag, nb, False, np.concatenate([j, pair, pair, pair + 1, pair + 1]),
+             np.concatenate([j, a, b, a, b]), np.concatenate([j, b, a, b, a]),
+             np.concatenate([np.ones(d_b), root, root, -1j * root, 1j * root])),
+            (upper, 2 * nb, True, np.arange(2 * nb), np.repeat(ua, 2),
+             np.repeat(ub, 2), np.tile([1, -1j], nb)),
+        ]
+        # the torus weight of a direction, for invariant_directions: that of
+        # its first unit on A and its first entry on B, which every other
+        # entry carries too, or its negative in the adjoint part
+        occ, eye = _occupations(d_a, k), np.eye(d_b, dtype=np.int64)
+        weights = []
+        for vecs, width, _, bdir, brow, bcol, _ in kinds:
+            mu, nu = np.divmod(vecs.indices[vecs.indptr[:-1]], len(occ))
+            first = np.unique(bdir, return_index=True)[1]
+            wb = eye[brow[first]] - eye[bcol[first]]
+            weights.append(
+                np.hstack([np.repeat(occ[mu] - occ[nu], width, axis=0),
+                           np.tile(wb, (len(mu), 1))])
+            )
+        self._weights = np.vstack(weights)
+        self.m = len(self._weights)
 
-        # direction (v, j) of every block is A_v x e_j: A_v from the sparse
-        # null basis carried to the block's copy side, e_j a diagonal unit
-        # or an off-diagonal pair of B (transposed on tb blocks)
+        # each block in one pass, from the entries of the A rows carried
+        # to its copy side, B transposed on tb blocks.  The adjoint of
+        # U_t x E sits at the transposed positions: its weight is the
+        # negative of a nonzero one, so the two share no entry
         descs = transpose_descriptors(k, self.spec.ppt)
         self._images = {l: _copy_image(d_a, k, l) for l, _ in descs}
-        units = np.stack(
-            [np.diag(e).astype(complex) for e in np.eye(d_b)]
-            + hermitian_basis(d_b).elements[d_b:]
-        )
         stacks = []
-        for l, b in descs:
+        for l, tb in descs:
             side_a = math.isqrt(self._images[l].shape[1])
-            bmats = units.transpose(0, 2, 1) if b else units
-            stacks.append(_kron_stack(null @ self._images[l], side_a, bmats))
-            self.descriptors.append(
-                BlockDescriptor(l, b, _desc_label(l, b), side_a * d_b)
+            side = side_a * d_b
+            parts, offset = [], 0
+            for vecs, width, adjoint, bdir, brow, bcol, bval in kinds:
+                if tb:
+                    brow, bcol = bcol, brow
+                coo = (vecs @ self._images[l]).tocoo()
+                r, s = np.divmod(coo.col, side_a)
+                row = (offset + coo.row[:, None] * width + bdir).ravel()
+                p = (r[:, None] * d_b + brow).ravel()
+                q = (s[:, None] * d_b + bcol).ravel()
+                val = (coo.data[:, None] * bval).ravel()
+                parts.append((row, p * side + q, val))
+                if adjoint:
+                    parts.append((row, q * side + p, val.conj()))
+                offset += vecs.shape[0] * width
+            rows, cols, vals = (np.concatenate(x) for x in zip(*parts))
+            stacks.append(
+                sps.csr_array((vals, (rows, cols)), shape=(self.m, side * side))
             )
-        # torus weights of the A_v and of the e_j, for invariant_directions
-        self._weights = (
-            _unit_weights(null, _occupations(d_a, k)),
-            _unit_weights(units.reshape(d_b**2, -1), np.eye(d_b, dtype=np.int64)),
-        )
+            self.descriptors.append(BlockDescriptor(l, tb, _desc_label(l, tb), side))
         return stacks
 
     def _check_adjointness(self):
@@ -754,7 +703,8 @@ class ExtensionShape:
 
     def invariant_directions(self, grading):
         """The free directions invariant under the torus of grading
-        (torus_grading), as an InvariantDirections.
+        (torus_grading), as an InvariantDirections: those whose recorded
+        weight w has w @ grading == 0, a row selection of the stacks.
 
         One entry is kept, replaced when another grading comes, so the
         points of a sweep share one set of reduced stacks and solver
@@ -764,12 +714,12 @@ class ExtensionShape:
         with self._lock:
             if self._invariant is None or self._invariant[0] != key:
                 self._invariant = None
-                lift = _invariant_map(*self._weights, grading)
-                stacks = sdp.DirectionStacks.from_blocks(
-                    [lift @ stack for stack in self.stacks],
-                    self.stacks.sides,
-                    lift.shape[0],
+                keep = np.flatnonzero(~(self._weights @ grading).any(axis=1))
+                lift = sps.csr_array(
+                    (np.ones(len(keep)), (np.arange(len(keep)), keep)),
+                    shape=(len(keep), self.m),
                 )
+                stacks = sdp.DirectionStacks(stack[keep] for stack in self.stacks)
                 self._invariant = (
                     key,
                     InvariantDirections(grading.shape[1] - 2, lift, stacks),

@@ -15,18 +15,15 @@ drives the threshold sweep, where the largest mixing weight alpha keeping
 generalized eigenvalue problem rather than a semidefinite program.
 """
 
-import functools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tolerances as policy
+from .hierarchy import _trace_down
 from .tensorops import (
     TensorSpace,
     check_hermitian,
-    multiset_arrangements,
-    multisets,
     partial_trace,
     permute_factors,
     symmetric_subspace_dim,
@@ -139,13 +136,13 @@ def compose_with_symmetric_embedding(lmap, k):
     The output factor is extended to k copies, projected onto their
     symmetric subspace, and compressed to the occupation-number basis.
     The result lives on [input, sym_k(output)] and equals the map's own
-    operator at k = 1.  Entry formula, with mu, nu sorted multisets and
-    N the arrangement count:
+    operator at k = 1.  It is (id x T^T)(L), T the sparse trace-down map
+    Tr_(2..k) from operators on Sym_k(output) to those on the output
+    (hierarchy._trace_down); entry by entry, with mu, nu sorted multisets,
 
-        C[(b, mu), (b', nu)] = sum_tau N(tau) / sqrt(N(mu) N(nu))
-                               * L[(b, mu - tau), (b', nu - tau)]
+        C[(b, mu), (b', nu)] = sum sqrt(mu_a nu_c) / k * L[(b, a), (b', c)]
 
-    where tau runs over the common (k-1)-sub-multisets.  This is the
+    over the (a, c) with mu - a = nu - c, in ascending order.  This is the
     occupation-basis form of sandwiching L x 1^(k-1) between symmetric
     projectors, checked against the explicit construction in the tests.
     The coefficients are real, so a map whose defining operator has no
@@ -162,40 +159,12 @@ def compose_with_symmetric_embedding(lmap, k):
             f"composed operator side {side} exceeds the size cap "
             f"{COMPOSED_CAP}"
         )
-    idx, n_tau, inv_sqrt_n = _embedding_index(dout, k)
     choi = lmap.choi if lmap.choi.imag.any() else lmap.choi.real
-    # blocks[a, c] is the (din, din) block L[(., a), (., c)]
-    blocks = choi.reshape(din, dout, din, dout).transpose(1, 3, 0, 2)
-    comp = np.zeros((din, s_dim, din, s_dim), dtype=choi.dtype)
-    # one tau at a time: its terms land on distinct entries, so every
-    # entry sums its terms in the order of tau
-    for mu, count in zip(idx, n_tau):
-        coef = (count * inv_sqrt_n[mu])[:, None] * inv_sqrt_n[mu][None, :]
-        comp[:, mu[:, None], :, mu[None, :]] += coef[:, :, None, None] * blocks
+    # row (b, b') holds the (dout, dout) block L[(b, .), (b', .)]
+    blocks = choi.reshape(din, dout, din, dout).transpose(0, 2, 1, 3)
+    comp = blocks.reshape(din * din, dout * dout) @ _trace_down(dout, k)
+    comp = comp.reshape(din, din, s_dim, s_dim).transpose(0, 2, 1, 3)
     return comp.reshape(side, side)
-
-
-@functools.lru_cache(maxsize=32)
-def _embedding_index(dout, k):
-    """The index arrays of compose_with_symmetric_embedding's entry
-    formula: row r of idx holds the positions of tau + a among the
-    k-multisets, a = 0..dout-1, for the r-th (k-1)-multiset tau, n_tau[r]
-    is N(tau), and inv_sqrt_n holds 1/sqrt(N(mu)) for every k-multiset.
-    Read-only, since callers share them."""
-    mu_index = {mu: pos for pos, mu in enumerate(multisets(dout, k))}
-    taus = multisets(dout, k - 1)
-    arrays = (
-        np.array(
-            [[mu_index[tuple(sorted(tau + (a,)))] for a in range(dout)] for tau in taus]
-        ),
-        np.array([multiset_arrangements(tau) for tau in taus]),
-        np.array(
-            [1.0 / math.sqrt(multiset_arrangements(mu)) for mu in multisets(dout, k)]
-        ),
-    )
-    for arr in arrays:
-        arr.flags.writeable = False
-    return arrays
 
 
 def check_strict_positivity(lmap, k_max=8, samples=10000, seed=1234):

@@ -249,20 +249,27 @@ def test_trace_down_coefficients_match_the_embedding_loop(d, k):
 
 @pytest.mark.parametrize("d, k", [(2, 2), (2, 4), (3, 2), (3, 3), (4, 2), (3, 4)])
 def test_null_basis_spans_the_trace_down_null_space(d, k):
-    # every A_v traces down to zero on the full copy space, and the A_v are
-    # linearly independent over the reals, so their number m / d_b^2 =
+    # the Hermitian operators D_r, U_t + U_t^dag and -i U_t + i U_t^dag
+    # trace down to zero on the full copy space, and they are linearly
+    # independent over the reals, so their number m / d_b^2 =
     # dsym^2 - d^2 (the trace-down map is onto Herm(A)) is the rank, and
     # they span the whole null space; each stores at most max(4, d + 1)
     # coefficients, of magnitude at most one
     dsym = symmetric_subspace_dim(d, k)
-    null = hierarchy._null_basis(d, k)
-    assert null.shape[0] == free_direction_count(d, 1, k) == dsym**2 - d**2
-    mats = null.toarray().reshape(-1, dsym, dsym)
+    diag, upper = hierarchy._null_basis(d, k)
+    units = upper.toarray().reshape(-1, dsym, dsym)
+    assert not np.tril(units).any()
+    adjoints = units.conj().transpose(0, 2, 1)
+    mats = np.concatenate(
+        [diag.toarray().reshape(-1, dsym, dsym), units + adjoints,
+         -1j * units + 1j * adjoints]
+    )
+    assert len(mats) == free_direction_count(d, 1, k) == dsym**2 - d**2
     assert np.array_equal(mats, mats.conj().transpose(0, 2, 1))
     real = np.concatenate([mats.real, mats.imag], axis=1).reshape(len(mats), -1)
     assert np.linalg.matrix_rank(real) == len(mats)
-    assert np.diff(null.indptr).max() <= max(4, d + 1)
-    assert np.abs(null.data).max() <= 1.0
+    assert np.count_nonzero(mats, axis=(1, 2)).max() <= max(4, d + 1)
+    assert np.abs(mats).max() <= 1.0
     iso = symmetric_isometry(d, k)
     space = TensorSpace([d] * k)
     for a in mats:
@@ -271,18 +278,23 @@ def test_null_basis_spans_the_trace_down_null_space(d, k):
 
 
 def test_sparse_stacks_equal_dense_constructions():
-    # direction (v, j) of every block is A_v x e_j, A_v from the null
-    # basis carried to the block's copy side, e_j a diagonal unit or an
-    # off-diagonal basis pair of B (transposed on tb blocks); built densely
-    # here entry for entry through the isometries and partial transposes
+    # the directions of every block are D_r x e_j, e_j a diagonal unit or
+    # an off-diagonal basis pair of B, then U_t x E + h.c. and
+    # -i U_t x E + h.c. for every unit E of B (B transposed on tb blocks),
+    # D_r and U_t from the null basis carried to the block's copy side;
+    # built densely here entry for entry through the isometries and
+    # partial transposes
     d_a, d_b, k = 2, 2, 3
     rho = random_state(d_a, d_b, seed=9)
     problem, shape = build_extension_problem(rho, ExtensionSpec(k=k))
     assert [d.label for d in shape.descriptors] == ["plain", "ta1", "ta2", "tb"]
     dsym = symmetric_subspace_dim(d_a, k)
-    amats = hierarchy._null_basis(d_a, k).toarray().reshape(-1, dsym, dsym)
+    diag, upper = (
+        vecs.toarray().reshape(-1, dsym, dsym) for vecs in hierarchy._null_basis(d_a, k)
+    )
     units = [np.diag(e).astype(complex) for e in np.eye(d_b)]
     units += hermitian_basis(d_b).elements[d_b:]
+    matrix_units = np.eye(d_b * d_b).reshape(-1, d_b, d_b)
     iso_k = symmetric_isometry(d_a, k)
     space = TensorSpace([d_a] * k)
     for desc, fmat in zip(shape.descriptors, problem.fs):
@@ -291,19 +303,21 @@ def test_sparse_stacks_equal_dense_constructions():
             symmetric_isometry(d_a, l) if l else np.eye(1),
             symmetric_isometry(d_a, k - l) if k > l else np.eye(1),
         )
-        bmats = [e.T if desc.b_transposed else e for e in units]
-        dense = np.array(
-            [
-                np.kron(
-                    comp.T
-                    @ partial_transpose_multi(iso_k @ a @ iso_k.T, space, set(range(l)))
-                    @ comp,
-                    e,
-                )
-                for a in amats
-                for e in bmats
-            ]
-        ).reshape(shape.m, -1)
+
+        def image(a):
+            pt = partial_transpose_multi(iso_k @ a @ iso_k.T, space, set(range(l)))
+            return comp.T @ pt @ comp
+
+        def b_side(e):
+            return e.T if desc.b_transposed else e
+
+        dense = [np.kron(image(a), b_side(e)) for a in diag for e in units]
+        for u in upper:
+            for e in matrix_units:
+                for phase in (1, -1j):
+                    term = np.kron(image(phase * u), b_side(e))
+                    dense.append(term + term.conj().T)
+        dense = np.array(dense).reshape(shape.m, -1)
         stored = fmat.toarray()
         assert fmat.shape == dense.shape
         assert fmat.nnz == np.count_nonzero(dense)

@@ -37,7 +37,6 @@ from sepcert.posmaps import (
 from sepcert.states import choi_family_witness
 from sepcert.tensorops import (
     TensorSpace,
-    multiset_arrangements,
     multisets,
     symmetric_subspace_dim,
 )
@@ -168,30 +167,28 @@ def test_composition_matches_explicit_isometry_sandwich():
 
 def composition_term_by_term(lmap, k):
     """The entry formula of compose_with_symmetric_embedding applied one
-    term at a time, tau over the (k-1)-multisets in order, then a, c."""
+    term at a time: (a, c) in ascending order, then tau over the
+    (k-1)-multisets, each term weighted by the trace-down weight
+    sqrt(mu_a nu_c) / k of mu = tau + a and nu = tau + c."""
     din, dout = lmap.in_dim, lmap.out_dim
     s_dim = symmetric_subspace_dim(dout, k)
     mu_index = {mu: pos for pos, mu in enumerate(multisets(dout, k))}
     choi = lmap.choi if lmap.choi.imag.any() else lmap.choi.real
     lr = choi.reshape(din, dout, din, dout)
     comp = np.zeros((din, s_dim, din, s_dim), dtype=choi.dtype)
-    inv_sqrt_n = np.array(
-        [1.0 / math.sqrt(multiset_arrangements(mu)) for mu in multisets(dout, k)]
-    )
-    for tau in multisets(dout, k - 1):
-        n_tau = multiset_arrangements(tau)
-        for a in range(dout):
-            mu = mu_index[tuple(sorted(tau + (a,)))]
-            for c in range(dout):
+    for a in range(dout):
+        for c in range(dout):
+            for tau in multisets(dout, k - 1):
+                mu = mu_index[tuple(sorted(tau + (a,)))]
                 nu = mu_index[tuple(sorted(tau + (c,)))]
-                coef = n_tau * inv_sqrt_n[mu] * inv_sqrt_n[nu]
+                coef = math.sqrt((tau.count(a) + 1) * (tau.count(c) + 1)) / k
                 comp[:, mu, :, nu] += coef * lr[:, a, :, c]
     return comp.reshape(din * s_dim, din * s_dim)
 
 
 def test_composition_equals_the_term_by_term_loop():
-    # the index arrays sum each entry's terms in the loop's order, so the
-    # two agree bit for bit, complex and real, up to the 4x4 map at k = 8
+    # the sparse product sums each entry's terms in the loop's order, so
+    # the two agree bit for bit, complex and real, up to the 4x4 map at k = 8
     rng = np.random.default_rng(11)
     for din, dout, ks in [(2, 3, range(1, 6)), (3, 3, (2, 4)), (4, 4, (8,))]:
         L = random_hermitian(rng, din * dout)

@@ -90,6 +90,40 @@ def block_weights(desc, d_a, d_b, k):
     return np.concatenate([wa, wb], axis=2).reshape(-1, d_a + d_b)
 
 
+def mixed_weight_rows(shape):
+    """Rows of the blocks of shape.stacks, summed over the blocks, whose
+    entries carry weights other than one w and its negative, w the weight
+    of the row's first entry."""
+    total = 0
+    for desc, stack in zip(shape.descriptors, shape.stacks):
+        weights = block_weights(desc, shape.d_a, shape.d_b, shape.k)
+        coo = stack.tocoo()
+        r, s = np.divmod(coo.col, desc.side)
+        diff = weights[r] - weights[s]
+        _, start, count = np.unique(coo.row, return_index=True, return_counts=True)
+        w = np.repeat(diff[start], count, axis=0)
+        off = (diff != w).any(axis=1) & (diff != -w).any(axis=1)
+        total += len(np.unique(coo.row[off]))
+    return total
+
+
+@pytest.mark.parametrize(
+    "rho, k",
+    [(choi_family_state(3.5), 3), (gisin_family_state(3.0), 2),
+     (maximally_mixed(2, 4), 3)],
+    ids=["3x3-k3", "4x4-k2", "2x4-k3"],
+)
+def test_every_direction_carries_one_weight_up_to_sign(rho, k):
+    # each direction is a weight vector plus its adjoint, so the torus
+    # reduction is a row selection; a basis of products of two Hermitian
+    # parts mixed w_A + w_B with w_A - w_B in 2016, 2808 and 480 block rows here
+    problem, shape = build_extension_problem(rho, ExtensionSpec(k=k))
+    assert mixed_weight_rows(shape) == 0
+    lift = problem.invariant.lift
+    assert np.array_equal(np.diff(lift.indptr), np.ones(problem.m))
+    assert np.array_equal(lift.data, np.ones(problem.m))
+
+
 def sector_square_sum(labels):
     return sum(n * n for n in Counter(map(tuple, labels)).values())
 
@@ -147,15 +181,15 @@ def test_gradings_of_the_two_families():
 
 def test_partial_torus_keeps_single_off_diagonal_units():
     # with phi_0 = phi_1 the A units |...0><...1| are invariant on their
-    # own: some kept direction has an off-diagonal A factor and a diagonal
-    # B unit, which the choi torus never keeps
+    # own: some kept direction has an off-diagonal A part and a diagonal
+    # B unit, by the weight the shape recorded for it, which the choi
+    # torus never keeps
     def single_offdiagonal_rows(rho):
         problem, shape = build_extension_problem(rho, ExtensionSpec(k=2))
         lift = shape.invariant_directions(torus_grading(rho)).lift
-        wa, wb = shape._weights
-        singles = lift.indices[lift.indptr[:-1][np.diff(lift.indptr) == 1]]
-        v, j = np.divmod(singles, len(wb))
-        return int((wa[v].any(axis=1) & ~wb[j].any(axis=1)).sum())
+        kept = shape._weights[lift.indices]
+        wa, wb = kept[:, :rho.dim_a], kept[:, rho.dim_a:]
+        return int((wa.any(axis=1) & ~wb.any(axis=1)).sum())
 
     assert single_offdiagonal_rows(gisin_family_state(3.0)) > 0
     assert single_offdiagonal_rows(choi_family_state(3.5)) == 0
@@ -225,13 +259,13 @@ def test_run_test_evidence_lives_on_the_full_problem(monkeypatch):
 def test_sweep_points_share_one_reduction(monkeypatch):
     builds = []
 
-    def counting_map(*args, _orig=hierarchy._invariant_map):
+    def counting_reduction(*args, _orig=hierarchy.InvariantDirections):
         builds.append(args)
         return _orig(*args)
 
     # leave another shape in the memo, so the threads race to build
     build_extension_problem(random_state(2, 2, seed=1), ExtensionSpec(k=1))
-    monkeypatch.setattr(hierarchy, "_invariant_map", counting_map)
+    monkeypatch.setattr(hierarchy, "InvariantDirections", counting_reduction)
     spec = ExtensionSpec(k=2)
     alphas = [3.2, 3.4, 3.6, 3.8]
 
