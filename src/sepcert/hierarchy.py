@@ -217,16 +217,17 @@ def required_resources(d_a, d_b, spec):
     block's stored entries are counted exactly from the patterns
     (_stored_entries) before anything is built.  stack_bytes counts
 
-      * the CSR stacks five times over: as assembled, with the margin
-        direction appended, their real copy, and the two re-layouts the
-        solver multiplies with (the packed stack of sdp.BlockSplit and
-        the chunks of sdp.schur_stacks);
-      * the Schur assembly workspace of the largest chunk (sdp.schur_block
-        over c_b = sdp.schur_chunk(m + 1, n_b**2, 16) direction columns): the
-        two reused (n_b^2, c_b) arrays, the fresh sparse product of the
-        same size, and the (m, c_b) contraction (blocks of one side share
-        a chunk, which then holds fewer columns);
-      * the m x m Schur matrix and its Cholesky factor.
+      * the CSR stacks five times over, at 24 bytes per stored entry and
+        8 per row: as assembled, with the margin direction appended,
+        their real copy, and the two re-layouts the solver multiplies
+        with (the packed stack of sdp.BlockSplit and the chunks of
+        sdp.schur_stacks, n_b rows per direction);
+      * 32 packed block-diagonal matrices for the iterates and the step;
+      * the dense transients of the largest Schur assembly chunk
+        (sdp.schur_chunk(m + 1, e, 16) columns for the e = g n^2 entries
+        of the g blocks of side n), about sdp.SCHUR_CHUNK_BYTES;
+      * the (m + 1) x (m + 1) Schur matrix, factored in place, and the
+        boolean mask of the factorization's finite check.
 
     The pinned part and the witness map act through the sparse unit maps
     the stacks are built from (_trace_down, _copy_image), which hold no
@@ -248,19 +249,21 @@ def required_resources(d_a, d_b, spec):
         symmetric_subspace_dim(d_a, l) * symmetric_subspace_dim(d_a, k - l) * d_b
         for l, _ in descs
     ]
-    schur_bytes = 2 * 8 * m * m
+    schur_bytes = 9 * (m + 1) ** 2
     counted = schur_bytes <= MEMORY_BUDGET_BYTES
     nnz = _stored_entries(d_a, d_b, k, spec.ppt) if counted else (0,) * len(descs)
-    csr_bytes = 5 * sum(20 * z + 4 * m * n for z, n in zip(nnz, sides))
+    csr_bytes = 5 * sum(24 * z + 8 * m * n for z, n in zip(nnz, sides))
+    iterate_bytes = 32 * 16 * sum(n * n for n in sides)
     workspace_bytes = max(
-        16 * sdp.schur_chunk(m + 1, n * n, 16) * (3 * n * n + m) for n in sides
+        16 * sdp.schur_chunk(m + 1, e, 16) * (3 * e + m + 1)
+        for e in (sides.count(n) * n * n for n in sides)
     )
     return {
         "free_directions": m,
         "block_sides": sides,
         "block_labels": [_desc_label(l, b) for l, b in descs],
         "stored_entries": list(nnz) if counted else None,
-        "stack_bytes": csr_bytes + workspace_bytes + schur_bytes,
+        "stack_bytes": csr_bytes + iterate_bytes + workspace_bytes + schur_bytes,
         "schur_flops_per_iteration": float(
             sum(2 * m * n**3 + 2 * z * (m + n) for z, n in zip(nnz, sides))
         ),

@@ -61,11 +61,12 @@ Nakata ("Exploiting sparsity in primal-dual interior-point methods for
 SDP", Math. Program. 79, 1997): one sparse product with Z, one batched
 dense product with S^-1, and one sparse contraction against the stack.
 The assembly runs over chunks of direction columns, so its dense
-workspace is two arrays of about SCHUR_CHUNK_BYTES each, whatever m is;
-each solve allocates them once and reuses them for every chunk, class and
-iteration.  The finite checks run once per iteration, on the factors,
-the iterates and the directions.  The Schur matrix alone goes through
-scipy's cho_factor and cho_solve.
+transients come to about SCHUR_CHUNK_BYTES, whatever m is.  Each solve
+allocates one Fortran-ordered m x m buffer, which every iteration
+assembles into and factors in place: scipy's cho_factor and cho_solve,
+which the Schur matrix alone goes through, copy nothing.  The finite
+checks run once per iteration, on the factors, the iterates and the
+directions.
 
 The solution comes back in the caller's block layout, exactly zero off
 the components.
@@ -90,7 +91,7 @@ INFEASIBLE = "infeasible"
 MARGINAL = "marginal"
 ITER_LIMIT = "iter_limit"
 
-# bytes of one Schur assembly workspace array (see schur_chunk)
+# bytes of one Schur assembly chunk's dense transients (see schur_chunk)
 SCHUR_CHUNK_BYTES = 4 << 20
 
 
@@ -545,11 +546,12 @@ def _trace_pairs(fmat, z):
 
 
 def schur_chunk(m, entries, itemsize):
-    """Direction columns per Schur assembly chunk with m directions of
+    """Direction columns w per Schur assembly chunk with m directions of
     entries dense entries each (n^2 for a side-n block, g*s^2 for a class
-    of g side-s components): as many as fit in SCHUR_CHUNK_BYTES at
-    itemsize bytes per entry, at least one and at most m."""
-    return max(1, min(m, SCHUR_CHUNK_BYTES // (itemsize * entries)))
+    of g side-s components): as many as keep schur_block's 3 * entries * w
+    dense entries and (m, w) pairing within SCHUR_CHUNK_BYTES at itemsize
+    bytes per entry, at least one and at most m."""
+    return max(1, min(m, SCHUR_CHUNK_BYTES // (itemsize * (3 * entries + m))))
 
 
 def schur_stacks(fmat, n):
@@ -602,7 +604,8 @@ def schur_block(stacks, sinv, z, out, work):
     copied to row (c*n + p)*n + q, column j of a (g*n^2, w) view of
     work[1], so that the trace pairing with every F_i,
     Re Tr[F_i G_j] = Re sum F_i[p, q] conj(G_j[p, q]) for Hermitian F_i,
-    is one sparse product, added into out[:, chunk].
+    is one sparse product, added into out[:, chunk] (both triangles; the
+    solver factors the upper one in place).
     """
     fmat, chunk, fperms = stacks
     n = z.shape[-1]
@@ -626,16 +629,16 @@ def _project_dual_constraints(fs_list, c, z_blocks):
     single least-squares projection removes the violation without moving
     the certificate by more than the violation itself.
     """
-    m = len(c)
     resid = np.asarray(c, dtype=float).copy()
-    gram = np.zeros((m, m))
+    gram = 0  # summed sparse, densified once per use
     for fmat, fmat_t, z in zip(fs_list, fs_list.transposed(), z_blocks):
         resid -= _trace_pairs(fmat, np.asarray(z))
-        gram += (fmat @ fmat_t.conj()).real.toarray()
+        gram = gram + (fmat @ fmat_t.conj()).real
     try:
-        lam = sla.cho_solve(sla.cho_factor(gram), resid)
-    except np.linalg.LinAlgError:
-        lam = np.linalg.lstsq(gram, resid, rcond=None)[0]
+        fact = sla.cho_factor(gram.toarray(order="F"), overwrite_a=True)
+        lam = sla.cho_solve(fact, resid)
+    except np.linalg.LinAlgError:  # the failed factor overwrote its copy
+        lam = np.linalg.lstsq(gram.toarray(), resid, rcond=None)[0]
     out = []
     for fmat_t, z in zip(fs_list.transposed(), z_blocks):
         z = np.asarray(z)
@@ -660,6 +663,7 @@ def _solve_core(f0s, fs, c, tol, trace_cb=None, floor=-np.inf):
     dtype = np.result_type(fixed.dtype, split.stack.dtype)
     # per solve, not cached on fs: concurrent solves share the stacks
     work = schur_workspace(split.schur, dtype)
+    schur = np.empty((m, m), order="F")
     trace_cb = trace_cb or (lambda row: None)
 
     beta = 1.0 + np.sqrt(sum(np.linalg.norm(f0) ** 2 for f0 in f0s))
@@ -786,27 +790,30 @@ def _solve_core(f0s, fs, c, tol, trace_cb=None, floor=-np.inf):
         rpz = split.matmul(split.views(rp), zviews)
 
         # Schur complement M_ij = sum Re Tr[F_i S^-1 F_j Z] (symmetric
-        # positive definite) over the classes
-        schur = np.zeros((m, m))
-        for stacks, si, z in zip(split.schur, sinv, zviews):
-            schur_block(stacks, si, z, schur, work)
-        schur = (schur + schur.T) / 2
-        try:
-            schur_fact = sla.cho_factor(schur)
-        except np.linalg.LinAlgError:
-            jitter = 1e-12 * max(1.0, np.trace(schur) / max(m, 1))
+        # positive definite) over the classes, factored in place; a failed
+        # factorization has overwritten it, so the jittered retry
+        # assembles it again
+        for jitter in (0, 1e-12):
+            schur.fill(0)
+            for stacks, si, z in zip(split.schur, sinv, zviews):
+                schur_block(stacks, si, z, schur, work)
+            if jitter:
+                schur[np.diag_indices(m)] += jitter * max(1.0, np.trace(schur) / m)
             try:
-                schur_fact = sla.cho_factor(schur + jitter * np.eye(m))
+                schur_fact = sla.cho_factor(schur, overwrite_a=True)
+                break
             except np.linalg.LinAlgError:
-                if iterate_usable(best):
-                    trace_cb(row)
-                    status = "stalled"
-                    break
-                raise SdpNumericalError(
-                    "Schur complement lost positive definiteness",
-                    iteration=it,
-                    diagnostics=row,
-                ) from None
+                pass
+        else:
+            if iterate_usable(best):
+                trace_cb(row)
+                status = "stalled"
+                break
+            raise SdpNumericalError(
+                "Schur complement lost positive definiteness",
+                iteration=it,
+                diagnostics=row,
+            )
 
         def direction(kmat):
             v0 = kmat - rpz

@@ -14,6 +14,7 @@ Independent oracles used here:
 
 import collections
 import inspect
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -333,7 +334,7 @@ def test_schur_block_matches_dense_definition(complex_data, monkeypatch):
     assert np.abs(whole - dense).max() <= 1e-12 * np.abs(dense).max()
     # three columns per chunk: m = 7 splits 3 + 3 + 1
     monkeypatch.setattr(
-        sdp, "SCHUR_CHUNK_BYTES", 3 * fmat.dtype.itemsize * n * n + 1
+        sdp, "SCHUR_CHUNK_BYTES", 3 * fmat.dtype.itemsize * (3 * n * n + m) + 1
     )
     widths, chunked = assemble()
     assert widths == [3, 3, 1]
@@ -477,6 +478,68 @@ def test_solver_calls_scipy_linalg_only_for_the_schur_system(monkeypatch):
     factors = out.iterations - 1  # the last iteration only tests convergence
     # block-level work goes to numpy's batched linear algebra
     assert dict(calls) == {"cho_factor": factors, "cho_solve": 2 * factors}
+
+
+def test_failed_schur_factorization_retries_on_a_fresh_assembly(monkeypatch):
+    # a failed in-place factorization leaves its input overwritten, so the
+    # jittered retry must assemble the Schur matrix again; failing every
+    # first attempt then moves the margin by the jitter alone
+    problem, _ = build_extension_problem(
+        choi_family_state(3.5), ExtensionSpec(k=2, ppt=True)
+    )
+    plain = feasibility_margin(problem)
+    calls = []
+
+    def fail_first(a, **kwargs):
+        calls.append(len(calls))
+        if len(calls) % 2:
+            if kwargs.get("overwrite_a"):
+                a[:] = np.nan
+            raise np.linalg.LinAlgError("not positive definite")
+        return factor(a, **kwargs)
+
+    factor = sla.cho_factor
+    monkeypatch.setattr(sla, "cho_factor", fail_first)
+    out = feasibility_margin(problem)
+    assert len(calls) == 2 * (plain.iterations - 1)
+    assert (out.status, out.iterations) == (plain.status, plain.iterations)
+    assert abs(out.margin_t - plain.margin_t) <= 1e-9
+
+
+def test_schur_matrix_is_held_once():
+    # 100 blocks of side 4, each with the 15 traceless Hermitian directions
+    # of its own, and complex constant blocks: m = 1500 in complex
+    # arithmetic, where the m x m Schur matrix outweighs everything else
+    # the solve holds.  A symmetrised copy or a separate factor would add
+    # one more m x m array.
+    rng = np.random.default_rng(5)
+    blocks, n = 100, 4
+    units = [(p, q, ph) for p in range(n) for q in range(p + 1, n) for ph in (1, 1j)]
+    units += [(p, p, 1) for p in range(n - 1)]
+    m = blocks * len(units)
+    fs = []
+    for b in range(blocks):
+        dense = np.zeros((m, n, n), complex)
+        for i, (p, q, ph) in enumerate(units, start=b * len(units)):
+            dense[i, p, q] = ph
+            dense[i, q, p] = np.conj(ph)
+            if p == q:
+                dense[i, n - 1, n - 1] = -1
+        fs.append(sps.csr_array(dense.reshape(m, n * n)))
+    f0s = [rand_herm(n, rng) + n * np.eye(n) for _ in range(blocks)]
+    problem = SdpProblem(f0s=f0s, fs=fs, c=np.zeros(m))
+    tracemalloc.start()
+    try:
+        out = feasibility_margin(problem)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # F(x) can cancel each block's traceless part, and nothing more
+    assert out.diagnostics["real_path"] is False
+    assert out.status == FEASIBLE
+    best = -min(np.trace(f0).real for f0 in f0s) / n
+    assert out.margin_t == pytest.approx(best, abs=1e-6)
+    assert peak < 2 * 8 * m * m
 
 
 @pytest.mark.parametrize(
