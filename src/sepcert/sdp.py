@@ -630,7 +630,7 @@ def _project_dual_constraints(fs_list, c, z_blocks):
     the certificate by more than the violation itself.
     """
     resid = np.asarray(c, dtype=float).copy()
-    gram = 0  # summed sparse, densified once per use
+    gram = 0  # the blocks' Grams, summed sparse
     for fmat, fmat_t, z in zip(fs_list, fs_list.transposed(), z_blocks):
         resid -= _trace_pairs(fmat, np.asarray(z))
         gram = gram + (fmat @ fmat_t.conj()).real

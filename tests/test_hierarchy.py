@@ -166,7 +166,7 @@ def test_resource_estimate_covers_traced_peak():
             chunk = sdp.schur_chunk(820, 54 * 54, 8)
             assert problem.m == 819
             assert problem.block_sizes == [30, 54, 54, 30]
-            assert len(stacks[2]) == -(-820 // chunk) > 1
+            assert len(stacks[2]) == math.ceil(820 / chunk) > 1
 
 
 def test_level6_without_ppt_fits_the_budget():
