@@ -51,25 +51,26 @@ is X carried to its block's copy side, whose smallest eigenvalue is
 taken.  Nothing is lifted to the full copy space, of side d_a^k d_b.
 
 A state whose exactly-zero entries make it invariant under a torus of
-diagonal phases U_A x U_B (torus_grading) is solved on the invariant
+diagonal phases U_A x U_B (torus_grading) is posed on the invariant
 free directions only.  Averaging an extension over the torus keeps the
 three properties and, rho being invariant, the traced-down state, so an
 invariant extension exists whenever any does, and the verdict and margin
 do not change.  Every D_r and U_t is built from matrix units of one
 torus weight, and every direction is the Hermitian part of its product
-with a unit of B, so it carries one weight up to sign, recorded as it is
-built.  The invariant directions are those whose weight the torus
-fixes: the reduction is a row selection.  Only exact zeros count,
-decided in integer arithmetic: a tiny entry is a constraint like any
-other, and a state without zeros keeps every direction.  Certificates,
-witnesses and extensions are checked on the full problem.
+with a unit of B, so it carries one weight up to sign, known before any
+block is built (_directions): the gate counts and the build makes only
+the directions whose weight the torus fixes.  Only exact zeros count,
+decided in integer arithmetic, and a state without zeros is posed on
+every direction.  A certificate is checked on every free direction,
+posed or not, without any stack (ExtensionShape.pairing_violation).
 """
 
 import functools
 import math
 import threading
 import warnings
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg as sla
@@ -209,13 +210,15 @@ def free_direction_count(d_a, d_b, k):
     return (symmetric_subspace_dim(d_a, k) ** 2 - d_a**2) * d_b**2
 
 
-def required_resources(d_a, d_b, spec):
-    """Arithmetic estimate of the assembled problem's memory and cost.
+def required_resources(d_a, d_b, spec, grading=None):
+    """Arithmetic estimate of the posed problem's memory and cost: on
+    every free direction without a grading, else on those whose weight the
+    grading fixes (_posed), which free_directions counts.
 
-    Every direction is built from the sparse null basis (_null_basis)
-    carried to the block's copy side and from units of B, so each
-    block's stored entries are counted exactly from the patterns
-    (_stored_entries) before anything is built.  stack_bytes counts
+    Each direction is built from the sparse null basis (_null_basis)
+    carried to the block's copy side and from units of B, so each block's
+    stored entries are counted exactly from the patterns
+    (_entries_per_direction) before anything is built.  stack_bytes counts
 
       * the CSR stacks five times over, at 24 bytes per stored entry and
         8 per row: as assembled, with the margin direction appended,
@@ -243,7 +246,8 @@ def required_resources(d_a, d_b, spec):
     less.
     """
     k = spec.k
-    m = free_direction_count(d_a, d_b, k)
+    posed = slice(None) if grading is None else _posed(d_a, d_b, k, grading)
+    m = free_direction_count(d_a, d_b, k) if grading is None else int(posed.sum())
     descs = transpose_descriptors(k, spec.ppt)
     sides = [
         symmetric_subspace_dim(d_a, l) * symmetric_subspace_dim(d_a, k - l) * d_b
@@ -251,7 +255,10 @@ def required_resources(d_a, d_b, spec):
     ]
     schur_bytes = 9 * (m + 1) ** 2
     counted = schur_bytes <= MEMORY_BUDGET_BYTES
-    nnz = _stored_entries(d_a, d_b, k, spec.ppt) if counted else (0,) * len(descs)
+    nnz = [
+        int(_entries_per_direction(d_a, d_b, k, l)[posed].sum()) if counted else 0
+        for l, _ in descs
+    ]
     csr_bytes = 5 * sum(24 * z + 8 * m * n for z, n in zip(nnz, sides))
     iterate_bytes = 32 * 16 * sum(n * n for n in sides)
     workspace_bytes = max(
@@ -262,7 +269,7 @@ def required_resources(d_a, d_b, spec):
         "free_directions": m,
         "block_sides": sides,
         "block_labels": [_desc_label(l, b) for l, b in descs],
-        "stored_entries": list(nnz) if counted else None,
+        "stored_entries": nnz if counted else None,
         "stack_bytes": csr_bytes + iterate_bytes + workspace_bytes + schur_bytes,
         "schur_flops_per_iteration": float(
             sum(2 * m * n**3 + 2 * z * (m + n) for z, n in zip(nnz, sides))
@@ -270,26 +277,71 @@ def required_resources(d_a, d_b, spec):
     }
 
 
-@functools.lru_cache(maxsize=64)
-def _stored_entries(d_a, d_b, k, ppt):
-    """Stored entries of each block's direction stack, from the patterns.
+_Kind = namedtuple("_Kind", "vecs width adjoint bdir brow bcol bval weight_a weight_b")
 
-    Each entry of a block's copy side comes from one unit |mu><nu|
-    (_copy_image), and the units of one null vector differ, so a D_r or
-    U_t has as many entries in the block as the image rows of its units
-    hold.  The d_b^2 directions of a D_r hold that many times one entry
-    of B on the diagonal and two off it; each U_t has 2 d_b^2 directions
-    U_t x E + h.c., whose two terms share no entry, so 4 d_b^2 times.
+
+@functools.lru_cache(maxsize=64)
+def _directions(d_a, d_b, k):
+    """The two kinds of free direction of level k, D_r x e with e = E_jj
+    or the Gell-Mann pair of a < b, and U_t x E + h.c. and -i U_t x E + h.c.
+    for every unit E = |a><b| of B.  Each kind holds its A rows (null
+    vectors over the units of Sym_k(A)), width B directions per row, whether
+    the adjoint is added, the direction, row, column and value of every B
+    entry, and the torus weights of the rows and of the B directions.
+    Direction (r, s) of a kind is number offset + r * width + s, offset the
+    count of the kinds before it; its weight is that of its first unit on A
+    and first entry on B, which every other entry carries too, or its
+    negative in the adjoint part.  Cached and read-only: the build, the
+    gate and the certificate check share it.
     """
     diag, upper = _null_basis(d_a, k)
+    nb = d_b * d_b
+    j, (a, b) = np.arange(d_b), np.triu_indices(d_b, 1)
+    pair, root = d_b + 2 * np.arange(len(a)), np.full(len(a), 1 / np.sqrt(2))
+    ua, ub = np.divmod(np.arange(nb), d_b)
+    occ, eye = _occupations(d_a, k), np.eye(d_b, dtype=np.int64)
+    kinds = []
+    for vecs, width, adjoint, bdir, brow, bcol, bval in (
+        (diag, nb, False, np.concatenate([j, pair, pair, pair + 1, pair + 1]),
+         np.concatenate([j, a, b, a, b]), np.concatenate([j, b, a, b, a]),
+         np.concatenate([np.ones(d_b), root, root, -1j * root, 1j * root])),
+        (upper, 2 * nb, True, np.arange(2 * nb), np.repeat(ua, 2),
+         np.repeat(ub, 2), np.tile([1, -1j], nb)),
+    ):
+        mu, nu = np.divmod(vecs.indices[vecs.indptr[:-1]], len(occ))
+        first = np.unique(bdir, return_index=True)[1]
+        kinds.append(_Kind(vecs, width, adjoint, bdir, brow, bcol, bval,
+                           occ[mu] - occ[nu], eye[brow[first]] - eye[bcol[first]]))
+    return tuple(kinds)
+
+
+def _posed(d_a, d_b, k, grading):
+    """Whether the torus of grading (torus_grading) fixes each free
+    direction, in direction order: w @ grading == 0 for its weight w."""
+    return np.concatenate([
+        ~((kind.weight_a @ grading[:d_a])[:, None, :]
+          + (kind.weight_b @ grading[d_a:])[None, :, :]).any(axis=2).ravel()
+        for kind in _directions(d_a, d_b, k)
+    ])
+
+
+@functools.lru_cache(maxsize=64)
+def _entries_per_direction(d_a, d_b, k, l):
+    """Stored entries of each free direction in the block with l
+    transposed copies, from the patterns.  Each entry of a block's copy
+    side comes from one unit |mu><nu| (_copy_image), and the units of one
+    null vector differ, so a D_r or U_t has as many entries in the block
+    as the image rows of its units hold; D_r x e holds that many times
+    one entry of B for a diagonal e and two for a pair, U_t x E + h.c.
+    twice, its two terms sharing no entry.  Cached and read-only.
+    """
+    per_unit = np.diff(_copy_image(d_a, k, l).indptr)
     counts = []
-    for l, _ in transpose_descriptors(k, ppt):
-        per_unit = np.diff(_copy_image(d_a, k, l).indptr)
-        counts.append(
-            int(per_unit[diag.indices].sum()) * (2 * d_b * d_b - d_b)
-            + int(per_unit[upper.indices].sum()) * 4 * d_b * d_b
-        )
-    return tuple(counts)
+    for kind in _directions(d_a, d_b, k):
+        per_row = np.add.reduceat(per_unit[kind.vecs.indices], kind.vecs.indptr[:-1])
+        per_dir = np.bincount(kind.bdir, minlength=kind.width) * (1 + kind.adjoint)
+        counts.append(np.outer(per_row, per_dir).ravel())
+    return np.concatenate(counts)
 
 
 def _occupations(d, k):
@@ -412,7 +464,7 @@ def _copy_image(d, k, l):
     N the arrangement count.  Entry [(a, b), (a', b')] of the image is
     X[mu, nu] times two overlaps, with mu = a' + b and nu = a + b' (a, a'
     in Sym_l, b, b' in Sym_(k-l)): each entry of the image comes from
-    exactly one entry of X.  Cached: the stack build, _stored_entries and
+    exactly one entry of X.  Cached: the stack build, the entry count and
     the extension re-check share one matrix per (d, k, l) and only read it.
     """
     occ_l, occ_r = _occupations(d, l), _occupations(d, k - l)
@@ -536,50 +588,32 @@ def _random_hermitian(rng, n):
     return (g + g.conj().T) / 2
 
 
-@dataclass
-class InvariantDirections:
-    """The torus-invariant part of a shape's free directions: lift is
-    the sparse (m_inv, m) 0/1 map T that selects them, stacks the
-    DirectionStacks of the selected rows T @ stack_b.  A solution x of a
-    problem on stacks is T^T x on the full directions."""
-
-    torus_dimension: int
-    lift: sps.csr_array
-    stacks: sdp.DirectionStacks
-
-
-@dataclass
-class ExtensionProblem(sdp.SdpProblem):
-    """A level-k problem as build_extension_problem poses it: on every
-    free direction of its shape when invariant is None, else on
-    invariant.stacks, the directions invariant under rho's torus."""
-
-    invariant: InvariantDirections = None
-
-
 class ExtensionShape:
     """The part of a level-k extension problem that does not depend on rho.
 
     rho enters only through the trace-down constraint, which pins the F0
-    blocks.  Everything else is fixed by (d_a, d_b, k, ppt): the map
+    blocks, and through its torus (grading, from torus_grading, or None).
+    Everything else is fixed by (d_a, d_b, k, ppt, grading): the map
     (T T^T)^-1 T, T the trace-down map on the units of Sym_k(A), its Gram
     factored once (a Gram that is not positive definite is an
     AssemblyError: T must be onto the operators on A); the copy maps of
-    the blocks (_copy_image); the block descriptors; the direction stacks
-    (one sdp.DirectionStacks, built from the sparse null basis in one
-    pass per block); and the torus weight of every direction.  The
-    adjointness check runs once here.  pinned_blocks is the per-state
-    step, dual_pairing its adjoint, and invariant_directions the
-    per-torus step.
+    the blocks (_copy_image); the block descriptors; and stacks, one
+    sdp.DirectionStacks of the posed directions (those the torus fixes,
+    every one without it), built in one pass per block.  m counts every
+    free direction, stacks.m the posed ones, which the gate counts.
+    pinned_blocks is the per-state step, dual_pairing its adjoint, and
+    pairing_violation checks a certificate on every free direction.
     """
 
-    def __init__(self, d_a, d_b, spec):
+    def __init__(self, d_a, d_b, spec, grading=None):
         self.d_a = d_a
         self.d_b = d_b
         self.spec = spec
         self.k = spec.k
+        self.grading = grading
+        self.m = free_direction_count(d_a, d_b, spec.k)
         self.descriptors = []
-        res = required_resources(d_a, d_b, spec)
+        res = required_resources(d_a, d_b, spec, grading)
         side_cap = max(res["block_sides"])
         if side_cap > AMBIENT_CAP:
             raise AssemblyError(
@@ -592,19 +626,14 @@ class ExtensionShape:
                 "GB of working memory",
                 resources=res,
             )
-        stacks = self._build_stacks()
-        self.stacks = sdp.DirectionStacks.from_blocks(
-            stacks, [d.side for d in self.descriptors], self.m
-        )
+        self.stacks = sdp.DirectionStacks(self._build_stacks())
         self._check_adjointness()
-        self._lock = threading.Lock()
-        self._invariant = None  # (grading key, InvariantDirections)
 
     # -- construction ----------------------------------------------------
 
     def _build_stacks(self):
-        """Directions compressed onto the symmetric subspace, their torus
-        weights, and the pinned-part map; returns the block stacks."""
+        """The posed directions compressed onto the symmetric subspace, and
+        the pinned-part map; returns the block stacks."""
         d_a, d_b, k = self.d_a, self.d_b, self.k
         trace_down = _trace_down(d_a, k)
         try:
@@ -617,39 +646,11 @@ class ExtensionShape:
         # (T T^T)^-1 T: its transpose takes rho to the minimum-norm solution
         # of the trace-down constraint, one B entry at a time
         self._pin = sps.csr_array(sla.cho_solve((factor, True), trace_down.toarray()))
-        diag, upper = _null_basis(d_a, k)
-        nb = d_b * d_b
-        j, (a, b) = np.arange(d_b), np.triu_indices(d_b, 1)
-        pair, root = d_b + 2 * np.arange(len(a)), np.full(len(a), 1 / np.sqrt(2))
-        ua, ub = np.divmod(np.arange(nb), d_b)
-        # the two kinds of direction, D_r x e with e = E_jj or the Gell-Mann
-        # pair of a < b, and U_t x E + h.c. and -i U_t x E + h.c. for every
-        # unit E = |a><b| of B: (A rows, B directions per row, whether the
-        # adjoint is added, then the direction, row, column and value of
-        # every entry of the B side).  Direction (r, s) of a kind is row
-        # offset + r * width + s
-        kinds = [
-            (diag, nb, False, np.concatenate([j, pair, pair, pair + 1, pair + 1]),
-             np.concatenate([j, a, b, a, b]), np.concatenate([j, b, a, b, a]),
-             np.concatenate([np.ones(d_b), root, root, -1j * root, 1j * root])),
-            (upper, 2 * nb, True, np.arange(2 * nb), np.repeat(ua, 2),
-             np.repeat(ub, 2), np.tile([1, -1j], nb)),
-        ]
-        # the torus weight of a direction, for invariant_directions: that of
-        # its first unit on A and its first entry on B, which every other
-        # entry carries too, or its negative in the adjoint part
-        occ, eye = _occupations(d_a, k), np.eye(d_b, dtype=np.int64)
-        weights = []
-        for vecs, width, _, bdir, brow, bcol, _ in kinds:
-            mu, nu = np.divmod(vecs.indices[vecs.indptr[:-1]], len(occ))
-            first = np.unique(bdir, return_index=True)[1]
-            wb = eye[brow[first]] - eye[bcol[first]]
-            weights.append(
-                np.hstack([np.repeat(occ[mu] - occ[nu], width, axis=0),
-                           np.tile(wb, (len(mu), 1))])
-            )
-        self._weights = np.vstack(weights)
-        self.m = len(self._weights)
+        # with a grading, each posed direction's number among them; only the
+        # A rows that hold one are carried to the copy sides
+        posed = None if self.grading is None else _posed(d_a, d_b, k, self.grading)
+        number = None if posed is None else np.cumsum(posed) - 1
+        m = self.m if posed is None else int(posed.sum())
 
         # each block in one pass, from the entries of the A rows carried
         # to its copy side, B transposed on tb blocks.  The adjoint of
@@ -662,23 +663,30 @@ class ExtensionShape:
             side_a = math.isqrt(self._images[l].shape[1])
             side = side_a * d_b
             parts, offset = [], 0
-            for vecs, width, adjoint, bdir, brow, bcol, bval in kinds:
-                if tb:
-                    brow, bcol = bcol, brow
+            for kind in _directions(d_a, d_b, k):
+                brow, bcol = (kind.bcol, kind.brow) if tb else (kind.brow, kind.bcol)
+                size = kind.vecs.shape[0] * kind.width
+                vecs, used = kind.vecs, None
+                if posed is not None:
+                    used = posed[offset:offset + size].reshape(-1, kind.width)
+                    used = np.flatnonzero(used.any(axis=1))
+                    vecs = vecs[used]
                 coo = (vecs @ self._images[l]).tocoo()
                 r, s = np.divmod(coo.col, side_a)
-                row = (offset + coo.row[:, None] * width + bdir).ravel()
+                arow = coo.row if used is None else used[coo.row]
+                row = (offset + arow[:, None] * kind.width + kind.bdir).ravel()
                 p = (r[:, None] * d_b + brow).ravel()
                 q = (s[:, None] * d_b + bcol).ravel()
-                val = (coo.data[:, None] * bval).ravel()
+                val = (coo.data[:, None] * kind.bval).ravel()
+                if posed is not None:
+                    keep = posed[row]
+                    row, p, q, val = number[row[keep]], p[keep], q[keep], val[keep]
                 parts.append((row, p * side + q, val))
-                if adjoint:
+                if kind.adjoint:
                     parts.append((row, q * side + p, val.conj()))
-                offset += vecs.shape[0] * width
+                offset += size
             rows, cols, vals = (np.concatenate(x) for x in zip(*parts))
-            stacks.append(
-                sps.csr_array((vals, (rows, cols)), shape=(self.m, side * side))
-            )
+            stacks.append(sps.csr_array((vals, (rows, cols)), shape=(m, side * side)))
             self.descriptors.append(BlockDescriptor(l, tb, _desc_label(l, tb), side))
         return stacks
 
@@ -704,31 +712,6 @@ class ExtensionShape:
                 f"embedding adjoint mismatch: {lhs!r} vs {rhs!r}"
             )
 
-    def invariant_directions(self, grading):
-        """The free directions invariant under the torus of grading
-        (torus_grading), as an InvariantDirections: those whose recorded
-        weight w has w @ grading == 0, a row selection of the stacks.
-
-        One entry is kept, replaced when another grading comes, so the
-        points of a sweep share one set of reduced stacks and solver
-        layouts; the lock makes concurrent callers wait for one build.
-        """
-        key = (grading.shape, grading.tobytes())
-        with self._lock:
-            if self._invariant is None or self._invariant[0] != key:
-                self._invariant = None
-                keep = np.flatnonzero(~(self._weights @ grading).any(axis=1))
-                lift = sps.csr_array(
-                    (np.ones(len(keep)), (np.arange(len(keep)), keep)),
-                    shape=(len(keep), self.m),
-                )
-                stacks = sdp.DirectionStacks(stack[keep] for stack in self.stacks)
-                self._invariant = (
-                    key,
-                    InvariantDirections(grading.shape[1] - 2, lift, stacks),
-                )
-            return self._invariant[1]
-
     # -- the per-state step ---------------------------------------------
 
     def pinned_blocks(self, rho_mat):
@@ -752,58 +735,76 @@ class ExtensionShape:
         Sym_k(A) x B; the transposed pinned-part map (T T^T)^-1 T takes
         their sum to A x B, and one more transpose gives the adjoint.
         """
-        adjoint_t = sum(
-            _map_copies(
-                np.asarray(z).T,
-                self._images[d.a_transposed].T,
-                self.d_b,
-                d.b_transposed,
-            )
+        return _map_copies(self._adjoint_image(z_blocks), self._pin.T, self.d_b).T
+
+    def _adjoint_image(self, z_blocks):
+        """The transpose of Y = sum_b Gamma_b^dag(Z_b) on Sym_k(A) x B,
+        Gamma_b the map X -> F_b of block b: the transposed copy map of
+        each block applied to Z_b^T one B entry at a time, B transposed
+        back on tb blocks."""
+        return sum(
+            _map_copies(np.asarray(z).T, self._images[d.a_transposed].T, self.d_b,
+                        d.b_transposed)
             for d, z in zip(self.descriptors, z_blocks)
         )
-        return _map_copies(adjoint_t, self._pin.T, self.d_b).T
+
+    def pairing_violation(self, z_blocks):
+        """max_i |Re Tr[F_i Z]| over every free direction of the level,
+        posed or not, without any direction stack.  F_i is V x E carried to
+        the blocks, V a null-basis row and E a B part (_directions), plus
+        its adjoint or not, so Tr[F_i Z] is Tr[(V x E) Y], or twice its real
+        part, with Y = sum_b Gamma_b^dag(Z_b), the first half of
+        dual_pairing.  Z enters through its Hermitian part, which keeps
+        Re Tr[F_i Z], the pairing sdp.verify_certificate checks.
+        """
+        d_b, n = self.d_b, symmetric_subspace_dim(self.d_a, self.k)
+        herm = [(np.asarray(z) + np.asarray(z).conj().T) / 2 for z in z_blocks]
+        # Y^T, entry [(mu, nu), (a, b)] the pairing of |mu><nu| x |a><b| with Y
+        y = self._adjoint_image(herm).reshape(n, d_b, n, d_b)
+        y = y.transpose(0, 2, 1, 3).reshape(n * n, d_b * d_b)
+        worst = 0.0
+        for kind in _directions(self.d_a, d_b, self.k):
+            bpart = np.zeros((d_b * d_b, kind.width), dtype=complex)
+            np.add.at(bpart, (kind.brow * d_b + kind.bcol, kind.bdir), kind.bval)
+            pairs = (1 + kind.adjoint) * ((kind.vecs @ y) @ bpart).real
+            worst = max(worst, float(np.abs(pairs).max(initial=0.0)))
+        return worst
 
 
 _shape_lock = threading.Lock()
 _shape_memo = None  # (key, ExtensionShape) of the last shape built
 
 
-def extension_shape(d_a, d_b, spec):
-    """The ExtensionShape for (d_a, d_b, spec), reused while consecutive
-    callers ask for the same one.
+def extension_shape(d_a, d_b, spec, grading=None):
+    """The ExtensionShape for (d_a, d_b, spec, grading), reused while
+    consecutive callers ask for the same one, as the points of a sweep,
+    which share their zeros and so their grading, do.
 
     One entry is kept: it is released before a different shape is built,
     so the memo never holds two shapes.  The lock makes concurrent callers
     that want the same shape wait for a single build.
     """
     global _shape_memo
-    key = (d_a, d_b, spec)
+    torus = None if grading is None else (grading.shape, grading.tobytes())
+    key = (d_a, d_b, spec, torus)
     with _shape_lock:
         if _shape_memo is None or _shape_memo[0] != key:
             _shape_memo = None
-            _shape_memo = (key, ExtensionShape(d_a, d_b, spec))
+            _shape_memo = (key, ExtensionShape(d_a, d_b, spec, grading))
         return _shape_memo[1]
 
 
 def build_extension_problem(rho, spec):
     """Assemble the level-k feasibility problem; returns (problem, shape).
 
-    The rho-independent part comes from extension_shape, so states of one
-    shape in a row share it.  When rho is invariant under a torus of
-    diagonal phases (torus_grading), the problem is posed on the
-    invariant directions only (ExtensionShape.invariant_directions), with
-    the same F0 blocks, and problem.invariant holds them; otherwise on all
-    of shape.stacks, and problem.invariant is None.
+    The problem is posed on shape.stacks: the directions invariant under
+    rho's torus of diagonal phases (torus_grading), or every free
+    direction when rho has none.  The rho-independent part comes from
+    extension_shape, so states of one shape and torus in a row share it.
     """
-    shape = extension_shape(rho.dim_a, rho.dim_b, spec)
-    grading = torus_grading(rho)
-    invariant = None if grading is None else shape.invariant_directions(grading)
-    fs = shape.stacks if invariant is None else invariant.stacks
-    problem = ExtensionProblem(
-        f0s=shape.pinned_blocks(rho.matrix),
-        fs=fs,
-        c=np.zeros(fs.m),
-        invariant=invariant,
+    shape = extension_shape(rho.dim_a, rho.dim_b, spec, torus_grading(rho))
+    problem = sdp.SdpProblem(
+        f0s=shape.pinned_blocks(rho.matrix), fs=shape.stacks, c=np.zeros(shape.stacks.m)
     )
     return problem, shape
 
@@ -867,12 +868,9 @@ def run_test(rho, spec, tolerances=None, trace=None):
     in those coordinates, at every level.
     """
     problem, shape = build_extension_problem(rho, spec)
-    invariant = problem.invariant
     outcome = sdp.feasibility_margin(problem, tolerances=tolerances, trace=trace)
-    if invariant is not None:
-        outcome.x = invariant.lift.T @ outcome.x
     metadata = {
-        "torus_dimension": 0 if invariant is None else invariant.torus_dimension,
+        "torus_dimension": 0 if shape.grading is None else shape.grading.shape[1] - 2,
         "free_directions": shape.m,
         "invariant_directions": problem.m,
         "block_sides": [d.side for d in shape.descriptors],
@@ -888,7 +886,7 @@ def run_test(rho, spec, tolerances=None, trace=None):
     )
     if outcome.status == sdp.FEASIBLE:
         f0 = problem.f0s[0]
-        ext = f0 + (shape.stacks.transposed()[0] @ outcome.x).reshape(f0.shape)
+        ext = f0 + (problem.fs.transposed()[0] @ outcome.x).reshape(f0.shape)
         checks = check_extension_properties(ext, rho, spec.k, spec.ppt)
         if not checks["passed"]:
             raise SolverFailure(
@@ -903,24 +901,21 @@ def run_test(rho, spec, tolerances=None, trace=None):
     if outcome.status == sdp.INFEASIBLE:
         from . import witness as witness_mod
 
-        full = problem
-        if invariant is not None:
-            full = sdp.SdpProblem(
-                f0s=problem.f0s, fs=shape.stacks, c=np.zeros(shape.m)
-            )
-        check = sdp.verify_certificate(full, outcome.z_blocks)
+        # PSD and the objective on the posed problem, the pairing with
+        # every free direction from the shape
+        check = sdp.verify_certificate(problem, outcome.z_blocks)
+        violation = shape.pairing_violation(outcome.z_blocks)
+        check = replace(check, constraint_violation=violation,
+                        passed=check.passed and violation <= policy.CERT_TOL)
         if not check.passed:
             raise SolverFailure(
                 f"infeasibility claimed but certificate failed independent "
                 f"verification: {check}",
                 outcome=outcome,
             )
-        wit = witness_mod.extract_witness(shape, full, rho, outcome.z_blocks)
-        report = TestReport(status=ENTANGLED, **common)
-        report.dual_blocks = outcome.z_blocks
-        report.certificate_check = check
-        report.witness = wit
-        return report
+        wit = witness_mod.extract_witness(shape, problem, rho, outcome.z_blocks)
+        return TestReport(status=ENTANGLED, dual_blocks=outcome.z_blocks,
+                          certificate_check=check, witness=wit, **common)
     if outcome.status == sdp.MARGINAL:
         return TestReport(status=MARGINAL, **common)
     raise SolverFailure(
@@ -938,17 +933,19 @@ class LadderReport:
 
 
 def run_ladder(rho, k_max, ppt=True, tolerances=None, trace=None):
-    """Run levels 1..k_max, stopping early once entanglement is certified.
+    """Run levels 1..k_max, or 2..k_max without partial transposes (level
+    1 would test nothing), stopping early once entanglement is certified.
 
     A marginal level does not terminate the ladder.  At each feasible level
     above the first, the reported extension traced down by one copy is
     checked to be a valid extension one level below (monotonicity).
     """
-    if k_max < 1:
-        raise ValueError(f"k_max must be at least 1, got {k_max}")
+    first = 1 if ppt else 2
+    if k_max < first:
+        raise ValueError(f"k_max must be at least {first}, got {k_max}")
     reports = []
     mono = []
-    for k in range(1, k_max + 1):
+    for k in range(first, k_max + 1):
         spec = ExtensionSpec(k=k, ppt=ppt)
         rep = run_test(rho, spec, tolerances=tolerances, trace=trace)
         reports.append(rep)

@@ -436,9 +436,10 @@ class SdpProblem:
     f0s[b] is the constant matrix of block b; fs holds the direction
     stacks, item b being one CSR matrix of shape (m, n_b**2) whose row i is
     the row-major vec of F_i.  fs may be a DirectionStacks shared with
-    other problems (checked once when it was made) or a list of CSR or
-    dense (m, n_b, n_b) stacks, converted once.  All matrices must be
-    finite and Hermitian, and c finite (checked, rejected when not).
+    other problems (trusted: checked by from_blocks when made from one,
+    finite and Hermitian by construction otherwise) or a list of CSR or
+    dense (m, n_b, n_b) stacks, converted and checked once.  All matrices
+    must be finite and Hermitian, and c finite (checked, rejected when not).
     """
 
     f0s: list

@@ -14,16 +14,15 @@ reports marginal instead of separable-consistent.  The test prints the
 honest FAIL line and is marked xfail; the README states the cause.
 """
 
+import glob
 import math
-import os
-import subprocess
-import sys
 import time
 
 import numpy as np
 import pytest
 
 from oracles import full_extension_verdict, gisin_family_witness
+from sepcert.cli import main
 from sepcert.decompose import INDECOMPOSABLE, decompose, extract_edge_state
 from sepcert.hierarchy import (
     ENTANGLED,
@@ -34,6 +33,7 @@ from sepcert.hierarchy import (
     run_ladder,
     run_test,
 )
+from sepcert.matio import save_matrix
 from sepcert.posmaps import threshold_family, threshold_sweep
 from sepcert.states import (
     choi_family_state,
@@ -348,28 +348,32 @@ def test_acceptance_8_property_suite():
     assert not errors, "; ".join(errors)
 
 
-def test_acceptance_9_deep_level_run_is_scripted_and_gated():
-    script = os.path.abspath(
-        os.path.join(os.path.dirname(__file__), os.pardir, "scripts",
-                     "level6_choi.py")
-    )
+def test_acceptance_9_deep_level_run_is_scripted_and_gated(tmp_path, capsys):
+    # a deep level is gated and named before any solve: the dense state's
+    # level 8 is refused at once with its estimate, while the family state,
+    # posed on its torus-invariant directions, runs within the gate
     errors = []
-    if not os.path.exists(script):
-        errors.append("scripts/level6_choi.py missing")
-    else:
-        proc = subprocess.run(
-            [sys.executable, script],
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        if proc.returncode != 0:
-            errors.append(f"ungated invocation exited {proc.returncode}")
-        if "required resources" not in proc.stdout:
-            errors.append("no resource disclosure printed")
-        if "--yes-really" not in proc.stdout:
-            errors.append("gate flag not named in the dry-run output")
-        if "status=" in proc.stdout:
-            errors.append("dry run appears to have solved something")
+    paths = {}
+    for name, rho in (("dense", random_state(3, 3, seed=3)),
+                      ("choi", choi_family_state(3.5))):
+        paths[name] = str(tmp_path / f"{name}.mat")
+        save_matrix(paths[name], rho.matrix, rho.space, "state")
+    start = time.perf_counter()
+    code = main(["test", paths["dense"], "--k", "8", "--out", str(tmp_path)])
+    elapsed = time.perf_counter() - start
+    _, err = capsys.readouterr()
+    if code != 70:
+        errors.append(f"dense level 8 exited {code}, not 70")
+    if "GB of working memory" not in err:
+        errors.append("no resource estimate in the refusal")
+    if elapsed > 10:
+        errors.append(f"refusal took {elapsed:.1f}s")
+    if glob.glob(str(tmp_path / "test-*.txt")):
+        errors.append("the refused run wrote a report")
+    code = main(["test", paths["choi"], "--k", "8", "--no-ppt", "--out",
+                 str(tmp_path)])
+    _, err = capsys.readouterr()
+    if code not in (0, 1, 2):
+        errors.append(f"choi level 8 without PPT exited {code}: {err.strip()}")
     _announce(9, not errors, "; ".join(errors))
     assert not errors, "; ".join(errors)

@@ -299,6 +299,25 @@ def test_ladder_reports_each_level(files, tmp_path, capsys):
     assert _field(text, "monotonicity_checks_passed") == "True"
 
 
+def test_ladder_without_ppt_starts_at_level_two(files, tmp_path, capsys):
+    # level 1 without partial transposes tests nothing, so the ladder
+    # starts one level up instead of refusing the whole run
+    code = main(
+        ["ladder", files["choi35.mat"], "--no-ppt", "--kmax", "3",
+         "--out", str(tmp_path)]
+    )
+    out, _ = capsys.readouterr()
+    assert code in (0, 1, 2)
+    text = open(glob.glob(str(tmp_path / "ladder-*.txt"))[0]).read()
+    rows = text.split("levels:\n  k  status  margin  iterations\n")[1]
+    levels = [line.split()[0] for line in rows.splitlines()[:2]]
+    assert levels == ["2", "3"]
+    assert _field(text, "levels_run") == "2"
+    status = _field(text, "final_status")
+    assert out.startswith(f"{status} levels=2")
+    assert code == {"separable_consistent": 0, "entangled": 1, "marginal": 2}[status]
+
+
 @pytest.mark.parametrize("kmax", ["0", "-1"])
 def test_ladder_rejects_a_level_bound_below_one(files, tmp_path, capsys, kmax):
     code = main(

@@ -138,11 +138,11 @@ def test_size_formulas_match_closed_forms():
 
 
 def test_resource_estimate_covers_traced_peak():
-    # the estimate describes a solve on every free direction of the shape,
-    # which a dense state gets; the family state is solved on its torus-
-    # invariant directions, a second case under the same bound.  The dense
-    # level-4 solve without PPT blocks (m = 1944) is dominated by its Schur
-    # matrix, which the estimate counts once.
+    # the estimate describes the posed problem: a dense state is posed on
+    # every free direction of the shape, the family state on its torus-
+    # invariant directions only, a second case under the estimate of those.
+    # The dense level-4 solve without PPT blocks (m = 1944) is dominated by
+    # its Schur matrix, which the estimate counts once.
     cases = [(random_state(3, 3, seed=2), False, ExtensionSpec(k=k)) for k in (2, 3)]
     cases += [(choi_family_state(3.5), True, ExtensionSpec(k=k)) for k in (2, 3)]
     cases.append((random_state(3, 3, seed=3), False, ExtensionSpec(k=4, ppt=False)))
@@ -156,9 +156,11 @@ def test_resource_estimate_covers_traced_peak():
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert (problem.invariant is not None) == reduced
+        assert (shape.grading is not None) == reduced
         assert (problem.m < shape.m) == reduced
-        assert required_resources(3, 3, spec)["stack_bytes"] >= peak
+        res = required_resources(3, 3, spec, shape.grading)
+        assert res["free_directions"] == problem.m
+        assert res["stack_bytes"] >= peak
         if not reduced and spec.k == 3:
             # even real arithmetic assembles the side-54 blocks of all 819
             # directions in several chunks
@@ -167,6 +169,69 @@ def test_resource_estimate_covers_traced_peak():
             assert problem.m == 819
             assert problem.block_sizes == [30, 54, 54, 30]
             assert len(stacks[2]) == math.ceil(820 / chunk) > 1
+
+
+def test_gate_counts_the_posed_problem():
+    # the family's torus leaves a few hundred of the tens of thousands of
+    # free directions at levels 8 (with PPT) and 16 (without); the gate
+    # counts those, so both run, while a dense state keeps its estimate
+    grading = torus_grading(choi_family_state(3.5))
+    deep = required_resources(3, 3, ExtensionSpec(k=8), grading)
+    assert deep["free_directions"] == 336
+    assert deep["stack_bytes"] < hierarchy.MEMORY_BUDGET_BYTES
+    deeper = required_resources(3, 3, ExtensionSpec(k=16, ppt=False), grading)
+    assert deeper["free_directions"] == 1260
+    assert deeper["stack_bytes"] < hierarchy.MEMORY_BUDGET_BYTES
+    dense = required_resources(3, 3, ExtensionSpec(k=7))
+    assert dense["free_directions"] == 11583
+    assert round(dense["stack_bytes"] / 1e9, 2) == 2.98
+    assert dense["stack_bytes"] > hierarchy.MEMORY_BUDGET_BYTES
+    # without a grading the estimate is the one of every free direction
+    assert required_resources(3, 3, ExtensionSpec(k=3)) == {
+        "free_directions": 819,
+        "block_sides": [30, 54, 54, 30],
+        "block_labels": ["plain", "ta1", "ta2", "tb"],
+        "stored_entries": [2382, 7632, 7632, 2382],
+        "stack_bytes": 22046064,
+        "schur_flops_per_iteration": 639044280.0,
+    }
+
+
+def test_posed_stored_entries_are_counted_exactly():
+    # the gate counts each block's entries on the posed rows before the
+    # build, and the build makes those rows and no others; m still counts
+    # every free direction of the level
+    for rho, spec, posed, m in (
+        (choi_family_state(3.5), ExtensionSpec(k=3), 51, 819),
+        (gisin_family_state(3.0), ExtensionSpec(k=2), 158, 1344),
+        (choi_family_state(3.8), ExtensionSpec(k=6, ppt=False), 195, 6975),
+    ):
+        grading = torus_grading(rho)
+        shape = ExtensionShape(rho.dim_a, rho.dim_b, spec, grading)
+        res = required_resources(rho.dim_a, rho.dim_b, spec, grading)
+        assert shape.stacks.m == res["free_directions"] == posed
+        assert shape.m == m
+        assert res["stored_entries"] == [stack.nnz for stack in shape.stacks]
+
+
+def test_built_stacks_pass_the_checked_constructor():
+    # the shape hands its stacks to the trusting DirectionStacks
+    # constructor: they are finite and Hermitian by construction, which
+    # the checked one confirms here, posed and full
+    for rho, spec in (
+        (choi_family_state(3.5), ExtensionSpec(k=3)),
+        (gisin_family_state(3.0), ExtensionSpec(k=2)),
+        (random_state(2, 3, seed=4), ExtensionSpec(k=3)),
+        (maximally_mixed(3, 3), ExtensionSpec(k=4, ppt=False)),
+    ):
+        for grading in (None, torus_grading(rho)):
+            shape = ExtensionShape(rho.dim_a, rho.dim_b, spec, grading)
+            sides = [d.side for d in shape.descriptors]
+            checked = sdp.DirectionStacks.from_blocks(
+                list(shape.stacks), sides, shape.stacks.m
+            )
+            for built, copy in zip(shape.stacks, checked):
+                assert (built != copy).nnz == 0
 
 
 def test_level6_without_ppt_fits_the_budget():

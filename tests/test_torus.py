@@ -1,11 +1,11 @@
-"""Torus-invariant states solved on their invariant directions.
+"""Torus-invariant states posed on their invariant directions.
 
 The oracle throughout is the full problem: the same F0 blocks on every
-free direction of the shape (shape.stacks), as the package posed it
-before the reduction.  Invariance of the reduced directions is checked
-on each block against weights worked out here from the block's basis,
-and the invariant count against the sector sizes of Sym_k(A) x B and of
-A x B.
+free direction of the level, the stacks of ExtensionShape(d_a, d_b,
+spec) with no grading, as the package poses a state without a torus.
+Invariance of the posed directions is checked on each block against
+weights worked out here from the block's basis, and the invariant count
+against the sector sizes of Sym_k(A) x B and of A x B.
 """
 
 import glob
@@ -20,8 +20,10 @@ import pytest
 from sepcert import hierarchy, sdp
 from sepcert.cli import main
 from sepcert.matio import save_matrix
+from sepcert import tolerances as policy
 from sepcert.hierarchy import (
     DensityMatrix,
+    ExtensionShape,
     ExtensionSpec,
     build_extension_problem,
     run_test,
@@ -42,8 +44,13 @@ def occupations(d, k):
                     dtype=np.int64).reshape(-1, d)
 
 
-def full_problem(problem, shape):
-    return sdp.SdpProblem(f0s=problem.f0s, fs=shape.stacks, c=np.zeros(shape.m))
+def full_shape(rho, spec):
+    return ExtensionShape(rho.dim_a, rho.dim_b, spec)
+
+
+def full_problem(problem, rho, spec):
+    full = full_shape(rho, spec)
+    return sdp.SdpProblem(f0s=problem.f0s, fs=full.stacks, c=np.zeros(full.m))
 
 
 def torus_dimension(rho):
@@ -65,17 +72,25 @@ CASES = {
 def test_reduced_solve_matches_the_full_problem(case):
     make, k = CASES[case]
     rho = make()
-    problem, shape = build_extension_problem(rho, ExtensionSpec(k=k))
+    spec = ExtensionSpec(k=k)
+    problem, shape = build_extension_problem(rho, spec)
     assert problem.m < shape.m
-    full = full_problem(problem, shape)
+    full = full_problem(problem, rho, spec)
+    assert full.m == shape.m
     reduced_out = sdp.feasibility_margin(problem)
     full_out = sdp.feasibility_margin(full)
     assert reduced_out.status == full_out.status
     assert reduced_out.iterations == full_out.iterations
     assert abs(reduced_out.margin_t - full_out.margin_t) <= 1e-9
     if reduced_out.status == sdp.INFEASIBLE:
-        # the certificate of the reduced problem is one of the full problem
-        assert sdp.verify_certificate(full, reduced_out.z_blocks).passed
+        # the certificate of the reduced problem is one of the full problem,
+        # and the check without stacks reads the full problem's violation
+        z = reduced_out.z_blocks
+        check = sdp.verify_certificate(full, z)
+        assert check.passed
+        violation = shape.pairing_violation(z)
+        assert violation <= policy.CERT_TOL
+        assert violation == pytest.approx(check.constraint_violation, rel=1e-3, abs=1e-15)
 
 
 def block_weights(desc, d_a, d_b, k):
@@ -117,11 +132,25 @@ def test_every_direction_carries_one_weight_up_to_sign(rho, k):
     # each direction is a weight vector plus its adjoint, so the torus
     # reduction is a row selection; a basis of products of two Hermitian
     # parts mixed w_A + w_B with w_A - w_B in 2016, 2808 and 480 block rows here
-    problem, shape = build_extension_problem(rho, ExtensionSpec(k=k))
-    assert mixed_weight_rows(shape) == 0
-    lift = problem.invariant.lift
-    assert np.array_equal(np.diff(lift.indptr), np.ones(problem.m))
-    assert np.array_equal(lift.data, np.ones(problem.m))
+    spec = ExtensionSpec(k=k)
+    full = full_shape(rho, spec)
+    assert mixed_weight_rows(full) == 0
+    # the weight the package records for each direction, before any block
+    # is built, is the one its entries carry in the plain block, up to sign
+    recorded = np.vstack([
+        np.hstack([np.repeat(kind.weight_a, kind.width, axis=0),
+                   np.tile(kind.weight_b, (kind.vecs.shape[0], 1))])
+        for kind in hierarchy._directions(rho.dim_a, rho.dim_b, k)
+    ])
+    assert len(recorded) == full.m
+    desc, stack = full.descriptors[0], full.stacks[0]
+    weights = block_weights(desc, rho.dim_a, rho.dim_b, k)
+    coo = stack.tocoo()
+    r, s = np.divmod(coo.col, desc.side)
+    diff = weights[r] - weights[s]
+    w = recorded[coo.row]
+    assert np.array_equal(np.unique(coo.row), np.arange(full.m))
+    assert ((diff == w).all(axis=1) | (diff == -w).all(axis=1)).all()
 
 
 def sector_square_sum(labels):
@@ -155,14 +184,62 @@ def test_invariant_directions_are_invariant_and_counted(case):
 
 @pytest.mark.parametrize("case", ["choi-3.5-k3", "gisin-3.0-k2"])
 def test_reduced_image_is_the_full_image_of_the_lift(case):
+    # the posed stacks are, bit for bit, the rows of the full stacks whose
+    # entries all keep the torus weight, as worked out from the block basis
     make, k = CASES[case]
     rho = make()
-    problem, shape = build_extension_problem(rho, ExtensionSpec(k=k))
-    lift = shape.invariant_directions(torus_grading(rho)).lift
-    assert np.abs((lift @ lift.T).toarray() - np.eye(problem.m)).max() < 1e-15
-    x = np.random.default_rng(5).standard_normal(problem.m)
-    for red, full in zip(problem.fs, shape.stacks):
-        np.testing.assert_allclose(red.T @ x, full.T @ (lift.T @ x), rtol=0, atol=1e-14)
+    spec = ExtensionSpec(k=k)
+    problem, shape = build_extension_problem(rho, spec)
+    full = full_shape(rho, spec)
+    desc, stack = full.descriptors[0], full.stacks[0]
+    labels = block_weights(desc, rho.dim_a, rho.dim_b, k) @ torus_grading(rho)
+    coo = stack.tocoo()
+    r, s = np.divmod(coo.col, desc.side)
+    moved = np.unique(coo.row[(labels[r] != labels[s]).any(axis=1)])
+    keep = np.setdiff1d(np.arange(full.m), moved)
+    assert problem.fs is shape.stacks and len(keep) == problem.m
+    for posed, whole in zip(shape.stacks, full.stacks):
+        rows = whole[keep]
+        assert posed.shape == rows.shape
+        assert np.array_equal(posed.indptr, rows.indptr)
+        assert np.array_equal(posed.indices, rows.indices)
+        assert np.array_equal(posed.data, rows.data)
+
+
+def test_pairing_violation_checks_every_free_direction(monkeypatch):
+    # a certificate forged off the torus: block-0 entries (0, 1) and (1, 0)
+    # pair basis vectors of different weights, so no posed direction sees
+    # them, while the full problem's violation and the stackless check do.
+    # The identity added keeps the forgery PSD and pairs to zero with every
+    # direction, which is traceless
+    rho, spec = choi_family_state(3.5), ExtensionSpec(k=2)
+    problem, shape = build_extension_problem(rho, spec)
+    full = full_problem(problem, rho, spec)
+    z = sdp.feasibility_margin(problem).z_blocks
+    forged = [np.array(block, dtype=complex) for block in z]
+    forged[0][0, 1] += 1e-6
+    forged[0][1, 0] += 1e-6
+    forged[0] += 1e-6 * np.eye(len(forged[0]))
+    posed = sdp.verify_certificate(problem, forged)
+    assert posed.passed and posed.constraint_violation < 1e-12
+    violation = shape.pairing_violation(forged)
+    assert violation > policy.CERT_TOL
+    assert violation == pytest.approx(
+        sdp.verify_certificate(full, forged).constraint_violation, rel=1e-6
+    )
+    assert violation == pytest.approx(7.07e-7, rel=1e-3)
+
+    # run_test rejects the forged certificate, and names the violation
+    solve = sdp.feasibility_margin
+
+    def forging(*args, **kwargs):
+        out = solve(*args, **kwargs)
+        out.z_blocks = forged
+        return out
+
+    monkeypatch.setattr(sdp, "feasibility_margin", forging)
+    with pytest.raises(hierarchy.SolverFailure, match="constraint_violation=7.07"):
+        run_test(rho, spec)
 
 
 def test_gradings_of_the_two_families():
@@ -181,15 +258,18 @@ def test_gradings_of_the_two_families():
 
 def test_partial_torus_keeps_single_off_diagonal_units():
     # with phi_0 = phi_1 the A units |...0><...1| are invariant on their
-    # own: some kept direction has an off-diagonal A part and a diagonal
-    # B unit, by the weight the shape recorded for it, which the choi
-    # torus never keeps
+    # own: some posed direction has an off-diagonal A part and a diagonal
+    # B unit, by the weight its entries carry in the plain block, which the
+    # choi torus never keeps
     def single_offdiagonal_rows(rho):
         problem, shape = build_extension_problem(rho, ExtensionSpec(k=2))
-        lift = shape.invariant_directions(torus_grading(rho)).lift
-        kept = shape._weights[lift.indices]
-        wa, wb = kept[:, :rho.dim_a], kept[:, rho.dim_a:]
-        return int((wa.any(axis=1) & ~wb.any(axis=1)).sum())
+        desc, stack = shape.descriptors[0], problem.fs[0]
+        weights = block_weights(desc, rho.dim_a, rho.dim_b, 2)
+        coo = stack.tocoo()
+        r, s = np.divmod(coo.col, desc.side)
+        diff = weights[r] - weights[s]
+        wa, wb = diff[:, :rho.dim_a], diff[:, rho.dim_a:]
+        return len(np.unique(coo.row[wa.any(axis=1) & ~wb.any(axis=1)]))
 
     assert single_offdiagonal_rows(gisin_family_state(3.0)) > 0
     assert single_offdiagonal_rows(choi_family_state(3.5)) == 0
@@ -204,7 +284,7 @@ def test_a_tiny_entry_in_place_of_a_zero_shrinks_the_torus():
     assert torus_dimension(rho) == 1
     problem, shape = build_extension_problem(rho, ExtensionSpec(k=2))
     assert 21 < problem.m < shape.m
-    full_out = sdp.feasibility_margin(full_problem(problem, shape))
+    full_out = sdp.feasibility_margin(full_problem(problem, rho, ExtensionSpec(k=2)))
     report = run_test(rho, ExtensionSpec(k=2))
     assert full_out.status == sdp.INFEASIBLE
     assert report.status == hierarchy.ENTANGLED
@@ -216,7 +296,8 @@ def test_dense_state_keeps_the_full_problem_bit_for_bit():
     rho = random_state(3, 3, seed=11)
     spec = ExtensionSpec(k=2)
     problem, shape = build_extension_problem(rho, spec)
-    assert problem.fs is shape.stacks and problem.invariant is None
+    assert shape.grading is None
+    assert problem.fs is shape.stacks and problem.m == shape.m
     plain = sdp.SdpProblem(
         f0s=shape.pinned_blocks(rho.matrix), fs=shape.stacks, c=np.zeros(shape.m)
     )
@@ -259,13 +340,13 @@ def test_run_test_evidence_lives_on_the_full_problem(monkeypatch):
 def test_sweep_points_share_one_reduction(monkeypatch):
     builds = []
 
-    def counting_reduction(*args, _orig=hierarchy.InvariantDirections):
+    def counting_shape(*args, _orig=hierarchy.ExtensionShape):
         builds.append(args)
         return _orig(*args)
 
     # leave another shape in the memo, so the threads race to build
     build_extension_problem(random_state(2, 2, seed=1), ExtensionSpec(k=1))
-    monkeypatch.setattr(hierarchy, "InvariantDirections", counting_reduction)
+    monkeypatch.setattr(hierarchy, "ExtensionShape", counting_shape)
     spec = ExtensionSpec(k=2)
     alphas = [3.2, 3.4, 3.6, 3.8]
 
@@ -279,9 +360,10 @@ def test_sweep_points_share_one_reduction(monkeypatch):
             problems = list(pool.map(job, alphas))
     finally:
         sys.setswitchinterval(interval)
+    # the points share their zeros, so one grading and one posed shape
     assert len(builds) == 1
-    assert all(p.invariant is problems[0].invariant for p in problems)
-    assert all(p.fs is problems[0].invariant.stacks for p in problems)
+    assert all(p.fs is problems[0].fs for p in problems)
+    assert problems[0].m == 21
 
 
 def test_choi_sweep_report_is_job_count_invariant(tmp_path, capsys):
