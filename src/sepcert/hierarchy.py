@@ -220,10 +220,11 @@ def required_resources(d_a, d_b, spec, grading=None):
     stored entries are counted exactly from the patterns
     (_entries_per_direction) before anything is built.  stack_bytes counts
 
-      * the CSR stacks five times over, at 24 bytes per stored entry and
-        8 per row: as assembled, with the margin direction appended,
-        their real copy, and the two re-layouts the solver multiplies
-        with (the packed stack of sdp.BlockSplit and the chunks of
+      * the CSR stacks four times over, at 24 bytes per stored entry and
+        8 per row: as assembled, the transient copy of one block's posed
+        rows that sdp.BlockSplit reads (all blocks counted), and the two
+        layouts the solver multiplies with (the packed stack of
+        sdp.BlockSplit, the margin direction appended, and the chunks of
         sdp.schur_stacks, n_b rows per direction);
       * 32 packed block-diagonal matrices for the iterates and the step;
       * the dense transients of the largest Schur assembly chunk
@@ -259,7 +260,7 @@ def required_resources(d_a, d_b, spec, grading=None):
         int(_entries_per_direction(d_a, d_b, k, l)[posed].sum()) if counted else 0
         for l, _ in descs
     ]
-    csr_bytes = 5 * sum(24 * z + 8 * m * n for z, n in zip(nnz, sides))
+    csr_bytes = 4 * sum(24 * z + 8 * m * n for z, n in zip(nnz, sides))
     iterate_bytes = 32 * 16 * sum(n * n for n in sides)
     workspace_bytes = max(
         16 * sdp.schur_chunk(m + 1, e, 16) * (3 * e + m + 1)
@@ -886,7 +887,7 @@ def run_test(rho, spec, tolerances=None, trace=None):
     )
     if outcome.status == sdp.FEASIBLE:
         f0 = problem.f0s[0]
-        ext = f0 + (problem.fs.transposed()[0] @ outcome.x).reshape(f0.shape)
+        ext = f0 + (problem.fs[0].T @ outcome.x).reshape(f0.shape)
         checks = check_extension_properties(ext, rho, spec.k, spec.ppt)
         if not checks["passed"]:
             raise SolverFailure(

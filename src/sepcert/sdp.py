@@ -34,9 +34,12 @@ runs in real symmetric arithmetic, which is noticeably faster.
 Direction matrices are stored sparse: each block's stack F_1..F_m is one
 compressed-sparse-row (CSR) matrix of shape (m, n^2) whose row i is the
 row-major vec of F_i.  The stacks of all blocks form one DirectionStacks
-object, which problems differing only in F0 share; the layouts derived
-from the stacks (among them each stack's transpose, a view of the same
-arrays) are built once per object.
+object, which problems differing only in F0 share.  The solver holds one
+layout derived from them, the BlockSplit below: it reads the posed rows
+of the caller's stacks (their real parts on the real path) and appends
+the identity as the last direction of a margin problem, so no other copy
+of the stacks is made.  Checks made from the problem data read the
+caller's stacks, through their transposes (views of the same arrays).
 
 The solver splits every block into the connected components of its exact
 sparsity pattern: F0_b, the union of the direction supports in block b,
@@ -46,15 +49,16 @@ the same block-diagonal structure).  F(x) is block diagonal over the
 components for every x, and so is every iterate, so the split is exact.
 Components of equal side form a side class, stored as one (g, s, s)
 stack, and the classes lie one after another in one packed vector
-(BlockSplit, built once per stacks and partition).  Per iteration, each
-class's S and Z are factored once (Cholesky) and their triangular
-factors inverted once; S^-1, the direction solves and the step-length
-eigenvalues are batched calls over the class's stack.  Residuals,
-updates and Hermitian parts act on the packed vector at once, and so do
-the sparse products with the directions (F(x) and the trace pairings),
-through one packed copy of all stacks.  The number of calls per
-iteration thus grows with the side classes, not with the components; a
-dense state keeps one component per block.
+(BlockSplit, built once per stacks, posed rows and partition).  Per
+iteration, each class's S and Z are factored once (Cholesky) and their
+triangular factors inverted once; S^-1, the direction solves and the
+step-length eigenvalues are batched calls over the class's stack.
+Residuals, updates and Hermitian parts act on the packed vector at once,
+and so do the sparse products with the directions (F(x), the trace
+pairings and the margin solve's dual projection), through the split's
+packed stack.  The number of calls per iteration thus grows with the
+side classes, not with the components; a dense state keeps one
+component per block.
 
 The Schur complement is assembled per class as in Fujisawa, Kojima &
 Nakata ("Exploiting sparsity in primal-dual interior-point methods for
@@ -68,8 +72,9 @@ which the Schur matrix alone goes through, copy nothing.  The finite
 checks run once per iteration, on the factors, the iterates and the
 directions.
 
-The solution comes back in the caller's block layout, exactly zero off
-the components.
+The dual is unpacked once, at the end, into the caller's block layout,
+exactly zero off the components; x comes back on the caller's
+directions.
 
 Everything is deterministic: no randomness, fixed starting point.
 """
@@ -127,12 +132,6 @@ def _vec_transpose(n):
     return np.arange(n * n).reshape(n, n).T.ravel()
 
 
-def _combine(x, fmat_t, n):
-    """sum_i x_i F_i as a dense n x n matrix, from the transposed stack
-    (DirectionStacks.transposed)."""
-    return (fmat_t @ x).reshape(n, n)
-
-
 def _require_finite(arrays):
     """The finite check scipy's linear-algebra wrappers make on their
     inputs, with the error they raise."""
@@ -164,17 +163,16 @@ def _component_labels(adjacency):
 
 
 class DirectionStacks(Sequence):
-    """The direction stacks of every block, plus the layouts derived from
-    them alone.
+    """The direction stacks of every block, plus what the solver derives
+    from them alone.
 
     Item b is block b's CSR stack of shape (m, n_b**2).  Problems that
-    differ only in F0 can share one instance: the re-layouts the solver
-    needs (the margin direction appended, the real parts, the transposes,
-    the block splits) are built on first use, once even under concurrent
-    callers, and live exactly as long as the stacks.  The constructor
-    brings each CSR block to canonical form in place and trusts it
-    otherwise (finite, Hermitian directions); from_blocks converts and
-    checks it.
+    differ only in F0 can share one instance: the row maxima and the
+    block splits the solver needs are built on first use, once even under
+    concurrent callers, and live exactly as long as the stacks.  The
+    constructor brings each CSR block to canonical form in place and
+    trusts it otherwise (finite, Hermitian directions); from_blocks
+    converts and checks it.
     """
 
     def __init__(self, blocks):
@@ -237,13 +235,6 @@ class DirectionStacks(Sequence):
                 self._cache[key] = build()
             return self._cache[key]
 
-    def with_margin(self):
-        """The stacks with the identity appended as one more direction."""
-        return self._cached("margin", lambda: DirectionStacks(
-            sps.vstack([stack, sps.csr_array(np.eye(n).reshape(1, -1))], format="csr")
-            for stack, n in zip(self._blocks, self.sides)
-        ))
-
     def row_maxima(self):
         """Largest real and largest imaginary entry magnitude per direction,
         over all blocks."""
@@ -257,60 +248,59 @@ class DirectionStacks(Sequence):
 
         return self._cached("rows", scan)
 
-    def real_rows(self, keep):
-        """Real parts of the directions listed in keep."""
-        keep = np.asarray(keep, dtype=int)
-        return self._cached(("real", keep.tobytes()), lambda: DirectionStacks(
-            stack[keep].real for stack in self._blocks
-        ))
-
-    def transposed(self):
-        """Each block's stack transposed, (n_b**2, m): a CSC view that
-        shares the CSR stack's arrays."""
-        return self._cached("transposed", lambda: [stack.T for stack in self._blocks])
-
-    def split(self, f0s):
-        """The BlockSplit of problems on these stacks with constant blocks
-        f0s: block b cut along the connected components of the pattern of
-        f0s[b], of every direction and of the diagonal.  Built once per
-        partition, which sweep points with one F0 pattern share."""
+    def split(self, f0s, keep=None, margin=False):
+        """The BlockSplit of problems with constant blocks f0s, posed on
+        the real parts of the directions listed in keep (on every
+        direction as it is when keep is None), then on the identity when
+        margin is set: block b cut along the connected components of the
+        pattern of f0s[b], of every posed direction and of the diagonal.
+        Built once per posed rows and partition, which sweep points with
+        one F0 pattern share."""
+        posed = None if keep is None else keep.tobytes()
 
         def scan():
             out = []
             for stack, n in zip(self._blocks, self.sides):
                 support = np.eye(n, dtype=bool)
-                support.flat[stack.indices] = True
+                support.flat[(stack if keep is None else stack[keep]).indices] = True
                 out.append(support)
             return out
 
+        # the margin direction lies on the diagonal, which every support
+        # holds, so supports and labels do not depend on it
         patterns = [f0 != 0 for f0 in f0s]
-        supports = self._cached("supports", scan)
-        labels = self._cached(("labels", *(p.tobytes() for p in patterns)), lambda: [
+        supports = self._cached(("supports", posed), scan)
+        key = ("labels", posed, *(p.tobytes() for p in patterns))
+        labels = self._cached(key, lambda: [
             _component_labels(support | pattern)
             for support, pattern in zip(supports, patterns)
         ])
-        key = ("split", *(lab.tobytes() for lab in labels))
-        return self._cached(key, lambda: BlockSplit(self._blocks, labels))
+        key = ("split", posed, margin, *(lab.tobytes() for lab in labels))
+        return self._cached(key, lambda: BlockSplit(self._blocks, labels, keep, margin))
 
 
 class BlockSplit:
     """Blocks cut into the connected components of their sparsity pattern,
-    the components grouped into side classes.
+    the components grouped into side classes, and the posed directions on
+    them: the solver's one layout of a problem's directions.
 
-    labels[b] numbers the component of each index of block b.  A
-    component keeps its indices in increasing order; the components of
-    one side s form a class, stored as one C-ordered (g, s, s) stack, and
-    the classes lie one after another in one packed vector of length N.
-    Fields: classes, the packed range and stack shape (lo, hi, (g, s, s))
-    of each class; stack, every block's directions on the packed vector,
-    a CSC array of shape (m, N); schur, the schur_stacks of each class,
-    on its column range of stack; dest, the
-    position of each packed entry in the blocks' row-major vecs laid end
-    to end; diag, the packed positions of the diagonal; and the index
-    arrays that herm and block_norms use.
+    blocks are the caller's CSR stacks, and labels[b] numbers the
+    component of each index of block b.  A component keeps its indices
+    in increasing order; the components of one side s form a class,
+    stored as one C-ordered (g, s, s) stack, and the classes lie one after
+    another in one packed vector of length N.  The posed directions are
+    the real parts of the rows listed in keep (every row, as it is, when
+    keep is None), then the identity when margin is set, its entries after
+    each block's own.  Fields: classes, the packed range and stack shape
+    (lo, hi, (g, s, s)) of each class; stack, the posed directions on the
+    packed vector, a CSC array of shape (m, N); schur, the schur_stacks
+    of each class, on its column range of stack; dest, the position of
+    each packed entry in the blocks' row-major vecs laid end to end; diag,
+    the packed positions of the diagonal; and the index arrays that herm
+    and block_norms use.
     """
 
-    def __init__(self, blocks, labels):
+    def __init__(self, blocks, labels, keep=None, margin=False):
         sides = [len(lab) for lab in labels]
         starts = np.cumsum([0] + [n * n for n in sides])
         # by side; sorted() is stable, so by block and index within a side
@@ -346,18 +336,21 @@ class BlockSplit:
         self.diag = np.concatenate(diag)
         packed = np.full(starts[-1], -1)
         packed[self.dest] = np.arange(offset)
-        coos = [stack.tocoo() for stack in blocks]
+        m = blocks[0].shape[0] if keep is None else len(keep)
+        data, rows, cols = [], [], []
+        for start, stack, n in zip(starts, blocks, sides):
+            # one block's posed rows at a time
+            coo = (stack if keep is None else stack[keep].real).tocoo()
+            data.append(coo.data)
+            rows.append(coo.row)
+            cols.append(packed[start + coo.col])
+            if margin:
+                data.append(np.ones(n))
+                rows.append(np.full(n, m))
+                cols.append(packed[start + np.arange(n) * (n + 1)])
         self.stack = sps.csc_array(
-            (
-                np.concatenate([coo.data for coo in coos]),
-                (
-                    np.concatenate([coo.row for coo in coos]),
-                    np.concatenate([
-                        packed[start + coo.col] for start, coo in zip(starts, coos)
-                    ]),
-                ),
-            ),
-            shape=(blocks[0].shape[0], offset),
+            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(m + margin, offset),
         )
         self._stack_t = self.stack.T
         self.schur = []
@@ -380,8 +373,9 @@ class BlockSplit:
         return np.concatenate([np.ravel(mat) for mat in mats])[self.dest]
 
     def unpack(self, packed):
-        """The block matrices of a packed vector, zero off the components."""
-        flat = np.zeros(self.starts[-1], packed.dtype)
+        """The complex block matrices of a packed vector, zero off the
+        components."""
+        flat = np.zeros(self.starts[-1], complex)
         flat[self.dest] = packed
         return [
             flat[lo:hi].reshape(n, n)
@@ -496,34 +490,31 @@ class CertificateCheck:
     objective_value: float
 
 
-def _structured_real_reduction(f0s, fs, c):
+def _real_directions(f0s, fs, c):
     """Detect an equivalent real-symmetric problem.
 
-    fs is a DirectionStacks.  Returns (real_f0s, real_fs, keep) or None.
+    fs is a DirectionStacks and c the objective on its directions.
+    Returns keep, the directions the real problem is posed on, or None.
     Directions that are purely imaginary Hermitian and carry a
     (numerically) zero objective coefficient are dropped: any real
     symmetric matrix is orthogonal to them in the trace pairing, and
     restricting the primal to the kept directions is lossless because the
     real part of any feasible F(x) is again feasible with the same
-    objective value.
+    objective value.  The margin direction, the identity, is real.
     """
     for f0 in f0s:
         if np.abs(f0.imag).max() > policy.ZERO_PART * max(1.0, np.abs(f0).max()):
             return None
-    real_f0s = [f0.real.copy() for f0 in f0s]
-    if len(c) == 0:
-        return real_f0s, fs.real_rows([]), []
     re_max, im_max = fs.row_maxima()
     scales = np.maximum(1.0, np.maximum(re_max, im_max))
-    c_scale = max(1.0, np.abs(c).max())
+    c_scale = max(1.0, np.abs(c).max(initial=0.0))
     real = im_max <= policy.ZERO_PART * scales
     droppable = (re_max <= policy.ZERO_PART * scales) & (
         np.abs(c) <= policy.ZERO_PART * c_scale
     )
-    if not np.all(real | droppable) or not real.any():
+    if not np.all(real | droppable):
         return None
-    keep = np.nonzero(real)[0]
-    return real_f0s, fs.real_rows(keep), keep
+    return np.nonzero(real)[0]
 
 
 def _max_step(inverses, deltas):
@@ -539,11 +530,6 @@ def _max_step(inverses, deltas):
     y = inverses @ deltas @ inverses.conj().swapaxes(-1, -2)
     lams = np.linalg.eigvalsh(y)[..., 0].min(axis=-1)
     return [1.0 if lam >= -1e-14 else min(1.0, -1.0 / lam) for lam in lams]
-
-
-def _trace_pairs(fmat, z):
-    """Tr[F_i Z] for the whole direction stack (fmat is (m, n*n))."""
-    return (fmat @ z.T.ravel()).real
 
 
 def schur_chunk(m, entries, itemsize):
@@ -622,47 +608,43 @@ def schur_block(stacks, sinv, z, out, work):
         out[:, lo:lo + width] += (fmat @ gt.reshape(g * n * n, width)).real
 
 
-def _project_dual_constraints(fs_list, c, z_blocks):
-    """Minimal-norm correction of Z onto the subspace Tr[F_i Z] = c_i.
+def _project_dual_constraints(split, c, z):
+    """Minimal-norm correction of the packed Z onto the subspace
+    Tr[F_i Z] = c_i of the directions posed on split.
 
     Stalled runs leave the dual constraints satisfied only to the residual
     floor (around 1e-8); the certificate tolerance sits right there, so a
     single least-squares projection removes the violation without moving
-    the certificate by more than the violation itself.
+    the certificate by more than the violation itself.  Every entry of a
+    direction lies on the components, so the Gram of the packed stack is
+    that of the blocks.
     """
-    resid = np.asarray(c, dtype=float).copy()
-    gram = 0  # the blocks' Grams, summed sparse
-    for fmat, fmat_t, z in zip(fs_list, fs_list.transposed(), z_blocks):
-        resid -= _trace_pairs(fmat, np.asarray(z))
-        gram = gram + (fmat @ fmat_t.conj()).real
+    resid = c - split.trace_pairs(z)
+    gram = (split.stack @ split.stack.T.conj()).real
     try:
         fact = sla.cho_factor(gram.toarray(order="F"), overwrite_a=True)
         lam = sla.cho_solve(fact, resid)
     except np.linalg.LinAlgError:  # the failed factor overwrote its copy
         lam = np.linalg.lstsq(gram.toarray(), resid, rcond=None)[0]
-    out = []
-    for fmat_t, z in zip(fs_list.transposed(), z_blocks):
-        z = np.asarray(z)
-        out.append(_herm(z + _combine(lam, fmat_t, z.shape[0])))
-    return out
+    return split.herm(z + split.combine(lam))
 
 
-def _solve_core(f0s, fs, c, tol, trace_cb=None, floor=-np.inf):
-    """Interior-point loop over a DirectionStacks fs.  Returns the raw
+def _solve_core(split, f0s, c, tol, trace_cb=None, floor=-np.inf):
+    """Interior-point loop on the directions posed on split, a BlockSplit
+    of the constant blocks f0s, with objective c on them.  Returns the raw
     final state; trace_cb, when given, receives each iteration's row.
 
-    The iterates live on the packed components of fs.split(f0s); x, the
-    slack and the dual come back with the blocks unpacked.  floor is an
-    objective value that only an unbounded problem reaches at a feasible
-    point: the loop stops with status "unbounded" at the first iterate
-    below it whose F(x) has no negative eigenvalue.
+    The iterates live on the packed components; x is on the posed
+    directions and the dual z comes back packed.  floor is an objective
+    value that only an unbounded problem reaches at a feasible point: the
+    loop stops with status "unbounded" at the first iterate below it
+    whose F(x) has no negative eigenvalue.
     """
     m = len(c)
-    split = fs.split(f0s)
     ntot = sum(split.sides)
     fixed = split.pack(f0s)
     dtype = np.result_type(fixed.dtype, split.stack.dtype)
-    # per solve, not cached on fs: concurrent solves share the stacks
+    # per solve, not cached on split: concurrent solves share it
     work = schur_workspace(split.schur, dtype)
     schur = np.empty((m, m), order="F")
     trace_cb = trace_cb or (lambda row: None)
@@ -733,7 +715,6 @@ def _solve_core(f0s, fs, c, tol, trace_cb=None, floor=-np.inf):
             best = {
                 "score": score,
                 "x": x,
-                "slack": slack,
                 "z": zdual,
                 "gap": gap,
                 "pinf": pinf,
@@ -870,7 +851,7 @@ def _solve_core(f0s, fs, c, tol, trace_cb=None, floor=-np.inf):
         if np.isfinite(gap):
             cur_score = max(cur_score, abs(gap) / best["gscale"])
         if best["score"] < cur_score:
-            x, slack, zdual = best["x"], best["slack"], best["z"]
+            x, zdual = best["x"], best["z"]
             gap, pinf, dinf, mu = (
                 best["gap"],
                 best["pinf"],
@@ -880,36 +861,54 @@ def _solve_core(f0s, fs, c, tol, trace_cb=None, floor=-np.inf):
     return {
         "status": status,
         "x": x,
-        "z": split.unpack(zdual),
-        "slack": split.unpack(slack),
+        "z": zdual,
         "iterations": it,
         "gap": gap,
         "pinf": pinf,
         "dinf": dinf,
         "mu": mu,
-        "side_classes": split.side_classes,
     }
 
 
-def _run(tol, trace_cb, f0s, fs, c, floor=-np.inf):
-    """Dispatch to real or complex arithmetic and embed the solution back."""
-    red = _structured_real_reduction(f0s, fs, c)
-    if red is None:
-        res = _solve_core(f0s, fs, c, tol, trace_cb, floor)
-        res["real_path"] = False
-        return res
-    rf0s, rfs, keep = red
-    res = _solve_core(
-        rf0s, rfs, np.asarray(c)[keep] if len(c) else c, tol, trace_cb, floor
-    )
-    x = np.zeros(len(c))
-    if len(keep):
-        x[keep] = res["x"]
-    res["x"] = x
-    res["z"] = [z.astype(complex) for z in res["z"]]
-    res["slack"] = [s.astype(complex) for s in res["slack"]]
-    res["real_path"] = True
+def _run(tol, trace_cb, problem, c, margin=False, floor=-np.inf):
+    """Solve on problem's stacks with objective c, in real arithmetic
+    when _real_directions allows it, with the margin direction appended
+    (objective 1) when margin is set.
+
+    Returns _solve_core's state plus split, the objective c it solved
+    with and the diagnostics; x is on the caller's directions, the margin
+    last, and z stays packed on split.
+    """
+    f0s = problem.f0s
+    keep = _real_directions(f0s, problem.fs, c)
+    if keep is not None:
+        f0s = [f0.real.copy() for f0 in f0s]
+        c = c[keep]
+    if margin:
+        c = np.append(c, 1.0)
+    split = problem.fs.split(f0s, keep, margin)
+    res = _solve_core(split, f0s, c, tol, trace_cb, floor)
+    if keep is not None:
+        x = np.zeros(problem.m + margin)
+        x[np.append(keep, problem.m) if margin else keep] = res["x"]
+        res["x"] = x
+    res.update(split=split, c=c, diagnostics={
+        "pinf": res["pinf"],
+        "dinf": res["dinf"],
+        "mu": res["mu"],
+        "real_path": keep is not None,
+        "side_classes": split.side_classes,
+    })
     return res
+
+
+def _lmi_spectra(problem, x):
+    """The eigenvalues of each block of F(x), from the problem data: the
+    caller's stacks, through their transposes (views of the same arrays)."""
+    return [
+        np.linalg.eigvalsh(_herm(f0 + (fmat.T @ x).reshape(f0.shape)))
+        for f0, fmat in zip(problem.f0s, problem.fs)
+    ]
 
 
 def solve(problem, tolerances=None, trace=None):
@@ -921,31 +920,22 @@ def solve(problem, tolerances=None, trace=None):
     tol = tolerances or SolverTolerances()
     if problem.m == 0 or not np.any(problem.c):
         return feasibility_margin(problem, tolerances=tolerances, trace=trace)
-    res = _run(tol, trace, problem.f0s, problem.fs, problem.c)
-    diagnostics = {
-        "pinf": res["pinf"],
-        "dinf": res["dinf"],
-        "mu": res["mu"],
-        "real_path": res["real_path"],
-        "side_classes": res["side_classes"],
-    }
+    res = _run(tol, trace, problem, problem.c)
+    diagnostics = res["diagnostics"]
     status = ITER_LIMIT
     if res["status"] == "converged":
         status = FEASIBLE
     elif res["status"] == "stalled":
         # the loop hit its numerical floor; accept the point only if the
         # linear matrix inequality verifies directly from the problem data
-        lam = min(
-            float(np.linalg.eigvalsh(_herm(f0 + _combine(res["x"], fmat_t, len(f0))))[0])
-            for f0, fmat_t in zip(problem.f0s, problem.fs.transposed())
-        )
+        lam = min(float(e[0]) for e in _lmi_spectra(problem, res["x"]))
         if lam >= -tol.feas_tol:
             status = FEASIBLE
             diagnostics["early_stop"] = "stalled at the residual floor"
     return SdpOutcome(
         status=status,
         x=res["x"],
-        z_blocks=res["z"],
+        z_blocks=res["split"].unpack(res["z"]),
         margin_t=None,
         gap=res["gap"],
         iterations=res["iterations"],
@@ -971,30 +961,21 @@ def feasibility_margin(problem, tolerances=None, trace=None):
     SdpNumericalError is raised when it is not.
     """
     m = problem.m
-    aug_fs = problem.fs.with_margin()
-    aug_c = np.zeros(m + 1)
-    aug_c[m] = 1.0
     floor = -1.0 - np.sqrt(sum(np.linalg.norm(f0) ** 2 for f0 in problem.f0s))
     res = _run(
-        tolerances or SolverTolerances(), trace, problem.f0s, aug_fs, aug_c, floor
+        tolerances or SolverTolerances(), trace, problem, np.zeros(m),
+        margin=True, floor=floor,
     )
-    diagnostics = {
-        "pinf": res["pinf"],
-        "dinf": res["dinf"],
-        "mu": res["mu"],
-        "real_path": res["real_path"],
-        "side_classes": res["side_classes"],
-    }
+    diagnostics = res["diagnostics"]
     if res["status"] == "unbounded":
         return _unbounded_margin(problem, res, diagnostics)
 
     t_primal = float(res["x"][m])
-    zraw = res["z"]
-    viol = aug_c.copy()
-    for b in range(len(zraw)):
-        viol -= _trace_pairs(aug_fs[b], np.asarray(zraw[b]))
+    split, z = res["split"], res["z"]
+    viol = res["c"] - split.trace_pairs(z)
     if np.abs(viol).max() > 0.25 * policy.CERT_TOL:
-        zraw = _project_dual_constraints(aug_fs, aug_c, zraw)
+        z = _project_dual_constraints(split, res["c"], z)
+    zraw = split.unpack(z)
     zsum = sum(np.trace(z).real for z in zraw)
     zblocks = [z / zsum for z in zraw]
     t_dual = -sum((problem.f0s[b] * zblocks[b].T).sum().real for b in range(len(zblocks)))
@@ -1033,10 +1014,7 @@ def _unbounded_margin(problem, res, diagnostics):
     """The feasible verdict of a margin problem whose solve stopped below
     its floor, after checking F(x) > 0 block by block."""
     x = res["x"][: problem.m]
-    eigs = [
-        np.linalg.eigvalsh(_herm(f0 + _combine(x, fmat_t, len(f0))))
-        for f0, fmat_t in zip(problem.f0s, problem.fs.transposed())
-    ]
+    eigs = _lmi_spectra(problem, x)
     lam = min(float(e[0]) for e in eigs)
     top = max(float(e[-1]) for e in eigs)
     diagnostics.update(unbounded=True, min_eigenvalue=lam)
@@ -1071,7 +1049,7 @@ def verify_certificate(problem, z_blocks):
     )
     traces = np.zeros(problem.m)
     for fmat, z in zip(problem.fs, z_blocks):
-        traces += _trace_pairs(fmat, np.asarray(z))
+        traces += (fmat @ np.asarray(z).T.ravel()).real
     viol = float(np.abs(traces).max()) if problem.m else 0.0
     value = sum(
         (problem.f0s[b] * np.asarray(z_blocks[b]).T).sum().real

@@ -36,6 +36,7 @@ from oracles import (
     trace_down_coefficients,
 )
 from sepcert import hierarchy, sdp
+from sepcert import tolerances as policy
 from sepcert.hierarchy import (
     ENTANGLED,
     MARGINAL,
@@ -72,6 +73,14 @@ from sepcert.tensorops import (
 def ppt_min_eigenvalue(rho):
     pt = partial_transpose(rho.matrix, rho.space, 0)
     return float(np.linalg.eigvalsh(pt)[0])
+
+
+def margin_split(problem):
+    """The directions' BlockSplit that feasibility_margin solves problem
+    on: the cached one, once a margin solve has run."""
+    keep = sdp._real_directions(problem.f0s, problem.fs, np.zeros(problem.m))
+    f0s = problem.f0s if keep is None else [f0.real for f0 in problem.f0s]
+    return problem.fs.split(f0s, keep, margin=True)
 
 
 # ---------------------------------------------------------------------------
@@ -162,13 +171,17 @@ def test_resource_estimate_covers_traced_peak():
         assert res["free_directions"] == problem.m
         assert res["stack_bytes"] >= peak
         if not reduced and spec.k == 3:
-            # even real arithmetic assembles the side-54 blocks of all 819
-            # directions in several chunks
-            stacks = sdp.schur_stacks(problem.fs.with_margin()[1].real, 54)
-            chunk = sdp.schur_chunk(820, 54 * 54, 8)
+            # the split assembles the class of the two side-54 blocks on
+            # all 819 directions and the margin in several chunks
+            split = margin_split(problem)
+            (i,) = [i for i, (*_, (g, s, _)) in enumerate(split.classes) if s == 54]
+            _, chunk, fperms = split.schur[i]
             assert problem.m == 819
             assert problem.block_sizes == [30, 54, 54, 30]
-            assert len(stacks[2]) == math.ceil(820 / chunk) > 1
+            assert split.side_classes[54] == 2
+            itemsize = split.stack.dtype.itemsize
+            assert chunk == sdp.schur_chunk(820, 2 * 54 * 54, itemsize)
+            assert len(fperms) == math.ceil(820 / chunk) > 1
 
 
 def test_gate_counts_the_posed_problem():
@@ -184,7 +197,7 @@ def test_gate_counts_the_posed_problem():
     assert deeper["stack_bytes"] < hierarchy.MEMORY_BUDGET_BYTES
     dense = required_resources(3, 3, ExtensionSpec(k=7))
     assert dense["free_directions"] == 11583
-    assert round(dense["stack_bytes"] / 1e9, 2) == 2.98
+    assert round(dense["stack_bytes"] / 1e9, 2) == 2.72
     assert dense["stack_bytes"] > hierarchy.MEMORY_BUDGET_BYTES
     # without a grading the estimate is the one of every free direction
     assert required_resources(3, 3, ExtensionSpec(k=3)) == {
@@ -192,7 +205,7 @@ def test_gate_counts_the_posed_problem():
         "block_sides": [30, 54, 54, 30],
         "block_labels": ["plain", "ta1", "ta2", "tb"],
         "stored_entries": [2382, 7632, 7632, 2382],
-        "stack_bytes": 22046064,
+        "stack_bytes": 20464656,
         "schur_flops_per_iteration": 639044280.0,
     }
 
@@ -504,13 +517,70 @@ def test_states_of_one_shape_share_one_assembly():
 
 def test_building_another_shape_releases_the_previous_one():
     problem = build_extension_problem(random_state(2, 2, seed=4), ExtensionSpec(k=2))[0]
-    sdp.feasibility_margin(problem)  # builds the solver layouts too
-    refs = [weakref.ref(problem.fs), weakref.ref(problem.fs.with_margin())]
+    sdp.feasibility_margin(problem)  # builds the solver's split too
+    refs = [weakref.ref(problem.fs), weakref.ref(margin_split(problem))]
     refs += [weakref.ref(stack) for stack in problem.fs]
     del problem
     build_extension_problem(random_state(2, 2, seed=4), ExtensionSpec(k=3))
     gc.collect()
     assert all(ref() is None for ref in refs)
+
+
+def test_margin_solves_hold_one_layout_of_the_directions():
+    # the margin direction and the real restriction live only in the
+    # split's packed stack: the posed rows of the caller's stacks (their
+    # real parts on the real path), then the packed identity
+    for rho, real_path in ((choi_family_state(3.5), True), (random_state(3, 3), False)):
+        problem = build_extension_problem(rho, ExtensionSpec(k=2))[0]
+        outcome = sdp.feasibility_margin(problem)
+        assert outcome.diagnostics["real_path"] == real_path
+        cached = problem.fs._cache.values()
+        assert not any(isinstance(value, sdp.DirectionStacks) for value in cached)
+        split = margin_split(problem)
+        assert any(value is split for value in cached)
+        keep = sdp._real_directions(problem.f0s, problem.fs, np.zeros(problem.m))
+        assert (keep is not None) == real_path
+        rows = np.arange(problem.m) if keep is None else keep
+        packed = split.stack.toarray()
+        assert packed.shape[0] == len(rows) + 1
+        assert np.array_equal(packed[-1], split.identity(packed.dtype))
+        for j, i in enumerate(rows):
+            mats = [fmat[[i]].toarray().reshape(n, n) for fmat, n in
+                    zip(problem.fs, problem.fs.sides)]
+            want = split.pack(mats)
+            assert np.array_equal(packed[j], want.real if real_path else want)
+
+
+def test_dual_projection_keeps_the_certificate(monkeypatch):
+    # no corpus solve ends far enough off the dual constraints to project;
+    # a zero certificate tolerance inside the margin solve forces the
+    # projection, on the real and on the complex path, and the certificate
+    # checked on the caller's stacks loses its violation while t_dual
+    # moves by no more than the violation removed
+    removed = []
+
+    def spy(split, c, z, _orig=sdp._project_dual_constraints):
+        removed.append(np.abs(c - split.trace_pairs(z)).max())
+        return _orig(split, c, z)
+
+    monkeypatch.setattr(sdp, "_project_dual_constraints", spy)
+    for rho, real_path in ((choi_family_state(3.5), True), (random_state(3, 3), False)):
+        problem = build_extension_problem(rho, ExtensionSpec(k=2))[0]
+        plain = sdp.feasibility_margin(problem)
+        assert removed == []
+        with monkeypatch.context() as patch:
+            patch.setattr(policy, "CERT_TOL", 0.0)
+            forced = sdp.feasibility_margin(problem)
+        (violation,) = removed
+        removed.clear()
+        assert forced.diagnostics["real_path"] == real_path
+        assert (forced.status, forced.iterations) == (plain.status, plain.iterations)
+        before = sdp.verify_certificate(problem, plain.z_blocks)
+        after = sdp.verify_certificate(problem, forced.z_blocks)
+        assert after.constraint_violation <= 1e-15 < before.constraint_violation
+        moved = forced.diagnostics["t_dual"] - plain.diagnostics["t_dual"]
+        assert abs(moved) <= violation
+        assert after.min_eigenvalue >= -policy.CERT_TOL
 
 
 def test_concurrent_callers_build_one_shape_and_one_set_of_layouts(monkeypatch):

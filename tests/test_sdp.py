@@ -387,20 +387,6 @@ def test_non_finite_problem_data_is_rejected(where, build):
         build()
 
 
-def test_transposed_stacks_share_the_stack_arrays():
-    p = SdpProblem(
-        f0s=[np.eye(2, dtype=complex)],
-        fs=[np.array([np.eye(2), np.diag([1.0, -1.0])])],
-        c=np.zeros(2),
-    )
-    (ft,) = p.fs.transposed()
-    assert p.fs.transposed()[0] is ft
-    assert ft.shape == (4, 2)
-    for mine, stack in ((ft.data, p.fs[0].data), (ft.indices, p.fs[0].indices)):
-        assert np.shares_memory(mine, stack)
-    assert np.array_equal(ft.toarray(), p.fs[0].toarray().T)
-
-
 def test_stacks_with_unsorted_indices_keep_their_entries():
     # every row's column indices in reverse order, as a sparse product
     # can leave them
