@@ -33,6 +33,7 @@ from .hierarchy import (
     SolverFailure,
     run_ladder,
     run_test,
+    run_tests,
 )
 from .matio import MatrixFormatError, load_matrix, save_matrix
 from .posmaps import (
@@ -329,15 +330,22 @@ def cmd_sweep(args):
         def make(gamma):
             return scale_state(base, gamma)
 
-    def point(v):
-        rep = run_test(make(v), spec, tolerances=tol)
-        return (v, rep.status, rep.margin)
+    # --jobs cuts the points into that many contiguous batches, each
+    # solved in lockstep (run_tests); no point's arithmetic depends on them
+    states = [make(v) for v in values]
+    jobs = min(args.jobs, len(states))
+    parts = [states[i * len(states) // jobs:(i + 1) * len(states) // jobs]
+             for i in range(jobs)]
 
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(point, values))
+    def batch(part):
+        return run_tests(part, spec, tolerances=tol)
+
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            reports = [rep for part in pool.map(batch, parts) for rep in part]
     else:
-        rows = [point(v) for v in values]
+        reports = batch(states)
+    rows = [(v, rep.status, rep.margin) for v, rep in zip(values, reports)]
 
     config = _base_config(args)
     config.update(

@@ -90,7 +90,6 @@ SEPARABLE_CONSISTENT = "separable_consistent"
 ENTANGLED = "entangled"
 MARGINAL = "marginal"
 
-AMBIENT_CAP = 4000
 MEMORY_BUDGET_BYTES = 2_500_000_000
 
 
@@ -210,7 +209,7 @@ def free_direction_count(d_a, d_b, k):
     return (symmetric_subspace_dim(d_a, k) ** 2 - d_a**2) * d_b**2
 
 
-def required_resources(d_a, d_b, spec, grading=None):
+def required_resources(d_a, d_b, spec, grading=None, points=1):
     """Arithmetic estimate of the posed problem's memory and cost: on
     every free direction without a grading, else on those whose weight the
     grading fixes (_posed), which free_directions counts.
@@ -218,7 +217,8 @@ def required_resources(d_a, d_b, spec, grading=None):
     Each direction is built from the sparse null basis (_null_basis)
     carried to the block's copy side and from units of B, so each block's
     stored entries are counted exactly from the patterns
-    (_entries_per_direction) before anything is built.  stack_bytes counts
+    (_entries_per_direction) before anything is built.  stack_bytes counts,
+    for points of this shape solved in lockstep (run_tests), once
 
       * the CSR stacks four times over, at 24 bytes per stored entry and
         8 per row: as assembled, the transient copy of one block's posed
@@ -226,6 +226,9 @@ def required_resources(d_a, d_b, spec, grading=None):
         layouts the solver multiplies with (the packed stack of
         sdp.BlockSplit, the margin direction appended, and the chunks of
         sdp.schur_stacks, n_b rows per direction);
+
+    and once per point
+
       * 32 packed block-diagonal matrices for the iterates and the step;
       * the dense transients of the largest Schur assembly chunk
         (sdp.schur_chunk(m + 1, e, 16) columns for the e = g n^2 entries
@@ -271,7 +274,7 @@ def required_resources(d_a, d_b, spec, grading=None):
         "block_sides": sides,
         "block_labels": [_desc_label(l, b) for l, b in descs],
         "stored_entries": nnz if counted else None,
-        "stack_bytes": csr_bytes + iterate_bytes + workspace_bytes + schur_bytes,
+        "stack_bytes": csr_bytes + points * (iterate_bytes + workspace_bytes + schur_bytes),
         "schur_flops_per_iteration": float(
             sum(2 * m * n**3 + 2 * z * (m + n) for z, n in zip(nnz, sides))
         ),
@@ -615,12 +618,6 @@ class ExtensionShape:
         self.m = free_direction_count(d_a, d_b, spec.k)
         self.descriptors = []
         res = required_resources(d_a, d_b, spec, grading)
-        side_cap = max(res["block_sides"])
-        if side_cap > AMBIENT_CAP:
-            raise AssemblyError(
-                f"largest block side {side_cap} exceeds the cap {AMBIENT_CAP}",
-                resources=res,
-            )
         if res["stack_bytes"] > MEMORY_BUDGET_BYTES:
             raise AssemblyError(
                 f"assembled problem would need about {res['stack_bytes'] / 1e9:.1f} "
@@ -868,8 +865,46 @@ def run_test(rho, spec, tolerances=None, trace=None):
     directly against the defining properties (check_extension_properties)
     in those coordinates, at every level.
     """
-    problem, shape = build_extension_problem(rho, spec)
-    outcome = sdp.feasibility_margin(problem, tolerances=tolerances, trace=trace)
+    return run_tests([rho], spec, tolerances=tolerances, trace=trace)[0]
+
+
+def run_tests(rhos, spec, tolerances=None, trace=None):
+    """run_test on each state; returns the reports in order.
+
+    Consecutive states of one shape, as the points of a sweep, are solved
+    in lockstep (sdp.feasibility_margin on their list), as many at a time
+    as fit MEMORY_BUDGET_BYTES with the shared stacks counted once
+    (required_resources); each report is the one its state gets alone.
+    """
+    rhos = list(rhos)
+    reports, batch = [], []
+
+    def flush():
+        problems = [problem for _, problem, _ in batch]
+        if len(problems) > 1:
+            outcomes = sdp.feasibility_margin(problems, tolerances=tolerances, trace=trace)
+        else:
+            outcomes = [sdp.feasibility_margin(problems[0], tolerances=tolerances, trace=trace)]
+        reports.extend(_report(*point, spec, out) for point, out in zip(batch, outcomes))
+        batch.clear()
+
+    for rho in rhos:
+        problem, shape = build_extension_problem(rho, spec)
+        if batch and (shape is not batch[0][2] or len(batch) == size):
+            flush()
+        if not batch and len(rhos) > 1:
+            shared, one = (
+                required_resources(shape.d_a, shape.d_b, spec, shape.grading, points)
+                ["stack_bytes"] for points in (0, 1)
+            )
+            size = max(1, (MEMORY_BUDGET_BYTES - shared) // (one - shared))
+        batch.append((rho, problem, shape))
+    flush()
+    return reports
+
+
+def _report(rho, problem, shape, spec, outcome):
+    """The TestReport of rho's problem from the outcome of its solve."""
     metadata = {
         "torus_dimension": 0 if shape.grading is None else shape.grading.shape[1] - 2,
         "free_directions": shape.m,

@@ -72,6 +72,14 @@ which the Schur matrix alone goes through, copy nothing.  The finite
 checks run once per iteration, on the factors, the iterates and the
 directions.
 
+Problems that differ only in F0 (the points of a sweep) with one split
+run in lockstep as one batch (feasibility_margin on a list): the
+iterates gain a leading batch axis, so each per-class call above takes
+every point's stacks, while each point keeps its own Schur matrix,
+residuals, stopping tests and best iterate and leaves when it stops.
+Reductions over a point run per row with the kernels of a lone solve, so
+no digit of a point's outcome depends on its batch.
+
 The dual is unpacked once, at the end, into the caller's block layout,
 exactly zero off the components; x comes back on the caller's
 directions.
@@ -79,6 +87,7 @@ directions.
 Everything is deterministic: no randomness, fixed starting point.
 """
 
+import functools
 import math
 import threading
 from collections.abc import Sequence
@@ -122,9 +131,14 @@ def _herm(mat):
     return (mat + mat.conj().T) / 2
 
 
-def _row_absmax(mat):
-    """Largest entry magnitude in each row of a sparse matrix."""
-    return abs(mat).max(axis=1).toarray().ravel()
+def _row_maxima(stack, values):
+    """The largest of values (one per stored entry of a canonical CSR
+    stack, or one row each) in each row of the stack; 0 in empty rows."""
+    out = np.zeros((stack.shape[0],) + values.shape[1:])
+    rows = np.flatnonzero(np.diff(stack.indptr))
+    if rows.size:
+        out[rows] = np.maximum.reduceat(values, stack.indptr[rows])
+    return out
 
 
 def _vec_transpose(n):
@@ -178,8 +192,8 @@ class DirectionStacks(Sequence):
     def __init__(self, blocks):
         self._blocks = list(blocks)
         for stack in self._blocks:
-            # sorted indices: row_maxima's scan of stack.real sorts a copy
-            # of the indices in place under data it shares with the stack
+            # canonical: row_maxima reads each entry once, and split reads
+            # the sorted indices
             stack.sum_duplicates()
         self.sides = [math.isqrt(stack.shape[1]) for stack in self._blocks]
         self._lock = threading.Lock()
@@ -207,9 +221,11 @@ class DirectionStacks(Sequence):
                 )
             if not np.isfinite(stack.data).all():
                 raise ValueError(f"block {b}: direction stack is not finite")
+            stack.sum_duplicates()
             if m:
-                devs = _row_absmax(stack - stack[:, _vec_transpose(n)].conj())
-                scales = np.maximum(1.0, _row_absmax(stack))
+                dev = stack - stack[:, _vec_transpose(n)].conj()
+                devs = _row_maxima(dev, np.abs(dev.data))
+                scales = np.maximum(1.0, _row_maxima(stack, np.abs(stack.data)))
                 bad = np.nonzero(devs > policy.HERMITIAN * scales)[0]
                 if bad.size:
                     raise ValueError(
@@ -239,12 +255,11 @@ class DirectionStacks(Sequence):
         """Largest real and largest imaginary entry magnitude per direction,
         over all blocks."""
         def scan():
-            re_max = np.zeros(self.m)
-            im_max = np.zeros(self.m)
+            maxima = np.zeros((self.m, 2))
             for stack in self._blocks:
-                re_max = np.maximum(re_max, _row_absmax(stack.real))
-                im_max = np.maximum(im_max, _row_absmax(stack.imag))
-            return re_max, im_max
+                parts = np.abs(np.stack([stack.data.real, stack.data.imag], axis=1))
+                maxima = np.maximum(maxima, _row_maxima(stack, parts))
+            return maxima[:, 0], maxima[:, 1]
 
         return self._cached("rows", scan)
 
@@ -383,24 +398,29 @@ class BlockSplit:
         ]
 
     def views(self, packed):
-        """The (g, s, s) stack of each class in a packed vector; a list of
-        per-class stacks passes through."""
+        """The (g, s, s) stack of each class in a packed vector, (B, g, s, s)
+        in the rows of a batch; a list of per-class stacks passes through."""
         if isinstance(packed, list):
             return packed
+        if packed.ndim > 1:  # a batch, one packed vector per row
+            return [
+                packed[:, lo:hi].reshape((len(packed),) + shape)
+                for lo, hi, shape in self.classes
+            ]
         return [packed[lo:hi].reshape(shape) for lo, hi, shape in self.classes]
 
     def matmul(self, a, b):
-        """The packed product of two block-diagonal matrices, each given
-        packed or as per-class stacks."""
+        """The packed product of two block-diagonal matrices (of each pair
+        in a batch), each given packed or as per-class stacks."""
         a, b = self.views(a), self.views(b)
-        out = np.empty(self.dest.size, np.result_type(a[0], b[0]))
+        out = np.empty(a[0].shape[:-3] + (self.dest.size,), np.result_type(a[0], b[0]))
         for x, y, o in zip(a, b, self.views(out)):
             np.matmul(x, y, out=o)
         return out
 
     def herm(self, packed):
-        """The Hermitian part of a packed matrix."""
-        return (packed + packed[self.transpose].conj()) / 2
+        """The Hermitian part of packed matrices."""
+        return (packed + packed.take(self.transpose, axis=-1).conj()) / 2
 
     def identity(self, dtype):
         """The packed identity."""
@@ -409,17 +429,20 @@ class BlockSplit:
         return out
 
     def combine(self, x):
-        """sum_i x_i F_i, packed."""
-        return self._stack_t @ x
+        """sum_i x_i F_i, packed, for x or each row of x."""
+        return (self._stack_t @ x.T).T
 
     def trace_pairs(self, packed):
-        """Re Tr[F_i U] for every direction, U given packed: F_i is
-        Hermitian, so this is Re sum_pq F_i[p, q] conj(U[p, q])."""
-        return (self.stack @ packed.conj()).real
+        """Re Tr[F_i U] for every direction, U given packed (or one U per
+        row): F_i is Hermitian, so this is Re sum_pq F_i[p, q] conj(U[p, q])."""
+        return (self.stack @ packed.conj().T).real.T
 
     def block_norms(self, packed):
-        """The Frobenius norm of each caller block of a packed matrix."""
+        """The Frobenius norm of each caller block of packed matrices."""
         sq = (packed * packed.conj()).real
+        if sq.ndim > 1:
+            return np.sqrt([np.bincount(self.owner, row, minlength=len(self.sides))
+                            for row in sq])
         return np.sqrt(np.bincount(self.owner, sq, minlength=len(self.sides)))
 
 
@@ -518,18 +541,23 @@ def _real_directions(f0s, fs, c):
 
 
 def _max_step(inverses, deltas):
-    """Step lengths for stacks of shape (k, g, n, n): item j is the
-    largest alpha <= 1 with X + alpha*delta >= 0 for each of the g pairs
-    of stack j, X = L L^dag given by the inverse L^-1 of its Cholesky
+    """Step lengths for stacks of shape (k, g, n, n), (k, B, g, n, n) in a
+    batch, or lists of such stacks, one per side class: item j (item
+    [j][b]) is the largest alpha <= 1 with X + alpha*delta >= 0 for every
+    pair of stack j, X = L L^dag given by the inverse L^-1 of its Cholesky
     factor in inverses and delta at the same place in deltas.
 
-    The smallest eigenvalue of L^-1 delta L^-dag decides; the whole stack
-    goes to np.linalg.eigvalsh at once, which reads the lower triangle of
-    each Hermitian product.
+    The smallest eigenvalue of L^-1 delta L^-dag decides (the least over
+    the classes); each stack goes to np.linalg.eigvalsh at once, which
+    reads the lower triangle of each Hermitian product.
     """
-    y = inverses @ deltas @ inverses.conj().swapaxes(-1, -2)
-    lams = np.linalg.eigvalsh(y)[..., 0].min(axis=-1)
-    return [1.0 if lam >= -1e-14 else min(1.0, -1.0 / lam) for lam in lams]
+    if not isinstance(inverses, list):
+        inverses, deltas = [inverses], [deltas]
+    lams = functools.reduce(np.minimum, [
+        np.linalg.eigvalsh(inv @ delta @ inv.conj().swapaxes(-1, -2))[..., 0].min(axis=-1)
+        for inv, delta in zip(inverses, deltas)
+    ])
+    return np.minimum(1.0, -1.0 / np.minimum(lams, -1e-14)).tolist()
 
 
 def schur_chunk(m, entries, itemsize):
@@ -572,40 +600,57 @@ def schur_stacks(fmat, n):
     return fmat, chunk, fperms
 
 
-def schur_workspace(stacks, dtype):
+def schur_workspace(stacks, dtype, points=1):
     """The two flat arrays schur_block works in, large enough for the
-    chunks of every class in stacks (a list of schur_stacks)."""
+    chunks of every class in stacks (a list of schur_stacks) and points."""
     size = max((fmat.shape[1] * chunk for fmat, chunk, _ in stacks), default=0)
-    return np.empty(size, dtype), np.empty(size, dtype)
+    return np.empty(points * size, dtype), np.empty(points * size, dtype)
 
 
 def schur_block(stacks, sinv, z, out, work):
     """Add one class's share M_ij = Re Tr[F_i S^-1 F_j Z] of the Schur
-    complement into the (m, m) array out.
+    complement into the (m, m) array out, or into each of a batch's
+    (B, m, m).
 
     stacks is schur_stacks(fmat, n); sinv and z are the class's (g, n, n)
-    stacks (or (n, n) matrices when g = 1), and work a schur_workspace
-    pair that fits stacks, of a dtype that holds S^-1 F_j Z.  Per chunk of
-    columns j, G_j = S^-1 F_j Z is one sparse product and one batched
-    dense product into work[0]; conj(G_j[p, q]) on component c is then
-    copied to row (c*n + p)*n + q, column j of a (g*n^2, w) view of
-    work[1], so that the trace pairing with every F_i,
+    stacks (or (n, n) matrices when g = 1), batched like out, and work a
+    schur_workspace pair that fits stacks and the batch, of a dtype that
+    holds S^-1 F_j Z.  Per chunk of columns j, G_j = S^-1 F_j Z is one
+    sparse product, on every point's Z side by side, and one batched dense
+    product into work[0]; conj(G_j[p, q]) on component c is then copied to
+    row (c*n + p)*n + q, column j of a (g*n^2, w) view of work[1] per
+    point, so that the trace pairing with every F_i,
     Re Tr[F_i G_j] = Re sum F_i[p, q] conj(G_j[p, q]) for Hermitian F_i,
-    is one sparse product, added into out[:, chunk] (both triangles; the
-    solver factors the upper one in place).
+    is one sparse product, added into out[..., chunk] (both triangles;
+    the solver factors the upper one in place).
     """
     fmat, chunk, fperms = stacks
+    m = fmat.shape[0]
     n = z.shape[-1]
     g = fmat.shape[1] // (n * n)
-    zs = z.reshape(g * n, n)
-    sinv = sinv.reshape(g, n, n)
-    for lo, fperm in zip(range(0, fmat.shape[0], chunk), fperms):
+    out = out.reshape(-1, m, m)
+    b = len(out)
+    # the points' Z side by side, the components of each stacked
+    zs = np.hstack(z.reshape(b, g * n, n)) if b > 1 else z.reshape(g * n, n)
+    sinv = sinv.reshape(b, g, n, n)
+    for lo, fperm in zip(range(0, m, chunk), fperms):
         width = fperm.shape[0] // (g * n)
-        prod = work[0][: g * n * width * n].reshape(g, n, width * n)
-        np.matmul(sinv, (fperm @ zs).reshape(g, n, width * n), out=prod)
-        gt = work[1][: g * n * n * width].reshape(g, n, n, width)
-        np.conjugate(prod.reshape(g, n, width, n).transpose(0, 1, 3, 2), out=gt)
-        out[:, lo:lo + width] += (fmat @ gt.reshape(g * n * n, width)).real
+        size = b * g * n * width * n
+        fz = fperm @ zs
+        if b > 1:  # each point's F_j Z whole, for the dense product
+            laid = work[1][:size].reshape(b, g, n, width, n)
+            np.copyto(laid, fz.reshape(g, n, width, b, n).transpose(3, 0, 1, 2, 4))
+            fz = laid
+        prod = work[0][:size].reshape(b, g, n, width * n)
+        np.matmul(sinv, fz.reshape(b, g, n, width * n), out=prod)
+        # freed before the next product is allocated, so the heap reuses it
+        del fz
+        gt = work[1][:size].reshape(g, n, n, b, width)
+        np.conjugate(prod.reshape(b, g, n, width, n).transpose(1, 2, 4, 0, 3), out=gt)
+        out[:, :, lo:lo + width] += (
+            (fmat @ gt.reshape(g * n * n, b * width)).real
+            .reshape(m, b, width).transpose(1, 0, 2)
+        )
 
 
 def _project_dual_constraints(split, c, z):
@@ -629,47 +674,73 @@ def _project_dual_constraints(split, c, z):
     return split.herm(z + split.combine(lam))
 
 
-def _solve_core(split, f0s, c, tol, trace_cb=None, floor=-np.inf):
-    """Interior-point loop on the directions posed on split, a BlockSplit
-    of the constant blocks f0s, with objective c on them.  Returns the raw
-    final state; trace_cb, when given, receives each iteration's row.
+def _rows(a):
+    """a as rows: the (B, n) array of a batch, or one row of a lone (n,)."""
+    return a if a.ndim > 1 else a[None]
 
-    The iterates live on the packed components; x is on the posed
-    directions and the dual z comes back packed.  floor is an objective
-    value that only an unbounded problem reaches at a feasible point: the
-    loop stops with status "unbounded" at the first iterate below it
-    whose F(x) has no negative eigenvalue.
+
+def _rowdot(a, b):
+    """Re <a_j, b_j> of each pair of rows, one np.vdot per row as a lone
+    solve takes it, so that no point's value depends on its batch."""
+    if a.ndim == 1:
+        return np.array([np.vdot(a, b).real])
+    return np.array([np.vdot(u, v).real for u, v in zip(a, b)])
+
+
+def _scaled(scale, rows):
+    """Each row times its own scale (a lone row times a scalar)."""
+    return (rows.T * scale).T
+
+
+def _solve_core(split, points, c, tol, trace_cb=None, floors=None):
+    """Interior-point loop on the directions posed on split, with
+    objective c on them, for points that differ only in their constant
+    blocks (points[j] lists those of point j), run in lockstep as one
+    batch: the iterates carry a leading batch axis, which a lone point
+    does without.  Returns each point's raw final state, in order;
+    trace_cb, when given, receives each iteration's row of each point.
+
+    x is on the posed directions and the dual z comes back packed.
+    floors[j] is an objective value that only an unbounded problem reaches
+    at a feasible point: point j stops with status "unbounded" at its
+    first iterate below it whose F(x) has no negative eigenvalue.  A point
+    whose iteration breaks down holds its SdpNumericalError under "error".
     """
     m = len(c)
     ntot = sum(split.sides)
-    fixed = split.pack(f0s)
+    lead = (len(points),) if len(points) > 1 else ()
+    fixed = np.stack([split.pack(f0s) for f0s in points]).reshape(lead + (-1,))
+    floors = [-np.inf] * len(points) if floors is None else floors
     dtype = np.result_type(fixed.dtype, split.stack.dtype)
     # per solve, not cached on split: concurrent solves share it
-    work = schur_workspace(split.schur, dtype)
-    schur = np.empty((m, m), order="F")
+    work = schur_workspace(split.schur, dtype, len(points))
+    # one Fortran-ordered m x m Schur matrix per point
+    schur = np.empty((len(points), m, m)).transpose(0, 2, 1)
     trace_cb = trace_cb or (lambda row: None)
 
-    beta = 1.0 + np.sqrt(sum(np.linalg.norm(f0) ** 2 for f0 in f0s))
-    x = np.zeros(m)
+    # the start's beta = 1 + ||F0|| is also the primal residual's scale
+    scale = np.array(
+        [1.0 + np.sqrt(sum(np.linalg.norm(f0) ** 2 for f0 in f0s)) for f0s in points]
+    )
+    x = np.zeros(lead + (m,))
     eye = split.identity(fixed.dtype)
-    slack = beta * eye
+    slack = scale.reshape(lead + (1,)) * eye
 
     tvec = split.trace_pairs(eye)
     denom = tvec @ tvec
     tau = (c @ tvec) / denom if denom > 1e-300 else 1.0
     if not np.isfinite(tau) or tau <= 1e-10:
         tau = 1.0
-    zdual = tau * eye
+    zdual = np.tile(tau * eye, lead + (1,))
 
-    f0_scale = 1.0 + np.sqrt(sum(np.linalg.norm(f0) ** 2 for f0 in f0s))
     c_scale = 1.0 + (np.abs(c).max() if m else 0.0)
     frac = 0.98
-    status = ITER_LIMIT
-    stalls = 0
-    floor_hits = 0
-    best = None
-    it = 0
-    pinf = dinf = gap = mu = np.inf
+    live = np.arange(len(points))  # the point of each row
+    keep = np.ones(len(points), bool)  # the rows that go on
+    stalls = [0] * len(points)
+    floor_hits = [0] * len(points)
+    best = [None] * len(points)
+    results = [None] * len(points)
 
     def iterate_usable(rec):
         # good enough for residual-based post-processing even though the
@@ -686,122 +757,85 @@ def _solve_core(split, f0s, c, tol, trace_cb=None, floor=-np.inf):
             np.linalg.eigvalsh(v)[:, 0].min() for v in split.views(split.herm(packed))
         )
 
-    for it in range(1, policy.MAX_ITER + 1):
-        fx = fixed + split.combine(x)
-        rp = fx - slack
-        rd = c - split.trace_pairs(zdual)
-        # Tr[S Z] and Tr[F0 Z] as sums of S[p, q] conj(Z[p, q]): Z is
-        # Hermitian
-        mu = np.vdot(zdual, slack).real / ntot
-        pobj = float(c @ x)
-        dobj = -np.vdot(zdual, fixed).real
-        gap = pobj - dobj
-        pinf = split.block_norms(rp).max() / f0_scale
-        dinf = (np.abs(rd).max() / c_scale) if m else 0.0
-        row = {
-            "iteration": it,
-            "mu": mu,
-            "gap": gap,
-            "pobj": pobj,
-            "dobj": dobj,
-            "pinf": pinf,
-            "dinf": dinf,
-        }
-        gscale = max(1.0, abs(pobj), abs(dobj))
-        score = max(pinf, dinf, abs(gap) / gscale)
-        if best is None or score < best["score"]:
-            # held by reference: every iteration binds x, slack and zdual
-            # to new arrays and never writes into old ones
-            best = {
-                "score": score,
-                "x": x,
-                "z": zdual,
-                "gap": gap,
-                "pinf": pinf,
-                "dinf": dinf,
-                "mu": mu,
-                "gscale": gscale,
-            }
-        if (
-            pinf <= tol.feas_tol
-            and dinf <= tol.feas_tol
-            and abs(gap) <= tol.gap_tol * gscale
-        ):
-            trace_cb(row)
-            status = "converged"
-            break
-        if pobj < floor and min_eigenvalue(fx) >= 0:
-            trace_cb(row)
-            status = "unbounded"
-            break
+    def finish(j, status):
+        # row j leaves with the iterate it holds, or with its point's best
+        # one when that scores better and the loop did not converge
+        rec, out = best[live[j]], dict(rows[j], x=_rows(x)[j].copy(), z=_rows(zdual)[j].copy())
+        if status not in ("converged", "unbounded") and rec is not None:
+            cur_score = max(out["pinf"], out["dinf"])
+            if np.isfinite(out["gap"]):
+                cur_score = max(cur_score, abs(out["gap"]) / rec["gscale"])
+            if rec["score"] < cur_score:
+                out = rec
+        results[live[j]] = {k: out[k] for k in ("x", "z", "gap", "pinf", "dinf", "mu")}
+        results[live[j]].update(status=status, iterations=it)
+        keep[j] = False
 
-        # near-degenerate optima floor the dual residual a hair above
-        # feas_tol while complementarity keeps collapsing; once mu sits
-        # orders below anything the tolerances can use, more iterations
-        # only invite factorization failure
-        if iterate_usable(best) and mu <= 1e-11 * gscale:
-            floor_hits += 1
-        else:
-            floor_hits = 0
-        if floor_hits >= 2:
-            trace_cb(row)
-            status = "stalled"
-            break
+    def drop():
+        # the rows that go on, alone
+        nonlocal live, x, slack, zdual, fixed, rp, rd, mu, rows, keep
+        live, x, slack, zdual, fixed, rp, rd, mu = (
+            a[keep] for a in (live, x, slack, zdual, fixed, rp, rd, mu)
+        )
+        rows = [row for row, k in zip(rows, keep) if k]
+        keep = keep[keep]
 
+    def newton_step():
+        """The predictor-corrector step of every row, or the rows whose
+        factorizations broke down, each with its message."""
+        sviews, zviews = split.views(slack), split.views(zdual)
         try:
-            chols = [np.linalg.cholesky(v) for v in split.views(slack)]
-            cholz = [np.linalg.cholesky(v) for v in split.views(zdual)]
-        except np.linalg.LinAlgError:
-            if iterate_usable(best):
-                # so close to the boundary that factorization noise flips
-                # eigenvalue signs; the best iterate seen is already good
-                # enough for residual-based classification, so stop
-                trace_cb(row)
-                status = "stalled"
-                break
-            raise SdpNumericalError(
-                "slack or dual iterate lost positive definiteness",
-                iteration=it,
-                diagnostics=row,
-            ) from None
+            chols = [np.linalg.cholesky(v) for v in sviews]
+            cholz = [np.linalg.cholesky(v) for v in zviews]
+        except np.linalg.LinAlgError:  # find the rows that broke
+            broken = []
+            for j, (s_j, z_j) in enumerate(zip(_rows(slack), _rows(zdual))):
+                try:
+                    [np.linalg.cholesky(v) for v in split.views(s_j) + split.views(z_j)]
+                except np.linalg.LinAlgError:
+                    broken.append((j, "slack or dual iterate lost positive definiteness"))
+            return None, broken
         _require_finite([*chols, *cholz, slack, zdual])
         # per class, the inverse factors of S (first) and Z (second); S^-1
         inverses = [np.linalg.inv(np.stack(pair)) for pair in zip(chols, cholz)]
         sinv = [inv[0].conj().swapaxes(-1, -2) @ inv[0] for inv in inverses]
-        zviews = split.views(zdual)
         rpz = split.matmul(split.views(rp), zviews)
 
         # Schur complement M_ij = sum Re Tr[F_i S^-1 F_j Z] (symmetric
-        # positive definite) over the classes, factored in place; a failed
-        # factorization has overwritten it, so the jittered retry
-        # assembles it again
-        for jitter in (0, 1e-12):
-            schur.fill(0)
+        # positive definite) of each row over the classes, factored in
+        # place; a failed factorization has overwritten it, so the
+        # jittered retry assembles that row's again, alone
+        def assemble(rows):
+            schur[rows].fill(0)
             for stacks, si, z in zip(split.schur, sinv, zviews):
-                schur_block(stacks, si, z, schur, work)
-            if jitter:
-                schur[np.diag_indices(m)] += jitter * max(1.0, np.trace(schur) / m)
-            try:
-                schur_fact = sla.cho_factor(schur, overwrite_a=True)
-                break
-            except np.linalg.LinAlgError:
-                pass
-        else:
-            if iterate_usable(best):
-                trace_cb(row)
-                status = "stalled"
-                break
-            raise SdpNumericalError(
-                "Schur complement lost positive definiteness",
-                iteration=it,
-                diagnostics=row,
-            )
+                if rows.stop - rows.start < len(live):
+                    si, z = (a.reshape((-1,) + a.shape[-3:])[rows] for a in (si, z))
+                schur_block(stacks, si, z, schur[rows], work)
+
+        assemble(slice(0, len(live)))
+        facts, broken = [], []
+        for j in range(len(live)):
+            for jitter in (0, 1e-12):
+                if jitter:
+                    assemble(slice(j, j + 1))
+                    schur[j][np.diag_indices(m)] += jitter * max(1.0, np.trace(schur[j]) / m)
+                try:
+                    facts.append(sla.cho_factor(schur[j], overwrite_a=True))
+                    break
+                except np.linalg.LinAlgError:
+                    pass
+            else:
+                broken.append((j, "Schur complement lost positive definiteness"))
+        if broken:
+            return None, broken
 
         def direction(kmat):
             v0 = kmat - rpz
             # Re Tr[F_i U] with U = S^-1 (K - Rp Z)
             rhs = split.trace_pairs(split.matmul(sinv, v0)) - rd
-            dx = sla.cho_solve(schur_fact, rhs)
+            dx = np.array(
+                [sla.cho_solve(fact, r) for fact, r in zip(facts, _rows(rhs))]
+            ).reshape(rhs.shape)
             ds = split.combine(dx) + rp
             v = kmat - split.matmul(ds, zviews)
             dz = split.herm(split.matmul(sinv, v))
@@ -809,97 +843,165 @@ def _solve_core(split, f0s, c, tol, trace_cb=None, floor=-np.inf):
             return dx, ds, dz
 
         def max_steps(ds, dz):
-            steps = [
-                _max_step(inv, np.stack(pair))
-                for inv, pair in zip(inverses, zip(split.views(ds), split.views(dz)))
-            ]
-            return min(s[0] for s in steps), min(s[1] for s in steps)
+            # (primal, dual) step of each row, a scalar each for a lone row
+            deltas = [np.stack(pair) for pair in zip(split.views(ds), split.views(dz))]
+            return np.array(_max_step(inverses, deltas))
 
         # predictor (affine scaling: K = -S Z)
-        sz = split.matmul(split.views(slack), zviews)
+        sz = split.matmul(sviews, zviews)
         dx_a, ds_a, dz_a = direction(-sz)
         ap_a, ad_a = max_steps(ds_a, dz_a)
-        mu_aff = np.vdot(zdual + ad_a * dz_a, slack + ap_a * ds_a).real / ntot
-        mu_aff = max(mu_aff, 0.0)
-        sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3)) if mu > 0 else 0.0
+        mu_aff = _rowdot(zdual + _scaled(ad_a, dz_a), slack + _scaled(ap_a, ds_a)) / ntot
+        sigma = np.array([
+            min(1.0, max(0.0, (max(aff, 0.0) / mu_j) ** 3)) if mu_j > 0 else 0.0
+            for aff, mu_j in zip(mu_aff, mu)
+        ])
 
         # corrector: K = sigma mu 1 - S Z - dS_a dZ_a
         kc = -sz
-        kc[split.diag] += sigma * mu
+        kc.T[split.diag] += sigma * mu
         kc -= split.matmul(ds_a, dz_a)
         dx, ds, dz = direction(kc)
-        alpha_p, alpha_d = max_steps(ds, dz)
-        alpha_p = min(1.0, frac * alpha_p)
-        alpha_d = min(1.0, frac * alpha_d)
-        row["sigma"] = sigma
-        row["alpha_p"] = alpha_p
-        row["alpha_d"] = alpha_d
-        trace_cb(row)
+        return (dx, ds, dz, sigma, np.minimum(1.0, frac * max_steps(ds, dz))), []
 
-        if alpha_p < 1e-8 and alpha_d < 1e-8:
-            stalls += 1
-            if stalls >= 3:
+    rp = rd = mu = None
+    rows = []
+    it = 0
+    for it in range(1, policy.MAX_ITER + 1):
+        if not keep.any():
+            break
+        if not keep.all():
+            drop()
+        fx = fixed + split.combine(x)
+        rp = fx - slack
+        rd = c - split.trace_pairs(zdual)
+        # Tr[S Z] and Tr[F0 Z] as sums of S[p, q] conj(Z[p, q]): Z is
+        # Hermitian
+        mu = _rowdot(zdual, slack) / ntot
+        pobj = [float(c @ xj) for xj in _rows(x)]
+        dobj = -_rowdot(zdual, fixed)
+        gap = pobj - dobj
+        pinf = _rows(split.block_norms(rp)).max(axis=1) / scale[live]
+        dinf = np.abs(rd).max(axis=-1, initial=0.0).reshape(-1) / c_scale
+        rows = []
+        for j, p in enumerate(live):
+            rows.append(dict(iteration=it, mu=mu[j], gap=gap[j], pobj=pobj[j],
+                             dobj=dobj[j], pinf=pinf[j], dinf=dinf[j]))
+            gscale = max(1.0, abs(pobj[j]), abs(dobj[j]))
+            score = max(pinf[j], dinf[j], abs(gap[j]) / gscale)
+            if best[p] is None or score < best[p]["score"]:
+                best[p] = dict(rows[j], score=score, gscale=gscale,
+                               x=_rows(x)[j].copy(), z=_rows(zdual)[j].copy())
+            if (
+                pinf[j] <= tol.feas_tol
+                and dinf[j] <= tol.feas_tol
+                and abs(gap[j]) <= tol.gap_tol * gscale
+            ):
+                status = "converged"
+            elif pobj[j] < floors[p] and min_eigenvalue(_rows(fx)[j]) >= 0:
+                status = "unbounded"
+            else:
+                # near-degenerate optima floor the dual residual a hair
+                # above feas_tol while complementarity keeps collapsing;
+                # once mu sits orders below anything the tolerances can
+                # use, more iterations only invite factorization failure
+                usable = iterate_usable(best[p]) and mu[j] <= 1e-11 * gscale
+                floor_hits[p] = floor_hits[p] + 1 if usable else 0
+                if floor_hits[p] < 2:
+                    continue
+                status = "stalled"
+            trace_cb(rows[j])
+            finish(j, status)
+
+        # the step of the rows that go on; rows whose factorizations break
+        # down leave too, and the others take the step again without them
+        step = None
+        while keep.any():
+            if not keep.all():
+                drop()
+            step, broken = newton_step()
+            for j, message in broken:
+                if iterate_usable(best[live[j]]):
+                    # so close to the boundary that factorization noise
+                    # flips eigenvalue signs; the best iterate seen is
+                    # already good enough for residual-based
+                    # classification, so stop
+                    trace_cb(rows[j])
+                    finish(j, "stalled")
+                else:
+                    results[live[j]] = {"error": SdpNumericalError(
+                        message, iteration=it, diagnostics=rows[j])}
+                    keep[j] = False
+            if step is not None:
                 break
-        else:
-            stalls = 0
-        x = x + alpha_p * dx
-        slack = split.herm(slack + alpha_p * ds)
-        zdual = split.herm(zdual + alpha_d * dz)
+        if step is None:
+            break
 
-    if status not in ("converged", "unbounded") and best is not None:
-        cur_score = max(pinf, dinf)
-        if np.isfinite(gap):
-            cur_score = max(cur_score, abs(gap) / best["gscale"])
-        if best["score"] < cur_score:
-            x, zdual = best["x"], best["z"]
-            gap, pinf, dinf, mu = (
-                best["gap"],
-                best["pinf"],
-                best["dinf"],
-                best["mu"],
-            )
-    return {
-        "status": status,
-        "x": x,
-        "z": zdual,
-        "iterations": it,
-        "gap": gap,
-        "pinf": pinf,
-        "dinf": dinf,
-        "mu": mu,
-    }
+        dx, ds, dz, sigma, alphas = step
+        alpha_p, alpha_d = alphas
+        for j, (p, a_p, a_d) in enumerate(zip(live, *alphas.reshape(2, -1))):
+            rows[j].update(sigma=sigma[j], alpha_p=a_p, alpha_d=a_d)
+            trace_cb(rows[j])
+            stalls[p] = stalls[p] + 1 if a_p < 1e-8 and a_d < 1e-8 else 0
+            if stalls[p] >= 3:
+                finish(j, ITER_LIMIT)
+        # the rows that stall leave with their iterate before the update
+        x = x + _scaled(alpha_p, dx)
+        slack = split.herm(slack + _scaled(alpha_p, ds))
+        zdual = split.herm(zdual + _scaled(alpha_d, dz))
+
+    for j in np.flatnonzero(keep):
+        finish(j, ITER_LIMIT)
+    return results
 
 
-def _run(tol, trace_cb, problem, c, margin=False, floor=-np.inf):
-    """Solve on problem's stacks with objective c, in real arithmetic
-    when _real_directions allows it, with the margin direction appended
-    (objective 1) when margin is set.
+def _run(tol, trace_cb, problems, c, margin=False, floors=None):
+    """Solve problems, which share their stacks, with objective c, each in
+    real arithmetic when _real_directions allows it, with the margin
+    direction appended (objective 1) when margin is set; the problems of
+    one split and F0 dtype run as one batch of _solve_core.
 
-    Returns _solve_core's state plus split, the objective c it solved
-    with and the diagnostics; x is on the caller's directions, the margin
-    last, and z stays packed on split.
+    Returns, per problem, _solve_core's state plus split, the objective c
+    it solved with and the diagnostics; x is on the caller's directions,
+    the margin last, and z stays packed on split.
     """
-    f0s = problem.f0s
-    keep = _real_directions(f0s, problem.fs, c)
-    if keep is not None:
-        f0s = [f0.real.copy() for f0 in f0s]
-        c = c[keep]
-    if margin:
-        c = np.append(c, 1.0)
-    split = problem.fs.split(f0s, keep, margin)
-    res = _solve_core(split, f0s, c, tol, trace_cb, floor)
-    if keep is not None:
-        x = np.zeros(problem.m + margin)
-        x[np.append(keep, problem.m) if margin else keep] = res["x"]
-        res["x"] = x
-    res.update(split=split, c=c, diagnostics={
-        "pinf": res["pinf"],
-        "dinf": res["dinf"],
-        "mu": res["mu"],
-        "real_path": keep is not None,
-        "side_classes": split.side_classes,
-    })
-    return res
+    if any(problem.fs is not problems[0].fs for problem in problems):
+        raise ValueError("the problems of one solve must share their direction stacks")
+    batches = {}
+    for i, problem in enumerate(problems):
+        f0s = problem.f0s
+        keep = _real_directions(f0s, problem.fs, c)
+        if keep is not None:
+            f0s = [f0.real.copy() for f0 in f0s]
+        split = problem.fs.split(f0s, keep, margin)
+        batch = batches.setdefault((split, np.result_type(*f0s)), (keep, [], []))
+        batch[1].append(i)
+        batch[2].append(f0s)
+    out = [None] * len(problems)
+    for (split, _), (keep, members, points) in batches.items():
+        c_posed = c if keep is None else c[keep]
+        if margin:
+            c_posed = np.append(c_posed, 1.0)
+        states = _solve_core(
+            split, points, c_posed, tol, trace_cb,
+            None if floors is None else [floors[i] for i in members],
+        )
+        for i, res in zip(members, states):
+            out[i] = res
+            if "error" in res:
+                continue
+            if keep is not None:
+                x = np.zeros(problems[i].m + margin)
+                x[np.append(keep, problems[i].m) if margin else keep] = res["x"]
+                res["x"] = x
+            res.update(split=split, c=c_posed, diagnostics={
+                "pinf": res["pinf"],
+                "dinf": res["dinf"],
+                "mu": res["mu"],
+                "real_path": keep is not None,
+                "side_classes": split.side_classes,
+            })
+    return out
 
 
 def _lmi_spectra(problem, x):
@@ -920,7 +1022,9 @@ def solve(problem, tolerances=None, trace=None):
     tol = tolerances or SolverTolerances()
     if problem.m == 0 or not np.any(problem.c):
         return feasibility_margin(problem, tolerances=tolerances, trace=trace)
-    res = _run(tol, trace, problem, problem.c)
+    res = _run(tol, trace, [problem], problem.c)[0]
+    if "error" in res:
+        raise res["error"]
     diagnostics = res["diagnostics"]
     status = ITER_LIMIT
     if res["status"] == "converged":
@@ -959,13 +1063,28 @@ def feasibility_margin(problem, tolerances=None, trace=None):
     verified positive definite from the problem data, with the margin
     -lambda_min(F(x)) that this x attains and no dual certificate;
     SdpNumericalError is raised when it is not.
+
+    problem may also be a list of problems that share one DirectionStacks;
+    their outcomes come back in order, each the one its problem gets alone
+    (_solve_core), and the first whose solve broke down raises its error.
     """
-    m = problem.m
-    floor = -1.0 - np.sqrt(sum(np.linalg.norm(f0) ** 2 for f0 in problem.f0s))
-    res = _run(
-        tolerances or SolverTolerances(), trace, problem, np.zeros(m),
-        margin=True, floor=floor,
+    problems = problem if isinstance(problem, list) else [problem]
+    floors = [
+        -1.0 - np.sqrt(sum(np.linalg.norm(f0) ** 2 for f0 in p.f0s)) for p in problems
+    ]
+    states = _run(
+        tolerances or SolverTolerances(), trace, problems, np.zeros(problems[0].m),
+        margin=True, floors=floors,
     )
+    outcomes = [_margin_outcome(p, res) for p, res in zip(problems, states)]
+    return outcomes if isinstance(problem, list) else outcomes[0]
+
+
+def _margin_outcome(problem, res):
+    """The outcome of a margin problem from its solve's final state."""
+    if "error" in res:
+        raise res["error"]
+    m = problem.m
     diagnostics = res["diagnostics"]
     if res["status"] == "unbounded":
         return _unbounded_margin(problem, res, diagnostics)

@@ -997,6 +997,18 @@ def test_oversized_problems_are_rejected_with_estimate():
     assert res["block_sides"] == [108, 252, 378, 450, 450, 108, 252, 378]
 
 
+def test_the_memory_gate_refuses_huge_sides_before_building(monkeypatch):
+    # level 40 on 3x3 has a largest block side of 160083; the working-memory
+    # estimate refuses it before any stack is built
+    def build(self):
+        raise AssertionError("stacks built for a refused shape")
+
+    monkeypatch.setattr(hierarchy.ExtensionShape, "_build_stacks", build)
+    with pytest.raises(AssemblyError, match="GB of working memory") as err:
+        hierarchy.ExtensionShape(3, 3, ExtensionSpec(k=40))
+    assert max(err.value.resources["block_sides"]) == 160083
+
+
 def test_nonppt_mode_runs_and_is_weaker():
     # without transpose blocks the level-2 test cannot see this famously
     # bound-entangled family member

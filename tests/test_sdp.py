@@ -406,6 +406,30 @@ def test_stacks_with_unsorted_indices_keep_their_entries():
     assert np.array_equal(im_max, np.abs(dense.imag).max(axis=1))
 
 
+def test_row_maxima_match_the_scipy_scan():
+    # random complex stacks with empty rows, and one block with no entry
+    # at all; a row without entries reads 0
+    rng = np.random.default_rng(3)
+    m, sides = 9, [3, 4, 2]
+    blocks = []
+    for b, n in enumerate(sides):
+        dense = rng.standard_normal((m, n * n)) + 1j * rng.standard_normal((m, n * n))
+        dense[rng.random((m, n * n)) < 0.7] = 0
+        dense[[1, 5]] = 0
+        dense.imag[rng.random((m, n * n)) < 0.3] = 0
+        if b == 2:
+            dense[:] = 0
+        blocks.append(sps.csr_array(dense))
+    assert blocks[2].nnz == 0
+    re_max, im_max = sdp.DirectionStacks(blocks).row_maxima()
+    want_re = want_im = np.zeros(m)
+    for block in blocks:
+        want_re = np.maximum(want_re, abs(block.real).max(axis=1).toarray().ravel())
+        want_im = np.maximum(want_im, abs(block.imag).max(axis=1).toarray().ravel())
+    assert np.array_equal(re_max, want_re) and np.array_equal(im_max, want_im)
+    assert re_max[1] == re_max[5] == im_max[1] == im_max[5] == 0
+
+
 def test_stacked_step_lengths_equal_the_per_block_ones():
     rng = np.random.default_rng(5)
 
