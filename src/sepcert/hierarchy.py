@@ -899,7 +899,8 @@ def run_tests(rhos, spec, tolerances=None, trace=None):
             )
             size = max(1, (MEMORY_BUDGET_BYTES - shared) // (one - shared))
         batch.append((rho, problem, shape))
-    flush()
+    if batch:
+        flush()
     return reports
 
 

@@ -51,6 +51,7 @@ def test_a_batch_gives_each_point_its_lone_outcome(alone, monkeypatch):
     for family, want in zip(_families(), alone):
         assert [_signature(rep) for rep in run_tests(family, SPEC)] == want
     assert sizes == [len(ALPHAS), len(GAMMAS)]
+    assert run_tests([], SPEC) == []
     statuses = [sig[0] for sig in alone[0]]
     assert statuses.count("marginal") == 5 and statuses.count("entangled") == 8
     # the points stop at different iterations, so the batch shrinks
