@@ -16,7 +16,6 @@ message naming the offending part; internal solver failures exit 70.
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -330,21 +329,9 @@ def cmd_sweep(args):
         def make(gamma):
             return scale_state(base, gamma)
 
-    # --jobs cuts the points into that many contiguous batches, each
-    # solved in lockstep (run_tests); no point's arithmetic depends on them
-    states = [make(v) for v in values]
-    jobs = min(args.jobs, len(states))
-    parts = [states[i * len(states) // jobs:(i + 1) * len(states) // jobs]
-             for i in range(jobs)]
-
-    def batch(part):
-        return run_tests(part, spec, tolerances=tol)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = [rep for part in pool.map(batch, parts) for rep in part]
-    else:
-        reports = batch(states)
+    # --jobs cuts the points into that many contiguous parts, each solved
+    # in lockstep; no point's arithmetic depends on the cut
+    reports = run_tests([make(v) for v in values], spec, tolerances=tol, jobs=args.jobs)
     rows = [(v, rep.status, rep.margin) for v, rep in zip(values, reports)]
 
     config = _base_config(args)

@@ -70,6 +70,7 @@ import math
 import threading
 import warnings
 from collections import namedtuple
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -218,7 +219,8 @@ def required_resources(d_a, d_b, spec, grading=None, points=1):
     carried to the block's copy side and from units of B, so each block's
     stored entries are counted exactly from the patterns
     (_entries_per_direction) before anything is built.  stack_bytes counts,
-    for points of this shape solved in lockstep (run_tests), once
+    for the given number of points of this shape solved in lockstep
+    (run_tests), once
 
       * the CSR stacks four times over, at 24 bytes per stored entry and
         8 per row: as assembled, the transient copy of one block's posed
@@ -868,40 +870,52 @@ def run_test(rho, spec, tolerances=None, trace=None):
     return run_tests([rho], spec, tolerances=tolerances, trace=trace)[0]
 
 
-def run_tests(rhos, spec, tolerances=None, trace=None):
+def run_tests(rhos, spec, tolerances=None, trace=None, jobs=1):
     """run_test on each state; returns the reports in order.
 
-    Consecutive states of one shape, as the points of a sweep, are solved
-    in lockstep (sdp.feasibility_margin on their list), as many at a time
-    as fit MEMORY_BUDGET_BYTES with the shared stacks counted once
-    (required_resources); each report is the one its state gets alone.
+    The states are cut into jobs contiguous parts, run on as many threads.
+    Within a part, consecutive states of one shape, as the points of a
+    sweep, are solved in lockstep (sdp.feasibility_margin on their list),
+    as many at a time as fit the part's share of MEMORY_BUDGET_BYTES: the
+    shared stacks count once, and each point of every part in flight adds
+    the per-point terms of required_resources.  Each report is the one its
+    state gets alone, however the states are cut.
     """
     rhos = list(rhos)
-    reports, batch = [], []
+    jobs = max(1, min(jobs, len(rhos)))
 
-    def flush():
-        problems = [problem for _, problem, _ in batch]
-        if len(problems) > 1:
-            outcomes = sdp.feasibility_margin(problems, tolerances=tolerances, trace=trace)
-        else:
-            outcomes = [sdp.feasibility_margin(problems[0], tolerances=tolerances, trace=trace)]
-        reports.extend(_report(*point, spec, out) for point, out in zip(batch, outcomes))
-        batch.clear()
+    def part_reports(part):
+        reports, batch = [], []
 
-    for rho in rhos:
-        problem, shape = build_extension_problem(rho, spec)
-        if batch and (shape is not batch[0][2] or len(batch) == size):
+        def flush():
+            # a lone problem goes bare, so that a wrapper of
+            # feasibility_margin sees the problem as run_test hands it over
+            problems = [problem for _, problem, _ in batch]
+            solve = functools.partial(sdp.feasibility_margin, tolerances=tolerances, trace=trace)
+            outcomes = solve(problems) if len(problems) > 1 else [solve(problems[0])]
+            reports.extend(_report(*point, spec, out) for point, out in zip(batch, outcomes))
+            batch.clear()
+
+        for rho in part:
+            problem, shape = build_extension_problem(rho, spec)
+            if batch and (shape is not batch[0][2] or len(batch) == size):
+                flush()
+            if not batch and len(part) > 1:
+                shared, one = (
+                    required_resources(shape.d_a, shape.d_b, spec, shape.grading, points)
+                    ["stack_bytes"] for points in (0, 1)
+                )
+                size = max(1, (MEMORY_BUDGET_BYTES - shared) // (jobs * (one - shared)))
+            batch.append((rho, problem, shape))
+        if batch:
             flush()
-        if not batch and len(rhos) > 1:
-            shared, one = (
-                required_resources(shape.d_a, shape.d_b, spec, shape.grading, points)
-                ["stack_bytes"] for points in (0, 1)
-            )
-            size = max(1, (MEMORY_BUDGET_BYTES - shared) // (one - shared))
-        batch.append((rho, problem, shape))
-    if batch:
-        flush()
-    return reports
+        return reports
+
+    if jobs == 1:
+        return part_reports(rhos)
+    parts = [rhos[i * len(rhos) // jobs:(i + 1) * len(rhos) // jobs] for i in range(jobs)]
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        return [rep for part in pool.map(part_reports, parts) for rep in part]
 
 
 def _report(rho, problem, shape, spec, outcome):

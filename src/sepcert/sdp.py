@@ -74,9 +74,10 @@ directions.
 
 Problems that differ only in F0 (the points of a sweep) with one split
 run in lockstep as one batch (feasibility_margin on a list): the
-iterates gain a leading batch axis, so each per-class call above takes
-every point's stacks, while each point keeps its own Schur matrix,
-residuals, stopping tests and best iterate and leaves when it stops.
+iterates carry a leading batch axis, of length 1 for a lone problem, so
+each per-class call above takes every point's stacks, while each point
+keeps its own Schur matrix, residuals, stopping tests and best iterate
+and leaves when it stops.
 Reductions over a point run per row with the kernels of a lone solve, so
 no digit of a point's outcome depends on its batch.
 
@@ -398,20 +399,16 @@ class BlockSplit:
         ]
 
     def views(self, packed):
-        """The (g, s, s) stack of each class in a packed vector, (B, g, s, s)
-        in the rows of a batch; a list of per-class stacks passes through."""
+        """The (..., g, s, s) stack of each class in packed vectors (the
+        last axis); a list of per-class stacks passes through."""
         if isinstance(packed, list):
             return packed
-        if packed.ndim > 1:  # a batch, one packed vector per row
-            return [
-                packed[:, lo:hi].reshape((len(packed),) + shape)
-                for lo, hi, shape in self.classes
-            ]
-        return [packed[lo:hi].reshape(shape) for lo, hi, shape in self.classes]
+        lead = packed.shape[:-1]
+        return [packed[..., lo:hi].reshape(lead + shape) for lo, hi, shape in self.classes]
 
     def matmul(self, a, b):
-        """The packed product of two block-diagonal matrices (of each pair
-        in a batch), each given packed or as per-class stacks."""
+        """The packed products of pairs of block-diagonal matrices, each
+        given packed or as per-class stacks."""
         a, b = self.views(a), self.views(b)
         out = np.empty(a[0].shape[:-3] + (self.dest.size,), np.result_type(a[0], b[0]))
         for x, y, o in zip(a, b, self.views(out)):
@@ -438,12 +435,9 @@ class BlockSplit:
         return (self.stack @ packed.conj().T).real.T
 
     def block_norms(self, packed):
-        """The Frobenius norm of each caller block of packed matrices."""
+        """The Frobenius norm of each caller block of each row of packed."""
         sq = (packed * packed.conj()).real
-        if sq.ndim > 1:
-            return np.sqrt([np.bincount(self.owner, row, minlength=len(self.sides))
-                            for row in sq])
-        return np.sqrt(np.bincount(self.owner, sq, minlength=len(self.sides)))
+        return np.sqrt([np.bincount(self.owner, row, minlength=len(self.sides)) for row in sq])
 
 
 @dataclass
@@ -541,23 +535,21 @@ def _real_directions(f0s, fs, c):
 
 
 def _max_step(inverses, deltas):
-    """Step lengths for stacks of shape (k, g, n, n), (k, B, g, n, n) in a
-    batch, or lists of such stacks, one per side class: item j (item
-    [j][b]) is the largest alpha <= 1 with X + alpha*delta >= 0 for every
-    pair of stack j, X = L L^dag given by the inverse L^-1 of its Cholesky
-    factor in inverses and delta at the same place in deltas.
+    """Step lengths for lists of stacks of shape (..., g, n, n), one per
+    side class: item [...] is the largest alpha <= 1 with
+    X + alpha*delta >= 0 for every pair there over the classes, X = L L^dag
+    given by the inverse L^-1 of its Cholesky factor in inverses and delta
+    at the same place in deltas.
 
-    The smallest eigenvalue of L^-1 delta L^-dag decides (the least over
-    the classes); each stack goes to np.linalg.eigvalsh at once, which
-    reads the lower triangle of each Hermitian product.
+    The smallest eigenvalue of L^-1 delta L^-dag decides; each class's
+    stack goes to np.linalg.eigvalsh at once, which reads the lower
+    triangle of each Hermitian product.
     """
-    if not isinstance(inverses, list):
-        inverses, deltas = [inverses], [deltas]
-    lams = functools.reduce(np.minimum, [
+    lams = functools.reduce(np.minimum, (
         np.linalg.eigvalsh(inv @ delta @ inv.conj().swapaxes(-1, -2))[..., 0].min(axis=-1)
         for inv, delta in zip(inverses, deltas)
-    ])
-    return np.minimum(1.0, -1.0 / np.minimum(lams, -1e-14)).tolist()
+    ))
+    return np.minimum(1.0, -1.0 / np.minimum(lams, -1e-14))
 
 
 def schur_chunk(m, entries, itemsize):
@@ -631,15 +623,18 @@ def schur_block(stacks, sinv, z, out, work):
     out = out.reshape(-1, m, m)
     b = len(out)
     # the points' Z side by side, the components of each stacked
-    zs = np.hstack(z.reshape(b, g * n, n)) if b > 1 else z.reshape(g * n, n)
+    zs = z.reshape(b, g * n, n).transpose(1, 0, 2).reshape(g * n, b * n)
     sinv = sinv.reshape(b, g, n, n)
     for lo, fperm in zip(range(0, m, chunk), fperms):
         width = fperm.shape[0] // (g * n)
         size = b * g * n * width * n
-        fz = fperm @ zs
-        if b > 1:  # each point's F_j Z whole, for the dense product
-            laid = work[1][:size].reshape(b, g, n, width, n)
-            np.copyto(laid, fz.reshape(g, n, width, b, n).transpose(3, 0, 1, 2, 4))
+        fz = (fperm @ zs).reshape(g, n, width, b, n).transpose(3, 0, 1, 2, 4)
+        if b > 1:
+            # each point's F_j Z laid out whole in work[1], for the dense
+            # product; a lone point's already is, and copying it anyway
+            # costs a Schur-bound solve about 5%
+            laid = work[1][:size].reshape(fz.shape)
+            np.copyto(laid, fz)
             fz = laid
         prod = work[0][:size].reshape(b, g, n, width * n)
         np.matmul(sinv, fz.reshape(b, g, n, width * n), out=prod)
@@ -674,30 +669,18 @@ def _project_dual_constraints(split, c, z):
     return split.herm(z + split.combine(lam))
 
 
-def _rows(a):
-    """a as rows: the (B, n) array of a batch, or one row of a lone (n,)."""
-    return a if a.ndim > 1 else a[None]
-
-
 def _rowdot(a, b):
-    """Re <a_j, b_j> of each pair of rows, one np.vdot per row as a lone
-    solve takes it, so that no point's value depends on its batch."""
-    if a.ndim == 1:
-        return np.array([np.vdot(a, b).real])
-    return np.array([np.vdot(u, v).real for u, v in zip(a, b)])
-
-
-def _scaled(scale, rows):
-    """Each row times its own scale (a lone row times a scalar)."""
-    return (rows.T * scale).T
+    """Re <a_j, b_j> of each pair of rows, one np.vdot per row, so that no
+    point's value depends on its batch."""
+    return np.fromiter(map(np.vdot, a, b), np.result_type(a, b), len(a)).real
 
 
 def _solve_core(split, points, c, tol, trace_cb=None, floors=None):
     """Interior-point loop on the directions posed on split, with
     objective c on them, for points that differ only in their constant
     blocks (points[j] lists those of point j), run in lockstep as one
-    batch: the iterates carry a leading batch axis, which a lone point
-    does without.  Returns each point's raw final state, in order;
+    batch: the iterates carry a leading batch axis, of length 1 for a
+    lone point.  Returns each point's raw final state, in order;
     trace_cb, when given, receives each iteration's row of each point.
 
     x is on the posed directions and the dual z comes back packed.
@@ -708,8 +691,7 @@ def _solve_core(split, points, c, tol, trace_cb=None, floors=None):
     """
     m = len(c)
     ntot = sum(split.sides)
-    lead = (len(points),) if len(points) > 1 else ()
-    fixed = np.stack([split.pack(f0s) for f0s in points]).reshape(lead + (-1,))
+    fixed = np.stack([split.pack(f0s) for f0s in points])
     floors = [-np.inf] * len(points) if floors is None else floors
     dtype = np.result_type(fixed.dtype, split.stack.dtype)
     # per solve, not cached on split: concurrent solves share it
@@ -722,16 +704,16 @@ def _solve_core(split, points, c, tol, trace_cb=None, floors=None):
     scale = np.array(
         [1.0 + np.sqrt(sum(np.linalg.norm(f0) ** 2 for f0 in f0s)) for f0s in points]
     )
-    x = np.zeros(lead + (m,))
+    x = np.zeros((len(points), m))
     eye = split.identity(fixed.dtype)
-    slack = scale.reshape(lead + (1,)) * eye
+    slack = scale[:, None] * eye
 
     tvec = split.trace_pairs(eye)
     denom = tvec @ tvec
     tau = (c @ tvec) / denom if denom > 1e-300 else 1.0
     if not np.isfinite(tau) or tau <= 1e-10:
         tau = 1.0
-    zdual = np.tile(tau * eye, lead + (1,))
+    zdual = np.tile(tau * eye, (len(points), 1))
 
     c_scale = 1.0 + (np.abs(c).max() if m else 0.0)
     frac = 0.98
@@ -760,7 +742,7 @@ def _solve_core(split, points, c, tol, trace_cb=None, floors=None):
     def finish(j, status):
         # row j leaves with the iterate it holds, or with its point's best
         # one when that scores better and the loop did not converge
-        rec, out = best[live[j]], dict(rows[j], x=_rows(x)[j].copy(), z=_rows(zdual)[j].copy())
+        rec, out = best[live[j]], dict(rows[j], x=x[j].copy(), z=zdual[j].copy())
         if status not in ("converged", "unbounded") and rec is not None:
             cur_score = max(out["pinf"], out["dinf"])
             if np.isfinite(out["gap"]):
@@ -771,9 +753,24 @@ def _solve_core(split, points, c, tol, trace_cb=None, floors=None):
         results[live[j]].update(status=status, iterations=it)
         keep[j] = False
 
+    def breakdown(j, message):
+        if iterate_usable(best[live[j]]):
+            # so close to the boundary that factorization noise flips
+            # eigenvalue signs; the best iterate seen is already good
+            # enough for residual-based classification, so stop
+            trace_cb(rows[j])
+            finish(j, "stalled")
+        else:
+            results[live[j]] = {
+                "error": SdpNumericalError(message, iteration=it, diagnostics=rows[j])
+            }
+            keep[j] = False
+
     def drop():
         # the rows that go on, alone
         nonlocal live, x, slack, zdual, fixed, rp, rd, mu, rows, keep
+        if keep.all():
+            return
         live, x, slack, zdual, fixed, rp, rd, mu = (
             a[keep] for a in (live, x, slack, zdual, fixed, rp, rd, mu)
         )
@@ -781,20 +778,19 @@ def _solve_core(split, points, c, tol, trace_cb=None, floors=None):
         keep = keep[keep]
 
     def newton_step():
-        """The predictor-corrector step of every row, or the rows whose
-        factorizations broke down, each with its message."""
+        """The predictor-corrector step of every row, or None when the
+        factorizations of some rows broke down (breakdown)."""
         sviews, zviews = split.views(slack), split.views(zdual)
         try:
             chols = [np.linalg.cholesky(v) for v in sviews]
             cholz = [np.linalg.cholesky(v) for v in zviews]
         except np.linalg.LinAlgError:  # find the rows that broke
-            broken = []
-            for j, (s_j, z_j) in enumerate(zip(_rows(slack), _rows(zdual))):
+            for j, (s_j, z_j) in enumerate(zip(slack, zdual)):
                 try:
                     [np.linalg.cholesky(v) for v in split.views(s_j) + split.views(z_j)]
                 except np.linalg.LinAlgError:
-                    broken.append((j, "slack or dual iterate lost positive definiteness"))
-            return None, broken
+                    breakdown(j, "slack or dual iterate lost positive definiteness")
+            return None
         _require_finite([*chols, *cholz, slack, zdual])
         # per class, the inverse factors of S (first) and Z (second); S^-1
         inverses = [np.linalg.inv(np.stack(pair)) for pair in zip(chols, cholz)]
@@ -808,12 +804,10 @@ def _solve_core(split, points, c, tol, trace_cb=None, floors=None):
         def assemble(rows):
             schur[rows].fill(0)
             for stacks, si, z in zip(split.schur, sinv, zviews):
-                if rows.stop - rows.start < len(live):
-                    si, z = (a.reshape((-1,) + a.shape[-3:])[rows] for a in (si, z))
-                schur_block(stacks, si, z, schur[rows], work)
+                schur_block(stacks, si[rows], z[rows], schur[rows], work)
 
         assemble(slice(0, len(live)))
-        facts, broken = [], []
+        facts = []
         for j in range(len(live)):
             for jitter in (0, 1e-12):
                 if jitter:
@@ -825,17 +819,15 @@ def _solve_core(split, points, c, tol, trace_cb=None, floors=None):
                 except np.linalg.LinAlgError:
                     pass
             else:
-                broken.append((j, "Schur complement lost positive definiteness"))
-        if broken:
-            return None, broken
+                breakdown(j, "Schur complement lost positive definiteness")
+        if not keep.all():
+            return None
 
         def direction(kmat):
             v0 = kmat - rpz
             # Re Tr[F_i U] with U = S^-1 (K - Rp Z)
             rhs = split.trace_pairs(split.matmul(sinv, v0)) - rd
-            dx = np.array(
-                [sla.cho_solve(fact, r) for fact, r in zip(facts, _rows(rhs))]
-            ).reshape(rhs.shape)
+            dx = np.array([sla.cho_solve(fact, r) for fact, r in zip(facts, rhs)])
             ds = split.combine(dx) + rp
             v = kmat - split.matmul(ds, zviews)
             dz = split.herm(split.matmul(sinv, v))
@@ -843,15 +835,15 @@ def _solve_core(split, points, c, tol, trace_cb=None, floors=None):
             return dx, ds, dz
 
         def max_steps(ds, dz):
-            # (primal, dual) step of each row, a scalar each for a lone row
-            deltas = [np.stack(pair) for pair in zip(split.views(ds), split.views(dz))]
-            return np.array(_max_step(inverses, deltas))
+            # the (primal, dual) steps of the rows
+            pairs = zip(split.views(ds), split.views(dz))
+            return _max_step(inverses, [np.stack(pair) for pair in pairs])
 
         # predictor (affine scaling: K = -S Z)
         sz = split.matmul(sviews, zviews)
         dx_a, ds_a, dz_a = direction(-sz)
         ap_a, ad_a = max_steps(ds_a, dz_a)
-        mu_aff = _rowdot(zdual + _scaled(ad_a, dz_a), slack + _scaled(ap_a, ds_a)) / ntot
+        mu_aff = _rowdot(zdual + ad_a[:, None] * dz_a, slack + ap_a[:, None] * ds_a) / ntot
         sigma = np.array([
             min(1.0, max(0.0, (max(aff, 0.0) / mu_j) ** 3)) if mu_j > 0 else 0.0
             for aff, mu_j in zip(mu_aff, mu)
@@ -862,7 +854,7 @@ def _solve_core(split, points, c, tol, trace_cb=None, floors=None):
         kc.T[split.diag] += sigma * mu
         kc -= split.matmul(ds_a, dz_a)
         dx, ds, dz = direction(kc)
-        return (dx, ds, dz, sigma, np.minimum(1.0, frac * max_steps(ds, dz))), []
+        return dx, ds, dz, sigma, np.minimum(1.0, frac * max_steps(ds, dz))
 
     rp = rd = mu = None
     rows = []
@@ -870,19 +862,18 @@ def _solve_core(split, points, c, tol, trace_cb=None, floors=None):
     for it in range(1, policy.MAX_ITER + 1):
         if not keep.any():
             break
-        if not keep.all():
-            drop()
+        drop()
         fx = fixed + split.combine(x)
         rp = fx - slack
         rd = c - split.trace_pairs(zdual)
         # Tr[S Z] and Tr[F0 Z] as sums of S[p, q] conj(Z[p, q]): Z is
         # Hermitian
         mu = _rowdot(zdual, slack) / ntot
-        pobj = [float(c @ xj) for xj in _rows(x)]
+        pobj = [float(c @ xj) for xj in x]
         dobj = -_rowdot(zdual, fixed)
         gap = pobj - dobj
-        pinf = _rows(split.block_norms(rp)).max(axis=1) / scale[live]
-        dinf = np.abs(rd).max(axis=-1, initial=0.0).reshape(-1) / c_scale
+        pinf = split.block_norms(rp).max(axis=1) / scale[live]
+        dinf = np.abs(rd).max(axis=1, initial=0.0) / c_scale
         rows = []
         for j, p in enumerate(live):
             rows.append(dict(iteration=it, mu=mu[j], gap=gap[j], pobj=pobj[j],
@@ -891,14 +882,14 @@ def _solve_core(split, points, c, tol, trace_cb=None, floors=None):
             score = max(pinf[j], dinf[j], abs(gap[j]) / gscale)
             if best[p] is None or score < best[p]["score"]:
                 best[p] = dict(rows[j], score=score, gscale=gscale,
-                               x=_rows(x)[j].copy(), z=_rows(zdual)[j].copy())
+                               x=x[j].copy(), z=zdual[j].copy())
             if (
                 pinf[j] <= tol.feas_tol
                 and dinf[j] <= tol.feas_tol
                 and abs(gap[j]) <= tol.gap_tol * gscale
             ):
                 status = "converged"
-            elif pobj[j] < floors[p] and min_eigenvalue(_rows(fx)[j]) >= 0:
+            elif pobj[j] < floors[p] and min_eigenvalue(fx[j]) >= 0:
                 status = "unbounded"
             else:
                 # near-degenerate optima floor the dual residual a hair
@@ -916,39 +907,24 @@ def _solve_core(split, points, c, tol, trace_cb=None, floors=None):
         # the step of the rows that go on; rows whose factorizations break
         # down leave too, and the others take the step again without them
         step = None
-        while keep.any():
-            if not keep.all():
-                drop()
-            step, broken = newton_step()
-            for j, message in broken:
-                if iterate_usable(best[live[j]]):
-                    # so close to the boundary that factorization noise
-                    # flips eigenvalue signs; the best iterate seen is
-                    # already good enough for residual-based
-                    # classification, so stop
-                    trace_cb(rows[j])
-                    finish(j, "stalled")
-                else:
-                    results[live[j]] = {"error": SdpNumericalError(
-                        message, iteration=it, diagnostics=rows[j])}
-                    keep[j] = False
-            if step is not None:
-                break
+        while step is None and keep.any():
+            drop()
+            step = newton_step()
         if step is None:
             break
 
         dx, ds, dz, sigma, alphas = step
         alpha_p, alpha_d = alphas
-        for j, (p, a_p, a_d) in enumerate(zip(live, *alphas.reshape(2, -1))):
+        for j, (p, a_p, a_d) in enumerate(zip(live, alpha_p, alpha_d)):
             rows[j].update(sigma=sigma[j], alpha_p=a_p, alpha_d=a_d)
             trace_cb(rows[j])
             stalls[p] = stalls[p] + 1 if a_p < 1e-8 and a_d < 1e-8 else 0
             if stalls[p] >= 3:
                 finish(j, ITER_LIMIT)
         # the rows that stall leave with their iterate before the update
-        x = x + _scaled(alpha_p, dx)
-        slack = split.herm(slack + _scaled(alpha_p, ds))
-        zdual = split.herm(zdual + _scaled(alpha_d, dz))
+        x = x + alpha_p[:, None] * dx
+        slack = split.herm(slack + alpha_p[:, None] * ds)
+        zdual = split.herm(zdual + alpha_d[:, None] * dz)
 
     for j in np.flatnonzero(keep):
         finish(j, ITER_LIMIT)

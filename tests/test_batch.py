@@ -4,6 +4,7 @@ alone, bit for bit, whatever the batch holds or however --jobs cuts it."""
 
 import glob
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -76,6 +77,37 @@ def test_a_small_memory_budget_cuts_the_batches(alone, monkeypatch):
     monkeypatch.setattr(sdp, "feasibility_margin", spy)
     assert [_signature(rep) for rep in run_tests(family, SPEC)] == alone[0]
     assert sizes == [2] * 6 + [1]
+
+
+def test_parallel_parts_share_the_memory_budget(alone, monkeypatch):
+    # two parts run at once, so each batch is sized to half the budget:
+    # with room for four points, no more than four are in flight together
+    family = _families()[0]
+    shape = hierarchy.build_extension_problem(family[0], SPEC)[1]
+    shared, one = (
+        hierarchy.required_resources(3, 3, SPEC, shape.grading, points)["stack_bytes"]
+        for points in (0, 1)
+    )
+    monkeypatch.setattr(hierarchy, "MEMORY_BUDGET_BYTES", shared + 4 * (one - shared) + 1)
+    lock, sizes, flight = threading.Lock(), [], [0, 0]
+    solve = sdp.feasibility_margin
+
+    def spy(problem, **kwargs):
+        size = len(problem) if isinstance(problem, list) else 1
+        with lock:
+            sizes.append(size)
+            flight[0] += size
+            flight[1] = max(flight)
+        try:
+            return solve(problem, **kwargs)
+        finally:
+            with lock:
+                flight[0] -= size
+
+    monkeypatch.setattr(sdp, "feasibility_margin", spy)
+    assert [_signature(rep) for rep in run_tests(family, SPEC, jobs=2)] == alone[0]
+    assert sorted(sizes) == [1] + [2] * 6
+    assert flight[1] <= 4
 
 
 def _rows(out_dir):

@@ -442,14 +442,16 @@ def test_stacked_step_lengths_equal_the_per_block_ones():
         chol = np.linalg.cholesky(g @ g.conj().T + 0.1 * np.eye(n))
         return chol, herm(rand(n, dtype)) * rng.choice([0.05, 3.0])
 
-    # stacks of shape (2, g, n, n), as the solver passes one side class
-    every = []
+    # stacks of shape (2, g, n, n), as the solver passes for one side class
+    every, classes = [], ([], [])
     for n, dtype, g in [(3, float, 2), (5, complex, 2), (1, float, 3),
                         (4, complex, 1), (1, complex, 2)]:
         pairs = [[pair(n, dtype) for _ in range(g)] for _ in range(2)]
         chols = np.array([[c for c, _ in row] for row in pairs])
         deltas = np.array([[d for _, d in row] for row in pairs])
-        steps = sdp._max_step(np.linalg.inv(chols), deltas)
+        steps = sdp._max_step([np.linalg.inv(chols)], [deltas])
+        classes[0].append(np.linalg.inv(chols))
+        classes[1].append(deltas)
         reference = []
         for row in pairs:
             lams = []
@@ -460,11 +462,13 @@ def test_stacked_step_lengths_equal_the_per_block_ones():
             lam = min(lams)
             reference.append(1.0 if lam >= -1e-14 else min(1.0, -1.0 / lam))
         assert np.allclose(steps, reference, rtol=1e-12, atol=0)
-        every += steps
+        every.append(steps)
+    # every class at once: the least step over the classes
+    assert np.array_equal(sdp._max_step(*classes), np.min(every, axis=0))
     # a direction that keeps X positive for every step: alpha = 1
     inverse = np.linalg.inv(pair(3, float)[0])
-    assert sdp._max_step(inverse[None, None], np.eye(3)[None, None]) == [1.0]
-    assert min(every) < 0.5
+    assert sdp._max_step([inverse[None, None]], [np.eye(3)[None, None]]).tolist() == [1.0]
+    assert np.min(every) < 0.5
 
 
 def _counting(calls, name, fn):

@@ -229,7 +229,8 @@ def test_cholesky_runs_twice_per_side_class_and_iteration(monkeypatch):
     assert max(classes) == 9
     factors = out.iterations - 1  # the last iteration only tests convergence
     assert len(calls) == 2 * len(classes) * factors
-    assert {shape[1:] for shape in calls} == {(s, s) for s in classes}
+    # each call takes a class's (g, s, s) stack of the lone point's batch
+    assert set(calls) == {(1, g, s, s) for s, g in classes.items()}
 
 
 def test_concurrent_sweep_points_share_one_split(monkeypatch):
