@@ -14,6 +14,7 @@ message naming the offending part; internal solver failures exit 70.
 """
 
 import argparse
+import functools
 import os
 import sys
 
@@ -60,7 +61,10 @@ EXIT_SOFTWARE = 70
 STATUS_EXIT = {SEPARABLE_CONSISTENT: 0, ENTANGLED: 1, MARGINAL: 2}
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser():
+    """The argument parser, built on first use and then reused: parsing
+    keeps no state in it, each call filling a fresh namespace."""
     # input paths are normalized, so one file spelled two ways is one job
     path = os.path.normpath
     common = argparse.ArgumentParser(add_help=False)

@@ -235,8 +235,7 @@ def required_resources(d_a, d_b, spec, grading=None, points=1):
       * the dense transients of the largest Schur assembly chunk
         (sdp.schur_chunk(m + 1, e, 16) columns for the e = g n^2 entries
         of the g blocks of side n), about sdp.SCHUR_CHUNK_BYTES;
-      * the (m + 1) x (m + 1) Schur matrix, factored in place, and the
-        boolean mask of the factorization's finite check.
+      * the (m + 1) x (m + 1) Schur matrix, factored in place.
 
     The pinned part and the witness map act through the sparse unit maps
     the stacks are built from (_trace_down, _copy_image), which hold no
@@ -259,7 +258,7 @@ def required_resources(d_a, d_b, spec, grading=None, points=1):
         symmetric_subspace_dim(d_a, l) * symmetric_subspace_dim(d_a, k - l) * d_b
         for l, _ in descs
     ]
-    schur_bytes = 9 * (m + 1) ** 2
+    schur_bytes = 8 * (m + 1) ** 2
     counted = schur_bytes <= MEMORY_BUDGET_BYTES
     nnz = [
         int(_entries_per_direction(d_a, d_b, k, l)[posed].sum()) if counted else 0
@@ -341,7 +340,7 @@ def _entries_per_direction(d_a, d_b, k, l):
     one entry of B for a diagonal e and two for a pair, U_t x E + h.c.
     twice, its two terms sharing no entry.  Cached and read-only.
     """
-    per_unit = np.diff(_copy_image(d_a, k, l).indptr)
+    per_unit = np.diff(_copy_image(d_a, k, l).indptr)  # one column per unit
     counts = []
     for kind in _directions(d_a, d_b, k):
         per_row = np.add.reduceat(per_unit[kind.vecs.indices], kind.vecs.indptr[:-1])
@@ -462,8 +461,9 @@ def _trace_down(d, k):
 def _copy_image(d, k, l):
     """The map X -> comp^T PT_(1..l)(iso X iso^T) comp from operators X on
     Sym_k(C^d) to the copy side of the block with l transposed copies, as
-    a sparse (dsym^2, side^2) matrix acting on row-major vecs; iso is the
-    isometry of Sym_k and comp that of Sym_l x Sym_(k-l).
+    a sparse (side^2, dsym^2) matrix M on row-major vecs, vec(image) =
+    M vec(X), in CSC form; iso is the isometry of Sym_k and comp that of
+    Sym_l x Sym_(k-l).
 
     Sym_k sits in Sym_l x Sym_(k-l) through the overlaps
     <alpha, beta | alpha + beta> = sqrt(N(alpha) N(beta) / N(alpha + beta)),
@@ -472,6 +472,7 @@ def _copy_image(d, k, l):
     in Sym_l, b, b' in Sym_(k-l)): each entry of the image comes from
     exactly one entry of X.  Cached: the stack build, the entry count and
     the extension re-check share one matrix per (d, k, l) and only read it.
+    Its transpose, a CSR view of the same arrays, is the adjoint's map.
     """
     occ_l, occ_r = _occupations(d, l), _occupations(d, k - l)
     sums = occ_l[:, None, :] + occ_r[None, :, :]
@@ -492,13 +493,13 @@ def _copy_image(d, k, l):
     return sps.csr_array(
         (coef[ca, rb] * coef[ra, cb], (rows, np.arange(side * side))),
         shape=(dsym * dsym, side * side),
-    )
+    ).T
 
 
 @functools.lru_cache(maxsize=64)
 def _trace_one_copy(d, k):
     """The trace over one copy, from operators on Sym_k(C^d) to operators
-    on Sym_(k-1)(C^d), as a sparse (dsym_k^2, dsym_(k-1)^2) matrix acting
+    on Sym_(k-1)(C^d), as a sparse (dsym_(k-1)^2, dsym_k^2) matrix acting
     on row-major vecs as _copy_image does.
 
     Splitting off the last copy, |mu> = sum_c sqrt(mu_c / k) |mu - c> x |c>,
@@ -519,18 +520,18 @@ def _trace_one_copy(d, k):
     return sps.csr_array(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n * n, n_low * n_low),
-    )
+    ).T
 
 
 def _map_copies(ext, cmap, d_b, transpose_b=False):
     """Apply cmap, a map from operators on C^n to those on C^n' given as
-    an (n^2, n'^2) matrix on row-major vecs (_copy_image, _trace_one_copy,
-    the pinned-part map of ExtensionShape, or a transpose of one), to an
-    operator on C^n x B, one B entry at a time; B is transposed as well
-    when transpose_b is set."""
-    n, n_out = math.isqrt(cmap.shape[0]), math.isqrt(cmap.shape[1])
+    an (n'^2, n^2) matrix on row-major vecs (_copy_image, _trace_one_copy,
+    a map ExtensionShape holds, or a transpose of one), to an operator on
+    C^n x B, one B entry at a time; B is transposed as well when
+    transpose_b is set."""
+    n_out, n = math.isqrt(cmap.shape[0]), math.isqrt(cmap.shape[1])
     vecs = ext.reshape(n, d_b, n, d_b).transpose(0, 2, 1, 3).reshape(n * n, -1)
-    out = (cmap.T @ vecs).reshape(n_out, n_out, d_b, d_b)
+    out = (cmap @ vecs).reshape(n_out, n_out, d_b, d_b)
     axes = (0, 3, 1, 2) if transpose_b else (0, 2, 1, 3)
     return out.transpose(axes).reshape(n_out * d_b, n_out * d_b)
 
@@ -551,11 +552,18 @@ def torus_grading(rho):
     pair with phi, the rest with psi.  A weight w (an integer vector over
     the same d_a + d_b slots) is invariant iff w @ grading == 0.  Every
     state is invariant under phi = 1 and under psi = 1, so the torus has
-    dimension r - 2, and None stands for r = 2.
+    dimension r - 2, and None stands for r = 2.  Cached on the zero
+    pattern, so states that share their zeros share one read-only array.
     """
-    d_a, d_b = rho.dim_a, rho.dim_b
+    return _torus_grading(rho.dim_a, rho.dim_b, (rho.matrix != 0).tobytes())
+
+
+@functools.lru_cache(maxsize=64)
+def _torus_grading(d_a, d_b, pattern):
+    """torus_grading of the states whose nonzero entries are pattern, the
+    bytes of a boolean (d_a d_b, d_a d_b) array."""
     n = d_a + d_b
-    rows, cols = np.nonzero(rho.matrix)
+    rows, cols = np.nonzero(np.frombuffer(pattern, bool).reshape(d_a * d_b, -1))
     (ia, ib), (ka, kb) = np.divmod(rows, d_b), np.divmod(cols, d_b)
     eye_a, eye_b = np.eye(d_a, dtype=np.int64), np.eye(d_b, dtype=np.int64)
     diffs = np.hstack([eye_a[ia] - eye_a[ka], eye_b[ib] - eye_b[kb]])
@@ -586,7 +594,9 @@ def torus_grading(rho):
             gen[p] = -row[f] * scale // row[p]
         g = math.gcd(*gen)
         gens.append([a // g for a in gen])
-    return np.array(gens, dtype=np.int64).T
+    grading = np.array(gens, dtype=np.int64).T
+    grading.flags.writeable = False
+    return grading
 
 
 def _random_hermitian(rng, n):
@@ -600,15 +610,18 @@ class ExtensionShape:
     rho enters only through the trace-down constraint, which pins the F0
     blocks, and through its torus (grading, from torus_grading, or None).
     Everything else is fixed by (d_a, d_b, k, ppt, grading): the map
-    (T T^T)^-1 T, T the trace-down map on the units of Sym_k(A), its Gram
+    T^T (T T^T)^-1, T the trace-down map on the units of Sym_k(A), its Gram
     factored once (a Gram that is not positive definite is an
     AssemblyError: T must be onto the operators on A); the copy maps of
     the blocks (_copy_image); the block descriptors; and stacks, one
     sdp.DirectionStacks of the posed directions (those the torus fixes,
-    every one without it), built in one pass per block.  m counts every
-    free direction, stacks.m the posed ones, which the gate counts.
-    pinned_blocks is the per-state step, dual_pairing its adjoint, and
-    pairing_violation checks a certificate on every free direction.
+    every one without it), built in one pass per block.  Each map, and
+    the transpose the adjoint applies, is held as _map_copies applies it,
+    so no call transposes a sparse matrix.  m counts every free direction,
+    stacks.m the posed ones, which the gate counts.  pinned_blocks is the
+    per-state step, dual_pairing its adjoint, extension the extension a
+    solution stands for, and pairing_violation checks a certificate on
+    every free direction.
     """
 
     def __init__(self, d_a, d_b, spec, grading=None):
@@ -627,6 +640,8 @@ class ExtensionShape:
                 resources=res,
             )
         self.stacks = sdp.DirectionStacks(self._build_stacks())
+        # the plain block's directions as columns, for extension
+        self._plain = self.stacks[0].T
         self._check_adjointness()
 
     # -- construction ----------------------------------------------------
@@ -643,9 +658,11 @@ class ExtensionShape:
                 "trace-down Gram T T^T is not positive definite: the map is "
                 "not onto the operators on A"
             ) from None
-        # (T T^T)^-1 T: its transpose takes rho to the minimum-norm solution
-        # of the trace-down constraint, one B entry at a time
-        self._pin = sps.csr_array(sla.cho_solve((factor, True), trace_down.toarray()))
+        # T^T (T T^T)^-1 takes rho to the minimum-norm solution of the
+        # trace-down constraint, one B entry at a time; its transpose is the
+        # adjoint's map.  Every map is held as _map_copies applies it
+        self._pin = sps.csr_array(sla.cho_solve((factor, True), trace_down.toarray())).T
+        self._pin_adjoint = self._pin.T
         # with a grading, each posed direction's number among them; only the
         # A rows that hold one are carried to the copy sides
         posed = None if self.grading is None else _posed(d_a, d_b, k, self.grading)
@@ -658,9 +675,10 @@ class ExtensionShape:
         # negative of a nonzero one, so the two share no entry
         descs = transpose_descriptors(k, self.spec.ppt)
         self._images = {l: _copy_image(d_a, k, l) for l, _ in descs}
+        self._adjoints = {l: image.T for l, image in self._images.items()}
         stacks = []
         for l, tb in descs:
-            side_a = math.isqrt(self._images[l].shape[1])
+            side_a = math.isqrt(self._images[l].shape[0])
             side = side_a * d_b
             parts, offset = [], 0
             for kind in _directions(d_a, d_b, k):
@@ -671,7 +689,7 @@ class ExtensionShape:
                     used = posed[offset:offset + size].reshape(-1, kind.width)
                     used = np.flatnonzero(used.any(axis=1))
                     vecs = vecs[used]
-                coo = (vecs @ self._images[l]).tocoo()
+                coo = (vecs @ self._adjoints[l]).tocoo()
                 r, s = np.divmod(coo.col, side_a)
                 arow = coo.row if used is None else used[coo.row]
                 row = (offset + arow[:, None] * kind.width + kind.bdir).ravel()
@@ -724,6 +742,11 @@ class ExtensionShape:
             for d in self.descriptors
         ]
 
+    def extension(self, f0, x):
+        """The plain block F0_0 + sum_i x_i F_i,0 of the posed directions:
+        the extension on Sym_k(A) x B that x stands for."""
+        return f0 + (self._plain @ x).reshape(f0.shape)
+
     def dual_pairing(self, z_blocks):
         """Witness operator (unnormalized) from certificate blocks: the
         exact adjoint of pinned_blocks in the trace pairing.
@@ -735,7 +758,7 @@ class ExtensionShape:
         Sym_k(A) x B; the transposed pinned-part map (T T^T)^-1 T takes
         their sum to A x B, and one more transpose gives the adjoint.
         """
-        return _map_copies(self._adjoint_image(z_blocks), self._pin.T, self.d_b).T
+        return _map_copies(self._adjoint_image(z_blocks), self._pin_adjoint, self.d_b).T
 
     def _adjoint_image(self, z_blocks):
         """The transpose of Y = sum_b Gamma_b^dag(Z_b) on Sym_k(A) x B,
@@ -743,7 +766,7 @@ class ExtensionShape:
         each block applied to Z_b^T one B entry at a time, B transposed
         back on tb blocks."""
         return sum(
-            _map_copies(np.asarray(z).T, self._images[d.a_transposed].T, self.d_b,
+            _map_copies(np.asarray(z).T, self._adjoints[d.a_transposed], self.d_b,
                         d.b_transposed)
             for d, z in zip(self.descriptors, z_blocks)
         )
@@ -772,26 +795,36 @@ class ExtensionShape:
 
 
 _shape_lock = threading.Lock()
-_shape_memo = None  # (key, ExtensionShape) of the last shape built
+# key -> (ExtensionShape, its shared bytes), least recently used first
+_shape_memo = {}
 
 
 def extension_shape(d_a, d_b, spec, grading=None):
-    """The ExtensionShape for (d_a, d_b, spec, grading), reused while
-    consecutive callers ask for the same one, as the points of a sweep,
-    which share their zeros and so their grading, do.
+    """The ExtensionShape for (d_a, d_b, spec, grading), reused whenever a
+    caller asks for one that is kept: the points of a sweep, which share
+    their zeros and so their grading, and runs that alternate a few shapes.
 
-    One entry is kept: it is released before a different shape is built,
-    so the memo never holds two shapes.  The lock makes concurrent callers
-    that want the same shape wait for a single build.
+    Shapes are kept within MEMORY_BUDGET_BYTES, by the gate's own
+    estimates.  Before a shape is built, the least recently used ones are
+    released until the bytes the kept ones share among their points
+    (required_resources at points=0) and the full estimate of the new one
+    fit the budget together.  The lock makes concurrent callers that want
+    the same shape wait for a single build.
     """
-    global _shape_memo
     torus = None if grading is None else (grading.shape, grading.tobytes())
     key = (d_a, d_b, spec, torus)
     with _shape_lock:
-        if _shape_memo is None or _shape_memo[0] != key:
-            _shape_memo = None
-            _shape_memo = (key, ExtensionShape(d_a, d_b, spec, grading))
-        return _shape_memo[1]
+        if key not in _shape_memo:
+            need = required_resources(d_a, d_b, spec, grading)["stack_bytes"]
+            while _shape_memo and (
+                sum(kept for _, kept in _shape_memo.values()) + need > MEMORY_BUDGET_BYTES
+            ):
+                del _shape_memo[next(iter(_shape_memo))]
+            shared = required_resources(d_a, d_b, spec, grading, points=0)["stack_bytes"]
+            _shape_memo[key] = (ExtensionShape(d_a, d_b, spec, grading), shared)
+        # most recently used last
+        _shape_memo[key] = _shape_memo.pop(key)
+        return _shape_memo[key][0]
 
 
 def build_extension_problem(rho, spec):
@@ -936,8 +969,7 @@ def _report(rho, problem, shape, spec, outcome):
         metadata=metadata,
     )
     if outcome.status == sdp.FEASIBLE:
-        f0 = problem.f0s[0]
-        ext = f0 + (problem.fs[0].T @ outcome.x).reshape(f0.shape)
+        ext = shape.extension(problem.f0s[0], outcome.x)
         checks = check_extension_properties(ext, rho, spec.k, spec.ppt)
         if not checks["passed"]:
             raise SolverFailure(

@@ -52,7 +52,10 @@ stack, and the classes lie one after another in one packed vector
 (BlockSplit, built once per stacks, posed rows and partition).  Per
 iteration, each class's S and Z are factored once (Cholesky) and their
 triangular factors inverted once; S^-1, the direction solves and the
-step-length eigenvalues are batched calls over the class's stack.
+step-length eigenvalues are batched calls over the class's stack.  The
+components of side 1 are diagonal, so their class runs elementwise: a
+square root, a reciprocal, products, and each entry its own eigenvalue,
+the bits LAPACK gives.
 Residuals, updates and Hermitian parts act on the packed vector at once,
 and so do the sparse products with the directions (F(x), the trace
 pairings and the margin solve's dual projection), through the split's
@@ -66,11 +69,14 @@ SDP", Math. Program. 79, 1997): one sparse product with Z, one batched
 dense product with S^-1, and one sparse contraction against the stack.
 The assembly runs over chunks of direction columns, so its dense
 transients come to about SCHUR_CHUNK_BYTES, whatever m is.  Each solve
-allocates one Fortran-ordered m x m buffer, which every iteration
-assembles into and factors in place: scipy's cho_factor and cho_solve,
-which the Schur matrix alone goes through, copy nothing.  The finite
-checks run once per iteration, on the factors, the iterates and the
-directions.
+allocates one Fortran-ordered m x m buffer per point, which every
+iteration assembles into and factors in place with LAPACK's potrf, then
+solves with potrs: both are bound once per solve (scipy's
+get_lapack_funcs) and called with the arguments scipy's cho_factor and
+cho_solve pass, and neither copies the matrix.  The finite checks run
+once per iteration: on the assembled Schur matrices, through their least
+and largest entries, so that no mask is allocated; on the factors and
+the iterates; and on the directions.
 
 Problems that differ only in F0 (the points of a sweep) with one split
 run in lockstep as one batch (feasibility_margin on a list): the
@@ -543,13 +549,38 @@ def _max_step(inverses, deltas):
 
     The smallest eigenvalue of L^-1 delta L^-dag decides; each class's
     stack goes to np.linalg.eigvalsh at once, which reads the lower
-    triangle of each Hermitian product.
+    triangle of each Hermitian product.  A side-1 class's entry is its
+    own eigenvalue.
     """
     lams = functools.reduce(np.minimum, (
-        np.linalg.eigvalsh(inv @ delta @ inv.conj().swapaxes(-1, -2))[..., 0].min(axis=-1)
+        (inv * delta * inv.conj()).real[..., 0, 0].min(axis=-1) if inv.shape[-1] == 1
+        else np.linalg.eigvalsh(inv @ delta @ inv.conj().swapaxes(-1, -2))[..., 0].min(axis=-1)
         for inv, delta in zip(inverses, deltas)
     ))
     return np.minimum(1.0, -1.0 / np.minimum(lams, -1e-14))
+
+
+def _cholesky(stack):
+    """np.linalg.cholesky of a stack of (s, s) Hermitian matrices.  At
+    s = 1 the factor is the square root of the entry's real part, LAPACK's
+    bits: an entry <= 0 is refused, and a NaN passes."""
+    if stack.shape[-1] > 1:
+        return np.linalg.cholesky(stack)
+    if (stack.real <= 0).any():
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+    return np.sqrt(stack.real).astype(stack.dtype, copy=False)
+
+
+def _inverses(chols):
+    """The inverses of one class's Cholesky factors, a stack of shape
+    (2, ..., s, s) holding those of S first and those of Z second, and
+    S^-1 = L^-dag L^-1.  At s = 1 they are a reciprocal and a product,
+    LAPACK's bits."""
+    if chols.shape[-1] == 1:
+        inv = 1 / chols
+        return inv, inv[0].conj() * inv[0]
+    inv = np.linalg.inv(chols)
+    return inv, inv[0].conj().swapaxes(-1, -2) @ inv[0]
 
 
 def schur_chunk(m, entries, itemsize):
@@ -692,13 +723,14 @@ def _solve_core(split, points, c, tol, trace_cb=None, floors=None):
     m = len(c)
     ntot = sum(split.sides)
     fixed = np.stack([split.pack(f0s) for f0s in points])
-    floors = [-np.inf] * len(points) if floors is None else floors
+    floors = np.full(len(points), -np.inf) if floors is None else np.asarray(floors)
     dtype = np.result_type(fixed.dtype, split.stack.dtype)
     # per solve, not cached on split: concurrent solves share it
     work = schur_workspace(split.schur, dtype, len(points))
-    # one Fortran-ordered m x m Schur matrix per point
+    # one Fortran-ordered m x m Schur matrix per point, factored in place by
+    # LAPACK with the arguments scipy's cho_factor and cho_solve pass
     schur = np.empty((len(points), m, m)).transpose(0, 2, 1)
-    trace_cb = trace_cb or (lambda row: None)
+    potrf, potrs = sla.get_lapack_funcs(("potrf", "potrs"), (schur[0],))
 
     # the start's beta = 1 + ||F0|| is also the primal residual's scale
     scale = np.array(
@@ -719,19 +751,30 @@ def _solve_core(split, points, c, tol, trace_cb=None, floors=None):
     frac = 0.98
     live = np.arange(len(points))  # the point of each row
     keep = np.ones(len(points), bool)  # the rows that go on
-    stalls = [0] * len(points)
-    floor_hits = [0] * len(points)
-    best = [None] * len(points)
+    stalls = np.zeros(len(points), int)
+    floor_hits = np.zeros(len(points), int)
+    # each point's best iterate so far and what scored it; an infinite
+    # score stands for none
+    best = {key: np.full(len(points), np.inf)
+            for key in ("score", "gscale", "gap", "pinf", "dinf", "mu")}
+    best.update(x=np.zeros_like(x), z=np.zeros_like(zdual))
     results = [None] * len(points)
+    rows = {}  # this iteration's record of each row, one array per field
 
-    def iterate_usable(rec):
-        # good enough for residual-based post-processing even though the
-        # strict convergence test did not fire
+    def row(j):
+        return {"iteration": it, **{key: val[j] for key, val in rows.items()}}
+
+    def trace(j):
+        if trace_cb is not None:
+            trace_cb(row(j))
+
+    def usable(p):
+        # point p's best iterate is good enough for residual-based
+        # post-processing even though the strict convergence test did not fire
         return (
-            rec is not None
-            and rec["pinf"] <= policy.USABLE_RESIDUAL
-            and rec["dinf"] <= policy.USABLE_RESIDUAL
-            and abs(rec["gap"]) <= policy.USABLE_GAP * rec["gscale"]
+            (best["pinf"][p] <= policy.USABLE_RESIDUAL)
+            & (best["dinf"][p] <= policy.USABLE_RESIDUAL)
+            & (np.abs(best["gap"][p]) <= policy.USABLE_GAP * best["gscale"][p])
         )
 
     def min_eigenvalue(packed):
@@ -742,39 +785,41 @@ def _solve_core(split, points, c, tol, trace_cb=None, floors=None):
     def finish(j, status):
         # row j leaves with the iterate it holds, or with its point's best
         # one when that scores better and the loop did not converge
-        rec, out = best[live[j]], dict(rows[j], x=x[j].copy(), z=zdual[j].copy())
-        if status not in ("converged", "unbounded") and rec is not None:
+        p = live[j]
+        out = dict(x=x[j].copy(), z=zdual[j].copy(), gap=rows["gap"][j],
+                   pinf=rows["pinf"][j], dinf=rows["dinf"][j], mu=rows["mu"][j])
+        if status not in ("converged", "unbounded"):
             cur_score = max(out["pinf"], out["dinf"])
             if np.isfinite(out["gap"]):
-                cur_score = max(cur_score, abs(out["gap"]) / rec["gscale"])
-            if rec["score"] < cur_score:
-                out = rec
-        results[live[j]] = {k: out[k] for k in ("x", "z", "gap", "pinf", "dinf", "mu")}
-        results[live[j]].update(status=status, iterations=it)
+                cur_score = max(cur_score, abs(out["gap"]) / best["gscale"][p])
+            if best["score"][p] < cur_score:
+                out = {key: best[key][p].copy() for key in out}
+        results[p] = dict(out, status=status, iterations=it)
         keep[j] = False
 
     def breakdown(j, message):
-        if iterate_usable(best[live[j]]):
+        if usable(live[j]):
             # so close to the boundary that factorization noise flips
             # eigenvalue signs; the best iterate seen is already good
             # enough for residual-based classification, so stop
-            trace_cb(rows[j])
+            trace(j)
             finish(j, "stalled")
         else:
             results[live[j]] = {
-                "error": SdpNumericalError(message, iteration=it, diagnostics=rows[j])
+                "error": SdpNumericalError(message, iteration=it, diagnostics=row(j))
             }
             keep[j] = False
 
     def drop():
         # the rows that go on, alone
-        nonlocal live, x, slack, zdual, fixed, rp, rd, mu, rows, keep
+        nonlocal live, x, slack, zdual, fixed, rp, rd, keep
         if keep.all():
             return
-        live, x, slack, zdual, fixed, rp, rd, mu = (
-            a[keep] for a in (live, x, slack, zdual, fixed, rp, rd, mu)
+        live, x, slack, zdual, fixed, rp, rd = (
+            a[keep] for a in (live, x, slack, zdual, fixed, rp, rd)
         )
-        rows = [row for row, k in zip(rows, keep) if k]
+        for key in rows:
+            rows[key] = rows[key][keep]
         keep = keep[keep]
 
     def newton_step():
@@ -782,42 +827,44 @@ def _solve_core(split, points, c, tol, trace_cb=None, floors=None):
         factorizations of some rows broke down (breakdown)."""
         sviews, zviews = split.views(slack), split.views(zdual)
         try:
-            chols = [np.linalg.cholesky(v) for v in sviews]
-            cholz = [np.linalg.cholesky(v) for v in zviews]
+            chols = [_cholesky(v) for v in sviews]
+            cholz = [_cholesky(v) for v in zviews]
         except np.linalg.LinAlgError:  # find the rows that broke
             for j, (s_j, z_j) in enumerate(zip(slack, zdual)):
                 try:
-                    [np.linalg.cholesky(v) for v in split.views(s_j) + split.views(z_j)]
+                    [_cholesky(v) for v in split.views(s_j) + split.views(z_j)]
                 except np.linalg.LinAlgError:
                     breakdown(j, "slack or dual iterate lost positive definiteness")
             return None
         _require_finite([*chols, *cholz, slack, zdual])
         # per class, the inverse factors of S (first) and Z (second); S^-1
-        inverses = [np.linalg.inv(np.stack(pair)) for pair in zip(chols, cholz)]
-        sinv = [inv[0].conj().swapaxes(-1, -2) @ inv[0] for inv in inverses]
+        inverses, sinv = map(list, zip(*(_inverses(np.stack(pair)) for pair in zip(chols, cholz))))
         rpz = split.matmul(split.views(rp), zviews)
 
         # Schur complement M_ij = sum Re Tr[F_i S^-1 F_j Z] (symmetric
         # positive definite) of each row over the classes, factored in
         # place; a failed factorization has overwritten it, so the
         # jittered retry assembles that row's again, alone
-        def assemble(rows):
-            schur[rows].fill(0)
+        def assemble(sel):
+            schur[sel].fill(0)
             for stacks, si, z in zip(split.schur, sinv, zviews):
-                schur_block(stacks, si[rows], z[rows], schur[rows], work)
+                schur_block(stacks, si[sel], z[sel], schur[sel], work)
 
         assemble(slice(0, len(live)))
+        # one finite check of every row's Schur matrix, on its extremes,
+        # which a NaN or an infinity reaches: no mask is allocated
+        assembled = schur[:len(live)]
+        _require_finite([assembled.min(), assembled.max()])
         facts = []
         for j in range(len(live)):
             for jitter in (0, 1e-12):
                 if jitter:
                     assemble(slice(j, j + 1))
                     schur[j][np.diag_indices(m)] += jitter * max(1.0, np.trace(schur[j]) / m)
-                try:
-                    facts.append(sla.cho_factor(schur[j], overwrite_a=True))
+                fact, info = potrf(schur[j], lower=False, overwrite_a=True, clean=False)
+                if not info:
+                    facts.append(fact)
                     break
-                except np.linalg.LinAlgError:
-                    pass
             else:
                 breakdown(j, "Schur complement lost positive definiteness")
         if not keep.all():
@@ -827,7 +874,9 @@ def _solve_core(split, points, c, tol, trace_cb=None, floors=None):
             v0 = kmat - rpz
             # Re Tr[F_i U] with U = S^-1 (K - Rp Z)
             rhs = split.trace_pairs(split.matmul(sinv, v0)) - rd
-            dx = np.array([sla.cho_solve(fact, r) for fact, r in zip(facts, rhs)])
+            dx = np.array([
+                potrs(fact, r, lower=False, overwrite_b=False)[0] for fact, r in zip(facts, rhs)
+            ])
             ds = split.combine(dx) + rp
             v = kmat - split.matmul(ds, zviews)
             dz = split.herm(split.matmul(sinv, v))
@@ -836,8 +885,7 @@ def _solve_core(split, points, c, tol, trace_cb=None, floors=None):
 
         def max_steps(ds, dz):
             # the (primal, dual) steps of the rows
-            pairs = zip(split.views(ds), split.views(dz))
-            return _max_step(inverses, [np.stack(pair) for pair in pairs])
+            return _max_step(inverses, split.views(np.stack((ds, dz))))
 
         # predictor (affine scaling: K = -S Z)
         sz = split.matmul(sviews, zviews)
@@ -846,18 +894,17 @@ def _solve_core(split, points, c, tol, trace_cb=None, floors=None):
         mu_aff = _rowdot(zdual + ad_a[:, None] * dz_a, slack + ap_a[:, None] * ds_a) / ntot
         sigma = np.array([
             min(1.0, max(0.0, (max(aff, 0.0) / mu_j) ** 3)) if mu_j > 0 else 0.0
-            for aff, mu_j in zip(mu_aff, mu)
+            for aff, mu_j in zip(mu_aff, rows["mu"])
         ])
 
         # corrector: K = sigma mu 1 - S Z - dS_a dZ_a
         kc = -sz
-        kc.T[split.diag] += sigma * mu
+        kc.T[split.diag] += sigma * rows["mu"]
         kc -= split.matmul(ds_a, dz_a)
         dx, ds, dz = direction(kc)
         return dx, ds, dz, sigma, np.minimum(1.0, frac * max_steps(ds, dz))
 
-    rp = rd = mu = None
-    rows = []
+    rp = rd = None
     it = 0
     for it in range(1, policy.MAX_ITER + 1):
         if not keep.any():
@@ -868,41 +915,37 @@ def _solve_core(split, points, c, tol, trace_cb=None, floors=None):
         rd = c - split.trace_pairs(zdual)
         # Tr[S Z] and Tr[F0 Z] as sums of S[p, q] conj(Z[p, q]): Z is
         # Hermitian
-        mu = _rowdot(zdual, slack) / ntot
-        pobj = [float(c @ xj) for xj in x]
+        pobj = np.array([c @ xj for xj in x])
         dobj = -_rowdot(zdual, fixed)
-        gap = pobj - dobj
-        pinf = split.block_norms(rp).max(axis=1) / scale[live]
-        dinf = np.abs(rd).max(axis=1, initial=0.0) / c_scale
-        rows = []
-        for j, p in enumerate(live):
-            rows.append(dict(iteration=it, mu=mu[j], gap=gap[j], pobj=pobj[j],
-                             dobj=dobj[j], pinf=pinf[j], dinf=dinf[j]))
-            gscale = max(1.0, abs(pobj[j]), abs(dobj[j]))
-            score = max(pinf[j], dinf[j], abs(gap[j]) / gscale)
-            if best[p] is None or score < best[p]["score"]:
-                best[p] = dict(rows[j], score=score, gscale=gscale,
-                               x=x[j].copy(), z=zdual[j].copy())
-            if (
-                pinf[j] <= tol.feas_tol
-                and dinf[j] <= tol.feas_tol
-                and abs(gap[j]) <= tol.gap_tol * gscale
-            ):
-                status = "converged"
-            elif pobj[j] < floors[p] and min_eigenvalue(fx[j]) >= 0:
-                status = "unbounded"
-            else:
-                # near-degenerate optima floor the dual residual a hair
-                # above feas_tol while complementarity keeps collapsing;
-                # once mu sits orders below anything the tolerances can
-                # use, more iterations only invite factorization failure
-                usable = iterate_usable(best[p]) and mu[j] <= 1e-11 * gscale
-                floor_hits[p] = floor_hits[p] + 1 if usable else 0
-                if floor_hits[p] < 2:
-                    continue
-                status = "stalled"
-            trace_cb(rows[j])
-            finish(j, status)
+        rows = dict(
+            mu=_rowdot(zdual, slack) / ntot, gap=pobj - dobj, pobj=pobj, dobj=dobj,
+            pinf=split.block_norms(rp).max(axis=1) / scale[live],
+            dinf=np.abs(rd).max(axis=1, initial=0.0) / c_scale,
+        )
+        gap, pinf, dinf = rows["gap"], rows["pinf"], rows["dinf"]
+        gscale = np.maximum(1.0, np.maximum(np.abs(pobj), np.abs(dobj)))
+        score = np.maximum(np.maximum(pinf, dinf), np.abs(gap) / gscale)
+        better = score < best["score"][live]
+        for key, val in dict(rows, score=score, gscale=gscale, x=x, z=zdual).items():
+            if key in best:
+                best[key][live[better]] = val[better]
+        converged = (pinf <= tol.feas_tol) & (dinf <= tol.feas_tol) & (
+            np.abs(gap) <= tol.gap_tol * gscale
+        )
+        unbounded = np.zeros_like(converged)
+        for j in np.flatnonzero(~converged & (pobj < floors[live])):
+            unbounded[j] = min_eigenvalue(fx[j]) >= 0
+        # near-degenerate optima floor the dual residual a hair above
+        # feas_tol while complementarity keeps collapsing; once mu sits
+        # orders below anything the tolerances can use, more iterations
+        # only invite factorization failure
+        rest = live[~converged & ~unbounded]
+        floored = usable(live) & (rows["mu"] <= 1e-11 * gscale)
+        floor_hits[rest] = np.where(floored[~converged & ~unbounded], floor_hits[rest] + 1, 0)
+        stalled = ~converged & ~unbounded & (floor_hits[live] >= 2)
+        for j in np.flatnonzero(converged | unbounded | stalled):
+            trace(j)
+            finish(j, "converged" if converged[j] else "unbounded" if unbounded[j] else "stalled")
 
         # the step of the rows that go on; rows whose factorizations break
         # down leave too, and the others take the step again without them
@@ -915,11 +958,11 @@ def _solve_core(split, points, c, tol, trace_cb=None, floors=None):
 
         dx, ds, dz, sigma, alphas = step
         alpha_p, alpha_d = alphas
-        for j, (p, a_p, a_d) in enumerate(zip(live, alpha_p, alpha_d)):
-            rows[j].update(sigma=sigma[j], alpha_p=a_p, alpha_d=a_d)
-            trace_cb(rows[j])
-            stalls[p] = stalls[p] + 1 if a_p < 1e-8 and a_d < 1e-8 else 0
-            if stalls[p] >= 3:
+        rows.update(sigma=sigma, alpha_p=alpha_p, alpha_d=alpha_d)
+        stalls[live] = np.where((alpha_p < 1e-8) & (alpha_d < 1e-8), stalls[live] + 1, 0)
+        for j in range(len(live)):
+            trace(j)
+            if stalls[live[j]] >= 3:
                 finish(j, ITER_LIMIT)
         # the rows that stall leave with their iterate before the update
         x = x + alpha_p[:, None] * dx

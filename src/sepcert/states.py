@@ -10,6 +10,8 @@ an exact witness whose expectation values on the family are known in
 closed form, which gives the test suite an independent oracle.
 """
 
+import functools
+
 import numpy as np
 
 from .hierarchy import DensityMatrix
@@ -69,11 +71,23 @@ def choi_family_state(alpha):
         raise ValueError(
             f"family parameter must lie in [0, 5] for a valid state, got {alpha}"
         )
-    pe = max_entangled(3).matrix
-    plus = sum(_proj(_ket(3, i, (i + 1) % 3)) for i in range(3)) / 3.0
-    minus = sum(_proj(_ket(3, (i + 1) % 3, i)) for i in range(3)) / 3.0
+    pe, plus, minus = _choi_family_parts()
     m = (2.0 / 7.0) * pe + (alpha / 7.0) * plus + ((5.0 - alpha) / 7.0) * minus
     return DensityMatrix(m, TensorSpace([3, 3]))
+
+
+@functools.lru_cache(maxsize=1)
+def _choi_family_parts():
+    """The maximally entangled projector and the two cyclic-shift
+    diagonals the 3x3 family mixes, built once; read-only."""
+    parts = (
+        max_entangled(3).matrix,
+        sum(_proj(_ket(3, i, (i + 1) % 3)) for i in range(3)) / 3.0,
+        sum(_proj(_ket(3, (i + 1) % 3, i)) for i in range(3)) / 3.0,
+    )
+    for part in parts:
+        part.flags.writeable = False
+    return parts
 
 
 def choi_family_witness():

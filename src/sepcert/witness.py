@@ -9,8 +9,8 @@ carry conjugated entries.  Both facts are checked numerically here rather
 than assumed.
 
 Also provides the local filtering family rho -> (A_g x 1) rho (A_g x 1)^dag
-with A_g = diag(1, g, ..., g), used to locate the detection threshold of a
-state along that family by bisection on the level-k verdict.
+with A_g = diag(1, g, ..., g), along which `sweep choi-scaled` scans the
+level-k verdict, and the witness transport that goes with it.
 """
 
 import math
@@ -299,71 +299,3 @@ def scale_witness(mat, space, gamma):
     np.fill_diagonal(inv, 1.0 / np.diag(inv))
     op = np.kron(inv, np.eye(db))
     return op.conj().T @ mat @ op
-
-
-def find_gamma_star(
-    rho,
-    spec,
-    tolerances=None,
-    resolution=5e-3,
-    gamma_hi=1.0,
-    gamma_floor=0.02,
-):
-    """Detection threshold along the filtering family by bisection.
-
-    The state must be detected (Entangled) at gamma_hi.  Probes shrink
-    gamma geometrically until the verdict flips, then bisection tightens
-    the bracket to the requested resolution.  A Marginal verdict is
-    retried at slightly offset points and, if persistent, counted on the
-    undetected side so the reported threshold never overclaims detection.
-    """
-    from . import hierarchy
-
-    evaluations = []
-
-    def verdict(g):
-        status = hierarchy.run_test(
-            scale_state(rho, g), spec, tolerances=tolerances
-        ).status
-        evaluations.append((g, status))
-        return status
-
-    def detected(g):
-        status = verdict(g)
-        if status == hierarchy.MARGINAL:
-            for bump in (1, 2, 3):
-                status = verdict(g - bump * resolution / 3.0)
-                if status != hierarchy.MARGINAL:
-                    break
-        return status == hierarchy.ENTANGLED
-
-    if not detected(gamma_hi):
-        raise ValueError(
-            f"state is not detected at gamma = {gamma_hi}; no threshold to find"
-        )
-    hi = gamma_hi
-    lo = None
-    g = gamma_hi
-    while g > gamma_floor:
-        g *= 0.7
-        if detected(g):
-            hi = g
-        else:
-            lo = g
-            break
-    if lo is None:
-        raise ValueError(
-            f"still detected at gamma = {g:.4f}; no undetected end of the "
-            "bracket above the floor"
-        )
-    while hi - lo > resolution:
-        mid = (hi + lo) / 2
-        if detected(mid):
-            hi = mid
-        else:
-            lo = mid
-    return {
-        "gamma_star": (hi + lo) / 2,
-        "bracket": (lo, hi),
-        "evaluations": evaluations,
-    }

@@ -11,7 +11,8 @@ embedding of the state, and the trace-down map is built by embedding
 and partially tracing one basis element at a time.  The symmetric
 isometry lifts the package's compressed extensions to the full copy
 space, where the defining properties are checked factor by factor.
-None of these is needed by the package itself.
+The detection threshold along the filter family is bracketed by
+bisection over run_test.  None of these is needed by the package itself.
 """
 
 import functools
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sepcert import sdp
+from sepcert import hierarchy, sdp
 from sepcert import tolerances as policy
 from sepcert.hierarchy import (
     ENTANGLED,
@@ -30,6 +31,7 @@ from sepcert.hierarchy import (
     transpose_descriptors,
 )
 from sepcert.posmaps import apply_map
+from sepcert.witness import scale_state
 from sepcert.tensorops import (
     FactorError,
     TensorSpace,
@@ -374,3 +376,69 @@ def trace_down_coefficients(d, k):
         for a in range(1, d * d):
             lmat[a, i] = np.einsum("pq,qp->", t, basis_a.elements[a]).real
     return lmat
+
+
+def find_gamma_star(
+    rho,
+    spec,
+    tolerances=None,
+    resolution=5e-3,
+    gamma_hi=1.0,
+    gamma_floor=0.02,
+):
+    """Detection threshold along the filtering family by bisection.
+
+    The state must be detected (Entangled) at gamma_hi.  Probes shrink
+    gamma geometrically until the verdict flips, then bisection tightens
+    the bracket to the requested resolution.  A Marginal verdict is
+    retried at slightly offset points and, if persistent, counted on the
+    undetected side so the reported threshold never overclaims detection.
+    """
+    evaluations = []
+
+    def verdict(g):
+        status = hierarchy.run_test(
+            scale_state(rho, g), spec, tolerances=tolerances
+        ).status
+        evaluations.append((g, status))
+        return status
+
+    def detected(g):
+        status = verdict(g)
+        if status == hierarchy.MARGINAL:
+            for bump in (1, 2, 3):
+                status = verdict(g - bump * resolution / 3.0)
+                if status != hierarchy.MARGINAL:
+                    break
+        return status == hierarchy.ENTANGLED
+
+    if not detected(gamma_hi):
+        raise ValueError(
+            f"state is not detected at gamma = {gamma_hi}; no threshold to find"
+        )
+    hi = gamma_hi
+    lo = None
+    g = gamma_hi
+    while g > gamma_floor:
+        g *= 0.7
+        if detected(g):
+            hi = g
+        else:
+            lo = g
+            break
+    if lo is None:
+        raise ValueError(
+            f"still detected at gamma = {g:.4f}; no undetected end of the "
+            "bracket above the floor"
+        )
+    while hi - lo > resolution:
+        mid = (hi + lo) / 2
+        if detected(mid):
+            hi = mid
+        else:
+            lo = mid
+    return {
+        "gamma_star": (hi + lo) / 2,
+        "bracket": (lo, hi),
+        "evaluations": evaluations,
+    }

@@ -21,7 +21,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import full_extension_verdict, gisin_family_witness
+from oracles import find_gamma_star, full_extension_verdict, gisin_family_witness
 from sepcert.cli import main
 from sepcert.decompose import INDECOMPOSABLE, decompose, extract_edge_state
 from sepcert.hierarchy import (
@@ -44,7 +44,6 @@ from sepcert.states import (
 )
 from sepcert.tensorops import partial_transpose, symmetric_subspace_dim
 from sepcert.witness import (
-    find_gamma_star,
     minimize_on_products,
     verify_ksos_identity,
 )

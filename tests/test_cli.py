@@ -437,6 +437,25 @@ def test_catalog_emit_rejects_bad_requests(tmp_path, capsys):
     assert "abc" in err
 
 
+def test_the_reused_parser_starts_every_call_from_its_defaults(tmp_path, capsys, monkeypatch):
+    # the parser is built once per process; a repeated option does not
+    # accumulate across calls, and a flag does not outlive its call
+    assert cli._build_parser() is cli._build_parser()
+    out_dir = str(tmp_path)
+    for alpha in ("2.5", "3.5"):
+        assert main(["catalog", "emit", "choi", "--param", f"alpha={alpha}",
+                     "--out", out_dir]) == 0
+    assert main(["catalog", "emit", "choi", "--out", out_dir]) == 0
+    out, _ = capsys.readouterr()
+    names = [os.path.basename(line.split()[-1]) for line in out.splitlines()]
+    assert names == ["choi-alpha2.5.mat", "choi-alpha3.5.mat", "choi.mat"]
+    seen = []
+    monkeypatch.setitem(cli.DISPATCH, "test", lambda args: seen.append(args) or 0)
+    assert main(["test", "rho.mat", "--no-ppt", "--k", "3"]) == 0
+    assert main(["test", "rho.mat"]) == 0
+    assert [(args.no_ppt, args.k) for args in seen] == [(True, 3), (False, 2)]
+
+
 def test_wrong_kind_is_named_in_the_error(files, tmp_path, capsys):
     assert main(["test", files["swap.mat"], "--out", str(tmp_path)]) == 64
     assert main(["decompose", files["choi35.mat"], "--out", str(tmp_path)]) == 64

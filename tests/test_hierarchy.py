@@ -197,7 +197,7 @@ def test_gate_counts_the_posed_problem():
     assert deeper["stack_bytes"] < hierarchy.MEMORY_BUDGET_BYTES
     dense = required_resources(3, 3, ExtensionSpec(k=7))
     assert dense["free_directions"] == 11583
-    assert round(dense["stack_bytes"] / 1e9, 2) == 2.72
+    assert round(dense["stack_bytes"] / 1e9, 2) == 2.58
     assert dense["stack_bytes"] > hierarchy.MEMORY_BUDGET_BYTES
     # without a grading the estimate is the one of every free direction
     assert required_resources(3, 3, ExtensionSpec(k=3)) == {
@@ -205,7 +205,7 @@ def test_gate_counts_the_posed_problem():
         "block_sides": [30, 54, 54, 30],
         "block_labels": ["plain", "ta1", "ta2", "tb"],
         "stored_entries": [2382, 7632, 7632, 2382],
-        "stack_bytes": 20464656,
+        "stack_bytes": 19792256,
         "schur_flops_per_iteration": 639044280.0,
     }
 
@@ -515,7 +515,15 @@ def test_states_of_one_shape_share_one_assembly():
             assert np.array_equal(fmat.toarray(), gmat.toarray())
 
 
-def test_building_another_shape_releases_the_previous_one():
+def test_building_another_shape_releases_the_previous_one(monkeypatch):
+    # a budget with room for one of the two shapes at a time: the bytes the
+    # first one keeps and the full estimate of the second are over it
+    specs = [ExtensionSpec(k=2), ExtensionSpec(k=3)]
+    budget = max(required_resources(2, 2, spec)["stack_bytes"] for spec in specs)
+    kept = required_resources(2, 2, specs[0], points=0)["stack_bytes"]
+    assert kept + required_resources(2, 2, specs[1])["stack_bytes"] > budget
+    monkeypatch.setattr(hierarchy, "_shape_memo", {})
+    monkeypatch.setattr(hierarchy, "MEMORY_BUDGET_BYTES", budget)
     problem = build_extension_problem(random_state(2, 2, seed=4), ExtensionSpec(k=2))[0]
     sdp.feasibility_margin(problem)  # builds the solver's split too
     refs = [weakref.ref(problem.fs), weakref.ref(margin_split(problem))]
@@ -524,6 +532,24 @@ def test_building_another_shape_releases_the_previous_one():
     build_extension_problem(random_state(2, 2, seed=4), ExtensionSpec(k=3))
     gc.collect()
     assert all(ref() is None for ref in refs)
+
+
+def test_alternating_shapes_are_built_once_each(monkeypatch):
+    # with room in the budget, a run that alternates two shapes (choi at
+    # k=3 and gisin at k=2, as in a deep detection pass) builds each once
+    builds = []
+
+    def counting_shape(*args, _orig=hierarchy.ExtensionShape):
+        builds.append(args[:3])
+        return _orig(*args)
+
+    monkeypatch.setattr(hierarchy, "_shape_memo", {})
+    monkeypatch.setattr(hierarchy, "ExtensionShape", counting_shape)
+    jobs = [(choi_family_state(3.5), ExtensionSpec(k=3)),
+            (gisin_family_state(3.0), ExtensionSpec(k=2))]
+    shapes = [[build_extension_problem(rho, spec)[1] for rho, spec in jobs] for _ in range(3)]
+    assert builds == [(3, 3, ExtensionSpec(k=3)), (4, 4, ExtensionSpec(k=2))]
+    assert all(row[0] is shapes[0][0] and row[1] is shapes[0][1] for row in shapes)
 
 
 def test_margin_solves_hold_one_layout_of_the_directions():
@@ -595,8 +621,8 @@ def test_concurrent_callers_build_one_shape_and_one_set_of_layouts(monkeypatch):
         relayouts.append(n)
         return _orig(fmat, n)
 
-    # leave a different shape in the memo, so the threads race to build
-    build_extension_problem(maximally_mixed(2, 2), ExtensionSpec(k=1))
+    # an empty shape memo, so the threads race to build
+    monkeypatch.setattr(hierarchy, "_shape_memo", {})
     monkeypatch.setattr(hierarchy, "ExtensionShape", CountingShape)
     monkeypatch.setattr(sdp, "schur_stacks", counting_schur_stacks)
     spec = ExtensionSpec(k=2)

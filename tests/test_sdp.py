@@ -488,10 +488,18 @@ def test_solver_calls_scipy_linalg_only_for_the_schur_system(monkeypatch):
         fn = getattr(sla, name)
         if inspect.isfunction(fn):
             monkeypatch.setattr(sla, name, _counting(calls, name, fn))
+    lapack = sla.get_lapack_funcs
+
+    def counted_lapack(names, arrays):
+        return [_counting(calls, name, fn) for name, fn in zip(names, lapack(names, arrays))]
+
+    monkeypatch.setattr(sla, "get_lapack_funcs", counted_lapack)
     out = feasibility_margin(problem)
     factors = out.iterations - 1  # the last iteration only tests convergence
-    # block-level work goes to numpy's batched linear algebra
-    assert dict(calls) == {"cho_factor": factors, "cho_solve": 2 * factors}
+    # block-level work goes to numpy's batched linear algebra; the Schur
+    # system's LAPACK routines are bound once per solve, and each iteration
+    # factors once and solves twice
+    assert dict(calls) == {"get_lapack_funcs": 1, "potrf": factors, "potrs": 2 * factors}
 
 
 def test_failed_schur_factorization_retries_on_a_fresh_assembly(monkeypatch):
@@ -503,21 +511,77 @@ def test_failed_schur_factorization_retries_on_a_fresh_assembly(monkeypatch):
     )
     plain = feasibility_margin(problem)
     calls = []
+    lapack = sla.get_lapack_funcs
 
-    def fail_first(a, **kwargs):
-        calls.append(len(calls))
-        if len(calls) % 2:
-            if kwargs.get("overwrite_a"):
-                a[:] = np.nan
-            raise np.linalg.LinAlgError("not positive definite")
-        return factor(a, **kwargs)
+    def failing_lapack(names, arrays):
+        potrf, potrs = lapack(names, arrays)
+        assert names == ("potrf", "potrs")
 
-    factor = sla.cho_factor
-    monkeypatch.setattr(sla, "cho_factor", fail_first)
+        def fail_first(a, **kwargs):
+            calls.append(len(calls))
+            if len(calls) % 2:
+                if kwargs.get("overwrite_a"):
+                    a[:] = np.nan
+                return a, 1  # LAPACK: the leading minor of order 1 is not positive
+            return potrf(a, **kwargs)
+
+        return fail_first, potrs
+
+    monkeypatch.setattr(sla, "get_lapack_funcs", failing_lapack)
     out = feasibility_margin(problem)
     assert len(calls) == 2 * (plain.iterations - 1)
     assert (out.status, out.iterations) == (plain.status, plain.iterations)
     assert abs(out.margin_t - plain.margin_t) <= 1e-9
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_schur_matrix_raises_the_finite_check_error(monkeypatch, bad):
+    # the error scipy's cho_factor raised on its own finite check
+    problem, _ = build_extension_problem(
+        choi_family_state(3.5), ExtensionSpec(k=2, ppt=True)
+    )
+    block = sdp.schur_block
+
+    def poisoned(stacks, sinv, z, out, work):
+        block(stacks, sinv, z, out, work)
+        out[..., -1, 0] = bad
+
+    monkeypatch.setattr(sdp, "schur_block", poisoned)
+    with pytest.raises(ValueError, match="array must not contain infs or NaNs"):
+        feasibility_margin(problem)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_side_one_classes_match_lapack_bit_for_bit(dtype):
+    # a side-1 class runs elementwise; LAPACK on the same (2, B, g, 1, 1)
+    # stacks gives the same bits for the factors, the inverses, S^-1 and
+    # the step lengths
+    rng = np.random.default_rng(11)
+
+    def bits(a):
+        return np.ascontiguousarray(a).view(np.uint8)
+
+    for batch in (1, 13):
+        shape = (2, batch, 18, 1, 1)
+        stack = (rng.random(shape) * 10.0 ** rng.integers(-6, 6, shape)).astype(dtype)
+        chols = sdp._cholesky(stack)
+        assert np.array_equal(bits(chols), bits(np.linalg.cholesky(stack)))
+        inverses, sinv = sdp._inverses(chols)
+        want = np.linalg.inv(np.linalg.cholesky(stack))
+        assert np.array_equal(bits(inverses), bits(want))
+        assert np.array_equal(bits(sinv), bits(want[0].conj().swapaxes(-1, -2) @ want[0]))
+        delta = rng.standard_normal(shape).astype(dtype)
+        if dtype is complex:
+            delta += 1j * rng.standard_normal(shape)
+        lams = np.linalg.eigvalsh(want @ delta @ want.conj().swapaxes(-1, -2))
+        steps = np.minimum(1.0, -1.0 / np.minimum(lams[..., 0].min(axis=-1), -1e-14))
+        assert np.array_equal(bits(sdp._max_step([inverses], [delta])), bits(steps))
+        assert (steps < 1).any()
+    # LAPACK refuses an entry <= 0 and lets a NaN through
+    for entry in (0.0, -1.0):
+        with pytest.raises(np.linalg.LinAlgError):
+            sdp._cholesky(np.full((1, 1, 1), entry, dtype))
+    assert np.isnan(sdp._cholesky(np.full((1, 1, 1), np.nan, dtype))).all()
 
 
 def test_schur_matrix_is_held_once():

@@ -21,7 +21,7 @@ from scipy.optimize import linprog
 from scipy.sparse import csgraph
 
 from oracles import from_ensemble, random_product_ensemble
-from sepcert import sdp
+from sepcert import hierarchy, sdp
 from sepcert.cli import main
 from sepcert.hierarchy import ExtensionSpec, build_extension_problem
 from sepcert.matio import save_matrix
@@ -215,13 +215,17 @@ def test_components_of_distinct_sides_in_one_block():
 
 def test_cholesky_runs_twice_per_side_class_and_iteration(monkeypatch):
     problem, _ = build_extension_problem(choi_family_state(3.5), ExtensionSpec(k=3))
-    calls = []
+    calls, lapack = [], []
 
-    def counting(a, _orig=np.linalg.cholesky, **kwargs):
-        calls.append(a.shape)
-        return _orig(a, **kwargs)
+    def counting(calls, _orig):
+        def counted(a, **kwargs):
+            calls.append(a.shape)
+            return _orig(a, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "cholesky", counting)
+        return counted
+
+    monkeypatch.setattr(sdp, "_cholesky", counting(calls, sdp._cholesky))
+    monkeypatch.setattr(np.linalg, "cholesky", counting(lapack, np.linalg.cholesky))
     out = sdp.feasibility_margin(problem)
     classes = out.diagnostics["side_classes"]
     # 70 components of side at most 9 in 6 classes
@@ -229,8 +233,10 @@ def test_cholesky_runs_twice_per_side_class_and_iteration(monkeypatch):
     assert max(classes) == 9
     factors = out.iterations - 1  # the last iteration only tests convergence
     assert len(calls) == 2 * len(classes) * factors
-    # each call takes a class's (g, s, s) stack of the lone point's batch
+    # each call takes a class's (g, s, s) stack of the lone point's batch;
+    # the side-1 class is diagonal and never reaches LAPACK
     assert set(calls) == {(1, g, s, s) for s, g in classes.items()}
+    assert lapack == [shape for shape in calls if shape[-1] > 1]
 
 
 def test_concurrent_sweep_points_share_one_split(monkeypatch):
@@ -241,8 +247,8 @@ def test_concurrent_sweep_points_share_one_split(monkeypatch):
             builds.append(args)
             super().__init__(*args)
 
-    # leave another shape in the memo, so the threads race on new stacks
-    build_extension_problem(random_state(2, 2, seed=1), ExtensionSpec(k=1))
+    # an empty shape memo, so the threads race on new stacks
+    monkeypatch.setattr(hierarchy, "_shape_memo", {})
     monkeypatch.setattr(sdp, "BlockSplit", CountingSplit)
     spec = ExtensionSpec(k=2)
     alphas = [3.2, 3.4, 3.6, 3.8]

@@ -256,6 +256,22 @@ def test_gradings_of_the_two_families():
     assert torus_grading(random_state(3, 3, seed=3)) is None
 
 
+def test_gradings_are_shared_by_states_with_one_zero_pattern():
+    # the points of the choi family share their zeros, so they share one
+    # read-only grading; another pattern gets its own
+    first = torus_grading(choi_family_state(3.5))
+    assert torus_grading(choi_family_state(2.5)) is first
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0, 0] = 7
+    other = torus_grading(maximally_mixed(3, 3))
+    assert other is not first and other.shape != first.shape
+    assert not other.flags.writeable
+    # the same pattern with other values on another state is still shared
+    filtered = torus_grading(scale_state(choi_family_state(3.5), 0.5))
+    assert filtered is first
+
+
 def test_partial_torus_keeps_single_off_diagonal_units():
     # with phi_0 = phi_1 the A units |...0><...1| are invariant on their
     # own: some posed direction has an off-diagonal A part and a diagonal
@@ -344,8 +360,8 @@ def test_sweep_points_share_one_reduction(monkeypatch):
         builds.append(args)
         return _orig(*args)
 
-    # leave another shape in the memo, so the threads race to build
-    build_extension_problem(random_state(2, 2, seed=1), ExtensionSpec(k=1))
+    # an empty shape memo, so the threads race to build
+    monkeypatch.setattr(hierarchy, "_shape_memo", {})
     monkeypatch.setattr(hierarchy, "ExtensionShape", counting_shape)
     spec = ExtensionSpec(k=2)
     alphas = [3.2, 3.4, 3.6, 3.8]

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import averaged_embedding, gisin_family_witness
+from oracles import averaged_embedding, find_gamma_star, gisin_family_witness
 from sepcert.hierarchy import (
     ENTANGLED,
     DensityMatrix,
@@ -30,7 +30,6 @@ from sepcert.witness import (
     WitnessExtractionError,
     _polish_products,
     extract_witness,
-    find_gamma_star,
     minimize_on_products,
     scale_state,
     scale_witness,
