@@ -816,8 +816,10 @@ def extension_shape(d_a, d_b, spec, grading=None):
     with _shape_lock:
         if key not in _shape_memo:
             need = required_resources(d_a, d_b, spec, grading)["stack_bytes"]
-            while _shape_memo and (
-                sum(kept for _, kept in _shape_memo.values()) + need > MEMORY_BUDGET_BYTES
+            # a shape over the budget on its own is refused by its gate, and
+            # releases nothing
+            while _shape_memo and need <= MEMORY_BUDGET_BYTES < need + sum(
+                kept for _, kept in _shape_memo.values()
             ):
                 del _shape_memo[next(iter(_shape_memo))]
             shared = required_resources(d_a, d_b, spec, grading, points=0)["stack_bytes"]

@@ -926,9 +926,9 @@ def _solve_core(split, points, c, tol, trace_cb=None, floors=None):
         gscale = np.maximum(1.0, np.maximum(np.abs(pobj), np.abs(dobj)))
         score = np.maximum(np.maximum(pinf, dinf), np.abs(gap) / gscale)
         better = score < best["score"][live]
-        for key, val in dict(rows, score=score, gscale=gscale, x=x, z=zdual).items():
-            if key in best:
-                best[key][live[better]] = val[better]
+        update = dict(rows, score=score, gscale=gscale, x=x, z=zdual)
+        for key in best:
+            best[key][live[better]] = update[key][better]
         converged = (pinf <= tol.feas_tol) & (dinf <= tol.feas_tol) & (
             np.abs(gap) <= tol.gap_tol * gscale
         )
@@ -939,9 +939,8 @@ def _solve_core(split, points, c, tol, trace_cb=None, floors=None):
         # feas_tol while complementarity keeps collapsing; once mu sits
         # orders below anything the tolerances can use, more iterations
         # only invite factorization failure
-        rest = live[~converged & ~unbounded]
         floored = usable(live) & (rows["mu"] <= 1e-11 * gscale)
-        floor_hits[rest] = np.where(floored[~converged & ~unbounded], floor_hits[rest] + 1, 0)
+        floor_hits[live] = np.where(floored, floor_hits[live] + 1, 0)
         stalled = ~converged & ~unbounded & (floor_hits[live] >= 2)
         for j in np.flatnonzero(converged | unbounded | stalled):
             trace(j)

@@ -552,6 +552,14 @@ def test_alternating_shapes_are_built_once_each(monkeypatch):
     assert all(row[0] is shapes[0][0] and row[1] is shapes[0][1] for row in shapes)
 
 
+def test_a_refused_shape_releases_no_kept_one(monkeypatch):
+    monkeypatch.setattr(hierarchy, "_shape_memo", {})
+    shape = build_extension_problem(choi_family_state(3.5), ExtensionSpec(k=2))[1]
+    with pytest.raises(AssemblyError):
+        build_extension_problem(random_state(3, 3, seed=1), ExtensionSpec(k=7))
+    assert build_extension_problem(choi_family_state(3.0), ExtensionSpec(k=2))[1] is shape
+
+
 def test_margin_solves_hold_one_layout_of_the_directions():
     # the margin direction and the real restriction live only in the
     # split's packed stack: the posed rows of the caller's stacks (their
