@@ -838,7 +838,8 @@ def _solve_core(split, points, c, tol, trace_cb=None, floors=None):
             return None
         _require_finite([*chols, *cholz, slack, zdual])
         # per class, the inverse factors of S (first) and Z (second); S^-1
-        inverses, sinv = map(list, zip(*(_inverses(np.stack(pair)) for pair in zip(chols, cholz))))
+        pairs = [_inverses(np.stack(pair)) for pair in zip(chols, cholz)]
+        inverses, sinv = [inv for inv, _ in pairs], [si for _, si in pairs]
         rpz = split.matmul(split.views(rp), zviews)
 
         # Schur complement M_ij = sum Re Tr[F_i S^-1 F_j Z] (symmetric

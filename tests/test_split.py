@@ -25,7 +25,7 @@ from sepcert import hierarchy, sdp
 from sepcert.cli import main
 from sepcert.hierarchy import ExtensionSpec, build_extension_problem
 from sepcert.matio import save_matrix
-from sepcert.states import choi_family_state, gisin_family_state, random_state
+from sepcert.states import choi_family_state, gisin_family_state
 
 
 def random_unitary(n, rng, real):
