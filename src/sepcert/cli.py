@@ -372,7 +372,6 @@ def cmd_decompose(args):
         "eta": report.eta,
         "epsilon": report.epsilon,
         "canonical_residual": report.diagnostics["canonical_residual"],
-        "cross_check_gap": report.diagnostics["cross_check_gap"],
         "p_min_eigenvalue": report.diagnostics["p_min_eigenvalue"],
         "q_min_eigenvalue": report.diagnostics["q_min_eigenvalue"],
     }

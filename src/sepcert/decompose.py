@@ -11,9 +11,16 @@ question into a small semidefinite program whose optimal value -c equals
 the worst value Z takes on any state that survives the partial-transpose
 test.  epsilon > 0 certifies decomposability (shift P by epsilon), while
 epsilon < 0 exhibits a concrete positive-partial-transpose state that Z
-detects, so Z is indecomposable and that state is bound entangled.  Both
-sides of this equality are solved and cross-checked; the detecting state
-is read off the dual multipliers of the decomposition-side run.
+detects, so Z is indecomposable and that state is bound entangled.
+
+The split side is posed as the margin problem the solver answers for the
+hierarchy: F0 = (2Z, 0) and one direction (-e_a, e_a^{T_A}) per Hermitian
+basis element e_a.  With Y' = (Y + t 1)/2 its constraints read
+P = Z + t 1 - Y' >= 0 and Q = Y'^{T_A} >= 0, so its optimum is -epsilon,
+and its dual blocks are (rho, rho^{T_A})/2 for the minimizing state.  One
+solve decides, and each verdict rests on an object checked on its own:
+decomposable on an explicit split whose parts are positive semidefinite,
+indecomposable on a certificate that passes sdp.verify_certificate.
 
 Tolerances assume Z is normalized to about unit spectral radius, which is
 how extracted witnesses arrive here.
@@ -62,113 +69,88 @@ def _check_input(z, space):
     return (z + z.conj().T) / 2
 
 
-def _split_form(z, space, tol):
-    """min c over P = Z + c 1 - Y >= 0, Q = Y^{T_A} >= 0; returns the run."""
+def _split_problem(z, space):
+    """The margin problem of the split form, and the Hermitian basis its
+    directions run over."""
     d = space.dim
-    basis = hermitian_basis(d)
-    nb = len(basis.elements)
-    f0s = [z.copy(), np.zeros((d, d), dtype=complex)]
-    fs0 = np.zeros((nb + 1, d, d), dtype=complex)
-    fs1 = np.zeros((nb + 1, d, d), dtype=complex)
-    fs0[0] = np.eye(d)
-    for a, el in enumerate(basis.elements):
-        fs0[a + 1] = -el
-        fs1[a + 1] = partial_transpose(el, space, 0)
-    c = np.zeros(nb + 1)
-    c[0] = 1.0
-    problem = sdp.SdpProblem(f0s=f0s, fs=[fs0, fs1], c=c)
-    out = sdp.solve(problem, tolerances=tol)
-    if out.status != sdp.FEASIBLE:
-        raise SolverFailure(
-            f"decomposition-side solve ended with status {out.status}",
-            outcome=out,
-        )
-    cval = out.x[0]
-    y = np.tensordot(out.x[1:], np.stack(basis.elements), axes=1)
-    p = z + cval * np.eye(d) - y
-    q = partial_transpose(y, space, 0)
-    return cval, p, q, out
+    basis = np.stack(hermitian_basis(d).elements).astype(complex)
+    transposed = np.stack([partial_transpose(el, space, 0) for el in basis])
+    problem = sdp.SdpProblem(
+        f0s=[2 * z, np.zeros((d, d), dtype=complex)], fs=[-basis, transposed]
+    )
+    return problem, basis
 
 
-def _state_form(z, space, tol):
-    """min Tr[Z rho] over rho >= 0, rho^{T_A} >= 0, Tr rho = 1."""
-    d = space.dim
-    basis = hermitian_basis(d)
-    traceless = basis.elements[1:]
-    nb = len(traceless)
-    f0s = [np.eye(d, dtype=complex) / d, np.eye(d, dtype=complex) / d]
-    fs0 = np.stack(traceless).astype(complex)
-    fs1 = np.stack(
-        [partial_transpose(el, space, 0) for el in traceless]
-    ).astype(complex)
-    c = np.array([np.trace(z @ el).real for el in traceless])
-    problem = sdp.SdpProblem(f0s=f0s, fs=[fs0, fs1], c=c)
-    out = sdp.solve(problem, tolerances=tol)
-    if out.status != sdp.FEASIBLE:
-        raise SolverFailure(
-            f"state-side solve ended with status {out.status}", outcome=out
-        )
-    rho = f0s[0] + np.tensordot(out.x, fs0, axes=1)
-    value = np.trace(z).real / d + float(c @ out.x)
-    return value, rho, out
+def _min_eigenvalue(mat):
+    return float(np.linalg.eigvalsh((mat + mat.conj().T) / 2)[0])
 
 
 def decompose(z, space, tolerances=None):
     """Classify Z and return the canonical split plus the detecting state.
 
-    The verdict follows the sign of epsilon with a refusal band around
-    zero.  For indecomposable Z the report carries rho_opt, the positive
-    partial-transpose state achieving Tr[Z rho_opt] = epsilon < 0.
+    The verdict is the margin solve's: feasible is decomposable once the
+    split P + epsilon 1 + Q^{T_A} passes its check, infeasible is
+    indecomposable once the dual certificate passes
+    sdp.verify_certificate, and marginal (|epsilon| inside the refusal
+    band) stays marginal.  Any other status, or a failed check, raises
+    SolverFailure.  For indecomposable Z the report carries rho_opt, the
+    positive partial-transpose state achieving Tr[Z rho_opt] = epsilon < 0.
     """
     z = _check_input(z, space)
     d = space.dim
-    cval, p, q, split_out = _split_form(z, space, tolerances)
-    epsilon = -cval
-    eta = epsilon - np.trace(z).real / d
-    state_val, rho_primal, state_out = _state_form(z, space, tolerances)
-    agreement = abs(epsilon - state_val)
-    # each solve stops within its gap tolerance of the optimum, so the
-    # cross-check loosens with a gap looser than the default
-    gap_tol = (tolerances or sdp.SolverTolerances()).gap_tol
-    bound = policy.DECOMPOSE_AGREEMENT * max(1.0, gap_tol / policy.GAP_TOL)
-    if agreement > bound * max(1.0, float(np.abs(z).max())):
+    problem, basis = _split_problem(z, space)
+    out = sdp.feasibility_margin(problem, tolerances=tolerances)
+    if out.status not in (sdp.FEASIBLE, sdp.INFEASIBLE, sdp.MARGINAL):
         raise SolverFailure(
-            f"the two decomposability programs disagree: {float(epsilon)} vs "
-            f"{float(state_val)} (difference {float(agreement)})",
-            outcome=split_out,
+            f"decomposition solve ended with status {out.status}", outcome=out
         )
-
-    # P + Q^{T_A} equals Z + c 1 by construction, so with epsilon = -c the
+    t = out.diagnostics["t_primal"]
+    epsilon = -t
+    eta = epsilon - np.trace(z).real / d
+    y = np.tensordot(out.x, basis, axes=1)
+    eye = np.eye(d)
+    p = (2 * z - y + t * eye) / 2
+    q = (partial_transpose(y, space, 0) + t * eye) / 2
+    # P + Q^{T_A} equals Z + t 1 by construction, so with epsilon = -t the
     # residual of Z - (P + epsilon 1) - Q^{T_A} only measures rounding
-    canon = z - (p + epsilon * np.eye(d)) - partial_transpose(q, space, 0)
-    canonical_residual = float(np.abs(canon).max())
-
-    if abs(epsilon) < policy.REFUSAL_BAND:
-        verdict = MARGINAL
-    elif epsilon > 0:
-        verdict = DECOMPOSABLE
-    else:
-        verdict = INDECOMPOSABLE
-
+    canon = z - (p + epsilon * eye) - partial_transpose(q, space, 0)
     diagnostics = {
-        "epsilon_split": epsilon,
-        "epsilon_state": state_val,
-        "cross_check_gap": agreement,
-        "canonical_residual": canonical_residual,
-        "p_min_eigenvalue": float(np.linalg.eigvalsh((p + p.conj().T) / 2)[0]),
-        "q_min_eigenvalue": float(np.linalg.eigvalsh((q + q.conj().T) / 2)[0]),
-        "split_iterations": split_out.iterations,
-        "state_iterations": state_out.iterations,
+        "canonical_residual": float(np.abs(canon).max()),
+        "p_min_eigenvalue": _min_eigenvalue(p),
+        "q_min_eigenvalue": _min_eigenvalue(q),
+        "split_iterations": out.iterations,
+        # one solve now; perfbench/spans.py still adds the two counts
+        "state_iterations": 0,
     }
 
     rho_opt = None
-    if verdict == INDECOMPOSABLE:
-        # dual multipliers of the split form are (rho, rho^{T_A}); fall
-        # back to the state-side optimizer if the duals are degenerate
-        zb = split_out.z_blocks[0]
-        tr = np.trace(zb).real
-        cand = zb / tr if tr > policy.DUAL_TRACE_FLOOR else rho_primal
-        raw = (cand + cand.conj().T) / 2
+    if out.status == sdp.MARGINAL:
+        verdict = MARGINAL
+    elif out.status == sdp.FEASIBLE:
+        # Z = (P + (epsilon - s) 1) + (Q + s 1)^{T_A}, both parts PSD
+        s = max(0.0, -diagnostics["q_min_eigenvalue"])
+        slack = diagnostics["p_min_eigenvalue"] + epsilon - s
+        if not slack > 0:
+            raise SolverFailure(
+                f"decomposable verdict, but the split fails its check: "
+                f"P + (epsilon - s) 1 has smallest eigenvalue {slack:.3e}",
+                outcome=out,
+            )
+        verdict = DECOMPOSABLE
+    else:
+        check = sdp.verify_certificate(problem, out.z_blocks)
+        if not check.passed:
+            raise SolverFailure(
+                "indecomposable verdict, but the certificate fails its check "
+                f"(smallest eigenvalue {check.min_eigenvalue:.3e}, pairing "
+                f"violation {check.constraint_violation:.3e}, value "
+                f"{check.objective_value:.3e})",
+                outcome=out,
+            )
+        verdict = INDECOMPOSABLE
+        diagnostics["pairing_violation"] = check.constraint_violation
+        # the dual blocks are (rho, rho^{T_A})/2 for the minimizing state
+        raw = (out.z_blocks[0] + out.z_blocks[0].conj().T) / 2
         raw /= np.trace(raw).real
         raw_ta = partial_transpose(raw, space, 0)
         diagnostics["rho_opt_min_eigenvalue"] = float(np.linalg.eigvalsh(raw)[0])
@@ -176,8 +158,6 @@ def decompose(z, space, tolerances=None):
             np.linalg.eigvalsh(raw_ta)[0]
         )
         diagnostics["rho_opt_value"] = float(np.trace(z @ raw).real)
-        dual_primal_gap = float(np.abs(raw - rho_primal).max())
-        diagnostics["dual_vs_primal_state_gap"] = dual_primal_gap
         vals, vecs = np.linalg.eigh(raw)
         m = (vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T
         m /= np.trace(m).real

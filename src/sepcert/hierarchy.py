@@ -838,9 +838,7 @@ def build_extension_problem(rho, spec):
     extension_shape, so states of one shape and torus in a row share it.
     """
     shape = extension_shape(rho.dim_a, rho.dim_b, spec, torus_grading(rho))
-    problem = sdp.SdpProblem(
-        f0s=shape.pinned_blocks(rho.matrix), fs=shape.stacks, c=np.zeros(shape.stacks.m)
-    )
+    problem = sdp.SdpProblem(f0s=shape.pinned_blocks(rho.matrix), fs=shape.stacks)
     return problem, shape
 
 

@@ -1,18 +1,12 @@
 """Semidefinite programming over Hermitian matrix blocks with sparse
 direction storage.
 
-Problems come in the standard linear-matrix-inequality form
+Problems are feasibility questions for a linear matrix inequality
 
-    minimize    c . x
-    subject to  F(x) = F0 + sum_i x_i F_i  >=  0,
+    F(x) = F0 + sum_i x_i F_i  >=  0,
 
 where all matrices are Hermitian and block diagonal (each block given
-separately).  The dual is
-
-    maximize   -Tr[F0 Z]
-    subject to  Tr[F_i Z] = c_i,   Z >= 0.
-
-Pure feasibility questions (c = 0) are answered through the margin problem
+separately).  The solver answers them through the margin problem
 
     minimize t   subject to   F(x) + t * 1 >= 0,
 
@@ -25,11 +19,11 @@ The solver is a primal-dual path-following method with the HKM direction and
 a Mehrotra-style predictor-corrector step, run from the customary infeasible
 start (x = 0, slack beta * identity with beta = 1 + ||F0||, dual identity
 scaled to meet the trace constraints in least squares).  Complex Hermitian
-data is handled natively; when every constraint matrix is purely real (or
-purely imaginary with a vanishing objective coefficient, in which case the
-direction can be dropped: a real dual matrix satisfies its constraint
-automatically and a real-restricted primal loses nothing), the iteration
-runs in real symmetric arithmetic, which is noticeably faster.
+data is handled natively; when F0 is real and every direction purely real
+or purely imaginary (a purely imaginary direction can be dropped: a real
+dual matrix satisfies its constraint automatically and a real-restricted
+primal loses nothing), the iteration runs in real symmetric arithmetic,
+which is noticeably faster.
 
 Direction matrices are stored sparse: each block's stack F_1..F_m is one
 compressed-sparse-row (CSR) matrix of shape (m, n^2) whose row i is the
@@ -37,7 +31,7 @@ row-major vec of F_i.  The stacks of all blocks form one DirectionStacks
 object, which problems differing only in F0 share.  The solver holds one
 layout derived from them, the BlockSplit below: it reads the posed rows
 of the caller's stacks (their real parts on the real path) and appends
-the identity as the last direction of a margin problem, so no other copy
+the identity as the last direction, the margin's, so no other copy
 of the stacks is made.  Checks made from the problem data read the
 caller's stacks, through their transposes (views of the same arrays).
 
@@ -270,12 +264,12 @@ class DirectionStacks(Sequence):
 
         return self._cached("rows", scan)
 
-    def split(self, f0s, keep=None, margin=False):
+    def split(self, f0s, keep=None):
         """The BlockSplit of problems with constant blocks f0s, posed on
         the real parts of the directions listed in keep (on every
-        direction as it is when keep is None), then on the identity when
-        margin is set: block b cut along the connected components of the
-        pattern of f0s[b], of every posed direction and of the diagonal.
+        direction as it is when keep is None), then on the identity, the
+        margin direction: block b cut along the connected components of
+        the pattern of f0s[b], of every posed direction and of the diagonal.
         Built once per posed rows and partition, which sweep points with
         one F0 pattern share."""
         posed = None if keep is None else keep.tobytes()
@@ -297,8 +291,8 @@ class DirectionStacks(Sequence):
             _component_labels(support | pattern)
             for support, pattern in zip(supports, patterns)
         ])
-        key = ("split", posed, margin, *(lab.tobytes() for lab in labels))
-        return self._cached(key, lambda: BlockSplit(self._blocks, labels, keep, margin))
+        key = ("split", posed, *(lab.tobytes() for lab in labels))
+        return self._cached(key, lambda: BlockSplit(self._blocks, labels, keep))
 
 
 class BlockSplit:
@@ -312,8 +306,8 @@ class BlockSplit:
     stored as one C-ordered (g, s, s) stack, and the classes lie one after
     another in one packed vector of length N.  The posed directions are
     the real parts of the rows listed in keep (every row, as it is, when
-    keep is None), then the identity when margin is set, its entries after
-    each block's own.  Fields: classes, the packed range and stack shape
+    keep is None), then the identity, the margin direction, its entries
+    after each block's own.  Fields: classes, the packed range and stack shape
     (lo, hi, (g, s, s)) of each class; stack, the posed directions on the
     packed vector, a CSC array of shape (m, N); schur, the schur_stacks
     of each class, on its column range of stack; dest, the position of
@@ -322,7 +316,7 @@ class BlockSplit:
     and block_norms use.
     """
 
-    def __init__(self, blocks, labels, keep=None, margin=False):
+    def __init__(self, blocks, labels, keep=None):
         sides = [len(lab) for lab in labels]
         starts = np.cumsum([0] + [n * n for n in sides])
         # by side; sorted() is stable, so by block and index within a side
@@ -366,13 +360,12 @@ class BlockSplit:
             data.append(coo.data)
             rows.append(coo.row)
             cols.append(packed[start + coo.col])
-            if margin:
-                data.append(np.ones(n))
-                rows.append(np.full(n, m))
-                cols.append(packed[start + np.arange(n) * (n + 1)])
+            data.append(np.ones(n))
+            rows.append(np.full(n, m))
+            cols.append(packed[start + np.arange(n) * (n + 1)])
         self.stack = sps.csc_array(
             (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(m + margin, offset),
+            shape=(m + 1, offset),
         )
         self._stack_t = self.stack.T
         self.schur = []
@@ -456,19 +449,13 @@ class SdpProblem:
     other problems (trusted: checked by from_blocks when made from one,
     finite and Hermitian by construction otherwise) or a list of CSR or
     dense (m, n_b, n_b) stacks, converted and checked once.  All matrices
-    must be finite and Hermitian, and c finite (checked, rejected when not).
+    must be finite and Hermitian (checked, rejected when not).
     """
 
     f0s: list
     fs: Sequence
-    c: np.ndarray
 
     def __post_init__(self):
-        self.c = np.asarray(self.c, dtype=float)
-        m = len(self.c)
-        bad = np.nonzero(~np.isfinite(self.c))[0]
-        if bad.size:
-            raise ValueError(f"objective coefficient {bad[0]} is not finite")
         if len(self.f0s) != len(self.fs):
             raise ValueError("f0s and fs must list the same blocks")
         for b, f0 in enumerate(self.f0s):
@@ -478,16 +465,16 @@ class SdpProblem:
             check_hermitian(f0, what=f"block {b}: constant matrix")
         sides = self.block_sizes
         if not isinstance(self.fs, DirectionStacks):
-            self.fs = DirectionStacks.from_blocks(self.fs, sides, m)
-        elif self.fs.m != m or self.fs.sides != sides:
+            self.fs = DirectionStacks.from_blocks(self.fs, sides, self.fs[0].shape[0])
+        elif self.fs.sides != sides:
             raise ValueError(
-                f"shared direction stacks hold {self.fs.m} directions on blocks "
-                f"{self.fs.sides}, expected {m} on {sides}"
+                f"shared direction stacks lie on blocks {self.fs.sides}, "
+                f"expected {sides}"
             )
 
     @property
     def m(self):
-        return len(self.c)
+        return self.fs.m
 
     @property
     def block_sizes(self):
@@ -513,28 +500,24 @@ class CertificateCheck:
     objective_value: float
 
 
-def _real_directions(f0s, fs, c):
+def _real_directions(f0s, fs):
     """Detect an equivalent real-symmetric problem.
 
-    fs is a DirectionStacks and c the objective on its directions.
-    Returns keep, the directions the real problem is posed on, or None.
-    Directions that are purely imaginary Hermitian and carry a
-    (numerically) zero objective coefficient are dropped: any real
-    symmetric matrix is orthogonal to them in the trace pairing, and
-    restricting the primal to the kept directions is lossless because the
-    real part of any feasible F(x) is again feasible with the same
-    objective value.  The margin direction, the identity, is real.
+    fs is a DirectionStacks.  Returns keep, the directions the real
+    problem is posed on, or None.  Directions that are purely imaginary
+    Hermitian are dropped: any real symmetric matrix is orthogonal to them
+    in the trace pairing, and restricting the primal to the kept
+    directions is lossless because the real part of any feasible F(x) is
+    again feasible with the same margin.  The margin direction, the
+    identity, is real.
     """
     for f0 in f0s:
         if np.abs(f0.imag).max() > policy.ZERO_PART * max(1.0, np.abs(f0).max()):
             return None
     re_max, im_max = fs.row_maxima()
     scales = np.maximum(1.0, np.maximum(re_max, im_max))
-    c_scale = max(1.0, np.abs(c).max(initial=0.0))
     real = im_max <= policy.ZERO_PART * scales
-    droppable = (re_max <= policy.ZERO_PART * scales) & (
-        np.abs(c) <= policy.ZERO_PART * c_scale
-    )
+    droppable = re_max <= policy.ZERO_PART * scales
     if not np.all(real | droppable):
         return None
     return np.nonzero(real)[0]
@@ -974,11 +957,10 @@ def _solve_core(split, points, c, tol, trace_cb=None, floors=None):
     return results
 
 
-def _run(tol, trace_cb, problems, c, margin=False, floors=None):
-    """Solve problems, which share their stacks, with objective c, each in
-    real arithmetic when _real_directions allows it, with the margin
-    direction appended (objective 1) when margin is set; the problems of
-    one split and F0 dtype run as one batch of _solve_core.
+def _run(tol, trace_cb, problems, floors=None):
+    """Solve the margin problems of problems, which share their stacks,
+    each in real arithmetic when _real_directions allows it; the problems
+    of one split and F0 dtype run as one batch of _solve_core.
 
     Returns, per problem, _solve_core's state plus split, the objective c
     it solved with and the diagnostics; x is on the caller's directions,
@@ -989,20 +971,20 @@ def _run(tol, trace_cb, problems, c, margin=False, floors=None):
     batches = {}
     for i, problem in enumerate(problems):
         f0s = problem.f0s
-        keep = _real_directions(f0s, problem.fs, c)
+        keep = _real_directions(f0s, problem.fs)
         if keep is not None:
             f0s = [f0.real.copy() for f0 in f0s]
-        split = problem.fs.split(f0s, keep, margin)
+        split = problem.fs.split(f0s, keep)
         batch = batches.setdefault((split, np.result_type(*f0s)), (keep, [], []))
         batch[1].append(i)
         batch[2].append(f0s)
     out = [None] * len(problems)
     for (split, _), (keep, members, points) in batches.items():
-        c_posed = c if keep is None else c[keep]
-        if margin:
-            c_posed = np.append(c_posed, 1.0)
+        # minimize the margin, the last posed direction
+        c = np.zeros(split.stack.shape[0])
+        c[-1] = 1.0
         states = _solve_core(
-            split, points, c_posed, tol, trace_cb,
+            split, points, c, tol, trace_cb,
             None if floors is None else [floors[i] for i in members],
         )
         for i, res in zip(members, states):
@@ -1010,10 +992,10 @@ def _run(tol, trace_cb, problems, c, margin=False, floors=None):
             if "error" in res:
                 continue
             if keep is not None:
-                x = np.zeros(problems[i].m + margin)
-                x[np.append(keep, problems[i].m) if margin else keep] = res["x"]
+                x = np.zeros(problems[i].m + 1)
+                x[np.append(keep, problems[i].m)] = res["x"]
                 res["x"] = x
-            res.update(split=split, c=c_posed, diagnostics={
+            res.update(split=split, c=c, diagnostics={
                 "pinf": res["pinf"],
                 "dinf": res["dinf"],
                 "mu": res["mu"],
@@ -1030,40 +1012,6 @@ def _lmi_spectra(problem, x):
         np.linalg.eigvalsh(_herm(f0 + (fmat.T @ x).reshape(f0.shape)))
         for f0, fmat in zip(problem.f0s, problem.fs)
     ]
-
-
-def solve(problem, tolerances=None, trace=None):
-    """Solve an objective problem to the duality-gap tolerance.
-
-    Problems with an identically zero objective are feasibility questions
-    and are routed through feasibility_margin.
-    """
-    tol = tolerances or SolverTolerances()
-    if problem.m == 0 or not np.any(problem.c):
-        return feasibility_margin(problem, tolerances=tolerances, trace=trace)
-    res = _run(tol, trace, [problem], problem.c)[0]
-    if "error" in res:
-        raise res["error"]
-    diagnostics = res["diagnostics"]
-    status = ITER_LIMIT
-    if res["status"] == "converged":
-        status = FEASIBLE
-    elif res["status"] == "stalled":
-        # the loop hit its numerical floor; accept the point only if the
-        # linear matrix inequality verifies directly from the problem data
-        lam = min(float(e[0]) for e in _lmi_spectra(problem, res["x"]))
-        if lam >= -tol.feas_tol:
-            status = FEASIBLE
-            diagnostics["early_stop"] = "stalled at the residual floor"
-    return SdpOutcome(
-        status=status,
-        x=res["x"],
-        z_blocks=res["split"].unpack(res["z"]),
-        margin_t=None,
-        gap=res["gap"],
-        iterations=res["iterations"],
-        diagnostics=diagnostics,
-    )
 
 
 def feasibility_margin(problem, tolerances=None, trace=None):
@@ -1091,10 +1039,7 @@ def feasibility_margin(problem, tolerances=None, trace=None):
     floors = [
         -1.0 - np.sqrt(sum(np.linalg.norm(f0) ** 2 for f0 in p.f0s)) for p in problems
     ]
-    states = _run(
-        tolerances or SolverTolerances(), trace, problems, np.zeros(problems[0].m),
-        margin=True, floors=floors,
-    )
+    states = _run(tolerances or SolverTolerances(), trace, problems, floors)
     outcomes = [_margin_outcome(p, res) for p, res in zip(problems, states)]
     return outcomes if isinstance(problem, list) else outcomes[0]
 

@@ -47,10 +47,6 @@ CERT_TOL = 1e-8
 VIOLATION = 1e-9
 # re-check of an extension: swap, trace-down and eigenvalue deviation allowed
 RECHECK = 1e-7
-# the two decomposability programs must agree to this, relative to max(1, |Z|)
-DECOMPOSE_AGREEMENT = 1e-6
-# a decomposition dual block of smaller trace falls back to the state side
-DUAL_TRACE_FLOOR = 1e-6
 # edge-state ranks count singular values above this fraction of the largest
 EDGE_RANK_CUTOFF = 1e-7
 # positive definite: smallest eigenvalue above this times max(1, the largest)

@@ -10,7 +10,7 @@ than assumed.
 
 Also provides the local filtering family rho -> (A_g x 1) rho (A_g x 1)^dag
 with A_g = diag(1, g, ..., g), along which `sweep choi-scaled` scans the
-level-k verdict, and the witness transport that goes with it.
+level-k verdict.
 """
 
 import math
@@ -285,17 +285,3 @@ def scale_state(rho, gamma):
     op = np.kron(a, np.eye(rho.dim_b))
     m = op @ rho.matrix @ op.conj().T
     return DensityMatrix(m / np.trace(m).real, rho.space)
-
-
-def scale_witness(mat, space, gamma):
-    """Witness transported against the filter: pairings keep their sign.
-
-    Tr[scale_state(rho, g) scale_witness(Z, g)] is a positive multiple of
-    Tr[rho Z], and product expectations transform by positive factors, so
-    detection and positivity are preserved along the family.
-    """
-    da, db = space.factor_dims
-    inv = _filter_matrix(da, gamma)
-    np.fill_diagonal(inv, 1.0 / np.diag(inv))
-    op = np.kron(inv, np.eye(db))
-    return op.conj().T @ mat @ op

@@ -12,7 +12,11 @@ and partially tracing one basis element at a time.  The symmetric
 isometry lifts the package's compressed extensions to the full copy
 space, where the defining properties are checked factor by factor.
 The detection threshold along the filter family is bracketed by
-bisection over run_test.  None of these is needed by the package itself.
+bisection over run_test, and the filter is transported onto witnesses.
+The worst value of an operator on states with a positive partial
+transpose is bracketed by bisection over margin solves posed on the
+states themselves, the other side of decompose's split form.  None of
+these is needed by the package itself.
 """
 
 import functools
@@ -31,7 +35,7 @@ from sepcert.hierarchy import (
     transpose_descriptors,
 )
 from sepcert.posmaps import apply_map
-from sepcert.witness import scale_state
+from sepcert.witness import _filter_matrix, scale_state
 from sepcert.tensorops import (
     FactorError,
     TensorSpace,
@@ -343,7 +347,7 @@ def full_extension_problem(rho, k, ppt=True):
                 [partial_transpose_multi(f, space, which) for f in directions]
             ).reshape(len(directions), n, n)
         )
-    return sdp.SdpProblem(f0s=f0s, fs=fs, c=np.zeros(len(directions)))
+    return sdp.SdpProblem(f0s=f0s, fs=fs)
 
 
 _VERDICTS = {
@@ -442,3 +446,56 @@ def find_gamma_star(
         "bracket": (lo, hi),
         "evaluations": evaluations,
     }
+
+
+def scale_witness(mat, space, gamma):
+    """Witness transported against the filter: pairings keep their sign.
+
+    Tr[scale_state(rho, g) scale_witness(Z, g)] is a positive multiple of
+    Tr[rho Z], and product expectations transform by positive factors, so
+    detection and positivity are preserved along the family.
+    """
+    da, db = space.factor_dims
+    inv = _filter_matrix(da, gamma)
+    np.fill_diagonal(inv, 1.0 / np.diag(inv))
+    op = np.kron(inv, np.eye(db))
+    return op.conj().T @ mat @ op
+
+
+def state_form_epsilon(z, space, resolution=1e-9):
+    """min Tr[Z rho] over states rho with rho >= 0 and rho^{T_A} >= 0.
+
+    A state is rho(x) = 1/d + sum_a x_a e_a over the traceless Hermitian
+    basis.  For a level gamma, the margin problem on the blocks rho(x),
+    rho(x)^{T_A} and the 1 x 1 block gamma - Tr[Z rho(x)] is strictly
+    feasible exactly when gamma lies above the minimum, and a feasible x
+    is a state whose value bounds the minimum from above.  Bisection on
+    the sign of the margin brackets the minimum to resolution.  Returns
+    (minimum, a state within resolution of it).
+    """
+    d = space.dim
+    traceless = np.stack(hermitian_basis(d).elements[1:])
+    values = np.einsum("pq,aqp->a", z, traceless).real
+    stacks = sdp.DirectionStacks.from_blocks(
+        [traceless,
+         np.stack([partial_transpose(el, space, 0) for el in traceless]),
+         -values.reshape(-1, 1, 1).astype(complex)],
+        [d, d, 1], len(traceless),
+    )
+    base = np.eye(d, dtype=complex) / d
+    offset = np.trace(z).real / d
+    spectrum = np.linalg.eigvalsh(z)
+    lo, hi = spectrum[0], spectrum[-1]
+    best = base
+    while hi - lo > resolution:
+        mid = (lo + hi) / 2
+        problem = sdp.SdpProblem(
+            f0s=[base, base, np.array([[mid - offset]], dtype=complex)], fs=stacks
+        )
+        out = sdp.feasibility_margin(problem)
+        if out.margin_t < 0:
+            best = base + np.tensordot(out.x, traceless, axes=1)
+            hi = min(mid, offset + float(values @ out.x))
+        else:
+            lo = mid
+    return (lo + hi) / 2, best

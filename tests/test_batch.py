@@ -146,8 +146,7 @@ def test_a_point_that_breaks_down_leaves_the_batch(monkeypatch):
         return cholesky(a, **kwargs)
 
     monkeypatch.setattr(np.linalg, "cholesky", failing)
-    states = sdp._run(sdp.SolverTolerances(), traced.append, problems,
-                      np.zeros(problems[0].m), margin=True)
+    states = sdp._run(sdp.SolverTolerances(), traced.append, problems)
     assert states[1]["error"].iteration == 3
     assert (states[0]["status"], states[0]["iterations"]) == ("converged", alone.iterations)
     assert np.array_equal(states[0]["x"][:-1], alone.x)

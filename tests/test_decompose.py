@@ -13,14 +13,22 @@ Exact reference values used below:
     refusal band applies.  Adding t*identity shifts epsilon to t.
   - Z = 1 - 2|01><01|: the minimum over valid states is attained at the
     product state |01>, giving epsilon = -1.
+
+epsilon is also compared with the state side of the split form, the
+minimum of Tr[Z rho] over states with a positive partial transpose,
+bracketed by bisection over margin solves posed on the states.  Forged
+solver outcomes check that a verdict needs its object to pass its check.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
-from oracles import swap_operator
+from oracles import state_form_epsilon, swap_operator
 from sepcert import sdp
 from sepcert import tolerances as policy
+from sepcert.cli import main
 from sepcert.decompose import (
     DECOMPOSABLE,
     INDECOMPOSABLE,
@@ -35,6 +43,7 @@ from sepcert.hierarchy import (
     SolverFailure,
     run_test,
 )
+from sepcert.matio import save_matrix
 from sepcert.states import choi_family_state, choi_family_witness, max_entangled
 from sepcert.tensorops import FactorError, TensorSpace, partial_transpose
 
@@ -130,7 +139,8 @@ def test_analytic_witness_is_indecomposable():
     assert d["rho_opt_min_eigenvalue"] > -1e-9
     assert d["rho_opt_transpose_min_eigenvalue"] > -1e-9
     assert abs(d["rho_opt_value"] - report.epsilon) < 1e-6
-    assert d["cross_check_gap"] < 1e-6
+    assert d["pairing_violation"] <= policy.CERT_TOL
+    assert abs(state_form_epsilon(w, space)[0] - report.epsilon) < 1e-6
 
 
 def test_canonical_split_reconstructs_the_input():
@@ -168,11 +178,13 @@ def test_extracted_witness_yields_bound_entanglement(witness_split):
 
 
 def test_dual_and_primal_runs_agree(witness_split):
-    _, report = witness_split
-    d = report.diagnostics
-    assert d["cross_check_gap"] < 1e-6
-    assert d["dual_vs_primal_state_gap"] < 1e-4
-    assert d["canonical_residual"] < 1e-7
+    # the split form's optimum against the state form's, solved on its own
+    w, report = witness_split
+    value, state = state_form_epsilon(w.matrix, w.space)
+    assert abs(value - report.epsilon) < 1e-6
+    assert abs(np.trace(w.matrix @ state).real - report.epsilon) < 1e-6
+    assert report.diagnostics["pairing_violation"] <= policy.CERT_TOL
+    assert report.diagnostics["canonical_residual"] < 1e-7
 
 
 def test_edge_extraction_requires_a_detecting_state():
@@ -193,22 +205,68 @@ def test_input_validation():
 
 
 def test_tolerances_are_forwarded():
-    # a looser gap stops both solves earlier, and the cross-check of the
-    # two optima loosens with it
+    # a looser gap stops the solve earlier
     default = decompose(np.eye(4), SP22)
     loose = sdp.SolverTolerances(gap_tol=1e-3, feas_tol=1e-4)
     report = decompose(np.eye(4), SP22, tolerances=loose)
     assert report.verdict == DECOMPOSABLE
-    assert report.diagnostics["cross_check_gap"] > policy.DECOMPOSE_AGREEMENT
-    for name in ("split_iterations", "state_iterations"):
-        assert report.diagnostics[name] < default.diagnostics[name]
+    assert report.diagnostics["split_iterations"] < default.diagnostics["split_iterations"]
 
 
-def test_disagreement_message_shows_both_optima_in_full(monkeypatch):
-    monkeypatch.setattr(policy, "DECOMPOSE_AGREEMENT", 0.0)
-    with pytest.raises(SolverFailure) as err:
-        decompose(np.eye(4), SP22)
-    eps = err.value.outcome.x[0]
-    # epsilon = 1 up to the solver's last digits, which three digits hide
-    assert str(float(-eps)) in str(err.value)
-    assert "vs 1.0 (difference " in str(err.value)
+# forged solver outcomes: each breaks the one object a verdict rests on
+
+PRODUCT_NEGATIVE = np.eye(4) - 2.0 * np.diag([0.0, 1.0, 0.0, 0.0])
+
+
+def _negative_certificate(out):
+    # minus delta 1 on both blocks keeps the pairing exact:
+    # Tr[e_a^{T_A}] = Tr[e_a]
+    return dataclasses.replace(out, z_blocks=[z - 1e-6 * np.eye(len(z)) for z in out.z_blocks])
+
+
+def _broken_pairing(out):
+    w0, w1 = out.z_blocks
+    return dataclasses.replace(out, z_blocks=[w0, w1 + 1e-6 * np.diag([1.0, 0, 0, 0])])
+
+
+def _failed_split(out):
+    # ten times the traceless diagonal e_1 added to Y moves P by -5 e_1
+    x = out.x.copy()
+    x[1] += 10.0
+    return dataclasses.replace(out, x=x)
+
+
+FORGERIES = {
+    "negative-certificate": (PRODUCT_NEGATIVE, _negative_certificate),
+    "broken-pairing": (PRODUCT_NEGATIVE, _broken_pairing),
+    "failed-split": (np.eye(4), _failed_split),
+}
+
+
+@pytest.mark.parametrize("name", FORGERIES)
+def test_forged_solver_objects_raise_solver_failure(name, monkeypatch, tmp_path):
+    z, forge = FORGERIES[name]
+    solve = sdp.feasibility_margin
+    calls = []
+
+    def forged(problem, **kwargs):
+        out = forge(solve(problem, **kwargs))
+        calls.append((problem, out))
+        return out
+
+    monkeypatch.setattr(sdp, "feasibility_margin", forged)
+    with pytest.raises(SolverFailure, match="fails its check"):
+        decompose(z, SP22)
+    problem, out = calls[0]
+    if out.status == sdp.INFEASIBLE:
+        # the forged certificate breaks exactly one condition
+        check = sdp.verify_certificate(problem, out.z_blocks)
+        negative = check.min_eigenvalue < -policy.CERT_TOL
+        unpaired = check.constraint_violation > policy.CERT_TOL
+        assert (negative, unpaired) == (name == "negative-certificate", name == "broken-pairing")
+        assert check.objective_value <= -policy.REFUSAL_BAND
+    else:
+        assert name == "failed-split" and out.status == sdp.FEASIBLE
+    path = str(tmp_path / "z.mat")
+    save_matrix(path, z.astype(complex), SP22, "operator")
+    assert main(["decompose", path, "--out", str(tmp_path)]) == 70

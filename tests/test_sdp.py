@@ -1,7 +1,8 @@
 """Solver checks against constructions with known answers.
 
 Independent oracles used here:
-  * diagonal-matrix problems are linear programs, solved with scipy's
+  * the margin problems of diagonal-matrix inequalities are linear
+    programs, min t subject to f0 + A x + t >= 0, solved with scipy's
     linprog for comparison;
   * feasible instances are built from a known strictly feasible point;
   * infeasible instances are built around a planted certificate (a positive
@@ -36,7 +37,6 @@ from sepcert.sdp import (
     schur_block,
     schur_stacks,
     schur_workspace,
-    solve,
     verify_certificate,
 )
 
@@ -51,15 +51,16 @@ def rand_herm(n, rng, scale=1.0):
 
 
 def test_scalar_objective_example():
-    # minimize x subject to x - 1 >= 0: optimum exactly 1
+    # minimize t subject to x - 1 + t >= 0 and 3 - x + t >= 0: the optimum
+    # is exactly t = -1, at x = 2
     p = SdpProblem(
-        f0s=[np.array([[-1.0 + 0j]])],
-        fs=[np.array([[[1.0 + 0j]]])],
-        c=np.array([1.0]),
+        f0s=[np.array([[-1.0 + 0j]]), np.array([[3.0 + 0j]])],
+        fs=[np.array([[[1.0 + 0j]]]), np.array([[[-1.0 + 0j]]])],
     )
-    out = solve(p)
+    out = feasibility_margin(p)
     assert out.status == FEASIBLE
-    assert abs(out.x[0] - 1.0) < 1e-6
+    assert abs(out.x[0] - 2.0) < 1e-6
+    assert abs(out.margin_t + 1.0) < 1e-7
     assert abs(out.gap) < 1e-7
 
 
@@ -67,7 +68,6 @@ def test_margin_of_identity_block():
     p = SdpProblem(
         f0s=[np.eye(2, dtype=complex)],
         fs=[np.zeros((0, 2, 2), dtype=complex)],
-        c=np.zeros(0),
     )
     out = feasibility_margin(p)
     assert out.status == FEASIBLE
@@ -78,7 +78,6 @@ def test_margin_of_negated_identity_block():
     p = SdpProblem(
         f0s=[-np.eye(2, dtype=complex)],
         fs=[np.zeros((0, 2, 2), dtype=complex)],
-        c=np.zeros(0),
     )
     out = feasibility_margin(p)
     assert out.status == INFEASIBLE
@@ -93,7 +92,7 @@ def test_weakly_infeasible_problem_is_marginal():
     # F(x) = [[x, 1], [1, 0]] can be made PSD only in the limit x -> inf
     f0 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     f1 = np.array([[[1.0, 0.0], [0.0, 0.0]]], dtype=complex)
-    p = SdpProblem(f0s=[f0], fs=[f1], c=np.zeros(1))
+    p = SdpProblem(f0s=[f0], fs=[f1])
     out = feasibility_margin(p)
     assert out.status == MARGINAL
     assert abs(out.margin_t) < 1e-7
@@ -110,7 +109,6 @@ def test_unbounded_margin_stops_on_a_verified_feasible_point():
     p = SdpProblem(
         f0s=[f0, np.ones((1, 1), dtype=complex)],
         fs=[fs, np.ones((4, 1, 1), dtype=complex)],
-        c=np.zeros(4),
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -141,19 +139,28 @@ def diagonal_problem(rng, m=3, rows=8):
     fs = np.zeros((m, n, n), dtype=complex)
     for i in range(m):
         fs[i] = np.diag(a_all[:, i])
-    c = rng.standard_normal(m)
-    return SdpProblem(f0s=[f0], fs=[fs], c=c), a_all, f0_all, c
+    return SdpProblem(f0s=[f0], fs=[fs]), a_all, f0_all
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
 def test_diagonal_problems_match_linprog(seed):
+    # min t subject to f0 + A x + t >= 0 over (x, t); the box rows keep it
+    # bounded below
     rng = np.random.default_rng(seed)
-    p, a_all, f0_all, c = diagonal_problem(rng)
-    out = solve(p)
+    p, a_all, f0_all = diagonal_problem(rng)
+    out = feasibility_margin(p)
     assert out.status == FEASIBLE
-    ref = linprog(c, A_ub=-a_all, b_ub=f0_all, bounds=[(None, None)] * len(c))
+    m = a_all.shape[1]
+    ref = linprog(
+        np.eye(m + 1)[m],
+        A_ub=-np.hstack([a_all, np.ones((len(f0_all), 1))]),
+        b_ub=f0_all,
+        bounds=[(None, None)] * (m + 1),
+    )
     assert ref.status == 0
-    assert abs(c @ out.x - ref.fun) < 1e-6
+    assert abs(out.margin_t - ref.fun) < 1e-6
+    # the margin is attained at the solver's x
+    assert abs((f0_all + a_all @ out.x).min() + ref.fun) < 1e-6
 
 
 def feasible_instance(rng, m=4, sizes=(5, 3)):
@@ -164,7 +171,7 @@ def feasible_instance(rng, m=4, sizes=(5, 3)):
         bulk = rand_herm(n, rng)
         psd = bulk @ bulk.conj().T + 0.3 * np.eye(n)
         f0s.append(psd - np.tensordot(xhat, fs[b], axes=1))
-    return SdpProblem(f0s=f0s, fs=fs, c=np.zeros(m))
+    return SdpProblem(f0s=f0s, fs=fs)
 
 
 def infeasible_instance(rng, m=4, sizes=(5, 3)):
@@ -191,7 +198,7 @@ def infeasible_instance(rng, m=4, sizes=(5, 3)):
     val = sum(np.einsum("pq,qp->", shift[b], z0[b]).real for b in range(len(sizes)))
     for b, n in enumerate(sizes):
         f0s.append(shift[b] + (target - val) / znorm * z0[b])
-    return SdpProblem(f0s=f0s, fs=fs, c=np.zeros(m))
+    return SdpProblem(f0s=f0s, fs=fs)
 
 
 @pytest.mark.parametrize("seed", list(range(10)))
@@ -223,11 +230,10 @@ def test_weak_duality_on_accepted_iterates():
     # must satisfy weak duality up to the gap tolerance
     rng = np.random.default_rng(7)
     problems = [feasible_instance(rng), infeasible_instance(rng)]
-    p_obj, _, _, _ = diagonal_problem(rng)
-    problems.append(p_obj)
+    problems.append(diagonal_problem(rng)[0])
     for p in problems:
         rows = []
-        solve(p, trace=rows.append)
+        feasibility_margin(p, trace=rows.append)
         for row in rows:
             if row["pinf"] <= 1e-9 and row["dinf"] <= 1e-9:
                 scale = max(1.0, abs(row["pobj"]), abs(row["dobj"]))
@@ -255,7 +261,6 @@ def test_complex_data_handled_natively():
     p2 = SdpProblem(
         f0s=[rot(p.f0s[0])],
         fs=[np.stack([rot(f) for f in p.fs[0].toarray().reshape(3, 4, 4)])],
-        c=np.zeros(3),
     )
     out = feasibility_margin(p2)
     assert out.status == FEASIBLE
@@ -268,12 +273,11 @@ def test_complex_data_handled_natively():
 def test_non_hermitian_rejected():
     bad = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     with pytest.raises(ValueError):
-        SdpProblem(f0s=[bad], fs=[np.zeros((0, 2, 2), dtype=complex)], c=np.zeros(0))
+        SdpProblem(f0s=[bad], fs=[np.zeros((0, 2, 2), dtype=complex)])
     with pytest.raises(ValueError):
         SdpProblem(
             f0s=[np.eye(2, dtype=complex)],
             fs=[bad[None]],
-            c=np.zeros(1),
         )
 
 
@@ -291,7 +295,7 @@ def test_real_fast_path_matches_complex_path():
     imag_dir[0, 1] = 1j
     imag_dir[1, 0] = -1j
     fs_all = np.concatenate([fs_real, imag_dir[None]], axis=0)
-    p = SdpProblem(f0s=[f0], fs=[fs_all], c=np.zeros(4))
+    p = SdpProblem(f0s=[f0], fs=[fs_all])
     out = feasibility_margin(p)
     assert out.diagnostics["real_path"] is True
     assert out.status == FEASIBLE
@@ -321,7 +325,7 @@ def test_schur_block_matches_dense_definition(complex_data, monkeypatch):
     dense = np.array(
         [[np.trace(fs[i] @ sinv @ fs[j] @ z).real for j in range(m)] for i in range(m)]
     )
-    fmat = SdpProblem(f0s=[s], fs=[fs], c=np.zeros(m)).fs[0]
+    fmat = SdpProblem(f0s=[s], fs=[fs]).fs[0]
 
     def assemble():
         stacks = schur_stacks(fmat, n)
@@ -349,7 +353,7 @@ def test_certificate_check_rejects_small_defects():
         np.array([np.diag([1.0, -1.0]), [[0, 1j], [-1j, 0]]], dtype=complex),
         np.zeros((2, 1, 1), dtype=complex),
     ]
-    p = SdpProblem(f0s=f0s, fs=fs, c=np.zeros(2))
+    p = SdpProblem(f0s=f0s, fs=fs)
     z = [np.eye(2) / 3, np.eye(1) / 3]
     assert verify_certificate(p, z).passed
     violated = verify_certificate(p, [np.diag([1 / 3 + 5e-7, 1 / 3 - 5e-7]), z[1]])
@@ -368,17 +372,10 @@ def test_certificate_check_rejects_small_defects():
         ("block 1", lambda: SdpProblem(
             f0s=[np.eye(2, dtype=complex), np.diag([1.0, np.nan]).astype(complex)],
             fs=[np.zeros((0, 2, 2)), np.zeros((0, 2, 2))],
-            c=np.zeros(0),
         )),
         ("block 0", lambda: SdpProblem(
             f0s=[np.eye(2, dtype=complex)],
             fs=[np.array([[[np.inf, 0.0], [0.0, 1.0]]])],
-            c=np.zeros(1),
-        )),
-        ("coefficient 1", lambda: SdpProblem(
-            f0s=[np.eye(2, dtype=complex)],
-            fs=[np.array([np.eye(2), np.diag([1.0, -1.0])])],
-            c=np.array([0.0, np.nan]),
         )),
     ],
 )
@@ -605,7 +602,7 @@ def test_schur_matrix_is_held_once():
                 dense[i, n - 1, n - 1] = -1
         fs.append(sps.csr_array(dense.reshape(m, n * n)))
     f0s = [rand_herm(n, rng) + n * np.eye(n) for _ in range(blocks)]
-    problem = SdpProblem(f0s=f0s, fs=fs, c=np.zeros(m))
+    problem = SdpProblem(f0s=f0s, fs=fs)
     tracemalloc.start()
     try:
         out = feasibility_margin(problem)

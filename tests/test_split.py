@@ -47,7 +47,7 @@ def rotated(problem, seed, real):
         stacks.append((rot + rot.conj().transpose(0, 2, 1)) / 2)
         g0 = u @ f0 @ u.conj().T
         f0s.append((g0 + g0.conj().T) / 2)
-    return sdp.SdpProblem(f0s=f0s, fs=stacks, c=np.zeros(problem.m))
+    return sdp.SdpProblem(f0s=f0s, fs=stacks)
 
 
 def component_labels(problem):
@@ -143,7 +143,7 @@ def test_unmirrored_tiny_entries_join_their_components():
         dirs[i, i, i], dirs[i, i + 1, i + 1] = 1.0, -1.0
     dirs_b = dirs.copy()
     dirs_b[1, 3, 2] = 1e-14
-    problem = sdp.SdpProblem(f0s=[f0a, f0b], fs=[dirs, dirs_b], c=np.zeros(m))
+    problem = sdp.SdpProblem(f0s=[f0a, f0b], fs=[dirs, dirs_b])
     out = sdp.feasibility_margin(problem)
     # block 0: {0, 1}, {2}, {3}; block 1: {0}, {1}, {2, 3}
     assert out.diagnostics["side_classes"] == {1: 4, 2: 2}
@@ -164,7 +164,6 @@ def test_blocks_of_side_one_are_one_class():
     problem = sdp.SdpProblem(
         f0s=[np.array([[v]]) for v in f0],
         fs=[f[:, b].reshape(m, 1, 1) for b in range(nb)],
-        c=np.zeros(m),
     )
     out = sdp.feasibility_margin(problem)
     assert out.diagnostics["side_classes"] == {1: nb}
@@ -200,7 +199,6 @@ def test_components_of_distinct_sides_in_one_block():
     problem = sdp.SdpProblem(
         f0s=[block_diagonal()],
         fs=[np.array([block_diagonal() for _ in range(m)])],
-        c=np.zeros(m),
     )
     out = sdp.feasibility_margin(problem)
     assert out.diagnostics["side_classes"] == {1: 1, 2: 1, 3: 1, 4: 1}

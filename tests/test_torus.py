@@ -50,7 +50,7 @@ def full_shape(rho, spec):
 
 def full_problem(problem, rho, spec):
     full = full_shape(rho, spec)
-    return sdp.SdpProblem(f0s=problem.f0s, fs=full.stacks, c=np.zeros(full.m))
+    return sdp.SdpProblem(f0s=problem.f0s, fs=full.stacks)
 
 
 def torus_dimension(rho):
@@ -314,9 +314,7 @@ def test_dense_state_keeps_the_full_problem_bit_for_bit():
     problem, shape = build_extension_problem(rho, spec)
     assert shape.grading is None
     assert problem.fs is shape.stacks and problem.m == shape.m
-    plain = sdp.SdpProblem(
-        f0s=shape.pinned_blocks(rho.matrix), fs=shape.stacks, c=np.zeros(shape.m)
-    )
+    plain = sdp.SdpProblem(f0s=shape.pinned_blocks(rho.matrix), fs=shape.stacks)
     expected = sdp.feasibility_margin(plain)
     report = run_test(rho, spec)
     assert report.margin == expected.margin_t

@@ -11,7 +11,12 @@ import math
 import numpy as np
 import pytest
 
-from oracles import averaged_embedding, find_gamma_star, gisin_family_witness
+from oracles import (
+    averaged_embedding,
+    find_gamma_star,
+    gisin_family_witness,
+    scale_witness,
+)
 from sepcert.hierarchy import (
     ENTANGLED,
     DensityMatrix,
@@ -32,7 +37,6 @@ from sepcert.witness import (
     extract_witness,
     minimize_on_products,
     scale_state,
-    scale_witness,
     verify_ksos_identity,
 )
 
