@@ -119,7 +119,7 @@ def decompose(z, space, tolerances=None):
         "p_min_eigenvalue": _min_eigenvalue(p),
         "q_min_eigenvalue": _min_eigenvalue(q),
         "split_iterations": out.iterations,
-        # one solve now; perfbench/spans.py still adds the two counts
+        # the state form is not solved; perfbench/spans.py adds this count
         "state_iterations": 0,
     }
 
@@ -132,7 +132,7 @@ def decompose(z, space, tolerances=None):
         slack = diagnostics["p_min_eigenvalue"] + epsilon - s
         if not slack > 0:
             raise SolverFailure(
-                f"decomposable verdict, but the split fails its check: "
+                "decomposable verdict, but the split fails its check: "
                 f"P + (epsilon - s) 1 has smallest eigenvalue {slack:.3e}",
                 outcome=out,
             )
