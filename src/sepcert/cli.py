@@ -371,7 +371,7 @@ def cmd_decompose(args):
         "verdict": report.verdict,
         "eta": report.eta,
         "epsilon": report.epsilon,
-        "canonical_residual": report.diagnostics["canonical_residual"],
+        "split_slack": report.diagnostics["split_slack"],
         "p_min_eigenvalue": report.diagnostics["p_min_eigenvalue"],
         "q_min_eigenvalue": report.diagnostics["q_min_eigenvalue"],
     }

@@ -13,6 +13,12 @@ semidefinite at any k, the underlying map is positive.  The ladder also
 drives the threshold sweep, where the largest mixing weight alpha keeping
 (1 - alpha) * reference + alpha * candidate certified at level k is a
 generalized eigenvalue problem rather than a semidefinite program.
+
+Both are solved one torus-weight class at a time: the exact zeros of a
+defining operator make it invariant under a torus of diagonal phases
+(hierarchy._torus_grading), basis vector (b, mu) of the composed operator
+has weight phi_b + mu . psi, and every entry between two weights is a sum
+of exact zeros, so no tolerance decides the blocks.
 """
 
 from dataclasses import dataclass, field
@@ -20,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tolerances as policy
-from .hierarchy import _trace_down
+from .hierarchy import SolverFailure, _occupations, _torus_grading, _trace_down
 from .tensorops import (
     TensorSpace,
     check_hermitian,
@@ -167,6 +173,44 @@ def compose_with_symmetric_embedding(lmap, k):
     return comp.reshape(side, side)
 
 
+def _weight_classes(pattern, din, dout, k):
+    """The composed basis (b, mu), index b * dsym + mu, grouped by torus
+    weight phi_b + mu . psi, (phi, psi) the hierarchy._torus_grading of a
+    defining operator whose nonzero entries are pattern: one (count, n)
+    array of ascending indices per class side n, or None (one class) when
+    the operator has no torus."""
+    grading = _torus_grading(din, dout, pattern.tobytes())
+    if grading is None:
+        return None
+    weights = grading[:din, None] + (_occupations(dout, k) @ grading[din:])[None]
+    _, labels = np.unique(weights.reshape(-1, grading.shape[1]), axis=0, return_inverse=True)
+    sides = np.bincount(labels)[labels]
+    order = np.lexsort((labels, sides))
+    cuts = np.flatnonzero(np.diff(sides[order])) + 1
+    return [idx.reshape(-1, sides[idx[0]]) for idx in np.split(order, cuts)]
+
+
+def _class_blocks(comp, classes):
+    """comp's diagonal blocks on the weight classes, one (count, n, n)
+    stack per class side, or [comp] for one class.  Every entry between
+    two classes is exactly zero; a nonzero one left out of the blocks
+    raises SolverFailure."""
+    if classes is None:
+        return [comp]
+    blocks = [comp[idx[:, :, None], idx[:, None, :]] for idx in classes]
+    if sum(map(np.count_nonzero, blocks)) != np.count_nonzero(comp):
+        raise SolverFailure("composed operator has an entry between two torus-weight classes")
+    return blocks
+
+
+def _composed_minimum(lmap, k):
+    """Minimum eigenvalue of the level-k composed operator: the minimum
+    over its torus-weight classes, one batched eigvalsh per class side."""
+    comp = compose_with_symmetric_embedding(lmap, k)
+    classes = _weight_classes(lmap.choi != 0, lmap.in_dim, lmap.out_dim, k)
+    return min(float(np.linalg.eigvalsh(b)[..., 0].min()) for b in _class_blocks(comp, classes))
+
+
 def check_strict_positivity(lmap, k_max=8, samples=10000, seed=1234):
     """Certify positivity through the embedding ladder or exhibit a violation.
 
@@ -175,8 +219,9 @@ def check_strict_positivity(lmap, k_max=8, samples=10000, seed=1234):
     state the map sends to something with a negative eigenvalue; finding
     one refutes positivity.  Failing that, the composed operator is
     checked at each k up to k_max, and semidefiniteness at any level
-    certifies the map positive.  When neither side resolves, the verdict
-    is left undetermined: absence of a sampled violation is not proof.
+    certifies the map positive (_composed_minimum, class by class).  When
+    neither side resolves, the verdict is left undetermined: absence of a
+    sampled violation is not proof.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be at least 1, got {k_max}")
@@ -203,8 +248,7 @@ def check_strict_positivity(lmap, k_max=8, samples=10000, seed=1234):
         return report
 
     for k in range(1, k_max + 1):
-        comp = compose_with_symmetric_embedding(lmap, k)
-        lam = float(np.linalg.eigvalsh(comp)[0])
+        lam = _composed_minimum(lmap, k)
         report.per_k_min_eigenvalues[k] = lam
         if lam >= -policy.PSD_SLACK:
             report.verdict = CERTIFIED
@@ -219,22 +263,30 @@ def alpha_threshold(map0, map1, k):
     With C0, C1 the composed operators of the two maps, the threshold is
     1 / lambda_max(C0^{-1/2} (C0 - C1) C0^{-1/2}) whenever that largest
     eigenvalue is positive, and 1 otherwise.  Symmetric whitening needs
-    C0 positive definite.
+    C0 positive definite, checked on every class before any is whitened.
+    Both operators split on the torus-weight classes of the union of the
+    two maps' nonzero patterns; lambda_max is the largest over the classes.
     """
     if (map0.in_dim, map0.out_dim) != (map1.in_dim, map1.out_dim):
         raise ValueError("threshold maps must share input and output dimensions")
-    c0 = compose_with_symmetric_embedding(map0, k)
-    c1 = compose_with_symmetric_embedding(map1, k)
-    vals, vecs = np.linalg.eigh(c0)
-    if vals[0] <= policy.POSITIVE_DEFINITE * max(vals[-1], 1.0):
+    pattern = (map0.choi != 0) | (map1.choi != 0)
+    classes = _weight_classes(pattern, map0.in_dim, map0.out_dim, k)
+    c0 = _class_blocks(compose_with_symmetric_embedding(map0, k), classes)
+    c1 = _class_blocks(compose_with_symmetric_embedding(map1, k), classes)
+    eigs = [np.linalg.eigh(b) for b in c0]
+    lowest = min(vals[..., 0].min() for vals, _ in eigs)
+    if lowest <= policy.POSITIVE_DEFINITE * max(max(vals.max() for vals, _ in eigs), 1.0):
         raise ValueError(
             "reference operator is not positive definite at this level; "
             "rescale the reference map (for example blend in a tracial "
             "part) before sweeping"
         )
-    white = (vecs / np.sqrt(vals)) @ vecs.conj().T
-    pencil = white @ (c0 - c1) @ white.conj().T
-    lam_max = float(np.linalg.eigvalsh((pencil + pencil.conj().T) / 2)[-1])
+    lam_max = -np.inf
+    for (vals, vecs), b0, b1 in zip(eigs, c0, c1):
+        white = (vecs / np.sqrt(vals)[..., None, :]) @ vecs.conj().mT
+        pencil = white @ (b0 - b1) @ white.conj().mT
+        top = np.linalg.eigvalsh((pencil + pencil.conj().mT) / 2)[..., -1]
+        lam_max = max(lam_max, float(top.max()))
     if lam_max <= 0:
         return 1.0
     return 1.0 / lam_max

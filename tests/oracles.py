@@ -15,8 +15,10 @@ The detection threshold along the filter family is bracketed by
 bisection over run_test, and the filter is transported onto witnesses.
 The worst value of an operator on states with a positive partial
 transpose is bracketed by bisection over margin solves posed on the
-states themselves, the other side of decompose's split form.  None of
-these is needed by the package itself.
+states themselves, the other side of decompose's split form.  The
+positivity ladder's minimum and the threshold pencil are taken on the
+whole composed operators, beside the package's torus-weight classes.
+None of these is needed by the package itself.
 """
 
 import functools
@@ -34,7 +36,7 @@ from sepcert.hierarchy import (
     DensityMatrix,
     transpose_descriptors,
 )
-from sepcert.posmaps import apply_map
+from sepcert.posmaps import apply_map, compose_with_symmetric_embedding
 from sepcert.witness import _filter_matrix, scale_state
 from sepcert.tensorops import (
     FactorError,
@@ -499,3 +501,27 @@ def state_form_epsilon(z, space, resolution=1e-9):
         else:
             lo = mid
     return (lo + hi) / 2, best
+
+
+# -- the positivity ladder on the whole composed operator ---------------------
+
+
+def composed_minimum(lmap, k):
+    """Minimum eigenvalue of the level-k composed operator, one eigvalsh
+    of the whole matrix."""
+    return float(np.linalg.eigvalsh(compose_with_symmetric_embedding(lmap, k))[0])
+
+
+def pencil_threshold(map0, map1, k):
+    """Largest alpha keeping (1 - alpha) C0 + alpha C1 semidefinite at
+    level k, from the whole composed operators: 1 / lambda_max of the
+    pencil whitened by C0^(-1/2), or 1 when that is not positive."""
+    c0 = compose_with_symmetric_embedding(map0, k)
+    c1 = compose_with_symmetric_embedding(map1, k)
+    vals, vecs = np.linalg.eigh(c0)
+    if vals[0] <= policy.POSITIVE_DEFINITE * max(vals[-1], 1.0):
+        raise ValueError("reference operator is not positive definite")
+    white = (vecs / np.sqrt(vals)) @ vecs.conj().T
+    pencil = white @ (c0 - c1) @ white.conj().T
+    lam_max = float(np.linalg.eigvalsh((pencil + pencil.conj().T) / 2)[-1])
+    return 1.0 if lam_max <= 0 else 1.0 / lam_max

@@ -13,17 +13,31 @@ forever without certifying.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from oracles import operator_from_map, swap_operator, symmetric_isometry
+from oracles import (
+    composed_minimum,
+    gisin_family_witness,
+    operator_from_map,
+    pencil_threshold,
+    swap_operator,
+    symmetric_isometry,
+)
+from sepcert import posmaps
+from sepcert.cli import main
+from sepcert.hierarchy import SolverFailure
+from sepcert.matio import save_matrix
 from sepcert.posmaps import (
     CERTIFIED,
     COMPLETELY_POSITIVE,
     NOT_POSITIVE,
     UNDETERMINED,
     LinearMap,
+    _composed_minimum,
+    _weight_classes,
     alpha_threshold,
     apply_map,
     check_strict_positivity,
@@ -320,6 +334,115 @@ def test_threshold_requires_definite_reference():
         alpha_threshold(lop, other, 1)
     with pytest.raises(ValueError):
         alpha_threshold(tracial_map(2), tracial_map(3), 1)
+
+
+def ladder_maps():
+    """Maps whose composed operators split into torus-weight classes, in
+    both directions for the witnesses, and one dense map without a torus."""
+    rng = np.random.default_rng(21)
+    b, a = np.divmod(np.arange(6), 3)
+    # complex, and invariant under phi_b = b, psi_a = a: entries only
+    # between (b, a) and (b', c) with b + a = b' + c
+    invariant = random_hermitian(rng, 6) * ((b + a)[:, None] == (b + a)[None, :])
+    maps = {
+        "swap": LinearMap(3, 3, swap_operator(TensorSpace([3, 3]), 0, 1)),
+        "invariant": LinearMap(2, 3, invariant),
+        "torus-free": LinearMap(2, 3, random_hermitian(rng, 6)),
+    }
+    for name, (w, sp) in (("choi", choi_family_witness()), ("gisin", gisin_family_witness())):
+        for direction in ("a_to_b", "b_to_a"):
+            maps[f"{name}-{direction}"] = map_from_witness(w, sp, direction)
+    return maps
+
+
+LADDER_MAPS = ladder_maps()
+
+
+def classes_of(lmap, k):
+    return _weight_classes(lmap.choi != 0, lmap.in_dim, lmap.out_dim, k)
+
+
+def class_labels(classes, side):
+    """The class of each composed basis index; every index in exactly one."""
+    label = np.full(side, -1)
+    first = 0
+    for idx in classes:
+        assert (label[idx] == -1).all() and (np.diff(idx, axis=1) > 0).all()
+        label[idx] = first + np.arange(len(idx))[:, None]
+        first += len(idx)
+    assert (label >= 0).all()
+    return label
+
+
+@pytest.mark.parametrize("name", LADDER_MAPS)
+def test_class_minimum_matches_the_whole_operator(name):
+    lmap = LADDER_MAPS[name]
+    assert (classes_of(lmap, 8) is None) == (name == "torus-free")
+    for k in range(1, 9):
+        assert abs(_composed_minimum(lmap, k) - composed_minimum(lmap, k)) < 1e-12
+
+
+@pytest.mark.parametrize("name", [n for n in LADDER_MAPS if n != "torus-free"])
+def test_composed_operator_vanishes_between_classes(name):
+    lmap = LADDER_MAPS[name]
+    for k in (1, 2, 5, 8):
+        comp = compose_with_symmetric_embedding(lmap, k)
+        label = class_labels(classes_of(lmap, k), len(comp))
+        assert label.max() > 0
+        assert (comp[label[:, None] != label[None, :]] == 0).all()
+
+
+def test_class_counts_at_level_eight():
+    # 63 classes at k = 8 for both families: side 135 in classes of at
+    # most 3 for choi, side 660 in classes of at most 34 for gisin
+    for name, side, widest in (("choi-a_to_b", 135, 3), ("gisin-a_to_b", 660, 34)):
+        classes = classes_of(LADDER_MAPS[name], 8)
+        assert sum(idx.size for idx in classes) == side
+        assert sum(len(idx) for idx in classes) == 63
+        assert max(idx.shape[1] for idx in classes) == widest
+
+
+def test_threshold_matches_the_whole_pencil():
+    m0, m1 = threshold_family()
+    for k in range(1, 13):
+        assert abs(alpha_threshold(m0, m1, k) - pencil_threshold(m0, m1, k)) < 1e-12
+    # a dense candidate leaves one class, and a complex invariant one splits
+    rng = np.random.default_rng(22)
+    pairs = (
+        (tracial_map(3), LinearMap(3, 3, random_hermitian(rng, 9))),
+        (LinearMap(2, 3, np.eye(6) / 3), LADDER_MAPS["invariant"]),
+    )
+    for ref, cand in pairs:
+        for k in range(1, 5):
+            assert abs(alpha_threshold(ref, cand, k) - pencil_threshold(ref, cand, k)) < 1e-12
+
+
+def test_indefinite_reference_raises_before_whitening():
+    lop = LinearMap(2, 2, np.diag([1.0, 0, 0, 0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in (1, 3):
+            with pytest.raises(ValueError, match="not positive definite"):
+                alpha_threshold(lop, tracial_map(2), k)
+
+
+def test_entry_between_classes_is_a_solver_failure(monkeypatch, tmp_path):
+    swap = LADDER_MAPS["swap"]
+    compose = posmaps.compose_with_symmetric_embedding
+
+    def leaky(lmap, k):
+        comp = compose(lmap, k).copy()
+        label = class_labels(classes_of(lmap, k), len(comp))
+        j = np.flatnonzero(label != label[0])[0]
+        comp[0, j] = comp[j, 0] = 1e-3
+        return comp
+
+    monkeypatch.setattr(posmaps, "compose_with_symmetric_embedding", leaky)
+    with pytest.raises(SolverFailure, match="between two torus-weight classes"):
+        check_strict_positivity(swap, k_max=2, samples=500)
+    path = str(tmp_path / "swap.mat")
+    save_matrix(path, swap.choi, TensorSpace([3, 3]), "operator")
+    assert main(["posmap", path, "--kmax", "2", "--out", str(tmp_path)]) == 70
 
 
 def test_map_validation():
