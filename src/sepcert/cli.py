@@ -185,19 +185,21 @@ def _trace_cb(args):
 
 
 def _trace_counts(args, reports):
-    """Under --trace, two lines per solve: its torus dimension and its full
+    """Under --trace, two lines per level: its torus dimension and its full
     and invariant free-direction counts, then the side classes the
-    iteration ran on, as side:count pairs."""
+    iteration ran on, as side:count pairs, or, for a level decided at
+    x = 0 without iterating, the smallest eigenvalue of F0 that decided."""
     if args.trace:
         for rep in reports:
-            meta = rep.metadata
-            classes = meta["solver"]["side_classes"]
+            meta, solver = rep.metadata, rep.metadata["solver"]
+            how = (f"decided at x=0 min_eigenvalue={solver['min_eigenvalue']:.3e}"
+                   if rep.iterations == 0 else "side_classes=" + ",".join(
+                       f"{side}:{count}" for side, count in solver["side_classes"].items()))
             print(
                 f"trace: k={rep.spec.k} torus_dimension={meta['torus_dimension']} "
                 f"free_directions={meta['free_directions']} "
                 f"invariant_directions={meta['invariant_directions']}\n"
-                f"trace: k={rep.spec.k} side_classes="
-                + ",".join(f"{side}:{count}" for side, count in classes.items()),
+                f"trace: k={rep.spec.k} {how}",
                 file=sys.stderr,
             )
 

@@ -747,7 +747,7 @@ class ExtensionShape:
         the extension on Sym_k(A) x B that x stands for."""
         return f0 + (self._plain @ x).reshape(f0.shape)
 
-    def dual_pairing(self, z_blocks):
+    def dual_pairing(self, z_blocks, image=None):
         """Witness operator (unnormalized) from certificate blocks: the
         exact adjoint of pinned_blocks in the trace pairing.
 
@@ -755,12 +755,15 @@ class ExtensionShape:
         V -> (unvec M vec(V^T))^T.  So the transposed copy map of each
         block, applied to Z_b^T one B entry at a time (B transposed back
         on tb blocks), gives the transpose of the block's adjoint image on
-        Sym_k(A) x B; the transposed pinned-part map (T T^T)^-1 T takes
-        their sum to A x B, and one more transpose gives the adjoint.
+        Sym_k(A) x B (adjoint_image, or image when given); the transposed
+        pinned-part map (T T^T)^-1 T takes their sum to A x B, and one
+        more transpose gives the adjoint.
         """
-        return _map_copies(self._adjoint_image(z_blocks), self._pin_adjoint, self.d_b).T
+        if image is None:
+            image = self.adjoint_image(z_blocks)
+        return _map_copies(image, self._pin_adjoint, self.d_b).T
 
-    def _adjoint_image(self, z_blocks):
+    def adjoint_image(self, z_blocks):
         """The transpose of Y = sum_b Gamma_b^dag(Z_b) on Sym_k(A) x B,
         Gamma_b the map X -> F_b of block b: the transposed copy map of
         each block applied to Z_b^T one B entry at a time, B transposed
@@ -771,19 +774,21 @@ class ExtensionShape:
             for d, z in zip(self.descriptors, z_blocks)
         )
 
-    def pairing_violation(self, z_blocks):
+    def pairing_violation(self, z_blocks, image=None):
         """max_i |Re Tr[F_i Z]| over every free direction of the level,
         posed or not, without any direction stack.  F_i is V x E carried to
         the blocks, V a null-basis row and E a B part (_directions), plus
         its adjoint or not, so Tr[F_i Z] is Tr[(V x E) Y], or twice its real
         part, with Y = sum_b Gamma_b^dag(Z_b), the first half of
         dual_pairing.  Z enters through its Hermitian part, which keeps
-        Re Tr[F_i Z], the pairing sdp.verify_certificate checks.
+        Re Tr[F_i Z], the pairing sdp.verify_certificate checks; image,
+        when given, is the adjoint_image of Hermitian z_blocks.
         """
         d_b, n = self.d_b, symmetric_subspace_dim(self.d_a, self.k)
-        herm = [(np.asarray(z) + np.asarray(z).conj().T) / 2 for z in z_blocks]
+        if image is None:
+            image = self.adjoint_image([(z + np.conj(z).T) / 2 for z in map(np.asarray, z_blocks)])
         # Y^T, entry [(mu, nu), (a, b)] the pairing of |mu><nu| x |a><b| with Y
-        y = self._adjoint_image(herm).reshape(n, d_b, n, d_b)
+        y = image.reshape(n, d_b, n, d_b)
         y = y.transpose(0, 2, 1, 3).reshape(n * n, d_b * d_b)
         worst = 0.0
         for kind in _directions(self.d_a, d_b, self.k):
@@ -984,10 +989,12 @@ def _report(rho, problem, shape, spec, outcome):
     if outcome.status == sdp.INFEASIBLE:
         from . import witness as witness_mod
 
-        # PSD and the objective on the posed problem, the pairing with
-        # every free direction from the shape
+        # PSD and the objective on the posed problem, the pairing with every
+        # free direction from the shape; the solver's blocks are exactly
+        # Hermitian, so one adjoint image serves the pairing and the witness
         check = sdp.verify_certificate(problem, outcome.z_blocks)
-        violation = shape.pairing_violation(outcome.z_blocks)
+        image = shape.adjoint_image(outcome.z_blocks)
+        violation = shape.pairing_violation(outcome.z_blocks, image)
         check = replace(check, constraint_violation=violation,
                         passed=check.passed and violation <= policy.CERT_TOL)
         if not check.passed:
@@ -996,7 +1003,7 @@ def _report(rho, problem, shape, spec, outcome):
                 f"verification: {check}",
                 outcome=outcome,
             )
-        wit = witness_mod.extract_witness(shape, problem, rho, outcome.z_blocks)
+        wit = witness_mod.extract_witness(shape, problem, rho, outcome.z_blocks, image)
         return TestReport(status=ENTANGLED, dual_blocks=outcome.z_blocks,
                           certificate_check=check, witness=wit, **common)
     if outcome.status == sdp.MARGINAL:

@@ -14,6 +14,9 @@ which is always strictly feasible; its optimum t* is negative exactly when
 F(x) >= 0 has a strictly feasible point, and when t* > 0 the dual optimizer
 is a certificate of infeasibility: Z >= 0 with Tr[F_i Z] = 0 for all i,
 Tr Z = 1 and Tr[F0 Z] = -t* < 0, which contradicts F(x) >= 0 for every x.
+A verdict needs only the sign of t* beyond the refusal band, so a problem
+whose F0 clears the band is decided at x = 0 without iterating, on the
+checked bound t* <= -lambda_min(F0).
 
 The solver is a primal-dual path-following method with the HKM direction and
 a Mehrotra-style predictor-corrector step, run from the customary infeasible
@@ -1017,31 +1020,66 @@ def _lmi_spectra(problem, x):
 def feasibility_margin(problem, tolerances=None, trace=None):
     """Decide feasibility of F(x) >= 0 through the margin problem.
 
-    The verdict is backed from both sides: infeasibility requires the dual
-    bound -Tr[F0 Z] (valid for any dual-feasible Z with unit trace) to clear
-    the margin tolerance, feasibility requires the primal point to do so,
-    and when both optima are pinched inside the band the answer is marginal.
+    Each problem is first tested at x = 0 (_at_zero).  When F0 clears the
+    refusal band, (0, -lambda_min(F0)) is a feasible point, so
+    t* <= -lambda_min(F0) <= -REFUSAL_BAND: the verdict is feasible, with
+    x = 0, that checked bound as the margin, 0 iterations, a NaN gap and
+    no dual.  No infeasible problem passes, since F0 would be feasible.
+
+    Every other problem is solved, and its verdict is backed from both
+    sides: infeasibility requires the dual bound -Tr[F0 Z] (valid for any
+    dual-feasible Z with unit trace) to clear the margin tolerance,
+    feasibility requires the primal point to do so, and when both optima
+    are pinched inside the band the answer is marginal.
 
     The margin is unbounded below when some combination of the F_i is
     positive definite.  Otherwise a unit-trace Z >= 0 with Tr[F_i Z] = 0
     for every i exists and gives t >= -Tr[F0 Z] >= -||F0|| for every
     feasible (x, t), so the solve stops at the first feasible iterate
-    below -(1 + ||F0||).  The verdict there is feasible once F(x) is
-    verified positive definite from the problem data, with the margin
-    -lambda_min(F(x)) that this x attains and no dual certificate;
-    SdpNumericalError is raised when it is not.
+    below -(1 + ||F0||).  Its x is checked as x = 0 is (_checked_point);
+    SdpNumericalError is raised when the check fails.
 
     problem may also be a list of problems that share one DirectionStacks;
     their outcomes come back in order, each the one its problem gets alone
-    (_solve_core), and the first whose solve broke down raises its error.
+    (the solved ones run as one batch of _solve_core), and the first whose
+    solve broke down raises its error.
     """
     problems = problem if isinstance(problem, list) else [problem]
-    floors = [
-        -1.0 - np.sqrt(sum(np.linalg.norm(f0) ** 2 for f0 in p.f0s)) for p in problems
-    ]
-    states = _run(tolerances or SolverTolerances(), trace, problems, floors)
-    outcomes = [_margin_outcome(p, res) for p, res in zip(problems, states)]
+    outcomes = [_at_zero(p) for p in problems]
+    solved = [i for i, out in enumerate(outcomes) if out is None]
+    if solved:
+        floors = [-1.0 - np.sqrt(sum(np.linalg.norm(f0) ** 2 for f0 in problems[i].f0s))
+                  for i in solved]
+        states = _run(tolerances or SolverTolerances(), trace,
+                      [problems[i] for i in solved], floors)
+        for i, res in zip(solved, states):
+            outcomes[i] = _margin_outcome(problems[i], res)
     return outcomes if isinstance(problem, list) else outcomes[0]
+
+
+def _at_zero(problem):
+    """The outcome of the problem at x = 0 when every F0_b - REFUSAL_BAND * 1
+    has a Cholesky factor (the first block without one ends the test) and
+    _checked_point passes; None otherwise."""
+    for f0 in problem.f0s:
+        try:
+            np.linalg.cholesky(f0 - policy.REFUSAL_BAND * np.eye(len(f0)))
+        except np.linalg.LinAlgError:
+            return None
+    return _checked_point(problem, np.zeros(problem.m), 0, np.nan, {})
+
+
+def _checked_point(problem, x, iterations, gap, diagnostics):
+    """The feasible outcome at x when every eigenvalue of F(x), from the
+    problem data, clears REFUSAL_BAND: margin -lambda_min(F(x)), which x
+    attains, and no dual; None otherwise.  diagnostics gains
+    min_eigenvalue either way."""
+    lam = min(float(e[0]) for e in _lmi_spectra(problem, x))
+    diagnostics.update(min_eigenvalue=lam)
+    if lam < policy.REFUSAL_BAND:
+        return None
+    return SdpOutcome(status=FEASIBLE, x=x, z_blocks=None, margin_t=-lam, gap=gap,
+                      iterations=iterations, diagnostics=diagnostics)
 
 
 def _margin_outcome(problem, res):
@@ -1051,7 +1089,15 @@ def _margin_outcome(problem, res):
     m = problem.m
     diagnostics = res["diagnostics"]
     if res["status"] == "unbounded":
-        return _unbounded_margin(problem, res, diagnostics)
+        diagnostics.update(unbounded=True)
+        out = _checked_point(problem, res["x"][:m], res["iterations"], res["gap"], diagnostics)
+        if out is None:
+            raise SdpNumericalError(
+                "margin unbounded below, but F(x) at the stopping point does not clear "
+                f"the refusal band (smallest eigenvalue {diagnostics['min_eigenvalue']:.3e})",
+                iteration=res["iterations"], diagnostics=diagnostics,
+            )
+        return out
 
     t_primal = float(res["x"][m])
     split, z = res["split"], res["z"]
@@ -1087,32 +1133,6 @@ def _margin_outcome(problem, res):
         x=x,
         z_blocks=zblocks,
         margin_t=margin_t,
-        gap=res["gap"],
-        iterations=res["iterations"],
-        diagnostics=diagnostics,
-    )
-
-
-def _unbounded_margin(problem, res, diagnostics):
-    """The feasible verdict of a margin problem whose solve stopped below
-    its floor, after checking F(x) > 0 block by block."""
-    x = res["x"][: problem.m]
-    eigs = _lmi_spectra(problem, x)
-    lam = min(float(e[0]) for e in eigs)
-    top = max(float(e[-1]) for e in eigs)
-    diagnostics.update(unbounded=True, min_eigenvalue=lam)
-    if lam <= policy.POSITIVE_DEFINITE * max(1.0, top):
-        raise SdpNumericalError(
-            "margin unbounded below, but F(x) at the stopping point is not "
-            f"positive definite (smallest eigenvalue {lam:.3e})",
-            iteration=res["iterations"],
-            diagnostics=diagnostics,
-        )
-    return SdpOutcome(
-        status=FEASIBLE,
-        x=x,
-        z_blocks=None,
-        margin_t=-lam,
         gap=res["gap"],
         iterations=res["iterations"],
         diagnostics=diagnostics,

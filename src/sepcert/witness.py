@@ -57,16 +57,17 @@ class Witness:
         return self.space.factor_dims[1]
 
 
-def extract_witness(shape, problem, rho, z_blocks):
+def extract_witness(shape, problem, rho, z_blocks, image=None):
     """Build a witness from certificate blocks of the extension problem of
-    rho, assembled on shape.
+    rho, assembled on shape (image, when given, is their
+    shape.adjoint_image).
 
     Each dual block is un-transposed in its own coordinates and the adjoint
     of the pinned-part embedding maps the sum back to A x B.  The identity
     Tr[rho Z~] = sum_b Tr[F0_b Z_b] must hold to policy.SELF_CHECK; the
     result is normalized to unit spectral radius together with its blocks.
     """
-    raw = shape.dual_pairing(z_blocks)
+    raw = shape.dual_pairing(z_blocks, image)
     herm_dev = np.abs(raw - raw.conj().T).max()
     raw = (raw + raw.conj().T) / 2
     objective = sum(

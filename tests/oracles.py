@@ -18,6 +18,8 @@ transpose is bracketed by bisection over margin solves posed on the
 states themselves, the other side of decompose's split form.  The
 positivity ladder's minimum and the threshold pencil are taken on the
 whole composed operators, beside the package's torus-weight classes.
+The margin optimum is solved for whatever F0 holds, where the package
+decides a positive definite F0 at x = 0 on a checked bound.
 None of these is needed by the package itself.
 """
 
@@ -382,6 +384,15 @@ def trace_down_coefficients(d, k):
         for a in range(1, d * d):
             lmat[a, i] = np.einsum("pq,qp->", t, basis_a.elements[a]).real
     return lmat
+
+
+def margin_optimum(problem, tolerances=None):
+    """The outcome sdp.feasibility_margin gives problem when it is solved,
+    from a direct sdp._run: the margin optimum, also where F0 clears the
+    refusal band and x = 0 would decide."""
+    floor = -1.0 - np.sqrt(sum(np.linalg.norm(f0) ** 2 for f0 in problem.f0s))
+    (res,) = sdp._run(tolerances or sdp.SolverTolerances(), None, [problem], [floor])
+    return sdp._margin_outcome(problem, res)
 
 
 def find_gamma_star(

@@ -11,8 +11,9 @@ import pytest
 
 from sepcert import hierarchy, sdp
 from sepcert.cli import main
-from sepcert.hierarchy import ExtensionSpec, run_test, run_tests
-from sepcert.states import choi_family_state
+from sepcert.hierarchy import DensityMatrix, ExtensionSpec, run_test, run_tests
+from sepcert.states import choi_family_state, max_entangled
+from sepcert.tensorops import TensorSpace
 from sepcert.witness import scale_state
 
 SPEC = ExtensionSpec(k=2)
@@ -108,6 +109,32 @@ def test_parallel_parts_share_the_memory_budget(alone, monkeypatch):
     assert [_signature(rep) for rep in run_tests(family, SPEC, jobs=2)] == alone[0]
     assert sorted(sizes) == [1] + [2] * 6
     assert flight[1] <= 4
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_points_decided_at_zero_leave_the_batch(jobs, monkeypatch):
+    # 2x2 isotropic states, separable up to p = 1/3: the separable points
+    # here have a positive definite pinned extension and are decided at
+    # x = 0, the entangled ones are solved; the two alternate, so that
+    # every part holds both
+    family = [
+        DensityMatrix(p * max_entangled(2).matrix + (1 - p) * np.eye(4) / 4,
+                      TensorSpace([2, 2]))
+        for p in (0.0, 0.4, 0.1, 0.5, 0.2, 0.6, 0.3, 0.35)
+    ]
+    want = [_signature(run_test(rho, SPEC)) for rho in family]
+    assert [sig[2] == 0 for sig in want] == [True, False] * 4
+    solved = []
+    run = sdp._run
+
+    def spy(tol, trace, problems, floors=None):
+        solved.append(len(problems))
+        return run(tol, trace, problems, floors)
+
+    monkeypatch.setattr(sdp, "_run", spy)
+    assert [_signature(rep) for rep in run_tests(family, SPEC, jobs=jobs)] == want
+    # only the entangled points reach the solver, as one batch per part
+    assert solved == [4 // jobs] * jobs
 
 
 def _rows(out_dir):

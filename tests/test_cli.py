@@ -599,24 +599,26 @@ def test_verify_witness_rejects_dimension_mismatch(files, tmp_path, capsys):
 
 
 def test_trace_flag_streams_solver_progress(files, tmp_path, capsys):
-    code = main(
-        [
-            "test",
-            files["maxmixed22.mat"],
-            "--k",
-            "1",
-            "--trace",
-            "--out",
-            str(tmp_path),
-        ]
-    )
+    # choi 3.5 is entangled, so its level is solved
+    code = main(["test", files["choi35.mat"], "--k", "2", "--trace", "--out", str(tmp_path)])
     _, err = capsys.readouterr()
-    assert code == 0
+    assert code == 1
     assert "trace: iteration=" in err
     assert " gap=" in err
     # rows that took a step also name the centering and the step lengths
     for key in ("sigma", "alpha_p", "alpha_d"):
         assert f" {key}=" in err
+    assert "trace: k=2 side_classes=" in err
+    assert "decided at x=0" not in err
+
+    # the maximally mixed state's pinned extension is positive definite:
+    # its level is decided at x = 0, with one line in place of the rows
+    code = main(["test", files["maxmixed22.mat"], "--k", "1", "--trace", "--out", str(tmp_path)])
+    _, err = capsys.readouterr()
+    assert code == 0
+    assert "trace: iteration=" not in err
+    assert "side_classes=" not in err
+    assert "trace: k=1 decided at x=0 min_eigenvalue=2.500e-01\n" in err
 
 
 def _record_rechecks(monkeypatch, corrupt=None):
@@ -647,6 +649,26 @@ def test_level_beyond_the_dense_isometry_is_rechecked(
     assert code == 0
     assert out.startswith("separable_consistent margin=")
     assert [(k, chk["passed"]) for k, chk in seen] == [(15, True)]
+
+
+def test_a_level_decided_at_zero_is_rechecked(files, tmp_path, monkeypatch, capsys):
+    # the maximally mixed state's pinned extension is positive definite, so
+    # x = 0 decides; the extension it stands for is re-checked all the same
+    seen = _record_rechecks(monkeypatch)
+    argv = ["test", files["maxmixed22.mat"], "--k", "2", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    out, _ = capsys.readouterr()
+    report = open(out.split("report=")[1].strip()).read()
+    assert "  margin: -8.333333333333e-02\n  iterations: 0\n" in report
+    assert [(k, chk["passed"]) for k, chk in seen] == [(2, True)]
+
+    def failing(*args, **kwargs):
+        return {"passed": False}
+
+    monkeypatch.setattr(hierarchy, "check_extension_properties", failing)
+    assert main(argv) == 70
+    _, err = capsys.readouterr()
+    assert "extension re-check failed" in err
 
 
 def _separable_family(v):

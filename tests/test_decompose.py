@@ -197,6 +197,30 @@ def test_dual_and_primal_runs_agree(witness_split):
     assert split_residual(w.matrix, report) < 1e-7
 
 
+def test_decompose_is_never_decided_at_zero(witness_split, monkeypatch):
+    # the split form's F0 = (2Z, 0) has a zero block, so even a positive
+    # definite Z is solved to its optimum epsilon
+    seen = []
+
+    def spy(problem, _orig=sdp._at_zero):
+        seen.append(_orig(problem))
+        return seen[-1]
+
+    monkeypatch.setattr(sdp, "_at_zero", spy)
+    w = witness_split[0]
+    for z, space in [
+        (np.eye(4), SP22),
+        (np.eye(4) - max_entangled(2).matrix, SP22),
+        (swap_operator(SP33, 0, 1), SP33),
+        (swap_operator(SP22, 0, 1) + 0.1 * np.eye(4), SP22),
+        (np.eye(4) - 2.0 * np.diag([0.0, 1.0, 0.0, 0.0]), SP22),
+        choi_family_witness(),
+        (w.matrix, w.space),
+    ]:
+        assert decompose(z, space).diagnostics["split_iterations"] > 0
+    assert seen == [None] * 7
+
+
 def test_edge_extraction_requires_a_detecting_state():
     report = decompose(np.eye(4), SP22)
     with pytest.raises(ValueError):

@@ -970,6 +970,27 @@ def test_singular_state_on_the_boundary_is_marginal():
     assert abs(rep.margin) < 1e-7
 
 
+@pytest.mark.parametrize("family, param, k, status", [
+    # separable, but of rank 7 of 9: every extension is singular
+    (choi_family_state, 2.5, 2, MARGINAL),
+    (choi_family_state, 3.5, 3, ENTANGLED),
+    (gisin_family_state, 3.0, 2, ENTANGLED),
+])
+def test_singular_and_entangled_levels_are_not_decided_at_zero(
+    monkeypatch, family, param, k, status
+):
+    seen = []
+
+    def spy(problem, _orig=sdp._at_zero):
+        seen.append(_orig(problem))
+        return seen[-1]
+
+    monkeypatch.setattr(sdp, "_at_zero", spy)
+    rep = run_test(family(param), ExtensionSpec(k=k))
+    assert rep.status == status and rep.iterations > 0
+    assert seen == [None]
+
+
 def test_state_validation_rejects_bad_inputs():
     space = TensorSpace([2, 2])
     good = np.eye(4) / 4

@@ -24,7 +24,9 @@ import scipy.linalg as sla
 import scipy.sparse as sps
 from scipy.optimize import linprog
 
+from oracles import margin_optimum
 from sepcert import sdp
+from sepcert import tolerances as policy
 from sepcert.hierarchy import ExtensionSpec, build_extension_problem
 from sepcert.states import choi_family_state, random_state
 from sepcert.sdp import (
@@ -158,9 +160,18 @@ def test_diagonal_problems_match_linprog(seed):
         bounds=[(None, None)] * (m + 1),
     )
     assert ref.status == 0
-    assert abs(out.margin_t - ref.fun) < 1e-6
-    # the margin is attained at the solver's x
-    assert abs((f0_all + a_all @ out.x).min() + ref.fun) < 1e-6
+    if f0_all.min() < policy.REFUSAL_BAND:
+        assert out.iterations > 0
+        assert abs(out.margin_t - ref.fun) < 1e-6
+        # the margin is attained at the solver's x
+        assert abs((f0_all + a_all @ out.x).min() + ref.fun) < 1e-6
+    else:
+        # F0 clears the band: decided at x = 0, whose margin is a checked
+        # bound on the LP optimum, not the optimum
+        assert out.iterations == 0 and out.z_blocks is None
+        assert np.array_equal(out.x, np.zeros(m))
+        assert out.margin_t == -f0_all.min()
+        assert out.margin_t >= ref.fun
 
 
 def feasible_instance(rng, m=4, sizes=(5, 3)):
@@ -252,9 +263,54 @@ def test_deterministic_rerun():
     )
 
 
+def outcome_bits(out):
+    z = None if out.z_blocks is None else [z.tobytes() for z in out.z_blocks]
+    return out.status, repr(out.margin_t), out.x.tobytes(), out.iterations, z
+
+
+def test_a_positive_definite_f0_is_decided_at_zero():
+    rng = np.random.default_rng(7)
+    f0s = []
+    for n in (5, 3):
+        g = rand_herm(n, rng)
+        f0s.append(g @ g.conj().T + 0.1 * np.eye(n))
+    p = SdpProblem(f0s=f0s, fs=[np.stack([rand_herm(n, rng) for _ in range(4)]) for n in (5, 3)])
+    lam = min(np.linalg.eigvalsh(f0)[0] for f0 in f0s)
+    out = feasibility_margin(p)
+    assert out.status == FEASIBLE
+    assert out.iterations == 0 and out.z_blocks is None and np.isnan(out.gap)
+    assert np.array_equal(out.x, np.zeros(4))
+    assert out.margin_t == pytest.approx(-lam, rel=1e-12)
+    assert out.diagnostics == {"min_eigenvalue": -out.margin_t}
+    # a checked bound on the optimum, which the solve goes on to
+    opt = margin_optimum(p)
+    assert opt.status == FEASIBLE and opt.iterations > 0
+    assert opt.margin_t < out.margin_t
+
+
+def test_f0_inside_the_refusal_band_is_solved():
+    # lambda_min(F0) = REFUSAL_BAND / 2: positive definite, yet x = 0 does
+    # not clear the band, so the solve runs and gives every bit of a
+    # direct one
+    rng = np.random.default_rng(5)
+    p = feasible_instance(rng)
+    shift = min(np.linalg.eigvalsh(f0)[0] for f0 in p.f0s) - policy.REFUSAL_BAND / 2
+    p = SdpProblem(f0s=[f0 - shift * np.eye(len(f0)) for f0 in p.f0s], fs=p.fs)
+    lam = min(np.linalg.eigvalsh(f0)[0] for f0 in p.f0s)
+    assert lam == pytest.approx(policy.REFUSAL_BAND / 2, rel=1e-6)
+    out = feasibility_margin(p)
+    assert out.status == FEASIBLE and out.iterations > 0
+    assert outcome_bits(out) == outcome_bits(margin_optimum(p))
+
+
 def test_complex_data_handled_natively():
     rng = np.random.default_rng(21)
     p = feasible_instance(rng, m=3, sizes=(4,))
+    # F0 shifted below the refusal band, so that x = 0 does not decide and
+    # the complex iteration runs; the margin optimum moves up by 2, to
+    # about -0.96, and stays feasible
+    p = SdpProblem(f0s=[p.f0s[0] - 2 * np.eye(4)], fs=p.fs)
+    assert np.linalg.eigvalsh(p.f0s[0])[0] < 0
     # make it genuinely complex: conjugate by a random unitary
     q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
     rot = lambda m: q @ m @ q.conj().T
@@ -263,7 +319,7 @@ def test_complex_data_handled_natively():
         fs=[np.stack([rot(f) for f in p.fs[0].toarray().reshape(3, 4, 4)])],
     )
     out = feasibility_margin(p2)
-    assert out.status == FEASIBLE
+    assert out.status == FEASIBLE and out.iterations > 0
     assert out.diagnostics["real_path"] is False
     # margins agree with the unrotated problem (unitary invariance)
     base = feasibility_margin(p)
